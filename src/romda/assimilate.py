@@ -1,13 +1,22 @@
 """Variational solvers over surrogates and forward models.
 
 The two-term quadratic-form cost J(x) = 1/2 ||x - x_b||^2_{B^-1}
-+ 1/2 ||G(x) - y_o||^2_{R^-1} is evaluated through cached symmetric
-factorizations (never explicit inverses). Solvers:
++ 1/2 ||G(x) - y_o||^2_{R^-1} is evaluated in whitened coordinates,
+1/2 ||L_B^-1 (x - x_b)||^2 + 1/2 ||L_R^-1 (G(x) - y_o)||^2 with L L^T the
+scaled covariance, never by inverting a covariance. Each problem holds
+one whitening factor per covariance, computed on first use: the standard
+deviations of a diagonal covariance (which is never factored densely), or
+the lower Cholesky factor of a dense one. Solvers:
 
 * closed-form analysis for the linear joint-decomposition surrogate
   (cancelling the gradient of the reduced quadratic cost);
-* bound-constrained quasi-Newton descent with the analytic gradient of the
-  nonlinear surrogate cost;
+* bound-constrained quasi-Newton descent for the nonlinear surrogate, in
+  reduced space: its prediction ybar + Phi_d Sigma_d nu(x) is affine in the
+  mode coefficients, so the observation term is whitened once per
+  (surrogate, problem) into a d x d triangle and a d-vector (thin QR of
+  L_R^-1 Phi_d Sigma_d). Every cost and gradient evaluation then costs
+  O(d m_x) and touches no m_y-sized array (the incremental 3DVAR of
+  Courtier, Thepaut & Hollingsworth 1994);
 * classical reference against any forward model with central
   finite-difference gradients.
 
@@ -21,7 +30,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from .optimize import OptimizerConfig, bounded_quasi_newton
 from .pce import pce_eval, pce_jacobian
@@ -37,19 +46,23 @@ class AssimilationProblem:
     """Background, observation, covariances, bounds and the alpha scalings.
 
     Covariances enter every computation as alpha_b * background_cov and
-    alpha_r * observation_cov. Factorizations are cached on first use;
-    instances should be treated as immutable once handed to a solver.
+    alpha_r * observation_cov. The observation covariance may be given as
+    its (m_y,) variances when it is diagonal; a 2-D covariance whose
+    off-diagonal entries are all zero is treated the same way. Whitening
+    factors are cached on first use; instances should be treated as
+    immutable once handed to a solver.
     """
 
     x_b: np.ndarray  # (m_x,)
     background_cov: np.ndarray  # (m_x, m_x) symmetric positive definite
     y_o: np.ndarray  # (m_y,)
-    observation_cov: np.ndarray  # (m_y, m_y) symmetric positive definite
+    observation_cov: np.ndarray  # (m_y, m_y) symmetric positive definite, or (m_y,) variances
     bounds: np.ndarray  # (m_x, 2)
     alpha_b: float = 1.0
     alpha_r: float = 1.0
-    _b_factor: tuple | None = field(default=None, repr=False, compare=False)
-    _r_factor: tuple | None = field(default=None, repr=False, compare=False)
+    _b_factor: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _r_factor: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _reduced: "_ReducedCost | None" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.x_b = np.asarray(self.x_b, dtype=float)
@@ -61,8 +74,8 @@ class AssimilationProblem:
         m_y = self.y_o.shape[0]
         if self.background_cov.shape != (m_x, m_x):
             raise ValueError(f"background covariance must be ({m_x}, {m_x})")
-        if self.observation_cov.shape != (m_y, m_y):
-            raise ValueError(f"observation covariance must be ({m_y}, {m_y})")
+        if self.observation_cov.shape not in ((m_y, m_y), (m_y,)):
+            raise ValueError(f"observation covariance must be ({m_y}, {m_y}) or ({m_y},)")
         if self.bounds.shape != (m_x, 2):
             raise ValueError(f"bounds must be ({m_x}, 2)")
         if self.alpha_b <= 0.0 or self.alpha_r <= 0.0:
@@ -78,15 +91,62 @@ class AssimilationProblem:
     def m_y(self) -> int:
         return self.y_o.shape[0]
 
-    def b_factor(self) -> tuple:
+    def _background_factor(self) -> np.ndarray:
         if self._b_factor is None:
-            self._b_factor = _factor_spd(self.alpha_b * self.background_cov, "background")
+            self._b_factor = _whitening_factor(self.background_cov, self.alpha_b, "background")
         return self._b_factor
 
-    def r_factor(self) -> tuple:
+    def _observation_factor(self) -> np.ndarray:
         if self._r_factor is None:
-            self._r_factor = _factor_spd(self.alpha_r * self.observation_cov, "observation")
+            self._r_factor = _whitening_factor(self.observation_cov, self.alpha_r, "observation")
         return self._r_factor
+
+    def whiten_background(self, v: np.ndarray) -> np.ndarray:
+        """L_B^-1 v for a vector or for the columns of a matrix."""
+        return _whiten(self._background_factor(), v)
+
+    def whiten_observation(self, v: np.ndarray) -> np.ndarray:
+        """L_R^-1 v for a vector or for the columns of a matrix."""
+        return _whiten(self._observation_factor(), v)
+
+    def b_factor(self) -> tuple:
+        """Lower factor of alpha_b * B in ``scipy.linalg.cho_solve`` form."""
+        return _cho_form(self._background_factor())
+
+    def r_factor(self) -> tuple:
+        """Lower factor of alpha_r * R in ``scipy.linalg.cho_solve`` form."""
+        return _cho_form(self._observation_factor())
+
+
+def _whitening_factor(cov: np.ndarray, alpha: float, name: str) -> np.ndarray:
+    """L with L L^T = alpha * cov: the standard deviations (1-D) when cov is
+    diagonal, else the lower Cholesky factor (2-D)."""
+    if cov.ndim == 2 and np.count_nonzero(cov) == np.count_nonzero(np.diagonal(cov)):
+        cov = np.diagonal(cov)  # every nonzero entry sits on the diagonal
+    if cov.ndim == 2:
+        factor, _ = _factor_spd(alpha * cov, name)
+        return factor
+    variances = alpha * cov
+    if not np.all(np.isfinite(variances)):
+        raise ValueError(f"{name} covariance must be finite")
+    if not np.all(variances > 0.0):
+        raise ValueError(
+            f"{name} covariance is not positive definite "
+            f"(smallest eigenvalue {float(variances.min()):.6g})"
+        )
+    return np.sqrt(variances)
+
+
+def _whiten(factor: np.ndarray, v: np.ndarray) -> np.ndarray:
+    v = np.asarray_chkfinite(v, dtype=float)
+    if factor.ndim == 1:
+        return v / (factor if v.ndim == 1 else factor[:, None])
+    # Only the lower triangle is read; cho_factor leaves input entries above it.
+    return solve_triangular(factor, v, lower=True, check_finite=False)
+
+
+def _cho_form(factor: np.ndarray) -> tuple:
+    return (np.diag(factor) if factor.ndim == 1 else factor), True
 
 
 def _factor_spd(matrix: np.ndarray, name: str) -> tuple:
@@ -108,13 +168,7 @@ def scale_covariances(
     is untouched."""
     if alpha_b <= 0.0 or alpha_r <= 0.0:
         raise ValueError(f"scale factors must be positive, got ({alpha_b}, {alpha_r})")
-    return replace(
-        problem,
-        alpha_b=problem.alpha_b * alpha_b,
-        alpha_r=problem.alpha_r * alpha_r,
-        _b_factor=None,
-        _r_factor=None,
-    )
+    return replace(problem, alpha_b=problem.alpha_b * alpha_b, alpha_r=problem.alpha_r * alpha_r)
 
 
 @dataclass
@@ -134,13 +188,13 @@ class AnalysisResult:
 
 
 def _background_misfit(problem: AssimilationProblem, x: np.ndarray) -> float:
-    db = x - problem.x_b
-    return 0.5 * float(db @ cho_solve(problem.b_factor(), db))
+    w = problem.whiten_background(x - problem.x_b)
+    return 0.5 * float(w @ w)
 
 
 def _observation_misfit(problem: AssimilationProblem, y: np.ndarray) -> float:
-    dr = y - problem.y_o
-    return 0.5 * float(dr @ cho_solve(problem.r_factor(), dr))
+    w = problem.whiten_observation(y - problem.y_o)
+    return 0.5 * float(w @ w)
 
 
 def cost_3dvar(
@@ -178,10 +232,13 @@ def solve_poden3dvar(
     mean_y = surrogate.joint_mean[surrogate.m_x :]
     h_x = surrogate.phi_x * surrogate.sigma[None, :]  # (m_x, d)
     h_y = surrogate.phi_y * surrogate.sigma[None, :]  # (m_y, d)
-    bi_hx = cho_solve(problem.b_factor(), h_x)
-    ri_hy = cho_solve(problem.r_factor(), h_y)
-    normal = h_x.T @ bi_hx + h_y.T @ ri_hy
-    rhs = bi_hx.T @ (problem.x_b - mean_x) + ri_hy.T @ (problem.y_o - mean_y)
+    # Whitened generators: h^T C^-1 v = (L^-1 h)^T (L^-1 v).
+    wb_hx = problem.whiten_background(h_x)
+    wr_hy = problem.whiten_observation(h_y)
+    normal = wb_hx.T @ wb_hx + wr_hy.T @ wr_hy
+    rhs = wb_hx.T @ problem.whiten_background(problem.x_b - mean_x) + wr_hy.T @ (
+        problem.whiten_observation(problem.y_o - mean_y)
+    )
 
     def reduced_cost(nu: np.ndarray) -> float:
         x, y = poden_predict(surrogate, nu)
@@ -189,7 +246,9 @@ def solve_poden3dvar(
 
     def reduced_grad(nu: np.ndarray) -> np.ndarray:
         x, y = poden_predict(surrogate, nu)
-        return bi_hx.T @ (x - problem.x_b) + ri_hy.T @ (y - problem.y_o)
+        return wb_hx.T @ problem.whiten_background(x - problem.x_b) + wr_hy.T @ (
+            problem.whiten_observation(y - problem.y_o)
+        )
 
     if method == "closed_form":
         try:
@@ -240,11 +299,70 @@ def solve_poden3dvar(
     )
 
 
+class _ReducedCost:
+    """The POD-PCE 3DVAR cost of one (surrogate, problem) in reduced space.
+
+    With y(x) = ybar + H nu(x), H = Phi_d Sigma_d, the whitened quantities
+    A = L_R^-1 H = Q T (thin QR) and z = L_R^-1 (y_o - ybar) give
+    1/2 ||y(x) - y_o||^2_{R^-1} = 1/2 ||T nu(x) - c||^2 + const with
+    c = Q^T z and const = 1/2 ||z - Q c||^2, the part of z outside the
+    span of A. The m_y-sized work is done once, here.
+    """
+
+    def __init__(self, surrogate: PodPceSurrogate, problem: AssimilationProblem) -> None:
+        if surrogate.m_y != problem.m_y:
+            raise ValueError(
+                f"surrogate state dimension {surrogate.m_y} does not match problem {problem.m_y}"
+            )
+        retained = surrogate.state_basis.retained_view
+        a = problem.whiten_observation(retained.modes * retained.singular_values[None, :])
+        z = problem.whiten_observation(problem.y_o - retained.mean)
+        q, self.t = np.linalg.qr(a)
+        self.c = q.T @ z
+        outside = z - q @ self.c
+        self.const = 0.5 * float(outside @ outside)
+        self.w_b = problem.whiten_background(np.eye(problem.m_x))  # L_B^-1
+        self.x_b = problem.x_b
+        self.surrogate = surrogate
+        self._last: tuple[np.ndarray, np.ndarray] | None = None  # (x, nu(x))
+
+    def nu(self, x: np.ndarray) -> np.ndarray:
+        """nu(x), reused when asked again at the same x (the optimizer scores
+        a point, then takes the gradient at the point it accepted)."""
+        last = self._last
+        if last is not None and np.array_equal(last[0], x):
+            return last[1]
+        nu = pce_eval(self.surrogate.pce, x)
+        self._last = (np.array(x, dtype=float), nu)
+        return nu
+
+    def cost(self, x: np.ndarray) -> float:
+        w = self.w_b @ (x - self.x_b)
+        r = self.t @ self.nu(x) - self.c
+        return 0.5 * float(w @ w) + 0.5 * float(r @ r) + self.const
+
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        w = self.w_b @ (x - self.x_b)
+        r = self.t @ self.nu(x) - self.c
+        return self.w_b.T @ w + pce_jacobian(self.surrogate.pce, x).T @ (self.t.T @ r)
+
+
+def _reduced_cost(surrogate: PodPceSurrogate, problem: AssimilationProblem) -> _ReducedCost:
+    """The problem's reduced cost for ``surrogate``, built on first use."""
+    reduced = problem._reduced
+    if reduced is None or reduced.surrogate is not surrogate:
+        reduced = _ReducedCost(surrogate, problem)
+        problem._reduced = reduced
+    return reduced
+
+
 def podpce_cost(surrogate: PodPceSurrogate, problem: AssimilationProblem, x: np.ndarray) -> float:
-    """Surrogate cost: background misfit plus weighted surrogate residual."""
-    return _background_misfit(problem, x) + _observation_misfit(
-        problem, podpce_predict(surrogate, x)
-    )
+    """Surrogate cost: background misfit plus weighted surrogate residual.
+
+    Evaluated in reduced space; the value includes the constant part of the
+    observation misfit, so it equals the full two-term cost.
+    """
+    return _reduced_cost(surrogate, problem).cost(np.asarray(x, dtype=float))
 
 
 def podpce_gradient(
@@ -252,17 +370,10 @@ def podpce_gradient(
 ) -> np.ndarray:
     """Analytic gradient of :func:`podpce_cost`.
 
-    B^-1 (x - x_b) plus the surrogate Jacobian (state modes scaled by their
-    singular values times the expansion Jacobian) applied to the weighted
-    residual.
+    B^-1 (x - x_b) plus the expansion Jacobian applied to the reduced
+    residual: J_pce(x)^T T^T (T nu(x) - c).
     """
-    basis = surrogate.state_basis
-    h_y = basis.retained_view.modes * basis.retained_view.singular_values[None, :]
-    residual = podpce_predict(surrogate, x) - problem.y_o
-    jac_state = h_y @ pce_jacobian(surrogate.pce, x)  # (m_y, m_x)
-    return cho_solve(problem.b_factor(), x - problem.x_b) + jac_state.T @ cho_solve(
-        problem.r_factor(), residual
-    )
+    return _reduced_cost(surrogate, problem).gradient(np.asarray(x, dtype=float))
 
 
 def solve_podpce3dvar(
@@ -275,10 +386,7 @@ def solve_podpce3dvar(
     Starts from the background; the analysis respects the bounds by
     construction.
     """
-    if surrogate.m_y != problem.m_y:
-        raise ValueError(
-            f"surrogate state dimension {surrogate.m_y} does not match problem {problem.m_y}"
-        )
+    _reduced_cost(surrogate, problem)  # the one m_y-sized setup of the solve
     calls = 0
 
     def cost(x: np.ndarray) -> float:
@@ -292,10 +400,9 @@ def solve_podpce3dvar(
         return podpce_gradient(surrogate, problem, x)
 
     res = bounded_quasi_newton(cost, gradient, problem.x_b, problem.bounds, optimizer_config)
-    y_a = podpce_predict(surrogate, res.x)
     return AnalysisResult(
         x_a=res.x,
-        y_a=y_a,
+        y_a=podpce_predict(surrogate, res.x),
         nu_a=pce_eval(surrogate.pce, res.x),
         cost_trace=res.f_trace,
         grad_norms=res.grad_norms,
@@ -342,21 +449,23 @@ def solve_classical_3dvar(
 
     def gradient(x: np.ndarray) -> np.ndarray:
         grad = np.empty_like(x)
+        f_x = None  # cost(x), run once and only if some step is one-sided
         for i in range(x.size):
             h = fd_step[i]
             hi_ok = x[i] + h <= upper[i]
             lo_ok = x[i] - h >= lower[i]
             x_plus, x_minus = x.copy(), x.copy()
+            x_plus[i] += h
+            x_minus[i] -= h
             if hi_ok and lo_ok:
-                x_plus[i] += h
-                x_minus[i] -= h
                 grad[i] = (cost(x_plus) - cost(x_minus)) / (2.0 * h)
-            elif hi_ok:
-                x_plus[i] += h
-                grad[i] = (cost(x_plus) - cost(x)) / h
+                continue
+            if f_x is None:
+                f_x = cost(x)
+            if hi_ok:
+                grad[i] = (cost(x_plus) - f_x) / h
             else:
-                x_minus[i] -= h
-                grad[i] = (cost(x) - cost(x_minus)) / h
+                grad[i] = (f_x - cost(x_minus)) / h
         return grad
 
     res = bounded_quasi_newton(cost, gradient, problem.x_b, problem.bounds, optimizer_config)

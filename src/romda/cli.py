@@ -269,11 +269,11 @@ def _cmd_assimilate(args, cfg: dict) -> int:
         raise ConfigError("background covariance must be positive definite")
 
     covariance = cfg.get("covariance", "r")
-    r_mat = np.diag(r_diag)
+    r_mat = r_diag
     if kind == "podpce" and covariance == "r_tilde":
-        r_mat = metamodel_error_covariance(surrogate, r_mat).matrix
+        r_mat = metamodel_error_covariance(surrogate, np.diag(r_diag)).matrix
     elif kind == "podpce" and covariance == "r_tilde_corrected":
-        r_mat = corrected_error_covariance(surrogate, r_mat).matrix
+        r_mat = corrected_error_covariance(surrogate, np.diag(r_diag)).matrix
     elif covariance != "r":
         raise ConfigError(f"covariance {covariance!r} unsupported for kind {kind!r}")
 

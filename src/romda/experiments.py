@@ -187,6 +187,24 @@ def rmse_by(
 # Configurations and report rows --------------------------------------------------
 
 
+def _check_sweep(config: "TwinConfig | MeasurementConfig") -> None:
+    """Checks shared by the sweep configurations; each message names its field."""
+    sizes = config.training_sizes
+    if any(b <= a for a, b in zip(sizes, sizes[1:])) or not sizes:
+        raise ValueError("training_sizes: training sizes must be strictly increasing and nonempty")
+    if min(sizes) < 8:
+        raise ValueError("training_sizes: training sizes below 8 members are not supported")
+    for kind in config.surrogates:
+        if kind not in SURROGATE_KINDS:
+            raise ValueError(
+                f"surrogates: surrogate kind must be one of {SURROGATE_KINDS}, got {kind!r}"
+            )
+    if config.evr_threshold is None and not config.mode_numbers:
+        raise ValueError("mode_numbers: need mode_numbers or evr_threshold")
+    if config.workers < 1:
+        raise ValueError("workers: workers must be >= 1")
+
+
 @dataclass(frozen=True)
 class TwinConfig:
     seed: int = 0
@@ -214,22 +232,11 @@ class TwinConfig:
                     f"noise level {level} rejected: observation covariance must be "
                     "positive definite, so levels lie strictly in (0, 1)"
                 )
-        sizes = self.training_sizes
-        if any(b <= a for a, b in zip(sizes, sizes[1:])) or not sizes:
-            raise ValueError("training sizes must be strictly increasing and nonempty")
-        if min(sizes) < 8:
-            raise ValueError("training sizes below 8 members are not supported")
+        _check_sweep(self)
         if self.covariance_kind not in COVARIANCE_KINDS:
             raise ValueError(f"covariance kind must be one of {COVARIANCE_KINDS}")
-        for kind in self.surrogates:
-            if kind not in SURROGATE_KINDS:
-                raise ValueError(f"surrogate kind must be one of {SURROGATE_KINDS}")
         if any(a <= 0 for a in self.alpha_grid):
             raise ValueError("alpha factors must be positive")
-        if self.evr_threshold is None and not self.mode_numbers:
-            raise ValueError("need mode_numbers or evr_threshold")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -247,9 +254,7 @@ class MeasurementConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.assumed_noise < 1.0:
             raise ValueError("assumed noise must be in (0, 1)")
-        sizes = self.training_sizes
-        if any(b <= a for a, b in zip(sizes, sizes[1:])) or not sizes:
-            raise ValueError("training sizes must be strictly increasing and nonempty")
+        _check_sweep(self)
         for kind in self.covariance_kinds:
             if kind not in COVARIANCE_KINDS:
                 raise ValueError(f"covariance kind must be one of {COVARIANCE_KINDS}")
@@ -431,13 +436,14 @@ def _background_cov_std(config_b_from_truth: bool, x_t: np.ndarray, param_std: S
 def _observation_matrix(
     kind: str, surrogate, r_diag_std: np.ndarray
 ) -> np.ndarray:
-    r_mat = np.diag(r_diag_std)
+    """Observation covariance of a cell: plain R as its variances (never
+    densified), or the dense augmented R-tilde."""
     if kind == "r":
-        return r_mat
+        return r_diag_std
     if kind == "r_tilde":
-        return metamodel_error_covariance(surrogate, r_mat).matrix
+        return metamodel_error_covariance(surrogate, np.diag(r_diag_std)).matrix
     if kind == "r_tilde_corrected":
-        return corrected_error_covariance(surrogate, r_mat).matrix
+        return corrected_error_covariance(surrogate, np.diag(r_diag_std)).matrix
     raise ValueError(f"unknown covariance kind {kind!r}")
 
 
@@ -468,7 +474,7 @@ def _solve_cell(
         r_mat = _observation_matrix(covariance, surrogate, r_diag_std)
     elif solver == "poden":
         surrogate = builds.poden[d]
-        r_mat = np.diag(r_diag_std)  # linear surrogate runs with plain R
+        r_mat = r_diag_std  # linear surrogate runs with plain R
     else:
         raise ValueError(f"unknown solver {solver!r}")
 
@@ -841,7 +847,7 @@ def run_measurement(config: MeasurementConfig, y_o: np.ndarray) -> ExperimentRep
         x_b=np.zeros(4),
         background_cov=np.eye(4),
         y_o=standardizer.transform(y_o),
-        observation_cov=np.diag(standardizer.variance_diag(r_diag)),
+        observation_cov=standardizer.variance_diag(r_diag),
         bounds=bounds_std,
     )
     start = time.perf_counter()

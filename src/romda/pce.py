@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -99,6 +100,28 @@ def _hermite_derivatives(max_degree: int, t: np.ndarray) -> np.ndarray:
     return out
 
 
+_VALUES = {"legendre": _legendre_values, "hermite": _hermite_values}
+_DERIVATIVES = {"legendre": _legendre_derivatives, "hermite": _hermite_derivatives}
+
+
+def _univariate_tables(basis: "PceBasis", t: np.ndarray, kind: dict) -> list[np.ndarray]:
+    """Per input i, a table of shape (degree + 1, n) whose row b is the
+    degree-b polynomial (or derivative) of input i's family at t[:, i].
+
+    One call per family covers all its inputs up to the highest degree any of
+    them takes: the recurrences act elementwise and row by row, so every row
+    holds the same bits as a call for that input alone.
+    """
+    n = t.shape[0]
+    tables = [None] * basis.input_dim
+    for family, inputs in basis.family_inputs.items():
+        degree = int(basis.input_degrees[inputs].max())
+        block = kind[family](degree, t[:, inputs].T.ravel()).reshape(degree + 1, inputs.size, n)
+        for k, i in enumerate(inputs):
+            tables[i] = block[:, k, :]
+    return tables
+
+
 def univariate_eval(family: str, degree: int, t: float | np.ndarray) -> float | np.ndarray:
     """Orthonormalized univariate polynomial value at standardized ``t``."""
     if degree < 0:
@@ -174,6 +197,22 @@ class PceBasis:
     def max_degree(self) -> int:
         return max(sum(alpha) for alpha in self.indices)
 
+    @cached_property
+    def exponents(self) -> np.ndarray:
+        """The index set as an integer array, shape (n_terms, m_x)."""
+        return np.array(self.indices, dtype=np.intp).reshape(self.n_terms, self.input_dim)
+
+    @cached_property
+    def input_degrees(self) -> np.ndarray:
+        """Highest exponent of each input over the index set, shape (m_x,)."""
+        return self.exponents.max(axis=0)
+
+    @cached_property
+    def family_inputs(self) -> dict[str, np.ndarray]:
+        """Input positions of each family present in the basis."""
+        families = np.array(self.families)
+        return {f: np.flatnonzero(families == f) for f in FAMILIES if f in self.families}
+
     def standardize(self, samples: np.ndarray, *, check_bounds: bool = True) -> np.ndarray:
         samples = np.atleast_2d(np.asarray(samples, dtype=float))
         if samples.shape[1] != self.input_dim:
@@ -181,18 +220,19 @@ class PceBasis:
                 f"samples must have {self.input_dim} columns, got {samples.shape[1]}"
             )
         t = (samples - self.offsets[None, :]) / self.scales[None, :]
-        if check_bounds:
-            for i, family in enumerate(self.families):
-                if family != "legendre":
-                    continue
-                over = np.abs(t[:, i]) - 1.0
-                worst = int(np.argmax(over))
-                if over[worst] > BOUNDS_RTOL:
-                    raise ValueError(
-                        f"sample {worst} is outside the declared bounds of input {i} "
-                        f"(standardized coordinate {t[worst, i]:.12g})"
-                    )
-                t[:, i] = np.clip(t[:, i], -1.0, 1.0)
+        bounded = self.family_inputs.get("legendre")
+        if check_bounds and bounded is not None:
+            over = np.abs(t[:, bounded]) - 1.0
+            worst = np.argmax(over, axis=0)  # per bounded input
+            outside = over[worst, np.arange(bounded.size)] > BOUNDS_RTOL
+            if np.any(outside):
+                k = int(np.argmax(outside))
+                i, row = int(bounded[k]), int(worst[k])
+                raise ValueError(
+                    f"sample {row} is outside the declared bounds of input {i} "
+                    f"(standardized coordinate {t[row, i]:.12g})"
+                )
+            t[:, bounded] = np.clip(t[:, bounded], -1.0, 1.0)
         return t
 
 
@@ -241,17 +281,11 @@ def make_basis(
 def design_matrix(samples: np.ndarray, basis: PceBasis) -> np.ndarray:
     """Evaluation of every basis term at every sample, shape (n, n_terms)."""
     t = basis.standardize(samples)
-    n = t.shape[0]
-    per_degree = []
-    max_deg_per_input = [max(alpha[i] for alpha in basis.indices) for i in range(basis.input_dim)]
-    for i, family in enumerate(basis.families):
-        fn = _legendre_values if family == "legendre" else _hermite_values
-        per_degree.append(fn(max_deg_per_input[i], t[:, i]))
-    psi = np.ones((n, basis.n_terms))
-    for col, alpha in enumerate(basis.indices):
-        for i, a_i in enumerate(alpha):
-            if a_i > 0:
-                psi[:, col] *= per_degree[i][a_i]
+    psi = np.ones((t.shape[0], basis.n_terms))
+    # Degree-0 factors are exactly 1.0, so multiplying every column by every
+    # input's factor gives the same bits as skipping the zero exponents.
+    for i, values in enumerate(_univariate_tables(basis, t, _VALUES)):
+        psi *= values.T[:, basis.exponents[:, i]]
     return psi
 
 
@@ -458,7 +492,7 @@ class PceModel:
     def max_degree(self) -> int:
         return max(sum(alpha) for alpha in self.indices)
 
-    @property
+    @cached_property
     def basis(self) -> PceBasis:
         return PceBasis(
             families=self.families,
@@ -559,26 +593,19 @@ def pce_jacobian(model: PceModel, x: np.ndarray) -> np.ndarray:
     if x.shape != (model.input_dim,):
         raise ValueError(f"x must have shape ({model.input_dim},), got {x.shape}")
     basis = model.basis
-    t = basis.standardize(x[None, :])[0]
-    m_x = model.input_dim
-    max_deg_per_input = [max(alpha[i] for alpha in model.indices) for i in range(m_x)]
-    values = []
-    derivs = []
-    for i, family in enumerate(basis.families):
-        val_fn = _legendre_values if family == "legendre" else _hermite_values
-        der_fn = _legendre_derivatives if family == "legendre" else _hermite_derivatives
-        values.append(val_fn(max_deg_per_input[i], np.array([t[i]]))[:, 0])
-        derivs.append(der_fn(max_deg_per_input[i], np.array([t[i]]))[:, 0])
-
-    n_terms = len(model.indices)
-    dz = np.zeros((n_terms, m_x))  # d zeta_alpha / d x_i
-    for col, alpha in enumerate(model.indices):
-        for i in range(m_x):
-            if alpha[i] == 0:
-                continue  # derivative of a constant factor in x_i is 0
-            term = derivs[i][alpha[i]] / basis.scales[i]
-            for j in range(m_x):
-                if j != i and alpha[j] > 0:
-                    term *= values[j][alpha[j]]
-            dz[col, i] = term
+    t = basis.standardize(x[None, :])
+    exponents = basis.exponents
+    values = [
+        table[:, 0][exponents[:, i]]
+        for i, table in enumerate(_univariate_tables(basis, t, _VALUES))
+    ]
+    derivs = _univariate_tables(basis, t, _DERIVATIVES)
+    dz = np.empty((basis.n_terms, basis.input_dim))  # d zeta_alpha / d x_i
+    for i, deriv in enumerate(derivs):
+        term = deriv[:, 0][exponents[:, i]] / basis.scales[i]
+        for j, value in enumerate(values):
+            if j != i:
+                term *= value  # degree-0 factors are exactly 1.0
+        term[exponents[:, i] == 0] = 0.0  # a constant factor in x_i
+        dz[:, i] = term
     return model.coefficients @ dz

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import cho_factor, cho_solve
 
 from romda.assimilate import (
     AssimilationProblem,
     cost_3dvar,
+    podpce_cost,
+    podpce_gradient,
     scale_covariances,
     solve_classical_3dvar,
     solve_poden3dvar,
@@ -324,6 +328,29 @@ def test_classical_linear_gaussian_closed_form() -> None:
     assert res.evaluations >= 2 * m_x
 
 
+def test_classical_gradient_runs_model_once_at_a_bound_point() -> None:
+    # x_b sits on a corner of the box, so every component takes a one-sided
+    # step: the gradient needs f(x) once plus one probe per component.
+    problem = AssimilationProblem(
+        x_b=np.array([0.0, 1.0, 0.5]),
+        background_cov=np.eye(3),
+        y_o=np.array([0.2, 0.7, 0.5]),
+        observation_cov=np.eye(3),
+        bounds=np.array([[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]]),
+    )
+    points = []
+
+    def model(x):
+        points.append(x.copy())
+        return x
+
+    res = solve_classical_3dvar(model, problem, optimizer_config=OptimizerConfig(max_iter=0))
+    # f(x_b) for the optimizer, then the gradient: f(x_b) once, one probe for
+    # each bounded component and two for the interior one.
+    assert res.evaluations == 1 + 1 + 1 + 1 + 2
+    assert sum(np.array_equal(p, problem.x_b) for p in points) == 2 + 1  # + reporting run
+
+
 def test_classical_propagates_model_failure_with_probe() -> None:
     problem = AssimilationProblem(
         x_b=np.array([0.5]),
@@ -405,3 +432,63 @@ def test_analysis_respects_bounds_when_optimum_outside() -> None:
     res = solve_podpce3dvar(s, problem)
     assert res.x_a[0] == pytest.approx(2.0)
     assert res.in_bounds
+
+
+def random_podpce_problem(seed, r_form):
+    """A POD-PCE surrogate of a smooth 2-input map and a problem whose R is
+    given as 'variances' (1-D), 'diagonal' (2-D) or 'dense' SPD."""
+    rng = np.random.default_rng(seed)
+    bounds = np.array([[0.0, 1.0], [-1.0, 2.0]])
+    m_y = 11
+    params = np.vstack([rng.uniform(0, 1, 48), rng.uniform(-1, 2, 48)])
+    phi = rng.standard_normal((m_y, 3))
+    states = phi @ np.vstack([np.sin(2 * params[0]), params[1] ** 2, params[0] * params[1]]) + 0.4
+    s = build_podpce(params, states, PceConfig(bounds, 3), split_seed=seed % 1000, modes=3)
+    variances = rng.uniform(0.01, 0.2, m_y)
+    r_cov = {
+        "variances": variances,
+        "diagonal": np.diag(variances),
+        "dense": spd(rng, m_y, 0.02),
+    }[r_form]
+    problem = AssimilationProblem(
+        x_b=np.array([0.5, 0.3]),
+        background_cov=spd(rng, 2, 0.3),
+        y_o=states[:, 0] + 0.1 * rng.standard_normal(m_y),
+        observation_cov=r_cov,
+        bounds=bounds,
+        alpha_r=float(rng.uniform(0.5, 2.0)),
+    )
+    return s, problem, rng
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), r_form=st.sampled_from(["variances", "diagonal", "dense"]))
+def test_reduced_cost_equals_dense_oracle(seed, r_form) -> None:
+    s, problem, rng = random_podpce_problem(seed, r_form)
+    b_fac = cho_factor(problem.alpha_b * problem.background_cov)
+    r_dense = np.diag(problem.observation_cov) if r_form == "variances" else problem.observation_cov
+    r_fac = cho_factor(problem.alpha_r * r_dense)
+    for _ in range(5):
+        x = rng.uniform([0.05, -0.85], [0.95, 1.85])
+        db = x - problem.x_b
+        dr = podpce_predict(s, x) - problem.y_o
+        oracle = 0.5 * db @ cho_solve(b_fac, db) + 0.5 * dr @ cho_solve(r_fac, dr)
+        assert podpce_cost(s, problem, x) == pytest.approx(oracle, rel=1e-10)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), r_form=st.sampled_from(["variances", "diagonal", "dense"]))
+def test_reduced_gradient_matches_central_differences(seed, r_form) -> None:
+    s, problem, rng = random_podpce_problem(seed, r_form)
+    span = problem.bounds[:, 1] - problem.bounds[:, 0]
+    for _ in range(5):
+        x = rng.uniform(problem.bounds[:, 0] + 0.05 * span, problem.bounds[:, 1] - 0.05 * span)
+        grad = podpce_gradient(s, problem, x)
+        scale = max(1.0, podpce_cost(s, problem, x))
+        for i in range(2):
+            h = 1e-6 * span[i]
+            xp, xm = x.copy(), x.copy()
+            xp[i] += h
+            xm[i] -= h
+            fd = (podpce_cost(s, problem, xp) - podpce_cost(s, problem, xm)) / (2 * h)
+            assert grad[i] == pytest.approx(fd, rel=1e-6, abs=1e-8 * scale)

@@ -223,3 +223,13 @@ def test_covgrid_command_cell_count(tmp_path) -> None:
         if line and not line.startswith("#")
     ]
     assert len(lines) - 1 == 9  # header + one row per grid cell
+
+
+def test_measure_command_rejects_bad_config_naming_the_field(tmp_path, capsys) -> None:
+    for field, value in (("surrogates", ["foo"]), ("training_sizes", [5])):
+        cfg = write_config(
+            tmp_path, f"{field}.json", {"observations_csv": "unused.csv", field: value}
+        )
+        out = str(tmp_path / field)
+        assert main(["measure", "--config", cfg, "--out", out]) == EXIT_VALIDATION
+        assert field in capsys.readouterr().err

@@ -130,6 +130,23 @@ def test_twin_config_validation() -> None:
         TwinConfig(surrogates=("kriging",))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("surrogates", ("foo",)),
+        ("training_sizes", (5,)),
+        ("mode_numbers", ()),
+        ("workers", 0),
+    ],
+)
+def test_sweep_configs_reject_bad_fields(field, value) -> None:
+    for config_type in (TwinConfig, MeasurementConfig):
+        with pytest.raises(ValueError, match=field):
+            config_type(**{field: value})
+    # An EVR threshold stands in for explicit mode numbers.
+    MeasurementConfig(mode_numbers=(), evr_threshold=0.95)
+
+
 def test_run_twin_rows_and_improvement() -> None:
     report = run_twin(small_config())
     assert len(report.rows) == 2  # one noise x one size x two mode counts

@@ -1,10 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from romda.pce import (
     PceConfig,
+    PceModel,
     design_matrix,
     fit_lars,
     make_basis,
@@ -14,6 +17,10 @@ from romda.pce import (
     select_degree,
     univariate_derivative,
     univariate_eval,
+    _hermite_derivatives,
+    _hermite_values,
+    _legendre_derivatives,
+    _legendre_values,
     _ols_with_loo,
 )
 
@@ -339,3 +346,104 @@ def test_degree_selection_is_deterministic() -> None:
     assert first.selected_degrees == second.selected_degrees
     assert np.array_equal(first.coefficients, second.coefficients)
     assert np.array_equal(first.empirical_errors, second.empirical_errors)
+
+
+# Loop references: one basis term, one input at a time, skipping zero exponents.
+
+
+def _tables(basis, t, kind):
+    fns = {
+        "values": {"legendre": _legendre_values, "hermite": _hermite_values},
+        "derivatives": {"legendre": _legendre_derivatives, "hermite": _hermite_derivatives},
+    }[kind]
+    degrees = [max(alpha[i] for alpha in basis.indices) for i in range(basis.input_dim)]
+    return [fns[f](degrees[i], t[:, i]) for i, f in enumerate(basis.families)]
+
+
+def loop_standardize(basis, samples):
+    t = (samples - basis.offsets[None, :]) / basis.scales[None, :]
+    for i, family in enumerate(basis.families):
+        if family != "legendre":
+            continue
+        over = np.abs(t[:, i]) - 1.0
+        worst = int(np.argmax(over))
+        if over[worst] > 1e-9:
+            raise ValueError(
+                f"sample {worst} is outside the declared bounds of input {i} "
+                f"(standardized coordinate {t[worst, i]:.12g})"
+            )
+        t[:, i] = np.clip(t[:, i], -1.0, 1.0)
+    return t
+
+
+def loop_design_matrix(samples, basis):
+    t = loop_standardize(basis, samples)
+    per_degree = _tables(basis, t, "values")
+    psi = np.ones((t.shape[0], basis.n_terms))
+    for col, alpha in enumerate(basis.indices):
+        for i, a_i in enumerate(alpha):
+            if a_i > 0:
+                psi[:, col] *= per_degree[i][a_i]
+    return psi
+
+
+def loop_pce_jacobian(model, x):
+    basis = model.basis
+    t = loop_standardize(basis, x[None, :])
+    values = [table[:, 0] for table in _tables(basis, t, "values")]
+    derivs = [table[:, 0] for table in _tables(basis, t, "derivatives")]
+    m_x = basis.input_dim
+    dz = np.zeros((basis.n_terms, m_x))
+    for col, alpha in enumerate(basis.indices):
+        for i in range(m_x):
+            if alpha[i] == 0:
+                continue
+            term = derivs[i][alpha[i]] / basis.scales[i]
+            for j in range(m_x):
+                if j != i and alpha[j] > 0:
+                    term *= values[j][alpha[j]]
+            dz[col, i] = term
+    return model.coefficients @ dz
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    families=st.lists(st.sampled_from(["legendre", "hermite"]), min_size=1, max_size=4),
+    max_degree=st.integers(0, 4),
+)
+def test_vectorized_basis_matches_loop_reference_bitwise(seed, families, max_degree) -> None:
+    rng = np.random.default_rng(seed)
+    m_x = len(families)
+    # Legendre rows are (low, high); Hermite rows are (mean, std).
+    bounds = np.column_stack([rng.uniform(-2.0, 0.0, m_x), rng.uniform(0.5, 3.0, m_x)])
+    basis = make_basis(bounds, max_degree, tuple(families))
+    samples = np.column_stack(
+        [
+            rng.uniform(low, high, 7) if family == "legendre" else rng.normal(low, high, 7)
+            for family, (low, high) in zip(families, bounds)
+        ]
+    )
+    assert np.array_equal(design_matrix(samples, basis), loop_design_matrix(samples, basis))
+
+    model = PceModel(
+        families=basis.families,
+        offsets=basis.offsets,
+        scales=basis.scales,
+        indices=basis.indices,
+        coefficients=rng.standard_normal((3, basis.n_terms)),
+        empirical_errors=np.zeros(3),
+        selected_degrees=(max_degree,) * 3,
+        validation_bias=np.zeros(3),
+    )
+    for x in samples:
+        assert np.array_equal(pce_jacobian(model, x), loop_pce_jacobian(model, x))
+
+    # Out-of-bounds samples are reported alike: first bounded input, worst sample.
+    outside = samples.copy()
+    for i in np.flatnonzero(np.array(families) == "legendre")[::-1]:
+        outside[rng.integers(7), i] = bounds[i, 1] + rng.uniform(0.01, 1.0)
+        with pytest.raises(ValueError) as expected:
+            loop_standardize(basis, outside)
+        with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+            design_matrix(outside, basis)
