@@ -27,15 +27,10 @@ from .experiments import (
     run_measurement,
     run_twin,
 )
-from .pce import PceConfig, select_degree
+from .pce import PceConfig, select_degree, split_members
 from .pod import SnapshotMatrix, evr, fit_pod, truncate
-from .rng import substream
-from .surrogate import (
-    build_poden,
-    build_podpce,
-    corrected_error_covariance,
-    metamodel_error_covariance,
-)
+from .rng import split_seed
+from .surrogate import build_poden, build_podpce, observation_covariance
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -173,9 +168,7 @@ def _cmd_fit_pce(args, cfg: dict) -> int:
     n = params.shape[0]
     if targets.shape[0] != n:
         raise ConfigError("parameters and targets must have the same member count")
-    order = substream(args.seed, "split").permutation(n)
-    n_train = (3 * n) // 4
-    train, val = order[:n_train], order[n_train:]
+    train, val = split_members(n, split_seed(args.seed, n))
     model = select_degree(
         params[train], targets[train], params[val], targets[val],
         PceConfig(bounds, int(cfg.get("max_degree", 3))),
@@ -202,7 +195,7 @@ def _cmd_build_surrogate(args, cfg: dict) -> int:
             params,
             states,
             PceConfig(bounds, int(cfg.get("max_degree", 3))),
-            split_seed=args.seed,
+            split_seed=split_seed(args.seed, params.shape[1]),
             **_truncation(cfg),
         )
         io.save_podpce(out / "surrogate.json", surrogate, seed=args.seed, cfg_hash=cfg_hash)
@@ -269,19 +262,11 @@ def _cmd_assimilate(args, cfg: dict) -> int:
         raise ConfigError("background covariance must be positive definite")
 
     covariance = cfg.get("covariance", "r")
-    r_mat = r_diag
-    if kind == "podpce" and covariance == "r_tilde":
-        r_mat = metamodel_error_covariance(surrogate, np.diag(r_diag)).matrix
-    elif kind == "podpce" and covariance == "r_tilde_corrected":
-        r_mat = corrected_error_covariance(surrogate, np.diag(r_diag)).matrix
-    elif covariance != "r":
-        raise ConfigError(f"covariance {covariance!r} unsupported for kind {kind!r}")
-
     problem = AssimilationProblem(
         x_b=x_b,
         background_cov=np.diag(b_diag),
         y_o=y_o,
-        observation_cov=r_mat,
+        observation_cov=observation_covariance(covariance, surrogate, r_diag),
         bounds=bounds,
         alpha_b=float(cfg.get("alpha_b", 1.0)),
         alpha_r=float(cfg.get("alpha_r", 1.0)),
@@ -314,15 +299,14 @@ def _cmd_assimilate(args, cfg: dict) -> int:
     return EXIT_OK
 
 
-def _twin_config(args, cfg: dict, command: str) -> TwinConfig:
-    allowed = {f.name for f in dataclasses.fields(TwinConfig)}
-    _check_keys(cfg, allowed, command)
-    merged = _tuplify(cfg, TwinConfig)
+def _sweep_config(args, cfg: dict, cls, command: str, extra: frozenset = frozenset()):
+    """Sweep configuration of type ``cls`` from the config keys (minus the
+    ``extra`` keys the command reads itself) and the run seed."""
+    _check_keys(cfg, {f.name for f in dataclasses.fields(cls)} | extra, command)
+    merged = _tuplify({k: v for k, v in cfg.items() if k not in extra}, cls)
     merged["seed"] = args.seed
-    if args.workers is not None:
-        merged["workers"] = args.workers
     try:
-        return TwinConfig(**merged)
+        return cls(**merged)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
 
@@ -347,7 +331,7 @@ def _write_experiment_outputs(out: Path, report, seed: int, cfg_hash: str) -> No
 
 
 def _cmd_twin(args, cfg: dict) -> int:
-    config = _twin_config(args, cfg, "twin")
+    config = _sweep_config(args, cfg, TwinConfig, "twin")
     out = _outdir(args)
     cfg_hash = _echo_config(out, "twin", cfg, args.seed)
     report = run_twin(config)
@@ -357,7 +341,7 @@ def _cmd_twin(args, cfg: dict) -> int:
 
 
 def _cmd_covgrid(args, cfg: dict) -> int:
-    config = _twin_config(args, cfg, "covgrid")
+    config = _sweep_config(args, cfg, TwinConfig, "covgrid")
     out = _outdir(args)
     cfg_hash = _echo_config(out, "covgrid", cfg, args.seed)
     report = run_covariance_grid(config)
@@ -370,7 +354,7 @@ def _cmd_covgrid(args, cfg: dict) -> int:
 
 
 def _cmd_bootstrap(args, cfg: dict) -> int:
-    config = _twin_config(args, cfg, "bootstrap")
+    config = _sweep_config(args, cfg, TwinConfig, "bootstrap")
     out = _outdir(args)
     cfg_hash = _echo_config(out, "bootstrap", cfg, args.seed)
     report = run_bootstrap(config)
@@ -382,19 +366,10 @@ def _cmd_bootstrap(args, cfg: dict) -> int:
 
 
 def _cmd_measure(args, cfg: dict) -> int:
-    allowed = {f.name for f in dataclasses.fields(MeasurementConfig)} | {"observations_csv"}
-    _check_keys(cfg, allowed, "measure")
-    obs_path = _require(cfg, "observations_csv", "measure")
-    cfg_wo_obs = {k: v for k, v in cfg.items() if k != "observations_csv"}
-    merged = _tuplify(cfg_wo_obs, MeasurementConfig)
-    merged["seed"] = args.seed
-    if args.workers is not None:
-        merged["workers"] = args.workers
-    try:
-        config = MeasurementConfig(**merged)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
-    obs = io.read_snapshot_csv(obs_path)
+    config = _sweep_config(
+        args, cfg, MeasurementConfig, "measure", frozenset({"observations_csv"})
+    )
+    obs = io.read_snapshot_csv(_require(cfg, "observations_csv", "measure"))
     if obs.data.shape[1] != 1:
         raise ConfigError("observations CSV must hold exactly one member column")
     out = _outdir(args)
@@ -435,7 +410,6 @@ def _parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", default=None, help="JSON configuration file")
         cmd.add_argument("--seed", type=int, default=0, help="run seed (default 0)")
         cmd.add_argument("--out", default="romda_out", help="output directory")
-        cmd.add_argument("--workers", type=int, default=None, help="parallel cell workers")
     return parser
 
 

@@ -9,17 +9,16 @@ and nested training-size sweeps reuse members.
 """
 from __future__ import annotations
 
+import dataclasses
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from . import toymodel
 from .assimilate import (
-    AnalysisResult,
     AssimilationProblem,
     scale_covariances,
     solve_classical_3dvar,
@@ -27,22 +26,21 @@ from .assimilate import (
     solve_podpce3dvar,
 )
 from .optimize import OptimizerConfig
-from .pce import PceConfig, PceModel
+from .pce import PceConfig
 from .pod import truncate
-from .rng import substream, substream_seed
+from .rng import split_seed, substream, substream_seed
 from .surrogate import (
+    COVARIANCE_KINDS,
     PodEnSurrogate,
     PodPceSurrogate,
     build_poden,
     build_podpce,
-    corrected_error_covariance,
-    metamodel_error_covariance,
+    observation_covariance,
 )
 
 log = logging.getLogger(__name__)
 
 SURROGATE_KINDS = ("podpce", "poden")
-COVARIANCE_KINDS = ("r", "r_tilde", "r_tilde_corrected")
 DEFAULT_NOISE_LEVELS = (0.01, 0.05, 0.10, 0.20, 0.40)
 DEFAULT_ALPHA_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
 
@@ -201,8 +199,6 @@ def _check_sweep(config: "TwinConfig | MeasurementConfig") -> None:
             )
     if config.evr_threshold is None and not config.mode_numbers:
         raise ValueError("mode_numbers: need mode_numbers or evr_threshold")
-    if config.workers < 1:
-        raise ValueError("workers: workers must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -223,7 +219,6 @@ class TwinConfig:
     bootstrap_noise: float = 0.10
     pce_degree: int = 3
     b_from_truth: bool = False
-    workers: int = 1
 
     def __post_init__(self) -> None:
         for level in self.noise_levels + (self.grid_noise, self.bootstrap_noise):
@@ -249,7 +244,6 @@ class MeasurementConfig:
     surrogates: tuple[str, ...] = SURROGATE_KINDS
     covariance_kinds: tuple[str, ...] = ("r", "r_tilde")
     pce_degree: int = 3
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if not 0.0 < self.assumed_noise < 1.0:
@@ -353,22 +347,14 @@ class _Builds:
 
 
 def _shrink_podpce(s: PodPceSurrogate, d: int) -> PodPceSurrogate:
-    pce = PceModel(
-        families=s.pce.families,
-        offsets=s.pce.offsets,
-        scales=s.pce.scales,
-        indices=s.pce.indices,
+    pce = dataclasses.replace(
+        s.pce,
         coefficients=s.pce.coefficients[:d],
         empirical_errors=s.pce.empirical_errors[:d],
         selected_degrees=s.pce.selected_degrees[:d],
         validation_bias=s.pce.validation_bias[:d],
     )
-    return PodPceSurrogate(
-        state_basis=truncate(s.state_basis, modes=d),
-        pce=pce,
-        parameter_bounds=s.parameter_bounds,
-        n_members=s.n_members,
-    )
+    return dataclasses.replace(s, state_basis=truncate(s.state_basis, modes=d), pce=pce)
 
 
 def _build_surrogates(
@@ -378,42 +364,34 @@ def _build_surrogates(
     mode_numbers: tuple[int, ...],
     evr_threshold: float | None,
 ) -> _Builds:
+    """Surrogates of the first ``n`` members: one per mode number, or the
+    single rank that ``evr_threshold`` selects when it is set."""
     params_phys, states_phys = ctx.members(n)
     standardizer = Standardizer.fit(states_phys)
     z_states = standardizer.transform(states_phys)
     z_params = ctx.param_std.transform(params_phys.T)  # (4, n), components first
-    bounds_std = _standardized_bounds(ctx.param_std)
+    if evr_threshold is None:
+        truncation = {"modes": max(mode_numbers)}
+    else:
+        truncation = {"evr_threshold": evr_threshold}
+
+    def ranks(full) -> tuple[int, ...]:
+        return mode_numbers if evr_threshold is None else (full.d,)
+
     podpce: dict[int, PodPceSurrogate] = {}
     poden: dict[int, PodEnSurrogate] = {}
-    if evr_threshold is not None:
-        if "podpce" in kinds:
-            s = build_podpce(
-                z_params,
-                z_states,
-                PceConfig(bounds_std, ctx.pce_degree),
-                split_seed=substream_seed(ctx.seed, f"split/{n}"),
-                evr_threshold=evr_threshold,
-            )
-            podpce[s.d] = s
-        if "poden" in kinds:
-            s = build_poden(z_params, z_states, evr_threshold=evr_threshold)
-            poden[s.d] = s
-    else:
-        d_max = max(mode_numbers)
-        if "podpce" in kinds:
-            full = build_podpce(
-                z_params,
-                z_states,
-                PceConfig(bounds_std, ctx.pce_degree),
-                split_seed=substream_seed(ctx.seed, f"split/{n}"),
-                modes=d_max,
-            )
-            for d in mode_numbers:
-                podpce[d] = _shrink_podpce(full, d)
-        if "poden" in kinds:
-            base = build_poden(z_params, z_states, modes=d_max)
-            for d in mode_numbers:
-                poden[d] = PodEnSurrogate(basis=truncate(base.basis, modes=d), m_x=4)
+    if "podpce" in kinds:
+        full = build_podpce(
+            z_params,
+            z_states,
+            PceConfig(_standardized_bounds(ctx.param_std), ctx.pce_degree),
+            split_seed=split_seed(ctx.seed, n),
+            **truncation,
+        )
+        podpce = {d: _shrink_podpce(full, d) for d in ranks(full)}
+    if "poden" in kinds:
+        base = build_poden(z_params, z_states, **truncation)
+        poden = {d: PodEnSurrogate(basis=truncate(base.basis, modes=d), m_x=4) for d in ranks(base)}
     return _Builds(podpce=podpce, poden=poden, standardizer=standardizer)
 
 
@@ -433,170 +411,116 @@ def _background_cov_std(config_b_from_truth: bool, x_t: np.ndarray, param_std: S
     return np.diag(np.maximum(deviation**2, 1e-12))
 
 
-def _observation_matrix(
-    kind: str, surrogate, r_diag_std: np.ndarray
-) -> np.ndarray:
-    """Observation covariance of a cell: plain R as its variances (never
-    densified), or the dense augmented R-tilde."""
-    if kind == "r":
-        return r_diag_std
-    if kind == "r_tilde":
-        return metamodel_error_covariance(surrogate, np.diag(r_diag_std)).matrix
-    if kind == "r_tilde_corrected":
-        return corrected_error_covariance(surrogate, np.diag(r_diag_std)).matrix
-    raise ValueError(f"unknown covariance kind {kind!r}")
+@dataclass(frozen=True)
+class _Cell:
+    """One assimilation of a sweep, as named by the leading report columns."""
+
+    experiment: str
+    solver: str
+    covariance: str
+    n: int
+    d: int
+    noise: float
+    alpha_b: float = 1.0
+    alpha_r: float = 1.0
 
 
-def _solve_cell(
-    ctx: _Context,
+@dataclass(frozen=True)
+class _Observed:
+    """What the cells of a run assimilate (physical units) and are scored
+    against; the truth and background states are None in measurement mode."""
+
+    y_o: np.ndarray
+    r_diag: np.ndarray
+    b_cov: np.ndarray  # standardized background covariance
+    y_t: np.ndarray | None = None
+    y_b: np.ndarray | None = None
+
+
+def _cells(
     builds: _Builds,
-    solver: str,
-    covariance: str,
-    d: int,
-    y_o_phys: np.ndarray,
-    r_diag_phys: np.ndarray,
-    alpha_b: float,
-    alpha_r: float,
-    b_cov: np.ndarray,
-) -> tuple[AnalysisResult, np.ndarray, bool, int]:
-    """One assimilation in standardized space.
+    surrogates: tuple[str, ...],
+    covariances: tuple[str, ...],
+    **key,
+) -> Iterator[_Cell]:
+    """Cells of one build in report order: solver, then covariance (the
+    linear surrogate runs with plain R only), then mode count."""
+    for solver in surrogates:
+        available = builds.podpce if solver == "podpce" else builds.poden
+        for covariance in (covariances if solver == "podpce" else ("r",)):
+            for d in sorted(available):
+                yield _Cell(solver=solver, covariance=covariance, d=d, **key)
 
-    Returns (analysis, x_a physical clipped into bounds, clipped flag,
-    surrogate evaluation count).
+
+def _run_cell(ctx: _Context, builds: _Builds, cell: _Cell, observed: _Observed) -> ReportRow:
+    """Solve one cell in standardized space and report it in physical units.
+
+    A failure is logged and becomes an error row, so the sweep goes on.
     """
-    standardizer = builds.standardizer
-    y_o_std = standardizer.transform(y_o_phys)
-    r_diag_std = standardizer.variance_diag(r_diag_phys)
-    bounds_std = _standardized_bounds(ctx.param_std)
-
-    if solver == "podpce":
-        surrogate = builds.podpce[d]
-        r_mat = _observation_matrix(covariance, surrogate, r_diag_std)
-    elif solver == "poden":
-        surrogate = builds.poden[d]
-        r_mat = r_diag_std  # linear surrogate runs with plain R
-    else:
-        raise ValueError(f"unknown solver {solver!r}")
-
-    problem = AssimilationProblem(
-        x_b=np.zeros(4),
-        background_cov=b_cov,
-        y_o=y_o_std,
-        observation_cov=r_mat,
-        bounds=bounds_std,
-    )
-    problem = scale_covariances(problem, alpha_b, alpha_r)
-    if solver == "podpce":
-        analysis = solve_podpce3dvar(surrogate, problem)
-        surrogate_evals = analysis.evaluations
-    else:
-        analysis = solve_poden3dvar(surrogate, problem)
-        surrogate_evals = 0
-
-    x_a_std = analysis.x_a
-    x_a_phys = ctx.param_std.inverse(x_a_std)
-    low, high = toymodel.PARAMETER_BOUNDS[:, 0], toymodel.PARAMETER_BOUNDS[:, 1]
-    clipped_values = np.clip(x_a_phys, low, high)
-    clipped = bool(np.any(np.abs(clipped_values - x_a_phys) > 0.0))
-    return analysis, clipped_values, clipped, surrogate_evals
-
-
-def _metric_row(
-    ctx: _Context,
-    builds: _Builds,
-    *,
-    experiment: str,
-    solver: str,
-    covariance: str,
-    n: int,
-    d: int,
-    noise: float,
-    alpha_b: float,
-    alpha_r: float,
-    y_t: np.ndarray | None,
-    y_o: np.ndarray,
-    r_diag: np.ndarray,
-    b_cov: np.ndarray,
-    y_b: np.ndarray | None,
-) -> ReportRow:
-    start = time.perf_counter()
-    analysis, x_a_phys, clipped, surrogate_evals = _solve_cell(
-        ctx, builds, solver, covariance, d, y_o, r_diag, alpha_b, alpha_r, b_cov
-    )
-    y_a = toymodel.simulate(x_a_phys, ctx.grid)  # reporting run, not a solver call
-    standardizer = builds.standardizer
-    reference = y_t if y_t is not None else y_o
-    row = ReportRow(
-        experiment=experiment,
-        solver=solver,
-        covariance=covariance,
-        n=n,
-        d=d,
-        noise=noise,
-        alpha_b=alpha_b,
-        alpha_r=alpha_r,
-        rmse_truth=rmse_global(y_t, y_a, standardizer) if y_t is not None else float("nan"),
-        rmse_obs=rmse_global(y_o, y_a, standardizer),
-        rmse_truth_background=(
-            rmse_global(y_t, y_b, standardizer) if (y_t is not None and y_b is not None) else float("nan")
-        ),
-        rmse_by_variable=rmse_by(reference, y_a, standardizer, "variable", ctx.grid),
-        rmse_by_station=rmse_by(reference, y_a, standardizer, "station", ctx.grid),
-        x_a=x_a_phys,
-        clipped=clipped,
-        j_final=analysis.j_final,
-        model_runs=n,  # ensemble only; the surrogate solvers never call the model
-        surrogate_evals=surrogate_evals,
-        converged=analysis.converged,
-        reason=analysis.reason,
-        wall_time=time.perf_counter() - start,
-    )
-    return row
-
-
-def _failed_row(experiment, solver, covariance, n, d, noise, alpha_b, alpha_r, exc) -> ReportRow:
     nan = float("nan")
-    return ReportRow(
-        experiment=experiment,
-        solver=solver,
-        covariance=covariance,
-        n=n,
-        d=d,
-        noise=noise,
-        alpha_b=alpha_b,
-        alpha_r=alpha_r,
-        rmse_truth=nan,
-        rmse_obs=nan,
-        rmse_truth_background=nan,
-        rmse_by_variable={},
-        rmse_by_station={},
-        x_a=np.full(4, np.nan),
-        clipped=False,
-        j_final=nan,
-        model_runs=0,
-        surrogate_evals=0,
-        converged=False,
-        reason="error",
-        wall_time=0.0,
-        error=str(exc),
-    )
+    start = time.perf_counter()
+    try:
+        standardizer = builds.standardizer
+        surrogate = builds.podpce[cell.d] if cell.solver == "podpce" else builds.poden[cell.d]
+        r_diag_std = standardizer.variance_diag(observed.r_diag)
+        problem = AssimilationProblem(
+            x_b=np.zeros(4),
+            background_cov=observed.b_cov,
+            y_o=standardizer.transform(observed.y_o),
+            observation_cov=observation_covariance(cell.covariance, surrogate, r_diag_std),
+            bounds=_standardized_bounds(ctx.param_std),
+        )
+        problem = scale_covariances(problem, cell.alpha_b, cell.alpha_r)
+        if cell.solver == "podpce":
+            analysis = solve_podpce3dvar(surrogate, problem)
+            surrogate_evals = analysis.evaluations
+        else:
+            analysis = solve_poden3dvar(surrogate, problem)
+            surrogate_evals = 0
 
-
-def _run_cells(jobs: list, workers: int) -> list[ReportRow]:
-    """Execute keyed cell jobs, preserving list order regardless of workers."""
-
-    def run(job):
-        fn, args, fallback = job
-        try:
-            return fn(*args)
-        except Exception as exc:  # recorded per cell, sweep continues
-            log.warning("cell failed: %s", exc)
-            return fallback(exc)
-
-    if workers <= 1:
-        return [run(job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, jobs))
+        x_a_phys = ctx.param_std.inverse(analysis.x_a)
+        low, high = toymodel.PARAMETER_BOUNDS[:, 0], toymodel.PARAMETER_BOUNDS[:, 1]
+        x_a = np.clip(x_a_phys, low, high)
+        y_a = toymodel.simulate(x_a, ctx.grid)  # reporting run, not a solver call
+        y_t, y_b, y_o = observed.y_t, observed.y_b, observed.y_o
+        reference = y_t if y_t is not None else y_o
+        return ReportRow(
+            **dataclasses.asdict(cell),
+            rmse_truth=rmse_global(y_t, y_a, standardizer) if y_t is not None else nan,
+            rmse_obs=rmse_global(y_o, y_a, standardizer),
+            rmse_truth_background=(
+                rmse_global(y_t, y_b, standardizer) if (y_t is not None and y_b is not None) else nan
+            ),
+            rmse_by_variable=rmse_by(reference, y_a, standardizer, "variable", ctx.grid),
+            rmse_by_station=rmse_by(reference, y_a, standardizer, "station", ctx.grid),
+            x_a=x_a,
+            clipped=bool(np.any(np.abs(x_a - x_a_phys) > 0.0)),
+            j_final=analysis.j_final,
+            model_runs=cell.n,  # ensemble only; the surrogate solvers never call the model
+            surrogate_evals=surrogate_evals,
+            converged=analysis.converged,
+            reason=analysis.reason,
+            wall_time=time.perf_counter() - start,
+        )
+    except Exception as exc:  # recorded per cell, sweep continues
+        log.warning("cell failed: %s", exc, exc_info=True)
+        return ReportRow(
+            **dataclasses.asdict(cell),
+            rmse_truth=nan,
+            rmse_obs=nan,
+            rmse_truth_background=nan,
+            rmse_by_variable={},
+            rmse_by_station={},
+            x_a=np.full(4, np.nan),
+            clipped=False,
+            j_final=nan,
+            model_runs=0,
+            surrogate_evals=0,
+            converged=False,
+            reason="error",
+            wall_time=0.0,
+            error=str(exc),
+        )
 
 
 # Drivers --------------------------------------------------------------------------
@@ -611,52 +535,23 @@ def run_twin(config: TwinConfig) -> ExperimentReport:
     y_b = toymodel.simulate(toymodel.PARAMETER_MEANS, ctx.grid)
     b_cov = _background_cov_std(config.b_from_truth, x_t, ctx.param_std)
 
-    observations = {
-        level: inject_noise(y_t, level, substream_seed(config.seed, f"noise/{level!r}"), ctx.grid)
-        for level in config.noise_levels
+    observed = {}
+    for level in config.noise_levels:
+        y_o, r_diag = inject_noise(y_t, level, substream_seed(config.seed, f"noise/{level!r}"), ctx.grid)
+        observed[level] = _Observed(y_o, r_diag, b_cov, y_t, y_b)
+    builds = {
+        n: _build_surrogates(ctx, n, config.surrogates, config.mode_numbers, config.evr_threshold)
+        for n in config.training_sizes
     }
-
-    builds: dict[int, _Builds] = {}
-    for n in config.training_sizes:
-        builds[n] = _build_surrogates(
-            ctx, n, config.surrogates, config.mode_numbers, config.evr_threshold
+    rows = [
+        _run_cell(ctx, builds[n], cell, observed[noise])
+        for noise in config.noise_levels
+        for n in config.training_sizes
+        for cell in _cells(
+            builds[n], config.surrogates, (config.covariance_kind,),
+            experiment="twin", n=n, noise=noise,
         )
-
-    jobs = []
-    for noise in config.noise_levels:
-        y_o, r_diag = observations[noise]
-        for n in config.training_sizes:
-            for solver in config.surrogates:
-                available = builds[n].podpce if solver == "podpce" else builds[n].poden
-                covariance = config.covariance_kind if solver == "podpce" else "r"
-                for d in sorted(available):
-                    args = (ctx, builds[n])
-                    kwargs = dict(
-                        experiment="twin",
-                        solver=solver,
-                        covariance=covariance,
-                        n=n,
-                        d=d,
-                        noise=noise,
-                        alpha_b=1.0,
-                        alpha_r=1.0,
-                        y_t=y_t,
-                        y_o=y_o,
-                        r_diag=r_diag,
-                        b_cov=b_cov,
-                        y_b=y_b,
-                    )
-                    jobs.append(
-                        (
-                            lambda a=args, k=kwargs: _metric_row(*a, **k),
-                            (),
-                            lambda exc, k=kwargs: _failed_row(
-                                k["experiment"], k["solver"], k["covariance"], k["n"], k["d"],
-                                k["noise"], k["alpha_b"], k["alpha_r"], exc,
-                            ),
-                        )
-                    )
-    rows = _run_cells(jobs, config.workers)
+    ]
     return ExperimentReport(
         rows=rows,
         seed=config.seed,
@@ -676,37 +571,17 @@ def run_covariance_grid(config: TwinConfig) -> ExperimentReport:
     y_o, r_diag = inject_noise(
         y_t, config.grid_noise, substream_seed(config.seed, f"noise/{config.grid_noise!r}"), ctx.grid
     )
+    observed = _Observed(y_o, r_diag, b_cov, y_t, y_b)
     builds = _build_surrogates(ctx, n, ("podpce",), (config.grid_modes,), None)
-
-    jobs = []
-    for alpha_b in config.alpha_grid:
-        for alpha_r in config.alpha_grid:
-            kwargs = dict(
-                experiment="covgrid",
-                solver="podpce",
-                covariance=config.covariance_kind,
-                n=n,
-                d=config.grid_modes,
-                noise=config.grid_noise,
-                alpha_b=alpha_b,
-                alpha_r=alpha_r,
-                y_t=y_t,
-                y_o=y_o,
-                r_diag=r_diag,
-                b_cov=b_cov,
-                y_b=y_b,
-            )
-            jobs.append(
-                (
-                    lambda k=kwargs: _metric_row(ctx, builds, **k),
-                    (),
-                    lambda exc, k=kwargs: _failed_row(
-                        k["experiment"], k["solver"], k["covariance"], k["n"], k["d"],
-                        k["noise"], k["alpha_b"], k["alpha_r"], exc,
-                    ),
-                )
-            )
-    rows = _run_cells(jobs, config.workers)
+    rows = [
+        _run_cell(ctx, builds, cell, observed)
+        for alpha_b in config.alpha_grid
+        for alpha_r in config.alpha_grid
+        for cell in _cells(
+            builds, ("podpce",), (config.covariance_kind,),
+            experiment="covgrid", n=n, noise=config.grid_noise, alpha_b=alpha_b, alpha_r=alpha_r,
+        )
+    ]
     size = len(config.alpha_grid)
     matrix = np.array([row.rmse_truth for row in rows]).reshape(size, size)
     return ExperimentReport(
@@ -724,62 +599,34 @@ def run_bootstrap(config: TwinConfig) -> ExperimentReport:
     grid = toymodel.default_grid()
     y_t = toymodel.simulate(x_t, grid)
     y_b = toymodel.simulate(toymodel.PARAMETER_MEANS, grid)
-    param_std = parameter_standardizer()
-    b_cov = _background_cov_std(config.b_from_truth, x_t, param_std)
+    b_cov = _background_cov_std(config.b_from_truth, x_t, parameter_standardizer())
     y_o, r_diag = inject_noise(
         y_t,
         config.bootstrap_noise,
         substream_seed(config.seed, f"noise/{config.bootstrap_noise!r}"),
         grid,
     )
+    observed = _Observed(y_o, r_diag, b_cov, y_t, y_b)
 
     rows: list[ReportRow] = []
     for replicate in range(config.bootstrap_replicates):
         member_seed = substream_seed(config.seed, f"bootstrap/{replicate}")
-        params_pool = toymodel.sample_parameters(config.bootstrap_size, member_seed)
-        ctx = _Context(
-            seed=member_seed,
-            grid=grid,
-            params_pool=params_pool,
-            states_pool=toymodel.propagate(params_pool, grid),
-            param_std=param_std,
-            pce_degree=config.pce_degree,
-        )
+        ctx = _make_context(member_seed, config.bootstrap_size, config.pce_degree, grid)
         builds = _build_surrogates(
-            ctx, config.bootstrap_size, config.surrogates, config.mode_numbers, None
+            ctx, config.bootstrap_size, config.surrogates, config.mode_numbers, config.evr_threshold
         )
-        for solver in config.surrogates:
-            available = builds.podpce if solver == "podpce" else builds.poden
-            covariance = config.covariance_kind if solver == "podpce" else "r"
-            for d in sorted(available):
-                try:
-                    row = _metric_row(
-                        ctx,
-                        builds,
-                        experiment=f"bootstrap/{replicate}",
-                        solver=solver,
-                        covariance=covariance,
-                        n=config.bootstrap_size,
-                        d=d,
-                        noise=config.bootstrap_noise,
-                        alpha_b=1.0,
-                        alpha_r=1.0,
-                        y_t=y_t,
-                        y_o=y_o,
-                        r_diag=r_diag,
-                        b_cov=b_cov,
-                        y_b=y_b,
-                    )
-                except Exception as exc:
-                    row = _failed_row(
-                        f"bootstrap/{replicate}", solver, covariance, config.bootstrap_size,
-                        d, config.bootstrap_noise, 1.0, 1.0, exc,
-                    )
-                rows.append(row)
+        rows.extend(
+            _run_cell(ctx, builds, cell, observed)
+            for cell in _cells(
+                builds, config.surrogates, (config.covariance_kind,),
+                experiment=f"bootstrap/{replicate}", n=config.bootstrap_size,
+                noise=config.bootstrap_noise,
+            )
+        )
 
     summary: dict[str, dict[str, float]] = {}
     for solver in config.surrogates:
-        for d in config.mode_numbers:
+        for d in sorted({r.d for r in rows if r.solver == solver}):
             values = [
                 r.rmse_truth
                 for r in rows
@@ -823,11 +670,10 @@ def run_measurement(config: MeasurementConfig, y_o: np.ndarray) -> ExperimentRep
     ctx = _make_context(config.seed, n_max, config.pce_degree)
     r_diag = measurement_noise_diag(y_o, config.assumed_noise, grid)
 
-    builds: dict[int, _Builds] = {}
-    for n in config.training_sizes:
-        builds[n] = _build_surrogates(
-            ctx, n, config.surrogates, config.mode_numbers, config.evr_threshold
-        )
+    builds = {
+        n: _build_surrogates(ctx, n, config.surrogates, config.mode_numbers, config.evr_threshold)
+        for n in config.training_sizes
+    }
 
     # Classical reference in the same standardized coordinates as the
     # largest training ensemble.
@@ -879,36 +725,15 @@ def run_measurement(config: MeasurementConfig, y_o: np.ndarray) -> ExperimentRep
         wall_time=classical_time,
     )
 
-    rows = [classical_row]
-    for n in config.training_sizes:
-        for solver in config.surrogates:
-            available = builds[n].podpce if solver == "podpce" else builds[n].poden
-            kinds = config.covariance_kinds if solver == "podpce" else ("r",)
-            for covariance in kinds:
-                for d in sorted(available):
-                    try:
-                        row = _metric_row(
-                            ctx,
-                            builds[n],
-                            experiment="measure",
-                            solver=solver,
-                            covariance=covariance,
-                            n=n,
-                            d=d,
-                            noise=config.assumed_noise,
-                            alpha_b=1.0,
-                            alpha_r=1.0,
-                            y_t=None,
-                            y_o=y_o,
-                            r_diag=r_diag,
-                            b_cov=np.eye(4),
-                            y_b=None,
-                        )
-                    except Exception as exc:
-                        row = _failed_row(
-                            "measure", solver, covariance, n, d, config.assumed_noise, 1.0, 1.0, exc
-                        )
-                    rows.append(row)
+    observed = _Observed(y_o, r_diag, np.eye(4))
+    rows = [classical_row] + [
+        _run_cell(ctx, builds[n], cell, observed)
+        for n in config.training_sizes
+        for cell in _cells(
+            builds[n], config.surrogates, config.covariance_kinds,
+            experiment="measure", n=n, noise=config.assumed_noise,
+        )
+    ]
     return ExperimentReport(
         rows=rows,
         seed=config.seed,

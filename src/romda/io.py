@@ -18,9 +18,9 @@ from typing import Any
 import numpy as np
 
 from . import __version__
-from .pce import PceModel
+from .pce import PceBasis, PceModel
 from .pod import PodBasis, SnapshotMatrix
-from .surrogate import ErrorCovariance, PodEnSurrogate, PodPceSurrogate
+from .surrogate import PodEnSurrogate, PodPceSurrogate
 
 SCHEMAS = {
     "snapshot": "snapshot/1",
@@ -28,7 +28,6 @@ SCHEMAS = {
     "pce_model": "pce-model/1",
     "podpce": "podpce-surrogate/1",
     "poden": "poden-surrogate/1",
-    "covariance": "covariance/1",
     "analysis": "analysis/1",
     "report": "report/1",
     "config": "config/1",
@@ -120,23 +119,17 @@ def read_snapshot_csv(path: str | Path) -> SnapshotMatrix:
 # Decompositions and models --------------------------------------------------------
 
 
-def save_pod_basis(path: str | Path, basis: PodBasis, **meta: Any) -> None:
-    save_json(
-        path,
-        "pod_basis",
-        {
-            "mean": basis.mean.tolist(),
-            "modes": basis.modes.tolist(),
-            "singular_values": basis.singular_values.tolist(),
-            "coefficients": basis.coefficients.tolist(),
-            "retained": basis.retained,
-        },
-        **meta,
-    )
+def _pod_body(basis: PodBasis) -> dict:
+    return {
+        "mean": basis.mean.tolist(),
+        "modes": basis.modes.tolist(),
+        "singular_values": basis.singular_values.tolist(),
+        "coefficients": basis.coefficients.tolist(),
+        "retained": basis.retained,
+    }
 
 
-def load_pod_basis(path: str | Path) -> PodBasis:
-    doc = load_json(path, "pod_basis")
+def _pod_from_body(doc: dict) -> PodBasis:
     return PodBasis(
         mean=np.array(doc["mean"], dtype=float),
         modes=np.array(doc["modes"], dtype=float),
@@ -146,12 +139,21 @@ def load_pod_basis(path: str | Path) -> PodBasis:
     )
 
 
+def save_pod_basis(path: str | Path, basis: PodBasis, **meta: Any) -> None:
+    save_json(path, "pod_basis", _pod_body(basis), **meta)
+
+
+def load_pod_basis(path: str | Path) -> PodBasis:
+    return _pod_from_body(load_json(path, "pod_basis"))
+
+
 def _pce_body(model: PceModel) -> dict:
+    basis = model.basis
     return {
-        "families": list(model.families),
-        "offsets": model.offsets.tolist(),
-        "scales": model.scales.tolist(),
-        "indices": [list(alpha) for alpha in model.indices],
+        "families": list(basis.families),
+        "offsets": basis.offsets.tolist(),
+        "scales": basis.scales.tolist(),
+        "indices": [list(alpha) for alpha in basis.indices],
         "coefficients": model.coefficients.tolist(),
         "empirical_errors": model.empirical_errors.tolist(),
         "selected_degrees": list(model.selected_degrees),
@@ -161,10 +163,12 @@ def _pce_body(model: PceModel) -> dict:
 
 def _pce_from_body(doc: dict) -> PceModel:
     return PceModel(
-        families=tuple(doc["families"]),
-        offsets=np.array(doc["offsets"], dtype=float),
-        scales=np.array(doc["scales"], dtype=float),
-        indices=tuple(tuple(alpha) for alpha in doc["indices"]),
+        basis=PceBasis(
+            families=tuple(doc["families"]),
+            offsets=np.array(doc["offsets"], dtype=float),
+            scales=np.array(doc["scales"], dtype=float),
+            indices=tuple(tuple(alpha) for alpha in doc["indices"]),
+        ),
         coefficients=np.array(doc["coefficients"], dtype=float),
         empirical_errors=np.array(doc["empirical_errors"], dtype=float),
         selected_degrees=tuple(doc["selected_degrees"]),
@@ -181,18 +185,11 @@ def load_pce_model(path: str | Path) -> PceModel:
 
 
 def save_podpce(path: str | Path, surrogate: PodPceSurrogate, **meta: Any) -> None:
-    basis = surrogate.state_basis
     save_json(
         path,
         "podpce",
         {
-            "state_basis": {
-                "mean": basis.mean.tolist(),
-                "modes": basis.modes.tolist(),
-                "singular_values": basis.singular_values.tolist(),
-                "coefficients": basis.coefficients.tolist(),
-                "retained": basis.retained,
-            },
+            "state_basis": _pod_body(surrogate.state_basis),
             "pce": _pce_body(surrogate.pce),
             "parameter_bounds": surrogate.parameter_bounds.tolist(),
             "n_members": surrogate.n_members,
@@ -203,16 +200,8 @@ def save_podpce(path: str | Path, surrogate: PodPceSurrogate, **meta: Any) -> No
 
 def load_podpce(path: str | Path) -> PodPceSurrogate:
     doc = load_json(path, "podpce")
-    raw = doc["state_basis"]
-    basis = PodBasis(
-        mean=np.array(raw["mean"], dtype=float),
-        modes=np.array(raw["modes"], dtype=float),
-        singular_values=np.array(raw["singular_values"], dtype=float),
-        coefficients=np.array(raw["coefficients"], dtype=float),
-        retained=int(raw["retained"]),
-    )
     return PodPceSurrogate(
-        state_basis=basis,
+        state_basis=_pod_from_body(doc["state_basis"]),
         pce=_pce_from_body(doc["pce"]),
         parameter_bounds=np.array(doc["parameter_bounds"], dtype=float),
         n_members=int(doc["n_members"]),
@@ -220,57 +209,12 @@ def load_podpce(path: str | Path) -> PodPceSurrogate:
 
 
 def save_poden(path: str | Path, surrogate: PodEnSurrogate, **meta: Any) -> None:
-    basis = surrogate.basis
-    save_json(
-        path,
-        "poden",
-        {
-            "basis": {
-                "mean": basis.mean.tolist(),
-                "modes": basis.modes.tolist(),
-                "singular_values": basis.singular_values.tolist(),
-                "coefficients": basis.coefficients.tolist(),
-                "retained": basis.retained,
-            },
-            "m_x": surrogate.m_x,
-        },
-        **meta,
-    )
+    save_json(path, "poden", {"basis": _pod_body(surrogate.basis), "m_x": surrogate.m_x}, **meta)
 
 
 def load_poden(path: str | Path) -> PodEnSurrogate:
     doc = load_json(path, "poden")
-    raw = doc["basis"]
-    basis = PodBasis(
-        mean=np.array(raw["mean"], dtype=float),
-        modes=np.array(raw["modes"], dtype=float),
-        singular_values=np.array(raw["singular_values"], dtype=float),
-        coefficients=np.array(raw["coefficients"], dtype=float),
-        retained=int(raw["retained"]),
-    )
-    return PodEnSurrogate(basis=basis, m_x=int(doc["m_x"]))
-
-
-def write_covariance_csv(path: str | Path, cov: ErrorCovariance,
-                         seed: int | None = None, cfg_hash: str | None = None) -> None:
-    lines = [csv_header_line(seed, cfg_hash, schema=SCHEMAS["covariance"], kind=cov.kind)]
-    for row in cov.matrix:
-        lines.append(",".join(_fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_covariance_csv(path: str | Path) -> tuple[np.ndarray, str]:
-    kind = ""
-    rows = []
-    for line in Path(path).read_text().splitlines():
-        if line.startswith("#"):
-            for token in line[1:].split():
-                if token.startswith("kind="):
-                    kind = token.split("=", 1)[1]
-            continue
-        if line:
-            rows.append([float(v) for v in line.split(",")])
-    return np.array(rows, dtype=float), kind
+    return PodEnSurrogate(basis=_pod_from_body(doc["basis"]), m_x=int(doc["m_x"]))
 
 
 # Experiment reports ----------------------------------------------------------------
@@ -309,10 +253,11 @@ REPORT_COLUMNS = (
 )
 
 
-def _report_cells(row) -> list[str]:
-    by_var = row.rmse_by_variable
-    by_station = row.rmse_by_station
-    cells = [
+_KEY_COLUMNS = REPORT_COLUMNS[:8]  # what names a cell
+
+
+def _key_cells(row) -> list[str]:
+    return [
         row.experiment,
         row.solver,
         row.covariance,
@@ -321,6 +266,13 @@ def _report_cells(row) -> list[str]:
         _fmt(row.noise),
         _fmt(row.alpha_b),
         _fmt(row.alpha_r),
+    ]
+
+
+def _report_cells(row) -> list[str]:
+    by_var = row.rmse_by_variable
+    by_station = row.rmse_by_station
+    cells = _key_cells(row) + [
         _fmt(row.rmse_truth),
         _fmt(row.rmse_obs),
         _fmt(row.rmse_truth_background),
@@ -366,23 +318,9 @@ def write_report_csv(path: str | Path, report, seed: int | None = None,
 def write_timings_csv(path: str | Path, report, seed: int | None = None,
                       cfg_hash: str | None = None) -> None:
     lines = [csv_header_line(seed, cfg_hash, schema=SCHEMAS["report"], content="timings")]
-    lines.append("experiment,solver,covariance,n,d,noise,alpha_b,alpha_r,wall_time_s")
+    lines.append(",".join(_KEY_COLUMNS + ("wall_time_s",)))
     for row in report.rows:
-        lines.append(
-            ",".join(
-                [
-                    row.experiment,
-                    row.solver,
-                    row.covariance,
-                    str(row.n),
-                    str(row.d),
-                    _fmt(row.noise),
-                    _fmt(row.alpha_b),
-                    _fmt(row.alpha_r),
-                    _fmt(row.wall_time),
-                ]
-            )
-        )
+        lines.append(",".join(_key_cells(row) + [_fmt(row.wall_time)]))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -325,15 +325,13 @@ def _ols_with_loo(design: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float,
     return coef, loo, loo * correction
 
 
-def fit_lars(psi: np.ndarray, targets: np.ndarray, *, loo_selection: bool = True) -> LarsFit:
+def fit_lars(psi: np.ndarray, targets: np.ndarray) -> LarsFit:
     """Sparse coefficients for ``targets ~ psi`` by LARS + corrected LOO.
 
     The path is computed on centered, unit-norm regressors (intercept held
     out); every path prefix is re-estimated by least squares on the original
     columns and the model with minimal corrected leave-one-out error wins,
-    ties going to the sparser model. With ``loo_selection=False`` a plain
-    least-squares fit on all columns is returned (minimum-norm solution if
-    rank deficient).
+    ties going to the sparser model.
     """
     psi = np.asarray(psi, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -346,15 +344,6 @@ def fit_lars(psi: np.ndarray, targets: np.ndarray, *, loo_selection: bool = True
         raise ValueError(f"need more than one sample, got {n}")
     if not np.allclose(psi[:, 0], 1.0, atol=1e-12):
         raise ValueError("first design column must be the constant term")
-
-    if not loo_selection:
-        coef, *_ = np.linalg.lstsq(psi, targets, rcond=None)
-        resid = targets - psi @ coef
-        return LarsFit(
-            coefficients=coef,
-            loo_error=float(np.mean(resid**2)),
-            active=tuple(j for j in range(1, n_terms) if coef[j] != 0.0),
-        )
 
     # Standardize the candidate regressors; drop degenerate columns.
     y_mean = targets.mean()
@@ -471,35 +460,25 @@ class PceModel:
     Immutable after build; safe for concurrent reads.
     """
 
-    families: tuple[str, ...]
-    offsets: np.ndarray  # (m_x,)
-    scales: np.ndarray  # (m_x,)
-    indices: tuple[tuple[int, ...], ...]
+    basis: PceBasis
     coefficients: np.ndarray  # (d, n_terms)
     empirical_errors: np.ndarray  # (d,)
     selected_degrees: tuple[int, ...]  # (d,)
     validation_bias: np.ndarray  # (d,)
 
     @property
-    def input_dim(self) -> int:
-        return len(self.families)
-
-    @property
     def output_dim(self) -> int:
         return self.coefficients.shape[0]
 
-    @property
-    def max_degree(self) -> int:
-        return max(sum(alpha) for alpha in self.indices)
 
-    @cached_property
-    def basis(self) -> PceBasis:
-        return PceBasis(
-            families=self.families,
-            offsets=self.offsets,
-            scales=self.scales,
-            indices=self.indices,
-        )
+def split_members(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Shuffle ``n`` members by ``seed`` and split them 75/25 into training
+    and validation indices."""
+    if n < 4:
+        raise ValueError(f"need at least 4 members for the 75/25 split, got {n}")
+    order = np.random.default_rng(seed).permutation(n)
+    n_train = (3 * n) // 4
+    return order[:n_train], order[n_train:]
 
 
 def select_degree(
@@ -563,10 +542,7 @@ def select_degree(
         degrees.append(p_sel)
 
     return PceModel(
-        families=full.families,
-        offsets=full.offsets,
-        scales=full.scales,
-        indices=full.indices,
+        basis=full,
         coefficients=rows,
         empirical_errors=errors,
         selected_degrees=tuple(degrees),
@@ -590,9 +566,9 @@ def pce_jacobian(model: PceModel, x: np.ndarray) -> np.ndarray:
     input i through the affine standardization (chain-rule factor 1/scale_i).
     """
     x = np.asarray(x, dtype=float)
-    if x.shape != (model.input_dim,):
-        raise ValueError(f"x must have shape ({model.input_dim},), got {x.shape}")
     basis = model.basis
+    if x.shape != (basis.input_dim,):
+        raise ValueError(f"x must have shape ({basis.input_dim},), got {x.shape}")
     t = basis.standardize(x[None, :])
     exponents = basis.exponents
     values = [

@@ -24,3 +24,9 @@ def substream_seed(seed: int, name: str) -> int:
     """Derived integer seed for APIs that take a seed rather than a Generator."""
     key = zlib.crc32(name.encode("utf-8"))
     return int(np.random.SeedSequence(entropy=int(seed), spawn_key=(key,)).generate_state(1)[0])
+
+
+def split_seed(seed: int, n: int) -> int:
+    """Seed of the 75/25 train/validation split of an ``n``-member ensemble
+    under run ``seed``; every surrogate build of the package uses it."""
+    return substream_seed(seed, f"split/{n}")

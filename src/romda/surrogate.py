@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pce import PceConfig, PceModel, pce_eval, select_degree
+from .pce import PceConfig, PceModel, pce_eval, select_degree, split_members
 from .pod import ZERO_SV_RTOL, PodBasis, fit_pod, reconstruct, truncate
 
 COVARIANCE_KINDS = ("r", "r_tilde", "r_tilde_corrected")
@@ -163,16 +163,11 @@ def build_podpce(
     """
     params, states = _check_pair(params, states)
     n = params.shape[1]
-    if n < 4:
-        raise ValueError(f"need at least 4 members for the 75/25 split, got {n}")
+    train_idx, val_idx = split_members(n, split_seed)
 
     basis = truncate(fit_pod(states), modes=modes, evr_threshold=evr_threshold)
     d = basis.retained
     targets = basis.coefficients[:, :d]  # (n, d)
-
-    order = np.random.default_rng(split_seed).permutation(n)
-    n_train = (3 * n) // 4
-    train_idx, val_idx = order[:n_train], order[n_train:]
     inputs = params.T  # (n, m_x)
 
     pce = select_degree(
@@ -231,6 +226,28 @@ def _check_observation_cov(r: np.ndarray, m_y: int) -> np.ndarray:
     return r
 
 
+def _augmented_covariance(
+    surrogate: PodPceSurrogate,
+    r: np.ndarray,
+    variances: np.ndarray,
+    kind: str,
+    floored_modes: tuple[int, ...] = (),
+) -> ErrorCovariance:
+    """R plus the truncated-mode variance plus the per-mode learning
+    ``variances`` mapped to state space, symmetrized."""
+    pod_term = _complement_pod_term(surrogate.state_basis, surrogate.n_members)
+    pce_term = _pce_term(surrogate.state_basis, variances)
+    matrix = r + pod_term + pce_term
+    matrix = 0.5 * (matrix + matrix.T)
+    return ErrorCovariance(
+        matrix=matrix,
+        kind=kind,
+        pod_term=pod_term,
+        pce_term=pce_term,
+        floored_modes=floored_modes,
+    )
+
+
 def metamodel_error_covariance(surrogate: PodPceSurrogate, r: np.ndarray) -> ErrorCovariance:
     """Augment R with the surrogate's own error budget.
 
@@ -240,11 +257,7 @@ def metamodel_error_covariance(surrogate: PodPceSurrogate, r: np.ndarray) -> Err
     by a positive semidefinite matrix.
     """
     r = _check_observation_cov(r, surrogate.m_y)
-    pod_term = _complement_pod_term(surrogate.state_basis, surrogate.n_members)
-    pce_term = _pce_term(surrogate.state_basis, surrogate.empirical_errors)
-    matrix = r + pod_term + pce_term
-    matrix = 0.5 * (matrix + matrix.T)
-    return ErrorCovariance(matrix=matrix, kind="r_tilde", pod_term=pod_term, pce_term=pce_term)
+    return _augmented_covariance(surrogate, r, surrogate.empirical_errors, "r_tilde")
 
 
 def corrected_error_covariance(
@@ -268,37 +281,25 @@ def corrected_error_covariance(
     variances = delta - bias**2
     floored = np.nonzero(variances < -1e-12 * np.maximum(delta, 1e-300))[0]
     variances = np.maximum(variances, 0.0)
-    pod_term = _complement_pod_term(surrogate.state_basis, surrogate.n_members)
-    pce_term = _pce_term(surrogate.state_basis, variances)
-    matrix = r + pod_term + pce_term
-    matrix = 0.5 * (matrix + matrix.T)
-    return ErrorCovariance(
-        matrix=matrix,
-        kind="r_tilde_corrected",
-        pod_term=pod_term,
-        pce_term=pce_term,
-        floored_modes=tuple(int(k) for k in floored),
+    return _augmented_covariance(
+        surrogate, r, variances, "r_tilde_corrected", tuple(int(k) for k in floored)
     )
 
 
-def poden_error_covariance(surrogate: PodEnSurrogate, r: np.ndarray) -> ErrorCovariance:
-    """Truncation-only covariance for the linear surrogate (no learning term).
+def observation_covariance(
+    kind: str, surrogate: PodPceSurrogate | PodEnSurrogate, r_variances: np.ndarray
+) -> np.ndarray:
+    """Observation covariance a solver runs against, by kind.
 
-    Restricts the truncated-mode variance to the state rows of the joint
-    modes. Exposed for completeness; the default experiment drivers use
-    plain R with this surrogate.
+    ``"r"`` returns the 1-D variances of R as given (never densified);
+    ``"r_tilde"`` and ``"r_tilde_corrected"`` return the dense augmented
+    matrix of a POD-PCE surrogate.
     """
-    r = _check_observation_cov(r, surrogate.m_y)
-    comp = surrogate.basis.complement_view
-    top = surrogate.basis.singular_values[0] if surrogate.basis.n_modes else 0.0
-    keep = comp.singular_values > top * ZERO_SV_RTOL
-    phi_y = comp.modes[surrogate.m_x :, keep]
-    weights = comp.eigenvalues[keep] / (surrogate.n_members - 1)
-    pod_term = (phi_y * weights) @ phi_y.T if phi_y.size else np.zeros_like(r)
-    matrix = 0.5 * ((r + pod_term) + (r + pod_term).T)
-    return ErrorCovariance(
-        matrix=matrix,
-        kind="r_tilde",
-        pod_term=pod_term,
-        pce_term=np.zeros_like(pod_term),
-    )
+    if kind not in COVARIANCE_KINDS:
+        raise ValueError(f"covariance kind must be one of {COVARIANCE_KINDS}, got {kind!r}")
+    if kind == "r":
+        return r_variances
+    if not isinstance(surrogate, PodPceSurrogate):
+        raise ValueError(f"covariance {kind!r} needs a POD-PCE surrogate; PODEn runs with 'r'")
+    assemble = metamodel_error_covariance if kind == "r_tilde" else corrected_error_covariance
+    return assemble(surrogate, np.diag(r_variances)).matrix

@@ -249,10 +249,7 @@ def test_criterion_5_error_covariance_assembly() -> None:
     hand = PodPceSurrogate(
         state_basis=hand_basis,
         pce=PceModel(
-            families=skeleton.families,
-            offsets=skeleton.offsets,
-            scales=skeleton.scales,
-            indices=skeleton.indices,
+            basis=skeleton,
             coefficients=np.zeros((1, 1)),
             empirical_errors=np.array([0.01]),
             selected_degrees=(0,),

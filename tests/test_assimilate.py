@@ -188,10 +188,7 @@ def one_parameter_surrogate(bounds=(0.0, 2.0), mean_y=1.0, sigma=0.8, c0=0.2, c1
     )
     skeleton = make_basis(np.array([bounds]), 1)
     pce = PceModel(
-        families=skeleton.families,
-        offsets=skeleton.offsets,
-        scales=skeleton.scales,
-        indices=skeleton.indices,
+        basis=skeleton,
         coefficients=np.array([[c0, c1]]),
         empirical_errors=np.zeros(1),
         selected_degrees=(1,),

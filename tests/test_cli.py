@@ -4,6 +4,10 @@ import numpy as np
 
 from romda import io, toymodel
 from romda.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
+from romda.pce import PceConfig, select_degree, split_members
+from romda.pod import SnapshotMatrix
+from romda.rng import substream_seed
+from romda.surrogate import build_podpce
 
 
 def write_config(tmp_path, name, payload):
@@ -233,3 +237,52 @@ def test_measure_command_rejects_bad_config_naming_the_field(tmp_path, capsys) -
         out = str(tmp_path / field)
         assert main(["measure", "--config", cfg, "--out", out]) == EXIT_VALIDATION
         assert field in capsys.readouterr().err
+
+
+def test_workers_option_and_key_are_rejected(tmp_path, capsys) -> None:
+    cfg = write_config(tmp_path, "twin.json", {"training_sizes": [40]})
+    out = str(tmp_path / "out")
+    assert main(["twin", "--config", cfg, "--workers", "2", "--out", out]) == EXIT_VALIDATION
+    assert "--workers" in capsys.readouterr().err
+    cfg = write_config(tmp_path, "workers.json", {"workers": 2})
+    assert main(["twin", "--config", cfg, "--out", out]) == EXIT_VALIDATION
+    assert "workers" in capsys.readouterr().err
+
+
+def test_cli_builds_split_members_with_the_driver_seed_rule(tmp_path) -> None:
+    out = tmp_path / "out"
+    n, seed = 40, 5
+    main(["sample", "--config", write_config(tmp_path, "s.json", {"n": n}), "--seed", "1", "--out", str(out)])
+    sim = write_config(tmp_path, "m.json", {"parameters_csv": str(out / "parameters.csv")})
+    main(["simulate", "--config", sim, "--out", str(out)])
+    params = io.read_snapshot_csv(out / "parameters.csv").data
+    states = io.read_snapshot_csv(out / "states.csv").data
+    bounds = toymodel.PARAMETER_BOUNDS
+    surr = {
+        "kind": "podpce",
+        "parameters_csv": str(out / "parameters.csv"),
+        "states_csv": str(out / "states.csv"),
+        "modes": 2,
+        "max_degree": 2,
+        "bounds": bounds.tolist(),
+    }
+    argv = ["--seed", str(seed), "--out", str(out)]
+    assert main(["build-surrogate", "--config", write_config(tmp_path, "b.json", surr), *argv]) == EXIT_OK
+    direct = build_podpce(
+        params, states, PceConfig(bounds, 2), split_seed=substream_seed(seed, f"split/{n}"), modes=2
+    )
+    assert np.array_equal(io.load_podpce(out / "surrogate.json").pce.coefficients, direct.pce.coefficients)
+
+    # fit-pce splits its members the same way.
+    targets = direct.state_basis.coefficients[:, :2]  # (n, 2)
+    io.write_snapshot_csv(
+        out / "targets.csv",
+        SnapshotMatrix(targets.T, ("k1", "k2"), tuple(f"member{j}" for j in range(n))),
+    )
+    pce = {"parameters_csv": str(out / "parameters.csv"), "targets_csv": str(out / "targets.csv"),
+           "bounds": bounds.tolist(), "max_degree": 2}
+    assert main(["fit-pce", "--config", write_config(tmp_path, "p.json", pce), *argv]) == EXIT_OK
+    train, val = split_members(n, substream_seed(seed, f"split/{n}"))
+    x = params.T
+    expected = select_degree(x[train], targets[train], x[val], targets[val], PceConfig(bounds, 2))
+    assert np.array_equal(io.load_pce_model(out / "pce_model.json").coefficients, expected.coefficients)

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from romda import toymodel
+from romda import experiments, toymodel
 from romda.experiments import (
     MeasurementConfig,
     Standardizer,
@@ -15,7 +17,9 @@ from romda.experiments import (
     run_measurement,
     run_twin,
 )
-from romda.rng import substream
+from romda.pod import fit_pod, truncate
+from romda.rng import substream, substream_seed
+from romda.surrogate import build_poden
 
 
 def test_standardizer_round_trip() -> None:
@@ -136,7 +140,6 @@ def test_twin_config_validation() -> None:
         ("surrogates", ("foo",)),
         ("training_sizes", (5,)),
         ("mode_numbers", ()),
-        ("workers", 0),
     ],
 )
 def test_sweep_configs_reject_bad_fields(field, value) -> None:
@@ -170,14 +173,6 @@ def test_run_twin_deterministic_and_nested() -> None:
     larger = run_twin(small_config(training_sizes=(60, 90)))
     small_rows = [r for r in larger.rows if r.n == 60]
     for a, b in zip(first.rows, small_rows):
-        assert np.array_equal(a.x_a, b.x_a)
-        assert a.rmse_truth == b.rmse_truth
-
-
-def test_run_twin_workers_do_not_change_results() -> None:
-    serial = run_twin(small_config())
-    threaded = run_twin(small_config(workers=3))
-    for a, b in zip(serial.rows, threaded.rows):
         assert np.array_equal(a.x_a, b.x_a)
         assert a.rmse_truth == b.rmse_truth
 
@@ -219,6 +214,80 @@ def test_run_bootstrap_order_statistics() -> None:
     assert report.extras["summary"]
     for stats in report.extras["summary"].values():
         assert stats["min"] <= stats["mean"] <= stats["max"]
+
+
+def test_run_bootstrap_builds_the_evr_selected_rank() -> None:
+    config = TwinConfig(
+        seed=7, evr_threshold=0.95, mode_numbers=(), bootstrap_replicates=1, bootstrap_size=40
+    )
+    report = run_bootstrap(config)
+
+    # The ranks the threshold selects on the replicate's own ensemble.
+    params = toymodel.sample_parameters(40, substream_seed(7, "bootstrap/0"))
+    states = toymodel.propagate(params)
+    z_states = Standardizer.fit(states).transform(states)
+    z_params = parameter_standardizer().transform(params.T)
+    expected = {
+        "podpce": truncate(fit_pod(z_states), evr_threshold=0.95).retained,
+        "poden": build_poden(z_params, z_states, evr_threshold=0.95).d,
+    }
+    assert [(row.solver, row.d) for row in report.rows] == list(expected.items())
+    assert all(row.error == "" for row in report.rows)
+    assert set(report.extras["summary"]) == {f"{s}/d={d}" for s, d in expected.items()}
+
+
+def _tiny_sweep(driver: str):
+    """A small sweep of each driver; every one has POD-PCE cells at d = 2."""
+    twin = small_config(surrogates=("podpce", "poden"), training_sizes=(40,))
+    if driver == "twin":
+        return run_twin(twin)
+    if driver == "covgrid":
+        return run_covariance_grid(dataclasses.replace(twin, alpha_grid=(1.0, 10.0), grid_modes=2))
+    if driver == "bootstrap":
+        return run_bootstrap(dataclasses.replace(twin, bootstrap_replicates=2, bootstrap_size=40))
+    config = MeasurementConfig(
+        seed=7, training_sizes=(40,), mode_numbers=(2, 3), pce_degree=2,
+        covariance_kinds=("r", "r_tilde"),
+    )
+    return run_measurement(config, toymodel.simulate([70.0, 4.6, 1.2, 2.2]))
+
+
+def _row_fields(row) -> dict:
+    fields = dataclasses.asdict(row)
+    del fields["wall_time"]
+    return fields
+
+
+@pytest.mark.parametrize("driver", ["twin", "covgrid", "bootstrap", "measure"])
+def test_failed_cell_becomes_an_error_row_and_the_sweep_goes_on(driver, monkeypatch) -> None:
+    baseline = _tiny_sweep(driver)
+    solve = experiments.solve_podpce3dvar
+
+    def failing_at_d2(surrogate, problem):
+        if surrogate.d == 2:
+            raise ValueError("injected failure")
+        return solve(surrogate, problem)
+
+    monkeypatch.setattr(experiments, "solve_podpce3dvar", failing_at_d2)
+    report = _tiny_sweep(driver)
+
+    key = ("experiment", "solver", "covariance", "n", "d", "noise", "alpha_b", "alpha_r")
+    assert len(report.rows) == len(baseline.rows)
+    failed = 0
+    for before, after in zip(baseline.rows, report.rows):
+        assert [getattr(after, k) for k in key] == [getattr(before, k) for k in key]
+        if after.solver == "podpce" and after.d == 2:
+            failed += 1
+            assert after.reason == "error"
+            assert "injected failure" in after.error
+            assert after.model_runs == 0
+            assert np.all(np.isnan(after.x_a))
+            for metric in (after.rmse_truth, after.rmse_obs, after.j_final):
+                assert np.isnan(metric)
+        else:
+            assert before.error == ""
+            np.testing.assert_equal(_row_fields(after), _row_fields(before))
+    assert failed >= 1
 
 
 def test_run_measurement_with_planted_truth() -> None:

@@ -10,7 +10,6 @@ from romda.pod import SnapshotMatrix, fit_pod, project, reconstruct, truncate
 from romda.surrogate import (
     build_poden,
     build_podpce,
-    metamodel_error_covariance,
     podpce_predict,
     poden_predict,
 )
@@ -93,20 +92,6 @@ def test_tampered_schema_rejected(tmp_path) -> None:
     path.write_text(json.dumps(doc))
     with pytest.raises(io.SchemaError, match="pod-basis/99"):
         io.load_pod_basis(path)
-
-
-def test_covariance_csv_round_trip(tmp_path) -> None:
-    rng = np.random.default_rng(5)
-    bounds = np.array([[0.0, 1.0]])
-    params = rng.uniform(0, 1, size=(30, 1)).T
-    states = np.vstack([params[0], params[0] ** 2]) + 0.01 * rng.standard_normal((2, 30))
-    s = build_podpce(params, states, PceConfig(bounds, 2), split_seed=2, modes=1)
-    cov = metamodel_error_covariance(s, 0.1 * np.eye(2))
-    path = tmp_path / "cov.csv"
-    io.write_covariance_csv(path, cov, seed=9)
-    matrix, kind = io.read_covariance_csv(path)
-    assert kind == "r_tilde"
-    assert np.array_equal(matrix, cov.matrix)
 
 
 def test_report_csv_deterministic_bytes(tmp_path) -> None:

@@ -240,10 +240,7 @@ def test_pce_eval_intercept_model() -> None:
     from romda.pce import PceModel
 
     model = PceModel(
-        families=basis.families,
-        offsets=basis.offsets,
-        scales=basis.scales,
-        indices=basis.indices,
+        basis=basis,
         coefficients=coef,
         empirical_errors=np.zeros(3),
         selected_degrees=(0, 0, 0),
@@ -273,16 +270,6 @@ def test_exact_polynomial_reproduction() -> None:
     assert np.allclose(predicted, expected, atol=1e-8)
 
 
-def test_interpolating_least_squares_reproduces_training_points() -> None:
-    rng = np.random.default_rng(13)
-    basis = unit_basis(6, m_x=2)  # 28 terms
-    samples = rng.uniform(-1, 1, size=(20, 2))
-    psi = design_matrix(samples, basis)
-    y = rng.standard_normal(20)
-    fit = fit_lars(psi, y, loo_selection=False)
-    assert np.allclose(psi @ fit.coefficients, y, atol=1e-8)
-
-
 def test_jacobian_linear_model_constant_slope() -> None:
     bounds = np.array([[1.0, 4.0]])
     basis = make_basis(bounds, 1)
@@ -291,10 +278,7 @@ def test_jacobian_linear_model_constant_slope() -> None:
     coef = np.zeros((1, 2))
     coef[0, 1] = 1.0  # nu = xi_1(T(x))
     model = PceModel(
-        families=basis.families,
-        offsets=basis.offsets,
-        scales=basis.scales,
-        indices=basis.indices,
+        basis=basis,
         coefficients=coef,
         empirical_errors=np.zeros(1),
         selected_degrees=(1,),
@@ -427,10 +411,7 @@ def test_vectorized_basis_matches_loop_reference_bitwise(seed, families, max_deg
     assert np.array_equal(design_matrix(samples, basis), loop_design_matrix(samples, basis))
 
     model = PceModel(
-        families=basis.families,
-        offsets=basis.offsets,
-        scales=basis.scales,
-        indices=basis.indices,
+        basis=basis,
         coefficients=rng.standard_normal((3, basis.n_terms)),
         empirical_errors=np.zeros(3),
         selected_degrees=(max_degree,) * 3,

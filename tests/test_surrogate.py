@@ -9,7 +9,6 @@ from romda.surrogate import (
     build_podpce,
     corrected_error_covariance,
     metamodel_error_covariance,
-    poden_error_covariance,
     poden_predict,
     podpce_predict,
 )
@@ -164,10 +163,7 @@ def hand_surrogate(delta, bias=None, lam=(4.0, 1.0), d=1, n=5):
     bias = np.zeros(d) if bias is None else np.asarray(bias, dtype=float)
     pce_basis = make_basis(np.array([[0.0, 1.0]]), 0)
     pce = PceModel(
-        families=pce_basis.families,
-        offsets=pce_basis.offsets,
-        scales=pce_basis.scales,
-        indices=pce_basis.indices,
+        basis=pce_basis,
         coefficients=np.zeros((d, 1)),
         empirical_errors=delta,
         selected_degrees=(0,) * d,
@@ -197,11 +193,8 @@ def test_metamodel_covariance_reduces_to_r_without_truncation() -> None:
     full = PodPceSurrogate(
         state_basis=truncate(s.state_basis, modes=s.state_basis.n_modes),
         pce=PceModel(
-            families=s.pce.families,
-            offsets=s.pce.offsets,
-            scales=s.pce.scales,
-            indices=s.pce.indices,
-            coefficients=np.zeros((s.state_basis.n_modes, len(s.pce.indices))),
+            basis=s.pce.basis,
+            coefficients=np.zeros((s.state_basis.n_modes, len(s.pce.basis.indices))),
             empirical_errors=np.zeros(s.state_basis.n_modes),
             selected_degrees=(0,) * s.state_basis.n_modes,
             validation_bias=np.zeros(s.state_basis.n_modes),
@@ -243,10 +236,7 @@ def test_metamodel_covariance_trace_identity_and_psd() -> None:
     zero_pce = PodPceSurrogate(
         state_basis=s.state_basis,
         pce=PceModel(
-            families=s.pce.families,
-            offsets=s.pce.offsets,
-            scales=s.pce.scales,
-            indices=s.pce.indices,
+            basis=s.pce.basis,
             coefficients=s.pce.coefficients,
             empirical_errors=np.zeros(d),
             selected_degrees=s.pce.selected_degrees,
@@ -303,19 +293,6 @@ def test_biased_learner_measured_bias() -> None:
     assert delta == pytest.approx(c**2 + noise**2, rel=0.20)
     corrected_var = delta - bias**2
     assert corrected_var == pytest.approx(noise**2, rel=0.20)
-
-
-def test_poden_error_covariance_uses_state_rows_only() -> None:
-    rng = np.random.default_rng(13)
-    params = rng.standard_normal((2, 30))
-    states = rng.standard_normal((6, 30))
-    s = build_poden(params, states, modes=3)
-    r = np.eye(6) * 0.1
-    cov = poden_error_covariance(s, r)
-    assert cov.matrix.shape == (6, 6)
-    assert np.allclose(cov.pce_term, 0.0)
-    diff_eigs = np.linalg.eigvalsh(cov.matrix - r)
-    assert diff_eigs.min() >= -1e-12
 
 
 def test_build_rejects_mismatched_members() -> None:
