@@ -5,8 +5,12 @@ The two-term quadratic-form cost J(x) = 1/2 ||x - x_b||^2_{B^-1}
 1/2 ||L_B^-1 (x - x_b)||^2 + 1/2 ||L_R^-1 (G(x) - y_o)||^2 with L L^T the
 scaled covariance, never by inverting a covariance. Each problem holds
 one whitening factor per covariance, computed on first use: the standard
-deviations of a diagonal covariance (which is never factored densely), or
-the lower Cholesky factor of a dense one. Solvers:
+deviations of a diagonal covariance (which is never factored densely), the
+lower Cholesky factor of a dense one, or, for the augmented covariance
+R~ = R + Phi W Phi^T of a POD-PCE surrogate, R's factor plus an r-space
+correction (one thin QR of L_R^-1 Phi and one r x r Cholesky, r the number
+of modes carrying variance; the low-rank update algebra of Hager 1989), so
+no m_y x m_y matrix is built or factored. Solvers:
 
 * closed-form analysis for the linear joint-decomposition surrogate
   (cancelling the gradient of the reduced quadratic cost);
@@ -34,7 +38,13 @@ from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from .optimize import OptimizerConfig, bounded_quasi_newton
 from .pce import pce_eval, pce_jacobian
-from .surrogate import PodEnSurrogate, PodPceSurrogate, poden_predict, podpce_predict
+from .surrogate import (
+    ErrorCovariance,
+    PodEnSurrogate,
+    PodPceSurrogate,
+    poden_predict,
+    podpce_predict,
+)
 
 # Central-difference step for the classical solver, as a fraction of each
 # parameter's bound width.
@@ -48,7 +58,8 @@ class AssimilationProblem:
     Covariances enter every computation as alpha_b * background_cov and
     alpha_r * observation_cov. The observation covariance may be given as
     its (m_y,) variances when it is diagonal; a 2-D covariance whose
-    off-diagonal entries are all zero is treated the same way. Whitening
+    off-diagonal entries are all zero is treated the same way. It may also
+    be a structured :class:`~romda.surrogate.ErrorCovariance`. Whitening
     factors are cached on first use; instances should be treated as
     immutable once handed to a solver.
     """
@@ -56,19 +67,23 @@ class AssimilationProblem:
     x_b: np.ndarray  # (m_x,)
     background_cov: np.ndarray  # (m_x, m_x) symmetric positive definite
     y_o: np.ndarray  # (m_y,)
-    observation_cov: np.ndarray  # (m_y, m_y) symmetric positive definite, or (m_y,) variances
+    # (m_y, m_y) symmetric positive definite, (m_y,) variances, or R + Phi W Phi^T
+    observation_cov: np.ndarray | ErrorCovariance
     bounds: np.ndarray  # (m_x, 2)
     alpha_b: float = 1.0
     alpha_r: float = 1.0
     _b_factor: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    _r_factor: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _r_factor: "np.ndarray | _LowRankFactor | None" = field(
+        default=None, init=False, repr=False, compare=False
+    )
     _reduced: "_ReducedCost | None" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.x_b = np.asarray(self.x_b, dtype=float)
         self.background_cov = np.asarray(self.background_cov, dtype=float)
         self.y_o = np.asarray(self.y_o, dtype=float)
-        self.observation_cov = np.asarray(self.observation_cov, dtype=float)
+        if not isinstance(self.observation_cov, ErrorCovariance):
+            self.observation_cov = np.asarray(self.observation_cov, dtype=float)
         self.bounds = np.asarray(self.bounds, dtype=float)
         m_x = self.x_b.shape[0]
         m_y = self.y_o.shape[0]
@@ -96,7 +111,7 @@ class AssimilationProblem:
             self._b_factor = _whitening_factor(self.background_cov, self.alpha_b, "background")
         return self._b_factor
 
-    def _observation_factor(self) -> np.ndarray:
+    def _observation_factor(self) -> "np.ndarray | _LowRankFactor":
         if self._r_factor is None:
             self._r_factor = _whitening_factor(self.observation_cov, self.alpha_r, "observation")
         return self._r_factor
@@ -109,18 +124,38 @@ class AssimilationProblem:
         """L_R^-1 v for a vector or for the columns of a matrix."""
         return _whiten(self._observation_factor(), v)
 
-    def b_factor(self) -> tuple:
-        """Lower factor of alpha_b * B in ``scipy.linalg.cho_solve`` form."""
-        return _cho_form(self._background_factor())
 
-    def r_factor(self) -> tuple:
-        """Lower factor of alpha_r * R in ``scipy.linalg.cho_solve`` form."""
-        return _cho_form(self._observation_factor())
+@dataclass(frozen=True)
+class _LowRankFactor:
+    """Whitening factor of alpha (R + Phi W Phi^T), kept in r-space.
+
+    With L_R L_R^T = alpha R, L_R^-1 Phi = Q0 R0 (thin QR) and
+    C C^T = I + alpha R0 W R0^T, the factor is L_R F with
+    F = (I - Q0 Q0^T) + Q0 C Q0^T, whose inverse is
+    (I - Q0 Q0^T) + Q0 C^-1 Q0^T.
+    """
+
+    base: np.ndarray  # whitening factor of alpha R (1-D or lower 2-D)
+    q: np.ndarray  # (m_y, r) Q0
+    c: np.ndarray  # (r, r) lower C
 
 
-def _whitening_factor(cov: np.ndarray, alpha: float, name: str) -> np.ndarray:
+def _whitening_factor(
+    cov: np.ndarray | ErrorCovariance, alpha: float, name: str
+) -> "np.ndarray | _LowRankFactor":
     """L with L L^T = alpha * cov: the standard deviations (1-D) when cov is
-    diagonal, else the lower Cholesky factor (2-D)."""
+    diagonal, the lower Cholesky factor (2-D) when it is dense, R's factor
+    plus its r-space correction when it is an :class:`ErrorCovariance`."""
+    if isinstance(cov, ErrorCovariance):
+        base = _whitening_factor(cov.r, alpha, name)
+        if not np.all(np.isfinite(cov.weights)):
+            raise ValueError(f"{name} covariance must be finite")
+        if cov.weights.size == 0:
+            return base
+        q, r0 = np.linalg.qr(_whiten(base, cov.modes))
+        g = r0 * np.sqrt(alpha * cov.weights)  # R0 (alpha W)^1/2
+        c = np.linalg.cholesky(np.eye(g.shape[0]) + g @ g.T)
+        return _LowRankFactor(base=base, q=q, c=c)
     if cov.ndim == 2 and np.count_nonzero(cov) == np.count_nonzero(np.diagonal(cov)):
         cov = np.diagonal(cov)  # every nonzero entry sits on the diagonal
     if cov.ndim == 2:
@@ -137,16 +172,17 @@ def _whitening_factor(cov: np.ndarray, alpha: float, name: str) -> np.ndarray:
     return np.sqrt(variances)
 
 
-def _whiten(factor: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _whiten(factor: "np.ndarray | _LowRankFactor", v: np.ndarray) -> np.ndarray:
+    if isinstance(factor, _LowRankFactor):
+        w = _whiten(factor.base, v)
+        proj = factor.q.T @ w
+        inner = solve_triangular(factor.c, proj, lower=True, check_finite=False)
+        return w + factor.q @ (inner - proj)
     v = np.asarray_chkfinite(v, dtype=float)
     if factor.ndim == 1:
         return v / (factor if v.ndim == 1 else factor[:, None])
     # Only the lower triangle is read; cho_factor leaves input entries above it.
     return solve_triangular(factor, v, lower=True, check_finite=False)
-
-
-def _cho_form(factor: np.ndarray) -> tuple:
-    return (np.diag(factor) if factor.ndim == 1 else factor), True
 
 
 def _factor_spd(matrix: np.ndarray, name: str) -> tuple:

@@ -4,17 +4,24 @@ Every run takes a JSON config (strict keys), an integer seed, and an output
 directory; flags override config values. The effective configuration is
 echoed into the output directory and its hash stamped into every output
 file. Exit codes: 0 success, 1 validation/configuration error, 2 numerical
-failure.
+failure. A command runs with the OpenBLAS copies bundled with numpy and
+scipy set to one thread, unless ``OPENBLAS_NUM_THREADS`` or
+``OMP_NUM_THREADS`` is set.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
+from typing import Callable, Iterator
 
 import numpy as np
+import scipy
 
 from . import __version__, io, toymodel
 from .assimilate import AssimilationProblem, solve_poden3dvar, solve_podpce3dvar
@@ -413,21 +420,75 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Thread-count functions (get, set) of the bundled OpenBLAS, by build flavour.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+)
+
+
+def _bundled_openblas() -> list[tuple[Callable[[], int], Callable[[int], None]]]:
+    """(get, set) thread-count functions of each OpenBLAS bundled with numpy
+    and scipy (in ``<package>.libs``); empty when there is none."""
+    found = []
+    for package in (np, scipy):
+        libs = Path(package.__file__).resolve().parent.parent / f"{package.__name__}.libs"
+        for lib in sorted(libs.glob("*openblas*")):
+            try:
+                handle = ctypes.CDLL(str(lib))
+            except OSError:
+                continue
+            for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+                get, put = getattr(handle, get_name, None), getattr(handle, set_name, None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    found.append((get, put))
+                    break
+    return found
+
+
+@contextlib.contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """Run the body with the bundled OpenBLAS copies at one thread each.
+
+    Every kernel of a command is small (m_y = 570 rows, a few hundred
+    columns at most), so a second BLAS thread costs more in synchronization
+    than it computes: on a 2-core machine the default twin sweep took
+    about twice as long with two threads as with one. The previous counts
+    are put back on exit. Nothing changes when the user chose a count
+    through the environment.
+    """
+    if os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS"):
+        yield
+        return
+    pools = _bundled_openblas()
+    previous = [get() for get, _ in pools]
+    for _, put in pools:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), count in zip(pools, previous):
+            put(count)
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
-    try:
-        cfg = _load_config(args.config)
-        return _COMMANDS[args.command](args, cfg)
-    # LinAlgError subclasses ValueError, so the numerical branch comes first.
-    except (ArithmeticError, np.linalg.LinAlgError, RuntimeError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (ConfigError, io.SchemaError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    with _one_blas_thread():
+        try:
+            cfg = _load_config(args.config)
+            return _COMMANDS[args.command](args, cfg)
+        # LinAlgError subclasses ValueError, so the numerical branch comes first.
+        except (ArithmeticError, np.linalg.LinAlgError, RuntimeError) as exc:
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return EXIT_NUMERICAL
+        except (ConfigError, io.SchemaError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -11,7 +11,11 @@ Two metamodels over an ensemble of paired parameter/state realizations:
 For the nonlinear surrogate, an augmented observation-error covariance adds
 the truncated-mode ensemble variance and the per-mode learning error mapped
 back to state space; a bias-corrected variant subtracts the squared
-validation mean error from each mode's variance.
+validation mean error from each mode's variance. Both additions live in the
+span of the orthonormal state modes, so the augmented covariance is held as
+its parts, R~ = R + Phi W Phi^T with W >= 0 diagonal over the r modes that
+carry variance (r is at most the ensemble rank, far below m_y), and solvers
+whiten it in r-space; the dense m_y x m_y matrix is built only on request.
 """
 from __future__ import annotations
 
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pce import PceConfig, PceModel, pce_eval, select_degree, split_members
-from .pod import ZERO_SV_RTOL, PodBasis, fit_pod, reconstruct, truncate
+from .pod import PodBasis, fit_pod, reconstruct, truncate
 
 COVARIANCE_KINDS = ("r", "r_tilde", "r_tilde_corrected")
 
@@ -89,14 +93,47 @@ class PodPceSurrogate:
 
 @dataclass(frozen=True)
 class ErrorCovariance:
-    """Observation/model error covariance with its additive components kept
-    for audit."""
+    """Augmented observation-error covariance R~ = R + Phi diag(weights) Phi^T.
 
-    matrix: np.ndarray  # (m_y, m_y) symmetric
+    Kept as its parts: the base R as given, the orthonormal state modes that
+    carry variance and their weights. The first ``n_retained`` columns are
+    retained modes (learning error, ``pce_term``), the rest truncated ones
+    (ensemble variance, ``pod_term``). Modes with a zero singular value or a
+    zero weight are dropped. The dense properties are for audit and tests.
+    """
+
+    r: np.ndarray  # (m_y,) variances or (m_y, m_y) symmetric, as given
+    modes: np.ndarray  # (m_y, k) orthonormal columns of the state basis
+    weights: np.ndarray  # (k,) nonzero
+    n_retained: int  # leading columns of ``modes`` that are retained modes
     kind: str  # one of COVARIANCE_KINDS
-    pod_term: np.ndarray
-    pce_term: np.ndarray
     floored_modes: tuple[int, ...] = ()  # modes whose corrected variance hit 0
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        m_y = self.r.shape[0]
+        return (m_y, m_y)
+
+    def _term(self, cols: slice) -> np.ndarray:
+        phi = self.modes[:, cols]
+        return (phi * self.weights[cols]) @ phi.T
+
+    @property
+    def pod_term(self) -> np.ndarray:
+        """Truncated-mode ensemble variance, dense (m_y, m_y)."""
+        return self._term(slice(self.n_retained, None))
+
+    @property
+    def pce_term(self) -> np.ndarray:
+        """Per-mode learning variance in state space, dense (m_y, m_y)."""
+        return self._term(slice(None, self.n_retained))
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """R + pod_term + pce_term, symmetrized, dense (m_y, m_y)."""
+        r = np.diag(self.r) if self.r.ndim == 1 else self.r
+        matrix = r + self.pod_term + self.pce_term
+        return 0.5 * (matrix + matrix.T)
 
 
 def _check_pair(params: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -191,37 +228,13 @@ def podpce_predict(surrogate: PodPceSurrogate, x: np.ndarray) -> np.ndarray:
     return reconstruct(surrogate.state_basis, nu)
 
 
-def _complement_pod_term(basis: PodBasis, n_members: int) -> np.ndarray:
-    """Ensemble-anomaly covariance of the truncated modes.
-
-    (1 / (n - 1)) * Phi_comp Lambda_comp Phi_comp^T; modes with numerically
-    zero singular values carry no variance and are skipped.
-    """
-    comp = basis.complement_view
-    lam = comp.eigenvalues
-    top = basis.singular_values[0] if basis.n_modes else 0.0
-    keep = comp.singular_values > top * ZERO_SV_RTOL
-    if not np.any(keep):
-        m = basis.mean.shape[0]
-        return np.zeros((m, m))
-    phi = comp.modes[:, keep]
-    weights = lam[keep] / (n_members - 1)
-    return (phi * weights) @ phi.T
-
-
-def _pce_term(basis: PodBasis, variances: np.ndarray) -> np.ndarray:
-    """Per-mode learning variance mapped to state space:
-    Phi_d diag(lambda_k * var_k) Phi_d^T."""
-    ret = basis.retained_view
-    weights = ret.eigenvalues * variances
-    return (ret.modes * weights) @ ret.modes.T
-
-
 def _check_observation_cov(r: np.ndarray, m_y: int) -> np.ndarray:
     r = np.asarray(r, dtype=float)
-    if r.shape != (m_y, m_y):
-        raise ValueError(f"observation covariance must have shape ({m_y}, {m_y}), got {r.shape}")
-    if not np.allclose(r, r.T, atol=1e-12 * max(1.0, float(np.abs(r).max()))):
+    if r.shape not in ((m_y,), (m_y, m_y)):
+        raise ValueError(
+            f"observation covariance must have shape ({m_y},) or ({m_y}, {m_y}), got {r.shape}"
+        )
+    if r.ndim == 2 and not np.allclose(r, r.T, atol=1e-12 * max(1.0, float(np.abs(r).max()))):
         raise ValueError("observation covariance must be symmetric")
     return r
 
@@ -233,17 +246,25 @@ def _augmented_covariance(
     kind: str,
     floored_modes: tuple[int, ...] = (),
 ) -> ErrorCovariance:
-    """R plus the truncated-mode variance plus the per-mode learning
-    ``variances`` mapped to state space, symmetrized."""
-    pod_term = _complement_pod_term(surrogate.state_basis, surrogate.n_members)
-    pce_term = _pce_term(surrogate.state_basis, variances)
-    matrix = r + pod_term + pce_term
-    matrix = 0.5 * (matrix + matrix.T)
+    """R plus the per-mode learning ``variances`` (weights lambda_k var_k on
+    the retained modes) plus the truncated-mode variance (lambda_k / (n - 1)
+    on the complement), over the modes with a nonzero singular value."""
+    basis = surrogate.state_basis
+    d = basis.retained
+    rank = basis.nonzero_rank
+    weights = basis.eigenvalues[:rank].copy()
+    weights[:d] *= variances[:rank]
+    weights[d:] /= surrogate.n_members - 1
+    keep = weights != 0.0
+    modes = basis.modes[:, :rank]  # a view, unless a mode is dropped below
+    if not keep.all():
+        modes, weights = modes[:, keep], weights[keep]
     return ErrorCovariance(
-        matrix=matrix,
+        r=r,
+        modes=modes,
+        weights=weights,
+        n_retained=int(np.count_nonzero(keep[:d])),
         kind=kind,
-        pod_term=pod_term,
-        pce_term=pce_term,
         floored_modes=floored_modes,
     )
 
@@ -253,8 +274,9 @@ def metamodel_error_covariance(surrogate: PodPceSurrogate, r: np.ndarray) -> Err
 
     Adds the truncated-mode ensemble variance and the empirical per-mode
     learning errors weighted by their eigenvalues, both expressed through
-    the orthonormal state modes. The result is symmetric and differs from R
-    by a positive semidefinite matrix.
+    the orthonormal state modes. ``r`` is R's (m_y,) variances or an
+    (m_y, m_y) symmetric matrix. The result differs from R by a positive
+    semidefinite low-rank term.
     """
     r = _check_observation_cov(r, surrogate.m_y)
     return _augmented_covariance(surrogate, r, surrogate.empirical_errors, "r_tilde")
@@ -287,19 +309,19 @@ def corrected_error_covariance(
 
 
 def observation_covariance(
-    kind: str, surrogate: PodPceSurrogate | PodEnSurrogate, r_variances: np.ndarray
-) -> np.ndarray:
+    kind: str, surrogate: PodPceSurrogate | PodEnSurrogate, r: np.ndarray
+) -> np.ndarray | ErrorCovariance:
     """Observation covariance a solver runs against, by kind.
 
-    ``"r"`` returns the 1-D variances of R as given (never densified);
-    ``"r_tilde"`` and ``"r_tilde_corrected"`` return the dense augmented
-    matrix of a POD-PCE surrogate.
+    ``"r"`` returns R as given (1-D variances are never densified);
+    ``"r_tilde"`` and ``"r_tilde_corrected"`` return the structured
+    augmented covariance of a POD-PCE surrogate.
     """
     if kind not in COVARIANCE_KINDS:
         raise ValueError(f"covariance kind must be one of {COVARIANCE_KINDS}, got {kind!r}")
     if kind == "r":
-        return r_variances
+        return r
     if not isinstance(surrogate, PodPceSurrogate):
         raise ValueError(f"covariance {kind!r} needs a POD-PCE surrogate; PODEn runs with 'r'")
     assemble = metamodel_error_covariance if kind == "r_tilde" else corrected_error_covariance
-    return assemble(surrogate, np.diag(r_variances)).matrix
+    return assemble(surrogate, r)

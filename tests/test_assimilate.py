@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -18,8 +19,14 @@ from romda.assimilate import (
 from romda.optimize import OptimizerConfig
 from romda.pce import PceModel, make_basis
 from romda.pod import PodBasis
-from romda.surrogate import PodPceSurrogate, build_poden, build_podpce, podpce_predict
-from romda.pce import PceConfig
+from romda.pce import PceConfig, pce_jacobian
+from romda.surrogate import (
+    PodPceSurrogate,
+    build_poden,
+    build_podpce,
+    observation_covariance,
+    podpce_predict,
+)
 
 
 def spd(rng, n, scale=1.0):
@@ -266,15 +273,15 @@ def test_podpce_gradient_matches_finite_differences() -> None:
             problem, podpce_predict(s, x)
         )
 
-    from scipy.linalg import cho_solve
-
     h_y = s.state_basis.retained_view.modes * s.state_basis.retained_view.singular_values
+    b_fac = cho_factor(problem.alpha_b * problem.background_cov)
+    r_fac = cho_factor(problem.alpha_r * problem.observation_cov)
     for _ in range(20):
         x = rng.uniform(0.05, 0.95, size=2)
         residual = podpce_predict(s, x) - problem.y_o
-        grad = cho_solve(problem.b_factor(), x - problem.x_b) + (
+        grad = cho_solve(b_fac, x - problem.x_b) + (
             h_y @ pce_jacobian(s.pce, x)
-        ).T @ cho_solve(problem.r_factor(), residual)
+        ).T @ cho_solve(r_fac, residual)
         for i in range(2):
             h = 1e-6
             xp, xm = x.copy(), x.copy()
@@ -489,3 +496,96 @@ def test_reduced_gradient_matches_central_differences(seed, r_form) -> None:
             xm[i] -= h
             fd = (podpce_cost(s, problem, xp) - podpce_cost(s, problem, xm)) / (2 * h)
             assert grad[i] == pytest.approx(fd, rel=1e-6, abs=1e-8 * scale)
+
+
+def random_rtilde_problem(seed, d, kind, r_form, alpha_r, floored):
+    """A POD-PCE surrogate with d retained modes of a noisy 2-input map (so
+    every truncated mode carries variance) and a problem against its R~ of
+    ``kind`` over a base R given as 'variances', 'diagonal' or 'dense'.
+    ``floored`` zeroes the weight of retained mode 0."""
+    rng = np.random.default_rng(seed)
+    bounds = np.array([[0.0, 1.0], [-1.0, 2.0]])
+    m_y, n = 11, 48
+    params = np.vstack([rng.uniform(0, 1, n), rng.uniform(-1, 2, n)])
+    features = np.vstack([np.sin(2 * params[0]), params[1] ** 2, params[0] * params[1]])
+    states = rng.standard_normal((m_y, 3)) @ features + 0.4
+    states = states + 0.05 * rng.standard_normal((m_y, n))
+    s = build_podpce(params, states, PceConfig(bounds, 3), split_seed=seed % 1000, modes=d)
+    if floored:
+        pce = s.pce
+        if kind == "r_tilde":
+            pce = dataclasses.replace(pce, empirical_errors=np.r_[0.0, pce.empirical_errors[1:]])
+        else:  # bias^2 > delta floors the corrected variance
+            bias = np.r_[2.0 * math.sqrt(pce.empirical_errors[0]), pce.validation_bias[1:]]
+            pce = dataclasses.replace(pce, validation_bias=bias)
+        s = dataclasses.replace(s, pce=pce)
+    variances = rng.uniform(0.01, 0.2, m_y)
+    r = {
+        "variances": variances,
+        "diagonal": np.diag(variances),
+        "dense": spd(rng, m_y, 0.02),
+    }[r_form]
+    cov = observation_covariance(kind, s, r)
+    assert cov.n_retained == d - floored
+    problem = AssimilationProblem(
+        x_b=np.array([0.5, 0.3]),
+        background_cov=spd(rng, 2, 0.3),
+        y_o=states[:, 0] + 0.1 * rng.standard_normal(m_y),
+        observation_cov=cov,
+        bounds=bounds,
+        alpha_r=alpha_r,
+    )
+    return s, problem, rng
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 4),
+    kind=st.sampled_from(["r_tilde", "r_tilde_corrected"]),
+    r_form=st.sampled_from(["variances", "diagonal", "dense"]),
+    alpha_r=st.floats(1e-2, 1e2),
+    floored=st.booleans(),
+)
+def test_structured_rtilde_whitening_equals_dense_oracle(
+    seed, d, kind, r_form, alpha_r, floored
+) -> None:
+    s, problem, rng = random_rtilde_problem(seed, d, kind, r_form, alpha_r, floored)
+    b_dense = problem.alpha_b * problem.background_cov
+    r_dense = problem.alpha_r * problem.observation_cov.matrix
+    b_fac, r_fac = cho_factor(b_dense), cho_factor(r_dense)
+    retained = s.state_basis.retained_view
+    h_y = retained.modes * retained.singular_values
+    predict = lambda x: podpce_predict(s, x)
+    for _ in range(4):
+        x = rng.uniform([0.05, -0.85], [0.95, 1.85])
+        db = x - problem.x_b
+        dr = podpce_predict(s, x) - problem.y_o
+        oracle = 0.5 * db @ cho_solve(b_fac, db) + 0.5 * dr @ cho_solve(r_fac, dr)
+        assert podpce_cost(s, problem, x) == pytest.approx(oracle, rel=1e-10)
+        assert cost_3dvar(x, predict, problem) == pytest.approx(oracle, rel=1e-10)
+
+        terms = (cho_solve(b_fac, db), (h_y @ pce_jacobian(s.pce, x)).T @ cho_solve(r_fac, dr))
+        scale = max(float(np.abs(t).max()) for t in terms)
+        np.testing.assert_allclose(
+            podpce_gradient(s, problem, x), terms[0] + terms[1], rtol=1e-10, atol=1e-10 * scale
+        )
+
+    v = rng.standard_normal((problem.m_y, 3))
+    w = problem.whiten_observation(v)
+    quad = v.T @ cho_solve(r_fac, v)
+    np.testing.assert_allclose(w.T @ w, quad, rtol=1e-10, atol=1e-10 * np.abs(quad).max())
+
+
+@pytest.mark.parametrize("r_form", ["variances", "diagonal", "dense"])
+@pytest.mark.parametrize("bad", [0.0, -0.05])
+def test_structured_rtilde_rejects_nonpositive_base_variance(r_form, bad) -> None:
+    s, problem, _ = random_rtilde_problem(5, 2, "r_tilde", r_form, 1.0, False)
+    r = problem.observation_cov.r.copy()
+    if r.ndim == 1:
+        r[3] = bad
+    else:
+        r[3, 3] = bad
+    problem = dataclasses.replace(problem, observation_cov=observation_covariance("r_tilde", s, r))
+    with pytest.raises(ValueError, match="observation covariance is not positive definite"):
+        podpce_cost(s, problem, np.array([0.5, 0.3]))

@@ -1,8 +1,9 @@
 import json
 
 import numpy as np
+import pytest
 
-from romda import io, toymodel
+from romda import cli, io, toymodel
 from romda.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 from romda.pce import PceConfig, select_degree, split_members
 from romda.pod import SnapshotMatrix
@@ -286,3 +287,72 @@ def test_cli_builds_split_members_with_the_driver_seed_rule(tmp_path) -> None:
     x = params.T
     expected = select_degree(x[train], targets[train], x[val], targets[val], PceConfig(bounds, 2))
     assert np.array_equal(io.load_pce_model(out / "pce_model.json").coefficients, expected.coefficients)
+
+
+@pytest.fixture
+def blas_pools(monkeypatch):
+    """The bundled OpenBLAS thread controls, each set to 2 threads for the
+    test and put back afterwards; no thread count chosen in the environment."""
+    pools = cli._bundled_openblas()
+    if not pools:
+        pytest.skip("numpy and scipy bundle no OpenBLAS here")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    before = [get() for get, _ in pools]
+    for _, put in pools:
+        put(2)
+    yield pools
+    for (_, put), count in zip(pools, before):
+        put(count)
+
+
+def threads(pools):
+    return [get() for get, _ in pools]
+
+
+def recording_command(pools, seen, error=None):
+    def command(args, cfg):
+        seen.append(threads(pools))
+        if error is not None:
+            raise error
+        return EXIT_OK
+
+    return command
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [(None, EXIT_OK), (ValueError("bad field"), EXIT_VALIDATION), (RuntimeError("nan"), EXIT_NUMERICAL)],
+)
+def test_command_runs_on_one_blas_thread_and_restores_count(
+    blas_pools, monkeypatch, tmp_path, error, code
+) -> None:
+    previous = threads(blas_pools)
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, "sample", recording_command(blas_pools, seen, error))
+    assert main(["sample", "--out", str(tmp_path)]) == code
+    assert seen == [[1] * len(blas_pools)]
+    assert threads(blas_pools) == previous
+
+
+@pytest.mark.parametrize("variable", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_blas_threads_left_alone_when_chosen_in_environment(
+    blas_pools, monkeypatch, tmp_path, variable
+) -> None:
+    monkeypatch.setenv(variable, "2")
+    previous = threads(blas_pools)
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, "sample", recording_command(blas_pools, seen))
+    assert main(["sample", "--out", str(tmp_path)]) == EXIT_OK
+    assert seen == [previous]
+    assert threads(blas_pools) == previous
+
+
+def test_cli_runs_without_a_bundled_openblas(monkeypatch, tmp_path) -> None:
+    monkeypatch.setattr(cli, "_bundled_openblas", lambda: [])
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    cfg = write_config(tmp_path, "sample.json", {"n": 4})
+    out = tmp_path / "out"
+    assert main(["sample", "--config", cfg, "--seed", "1", "--out", str(out)]) == EXIT_OK
+    assert (out / "parameters.csv").exists()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from romda.pce import PceConfig, PceModel, make_basis, select_degree
 from romda.pod import PodBasis, evr, project, reconstruct, truncate
@@ -271,6 +272,49 @@ def test_corrected_covariance_floors_and_flags() -> None:
     corrected = corrected_error_covariance(s, np.zeros((2, 2)))
     assert corrected.floored_modes == (0,)
     assert np.allclose(corrected.pce_term, 0.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    corrected=st.booleans(),
+    r_form=st.sampled_from(["variances", "diagonal", "dense"]),
+)
+def test_augmented_covariance_parts_over_random_ensembles(seed, corrected, r_form) -> None:
+    # R~ - R is PSD, the dense matrix is the sum of its parts, and the trace
+    # gain is the sum of the weights, i.e. the paper's
+    # sum_{k>d} lambda_k / (n - 1) + sum_{k<=d} lambda_k var_k.
+    rng = np.random.default_rng(seed)
+    m_y, n = int(rng.integers(3, 16)), int(rng.integers(8, 40))
+    params = rng.uniform(0.0, 1.0, (2, n))
+    features = np.vstack([np.sin(3 * params[0]), params[1] ** 2, params[0] * params[1]])
+    states = rng.standard_normal((m_y, 3)) @ features + 0.1 * rng.standard_normal((m_y, n))
+    d = int(rng.integers(1, min(m_y, n) - 1))
+    s = build_podpce(params, states, PceConfig(np.array([[0.0, 1.0]] * 2), 2), seed % 1000, modes=d)
+    variances = rng.uniform(0.01, 0.2, m_y)
+    a = rng.standard_normal((m_y, m_y))
+    r = {"variances": variances, "diagonal": np.diag(variances), "dense": a @ a.T / m_y}[r_form]
+    r_dense = np.diag(r) if r.ndim == 1 else r
+
+    if corrected:
+        cov = corrected_error_covariance(s, r)
+        var = np.maximum(s.empirical_errors - s.validation_bias**2, 0.0)
+    else:
+        cov = metamodel_error_covariance(s, r)
+        var = s.empirical_errors
+    basis = s.state_basis
+    lam = basis.eigenvalues[: basis.nonzero_rank]
+    gain = float(np.sum(lam[:d] * var[: lam.size]) + lam[d:].sum() / (n - 1))
+
+    diff = cov.matrix - r_dense
+    scale = max(float(np.abs(cov.matrix).max()), 1e-300)
+    assert np.linalg.eigvalsh(diff).min() >= -1e-12 * scale
+    np.testing.assert_allclose(
+        cov.matrix, r_dense + cov.pod_term + cov.pce_term, rtol=0.0, atol=1e-14 * scale
+    )
+    assert np.trace(diff) == pytest.approx(cov.weights.sum(), rel=1e-10)
+    assert cov.weights.sum() == pytest.approx(gain, rel=1e-10)
+    assert np.all(cov.weights > 0.0)
 
 
 def test_biased_learner_measured_bias() -> None:
