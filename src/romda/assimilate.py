@@ -137,7 +137,7 @@ class _LowRankFactor:
 
     base: np.ndarray  # whitening factor of alpha R (1-D or lower 2-D)
     q: np.ndarray  # (m_y, r) Q0
-    c: np.ndarray  # (r, r) lower C
+    c: np.ndarray  # (r, r) C in its lower triangle (cho_factor leaves input above it)
 
 
 def _whitening_factor(
@@ -154,7 +154,7 @@ def _whitening_factor(
             return base
         q, r0 = np.linalg.qr(_whiten(base, cov.modes))
         g = r0 * np.sqrt(alpha * cov.weights)  # R0 (alpha W)^1/2
-        c = np.linalg.cholesky(np.eye(g.shape[0]) + g @ g.T)
+        c, _ = cho_factor(np.eye(g.shape[0]) + g @ g.T, lower=True)
         return _LowRankFactor(base=base, q=q, c=c)
     if cov.ndim == 2 and np.count_nonzero(cov) == np.count_nonzero(np.diagonal(cov)):
         cov = np.diagonal(cov)  # every nonzero entry sits on the diagonal

@@ -4,9 +4,9 @@ Every run takes a JSON config (strict keys), an integer seed, and an output
 directory; flags override config values. The effective configuration is
 echoed into the output directory and its hash stamped into every output
 file. Exit codes: 0 success, 1 validation/configuration error, 2 numerical
-failure. A command runs with the OpenBLAS copies bundled with numpy and
-scipy set to one thread, unless ``OPENBLAS_NUM_THREADS`` or
-``OMP_NUM_THREADS`` is set.
+failure. The toy-model sweeps (twin, covgrid, bootstrap, measure) run with
+the OpenBLAS copies bundled with numpy and scipy set to one thread, unless
+``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set.
 """
 from __future__ import annotations
 
@@ -424,7 +424,13 @@ def _parser() -> argparse.ArgumentParser:
 _OPENBLAS_THREAD_SYMBOLS = (
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
     ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
 )
+
+# Commands run on one BLAS thread: the sweeps over the toy model, whose
+# matrices have 570 state rows and at most a few hundred columns.
+_ONE_BLAS_THREAD_COMMANDS = frozenset({"twin", "covgrid", "bootstrap", "measure"})
 
 
 def _bundled_openblas() -> list[tuple[Callable[[], int], Callable[[int], None]]]:
@@ -452,10 +458,11 @@ def _bundled_openblas() -> list[tuple[Callable[[], int], Callable[[int], None]]]
 def _one_blas_thread() -> Iterator[None]:
     """Run the body with the bundled OpenBLAS copies at one thread each.
 
-    Every kernel of a command is small (m_y = 570 rows, a few hundred
-    columns at most), so a second BLAS thread costs more in synchronization
-    than it computes: on a 2-core machine the default twin sweep took
-    about twice as long with two threads as with one. The previous counts
+    Every kernel of a toy-model sweep is small, so a second BLAS thread
+    costs more in synchronization than it computes: on a 2-core machine
+    the benchmark's twin, bootstrap, covgrid and measure workloads each ran
+    2.7-3.8 times faster with one thread than with two. Commands that read
+    user CSVs of any size are not run in this scope. The previous counts
     are put back on exit. Nothing changes when the user chose a count
     through the environment.
     """
@@ -478,7 +485,9 @@ def main(argv: list[str] | None = None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
-    with _one_blas_thread():
+    scope = (_one_blas_thread() if args.command in _ONE_BLAS_THREAD_COMMANDS
+             else contextlib.nullcontext())
+    with scope:
         try:
             cfg = _load_config(args.config)
             return _COMMANDS[args.command](args, cfg)

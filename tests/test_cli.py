@@ -324,14 +324,25 @@ def recording_command(pools, seen, error=None):
     "error, code",
     [(None, EXIT_OK), (ValueError("bad field"), EXIT_VALIDATION), (RuntimeError("nan"), EXIT_NUMERICAL)],
 )
-def test_command_runs_on_one_blas_thread_and_restores_count(
-    blas_pools, monkeypatch, tmp_path, error, code
+@pytest.mark.parametrize("command", ["twin", "covgrid", "bootstrap", "measure"])
+def test_sweep_runs_on_one_blas_thread_and_restores_count(
+    blas_pools, monkeypatch, tmp_path, command, error, code
 ) -> None:
     previous = threads(blas_pools)
     seen = []
-    monkeypatch.setitem(cli._COMMANDS, "sample", recording_command(blas_pools, seen, error))
-    assert main(["sample", "--out", str(tmp_path)]) == code
+    monkeypatch.setitem(cli._COMMANDS, command, recording_command(blas_pools, seen, error))
+    assert main([command, "--out", str(tmp_path)]) == code
     assert seen == [[1] * len(blas_pools)]
+    assert threads(blas_pools) == previous
+
+
+@pytest.mark.parametrize("command", ["sample", "fit-pod", "build-surrogate", "assimilate"])
+def test_other_commands_leave_blas_threads_alone(blas_pools, monkeypatch, tmp_path, command) -> None:
+    previous = threads(blas_pools)
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, command, recording_command(blas_pools, seen))
+    assert main([command, "--out", str(tmp_path)]) == EXIT_OK
+    assert seen == [previous]
     assert threads(blas_pools) == previous
 
 
@@ -342,17 +353,17 @@ def test_blas_threads_left_alone_when_chosen_in_environment(
     monkeypatch.setenv(variable, "2")
     previous = threads(blas_pools)
     seen = []
-    monkeypatch.setitem(cli._COMMANDS, "sample", recording_command(blas_pools, seen))
-    assert main(["sample", "--out", str(tmp_path)]) == EXIT_OK
+    monkeypatch.setitem(cli._COMMANDS, "twin", recording_command(blas_pools, seen))
+    assert main(["twin", "--out", str(tmp_path)]) == EXIT_OK
     assert seen == [previous]
     assert threads(blas_pools) == previous
 
 
-def test_cli_runs_without_a_bundled_openblas(monkeypatch, tmp_path) -> None:
+def test_sweep_runs_without_a_bundled_openblas(monkeypatch, tmp_path) -> None:
     monkeypatch.setattr(cli, "_bundled_openblas", lambda: [])
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    cfg = write_config(tmp_path, "sample.json", {"n": 4})
-    out = tmp_path / "out"
-    assert main(["sample", "--config", cfg, "--seed", "1", "--out", str(out)]) == EXIT_OK
-    assert (out / "parameters.csv").exists()
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, "twin", recording_command([], seen))
+    assert main(["twin", "--out", str(tmp_path)]) == EXIT_OK
+    assert seen == [[]]
