@@ -96,7 +96,6 @@ def inject_noise(
     y_t: np.ndarray,
     noise_level: float,
     seed: int,
-    grid: toymodel.ToyGrid | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gaussian perturbation of a true state, plus the matching R diagonal.
 
@@ -107,12 +106,8 @@ def inject_noise(
     """
     if not 0.0 < noise_level < 1.0:
         raise ValueError(f"noise level must be in (0, 1), got {noise_level}")
-    grid = grid or toymodel.default_grid()
     y_t = np.asarray(y_t, dtype=float)
-    if y_t.shape != (grid.n_state,):
-        raise ValueError(f"state must have shape ({grid.n_state},), got {y_t.shape}")
-
-    cube = toymodel.unflatten(y_t, grid)  # (variable, station, time)
+    cube = toymodel.unflatten(y_t)  # (variable, station, time)
     series_std = cube.std(axis=2)
     series_mean = cube.mean(axis=2)
     zero = series_std <= 0.0
@@ -121,7 +116,7 @@ def inject_noise(
         series_std = np.where(
             zero, 1e-6 * np.abs(series_mean) + 1e-12 / noise_level, series_std
         )
-    sigma = (noise_level * series_std)[:, :, None] * np.ones(grid.n_times)
+    sigma = (noise_level * series_std)[:, :, None] * np.ones(cube.shape[2])
     sigma = sigma.reshape(-1)
 
     rng = substream(seed, "noise")
@@ -159,13 +154,11 @@ def rmse_by(
     y_hat: np.ndarray,
     standardizer: Standardizer,
     by: str = "variable",
-    grid: toymodel.ToyGrid | None = None,
 ) -> dict[str, float]:
     """Standardized RMSE sliced by 'variable', 'station' or 'series'."""
-    grid = grid or toymodel.default_grid()
     z_ref = standardizer.transform(np.asarray(y_ref, dtype=float))
     z_hat = standardizer.transform(np.asarray(y_hat, dtype=float))
-    diff2 = toymodel.unflatten((z_hat - z_ref) ** 2, grid)
+    diff2 = toymodel.unflatten((z_hat - z_ref) ** 2)
     out: dict[str, float] = {}
     if by == "variable":
         for v, name in enumerate(toymodel.VARIABLES):
@@ -296,7 +289,6 @@ class _Context:
     """Pools and transforms shared by every cell of one experiment run."""
 
     seed: int
-    grid: toymodel.ToyGrid
     params_pool: np.ndarray  # (n_max, 4) physical
     states_pool: np.ndarray  # (m_y, n_max) physical
     param_std: Standardizer
@@ -310,15 +302,11 @@ class _Context:
         return self.params_pool[:n], self.states_pool[:, :n]
 
 
-def _make_context(
-    seed: int, n_max: int, pce_degree: int, grid: toymodel.ToyGrid | None = None
-) -> _Context:
-    grid = grid or toymodel.default_grid()
+def _make_context(seed: int, n_max: int, pce_degree: int) -> _Context:
     params_pool = toymodel.sample_parameters(n_max, seed)
-    states_pool = toymodel.propagate(params_pool, grid)
+    states_pool = toymodel.propagate(params_pool)
     return _Context(
         seed=seed,
-        grid=grid,
         params_pool=params_pool,
         states_pool=states_pool,
         param_std=parameter_standardizer(),
@@ -437,6 +425,22 @@ class _Observed:
     y_b: np.ndarray | None = None
 
 
+def _observe_truth(
+    config: TwinConfig, noise_levels: tuple[float, ...]
+) -> tuple[np.ndarray, dict[float, _Observed]]:
+    """The synthetic truth x_t and, per noise level, its noisy observation
+    with the truth and background states the cells are scored against."""
+    x_t = _draw_truth(config)
+    y_t = toymodel.simulate(x_t)
+    y_b = toymodel.simulate(toymodel.PARAMETER_MEANS)
+    b_cov = _background_cov_std(config.b_from_truth, x_t, parameter_standardizer())
+    observed = {}
+    for level in noise_levels:
+        y_o, r_diag = inject_noise(y_t, level, substream_seed(config.seed, f"noise/{level!r}"))
+        observed[level] = _Observed(y_o, r_diag, b_cov, y_t, y_b)
+    return x_t, observed
+
+
 def _cells(
     builds: _Builds,
     surrogates: tuple[str, ...],
@@ -481,7 +485,7 @@ def _run_cell(ctx: _Context, builds: _Builds, cell: _Cell, observed: _Observed) 
         x_a_phys = ctx.param_std.inverse(analysis.x_a)
         low, high = toymodel.PARAMETER_BOUNDS[:, 0], toymodel.PARAMETER_BOUNDS[:, 1]
         x_a = np.clip(x_a_phys, low, high)
-        y_a = toymodel.simulate(x_a, ctx.grid)  # reporting run, not a solver call
+        y_a = toymodel.simulate(x_a)  # reporting run, not a solver call
         y_t, y_b, y_o = observed.y_t, observed.y_b, observed.y_o
         reference = y_t if y_t is not None else y_o
         return ReportRow(
@@ -491,8 +495,8 @@ def _run_cell(ctx: _Context, builds: _Builds, cell: _Cell, observed: _Observed) 
             rmse_truth_background=(
                 rmse_global(y_t, y_b, standardizer) if (y_t is not None and y_b is not None) else nan
             ),
-            rmse_by_variable=rmse_by(reference, y_a, standardizer, "variable", ctx.grid),
-            rmse_by_station=rmse_by(reference, y_a, standardizer, "station", ctx.grid),
+            rmse_by_variable=rmse_by(reference, y_a, standardizer, "variable"),
+            rmse_by_station=rmse_by(reference, y_a, standardizer, "station"),
             x_a=x_a,
             clipped=bool(np.any(np.abs(x_a - x_a_phys) > 0.0)),
             j_final=analysis.j_final,
@@ -530,15 +534,7 @@ def run_twin(config: TwinConfig) -> ExperimentReport:
     """Noise x training-size x mode sweep against a drawn synthetic truth."""
     n_max = max(config.training_sizes)
     ctx = _make_context(config.seed, n_max, config.pce_degree)
-    x_t = _draw_truth(config)
-    y_t = toymodel.simulate(x_t, ctx.grid)
-    y_b = toymodel.simulate(toymodel.PARAMETER_MEANS, ctx.grid)
-    b_cov = _background_cov_std(config.b_from_truth, x_t, ctx.param_std)
-
-    observed = {}
-    for level in config.noise_levels:
-        y_o, r_diag = inject_noise(y_t, level, substream_seed(config.seed, f"noise/{level!r}"), ctx.grid)
-        observed[level] = _Observed(y_o, r_diag, b_cov, y_t, y_b)
+    x_t, observed = _observe_truth(config, config.noise_levels)
     builds = {
         n: _build_surrogates(ctx, n, config.surrogates, config.mode_numbers, config.evr_threshold)
         for n in config.training_sizes
@@ -564,17 +560,10 @@ def run_covariance_grid(config: TwinConfig) -> ExperimentReport:
     """One assimilation per (alpha_B, alpha_R) pair on the alpha grid."""
     n = max(config.training_sizes)
     ctx = _make_context(config.seed, n, config.pce_degree)
-    x_t = _draw_truth(config)
-    y_t = toymodel.simulate(x_t, ctx.grid)
-    y_b = toymodel.simulate(toymodel.PARAMETER_MEANS, ctx.grid)
-    b_cov = _background_cov_std(config.b_from_truth, x_t, ctx.param_std)
-    y_o, r_diag = inject_noise(
-        y_t, config.grid_noise, substream_seed(config.seed, f"noise/{config.grid_noise!r}"), ctx.grid
-    )
-    observed = _Observed(y_o, r_diag, b_cov, y_t, y_b)
+    x_t, observed = _observe_truth(config, (config.grid_noise,))
     builds = _build_surrogates(ctx, n, ("podpce",), (config.grid_modes,), None)
     rows = [
-        _run_cell(ctx, builds, cell, observed)
+        _run_cell(ctx, builds, cell, observed[config.grid_noise])
         for alpha_b in config.alpha_grid
         for alpha_r in config.alpha_grid
         for cell in _cells(
@@ -595,28 +584,17 @@ def run_covariance_grid(config: TwinConfig) -> ExperimentReport:
 def run_bootstrap(config: TwinConfig) -> ExperimentReport:
     """Fresh training ensembles per replicate at a fixed size; RMSE spread per
     mode count and solver."""
-    x_t = _draw_truth(config)
-    grid = toymodel.default_grid()
-    y_t = toymodel.simulate(x_t, grid)
-    y_b = toymodel.simulate(toymodel.PARAMETER_MEANS, grid)
-    b_cov = _background_cov_std(config.b_from_truth, x_t, parameter_standardizer())
-    y_o, r_diag = inject_noise(
-        y_t,
-        config.bootstrap_noise,
-        substream_seed(config.seed, f"noise/{config.bootstrap_noise!r}"),
-        grid,
-    )
-    observed = _Observed(y_o, r_diag, b_cov, y_t, y_b)
+    x_t, observed = _observe_truth(config, (config.bootstrap_noise,))
 
     rows: list[ReportRow] = []
     for replicate in range(config.bootstrap_replicates):
         member_seed = substream_seed(config.seed, f"bootstrap/{replicate}")
-        ctx = _make_context(member_seed, config.bootstrap_size, config.pce_degree, grid)
+        ctx = _make_context(member_seed, config.bootstrap_size, config.pce_degree)
         builds = _build_surrogates(
             ctx, config.bootstrap_size, config.surrogates, config.mode_numbers, config.evr_threshold
         )
         rows.extend(
-            _run_cell(ctx, builds, cell, observed)
+            _run_cell(ctx, builds, cell, observed[config.bootstrap_noise])
             for cell in _cells(
                 builds, config.surrogates, (config.covariance_kind,),
                 experiment=f"bootstrap/{replicate}", n=config.bootstrap_size,
@@ -646,29 +624,24 @@ def run_bootstrap(config: TwinConfig) -> ExperimentReport:
     )
 
 
-def measurement_noise_diag(
-    y_o: np.ndarray, assumed_noise: float, grid: toymodel.ToyGrid | None = None
-) -> np.ndarray:
+def measurement_noise_diag(y_o: np.ndarray, assumed_noise: float) -> np.ndarray:
     """R diagonal for a measured state: variance from each observed series."""
-    grid = grid or toymodel.default_grid()
-    cube = toymodel.unflatten(np.asarray(y_o, dtype=float), grid)
+    cube = toymodel.unflatten(np.asarray(y_o, dtype=float))
     series_std = np.maximum(cube.std(axis=2), 1e-12)
-    sigma = (assumed_noise * series_std)[:, :, None] * np.ones(grid.n_times)
+    sigma = (assumed_noise * series_std)[:, :, None] * np.ones(cube.shape[2])
     return sigma.reshape(-1) ** 2
 
 
 def run_measurement(config: MeasurementConfig, y_o: np.ndarray) -> ExperimentReport:
     """Surrogate solvers confronted with the classical reference on a
     measured (external) observation vector."""
-    grid = toymodel.default_grid()
     y_o = np.asarray(y_o, dtype=float)
-    if y_o.shape != (grid.n_state,):
-        raise ValueError(
-            f"observation vector must match the state layout ({grid.n_state},), got {y_o.shape}"
-        )
+    m_y = toymodel.default_grid().n_state
+    if y_o.shape != (m_y,):
+        raise ValueError(f"observation vector must match the state layout ({m_y},), got {y_o.shape}")
     n_max = max(config.training_sizes)
     ctx = _make_context(config.seed, n_max, config.pce_degree)
-    r_diag = measurement_noise_diag(y_o, config.assumed_noise, grid)
+    r_diag = measurement_noise_diag(y_o, config.assumed_noise)
 
     builds = {
         n: _build_surrogates(ctx, n, config.surrogates, config.mode_numbers, config.evr_threshold)
@@ -687,7 +660,7 @@ def run_measurement(config: MeasurementConfig, y_o: np.ndarray) -> ExperimentRep
         # Probes can sit on a bound; the inverse affine map may overshoot it
         # by one ulp, so snap back before simulating.
         x_phys = np.clip(param_std.inverse(x_std), low, high)
-        return standardizer.transform(toymodel.simulate(x_phys, grid))
+        return standardizer.transform(toymodel.simulate(x_phys))
 
     problem = AssimilationProblem(
         x_b=np.zeros(4),
@@ -700,7 +673,7 @@ def run_measurement(config: MeasurementConfig, y_o: np.ndarray) -> ExperimentRep
     classical = solve_classical_3dvar(model_std, problem, optimizer_config=OptimizerConfig())
     classical_time = time.perf_counter() - start
     x_a_classical = param_std.inverse(classical.x_a)
-    y_a_classical = toymodel.simulate(x_a_classical, grid)
+    y_a_classical = toymodel.simulate(x_a_classical)
     classical_row = ReportRow(
         experiment="measure",
         solver="classical",
@@ -713,8 +686,8 @@ def run_measurement(config: MeasurementConfig, y_o: np.ndarray) -> ExperimentRep
         rmse_truth=float("nan"),
         rmse_obs=rmse_global(y_o, y_a_classical, standardizer),
         rmse_truth_background=float("nan"),
-        rmse_by_variable=rmse_by(y_o, y_a_classical, standardizer, "variable", grid),
-        rmse_by_station=rmse_by(y_o, y_a_classical, standardizer, "station", grid),
+        rmse_by_variable=rmse_by(y_o, y_a_classical, standardizer, "variable"),
+        rmse_by_station=rmse_by(y_o, y_a_classical, standardizer, "station"),
         x_a=x_a_classical,
         clipped=False,
         j_final=classical.j_final,

@@ -122,30 +122,23 @@ def _univariate_tables(basis: "PceBasis", t: np.ndarray, kind: dict) -> list[np.
     return tables
 
 
-def univariate_eval(family: str, degree: int, t: float | np.ndarray) -> float | np.ndarray:
-    """Orthonormalized univariate polynomial value at standardized ``t``."""
+def _univariate(table: dict, family: str, degree: int, t: float | np.ndarray) -> float | np.ndarray:
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
-    if family == "legendre":
-        values = _legendre_values(degree, np.atleast_1d(t))[degree]
-    elif family == "hermite":
-        values = _hermite_values(degree, np.atleast_1d(t))[degree]
-    else:
+    if family not in table:
         raise ValueError(f"unknown basis family {family!r}, expected one of {FAMILIES}")
+    values = table[family](degree, np.atleast_1d(t))[degree]
     return float(values[0]) if np.isscalar(t) else values
+
+
+def univariate_eval(family: str, degree: int, t: float | np.ndarray) -> float | np.ndarray:
+    """Orthonormalized univariate polynomial value at standardized ``t``."""
+    return _univariate(_VALUES, family, degree, t)
 
 
 def univariate_derivative(family: str, degree: int, t: float | np.ndarray) -> float | np.ndarray:
     """Derivative in ``t`` of :func:`univariate_eval`."""
-    if degree < 0:
-        raise ValueError(f"degree must be >= 0, got {degree}")
-    if family == "legendre":
-        values = _legendre_derivatives(degree, np.atleast_1d(t))[degree]
-    elif family == "hermite":
-        values = _hermite_derivatives(degree, np.atleast_1d(t))[degree]
-    else:
-        raise ValueError(f"unknown basis family {family!r}, expected one of {FAMILIES}")
-    return float(values[0]) if np.isscalar(t) else values
+    return _univariate(_DERIVATIVES, family, degree, t)
 
 
 # Multi-indices and the basis skeleton ----------------------------------------

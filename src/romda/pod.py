@@ -3,8 +3,9 @@
 A snapshot matrix U (rows: state components, columns: ensemble members) is
 centered by its column mean and factored as U = mean + Phi * Sigma * N^T with
 orthonormal Phi (modes) and N (expansion coefficients), singular values
-Sigma sorted descending. Truncation at rank d splits the basis into a
-retained block and its complement.
+Sigma sorted descending, by one thin SVD of the centered matrix whatever
+its shape. Truncation at rank d keeps the leading d modes as the retained
+block; the complement stays in the basis.
 """
 from __future__ import annotations
 
@@ -25,22 +26,10 @@ class SnapshotMatrix:
     row_labels: tuple[str, ...]
     member_ids: tuple[str, ...]
 
-    @classmethod
-    def from_array(cls, data: np.ndarray) -> "SnapshotMatrix":
-        data = np.asarray(data, dtype=float)
-        if data.ndim != 2:
-            raise ValueError(f"snapshot data must be 2D (m, n), got shape {data.shape}")
-        m, n = data.shape
-        return cls(
-            data=data,
-            row_labels=tuple(f"row{i}" for i in range(m)),
-            member_ids=tuple(f"member{j}" for j in range(n)),
-        )
-
 
 @dataclass(frozen=True)
 class PodView:
-    """Column block of a decomposition (retained or complement side)."""
+    """The retained column block of a decomposition."""
 
     mean: np.ndarray  # (m,)
     modes: np.ndarray  # (m, k)
@@ -96,16 +85,6 @@ class PodBasis:
             coefficients=self.coefficients[:, :d],
         )
 
-    @property
-    def complement_view(self) -> PodView:
-        d = self.retained
-        return PodView(
-            mean=self.mean,
-            modes=self.modes[:, d:],
-            singular_values=self.singular_values[d:],
-            coefficients=self.coefficients[:, d:],
-        )
-
 
 def _first_nonfinite(data: np.ndarray) -> tuple[int, int]:
     bad = np.argwhere(~np.isfinite(data))
@@ -123,41 +102,12 @@ def _fix_mode_signs(modes: np.ndarray) -> np.ndarray:
     return modes * signs
 
 
-def _complete_orthonormal(partial: np.ndarray, total: int) -> np.ndarray:
-    """Extend orthonormal columns to ``total`` columns, deterministically.
-
-    Candidate directions are the canonical basis vectors, orthogonalized
-    twice against the accumulated columns.
-    """
-    m, k = partial.shape
-    if k >= total:
-        return partial[:, :total]
-    cols = [partial[:, j] for j in range(k)]
-    for j in range(m):
-        if len(cols) == total:
-            break
-        v = np.zeros(m)
-        v[j] = 1.0
-        for _ in range(2):
-            for q in cols:
-                v -= (q @ v) * q
-        norm = np.linalg.norm(v)
-        if norm > 1e-8:
-            cols.append(v / norm)
-    if len(cols) != total:
-        raise RuntimeError("failed to complete orthonormal basis")
-    return np.column_stack(cols)
-
-
 def fit_pod(snapshots: SnapshotMatrix | np.ndarray) -> PodBasis:
     """Decompose a snapshot matrix; all modes retained initially.
 
-    Uses a thin SVD of the centered matrix, or the equivalent
-    eigen-decomposition of the smaller Gram matrix when the matrix is much
-    taller than wide (snapshot method). In the Gram path the modes of the
-    numerically significant spectrum are polished to orthonormality; modes
-    attached to singular values near roundoff carry no usable direction
-    either way.
+    One thin SVD of the centered matrix, for tall and wide matrices alike.
+    Mode signs are fixed so each mode's largest-magnitude entry is positive;
+    coefficients are zero on the numerically zero part of the spectrum.
     """
     if isinstance(snapshots, SnapshotMatrix):
         data = np.asarray(snapshots.data, dtype=float)
@@ -178,33 +128,9 @@ def fit_pod(snapshots: SnapshotMatrix | np.ndarray) -> PodBasis:
     centered = data - mean[:, None]
     e = min(m, n)
 
-    if m > 4 * n:
-        # Snapshot method: eigen-decompose the n x n Gram matrix to find the
-        # column span, then polish with a small SVD so the trailing spectrum
-        # is as accurate as the direct factorization.
-        gram = centered.T @ centered
-        lam, nvecs = np.linalg.eigh(gram)
-        order = np.argsort(lam)[::-1]
-        lam = np.clip(lam[order], 0.0, None)
-        svals0 = np.sqrt(lam)
-        keep = svals0 > (svals0[0] * ZERO_SV_RTOL if svals0[0] > 0 else np.inf)
-        raw = centered @ nvecs[:, order][:, keep]
-        if raw.shape[1] > 0:
-            q, r = np.linalg.qr(raw)
-            q *= np.sign(np.diag(r))[None, :]  # QR may flip column signs
-        else:
-            q = np.zeros((m, 0))
-        q = _complete_orthonormal(q, e) if q.shape[1] < e else q
-        small = q.T @ centered  # (e, n)
-        u_small, svals, _ = np.linalg.svd(small, full_matrices=False)
-        modes = q @ u_small[:, :e]
-        svals = svals[:e]
-    else:
-        u, svals, _ = np.linalg.svd(centered, full_matrices=False)
-        modes = u
-    nz = svals > (svals[0] * ZERO_SV_RTOL if svals[0] > 0 else np.inf)
-
+    modes, svals, _ = np.linalg.svd(centered, full_matrices=False)
     modes = _fix_mode_signs(modes)
+    nz = svals > (svals[0] * ZERO_SV_RTOL if svals[0] > 0 else np.inf)
     # Coefficients by projection, restricted to the nonzero spectrum.
     coeffs = np.zeros((n, e))
     coeffs[:, nz] = (centered.T @ modes[:, nz]) / svals[nz]
@@ -241,9 +167,8 @@ def truncate(
 ) -> PodBasis:
     """New basis retaining d modes, by explicit count or smallest-rank EVR.
 
-    The retained and complement blocks of the result are exposed as
-    ``retained_view`` and ``complement_view``; together they span the
-    original basis.
+    The full decomposition is kept; the retained block of the result is
+    exposed as ``retained_view``, the first d columns of ``modes``.
     """
     if (modes is None) == (evr_threshold is None):
         raise ValueError("specify exactly one of modes= or evr_threshold=")

@@ -229,13 +229,12 @@ def podpce_predict(surrogate: PodPceSurrogate, x: np.ndarray) -> np.ndarray:
 
 
 def _check_observation_cov(r: np.ndarray, m_y: int) -> np.ndarray:
+    # Shape only: a dense R's symmetry is checked once, where it is whitened.
     r = np.asarray(r, dtype=float)
     if r.shape not in ((m_y,), (m_y, m_y)):
         raise ValueError(
             f"observation covariance must have shape ({m_y},) or ({m_y}, {m_y}), got {r.shape}"
         )
-    if r.ndim == 2 and not np.allclose(r, r.T, atol=1e-12 * max(1.0, float(np.abs(r).max()))):
-        raise ValueError("observation covariance must be symmetric")
     return r
 
 

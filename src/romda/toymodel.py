@@ -7,6 +7,11 @@ water level is scaled and shifted by the CTL/MTL calibration coefficients,
 the raw current by CTV, and a Strickler-style quadratic drag (friction
 coefficient ~ 1/K2^2 h^(4/3)) damps the velocities. The model is pure: the
 same parameters always give the bit-identical state vector.
+
+There is one configuration, the packaged grid ``toy-grid/1``. It is loaded
+once at import, and the three parameter-free harmonic sums (raw level, raw
+along- and across-channel current) are computed from it once; a run only
+scales them and applies the drag.
 """
 from __future__ import annotations
 
@@ -38,24 +43,6 @@ VARIABLES = ("u", "v", "eta")
 N_STATIONS = 5
 
 GRID_SCHEMA = "toy-grid/1"
-
-
-@dataclass(frozen=True)
-class TidalParams:
-    k2: float
-    mtl: float
-    ctl: float
-    ctv: float
-
-    @classmethod
-    def from_array(cls, values: np.ndarray) -> "TidalParams":
-        values = np.asarray(values, dtype=float)
-        if values.shape != (4,):
-            raise ValueError(f"expected 4 parameters {PARAMETER_NAMES}, got shape {values.shape}")
-        return cls(*map(float, values))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.k2, self.mtl, self.ctl, self.ctv])
 
 
 @dataclass(frozen=True)
@@ -128,40 +115,38 @@ def default_grid() -> ToyGrid:
     return ToyGrid.from_dict(raw)
 
 
-_DEFAULT_GRID = default_grid()
+_GRID = default_grid()  # the model's own copy; callers of default_grid() get a fresh one
 
 
-def flat_index(variable: str, station: int, time_index: int, grid: ToyGrid | None = None) -> int:
-    """Position of (variable, station, time) in the flat state vector.
+def _harmonic_sums(grid: ToyGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Raw level and raw along/across-channel currents, each (5, k): the sums
+    over the constituents of amplitude * cos(2 pi t / T_i - phase_i - theta_p)."""
+    t = grid.times_hours  # (k,)
+    theta = grid.station_phases  # (5,)
+    arg = 2.0 * np.pi * t[None, None, :] / grid.periods_hours[:, None, None]
+    arg = arg - theta[None, :, None]
+    level = grid.level_amplitudes[:, None, None]
+    speed = grid.velocity_amplitudes[:, None, None]
+    psi = grid.velocity_phases
+    eta_raw = np.sum(level * np.cos(arg - grid.level_phases[:, None, None]), axis=0)
+    along = np.sum(speed * np.cos(arg - psi[:, None, None]), axis=0)
+    across = np.sum(speed * np.cos(arg - (psi + 0.5 * np.pi)[:, None, None]), axis=0)
+    return eta_raw, along, across
+
+
+_ETA_RAW, _ALONG_RAW, _ACROSS_RAW = _harmonic_sums(_GRID)
+
+
+def unflatten(state: np.ndarray) -> np.ndarray:
+    """State vector as a (variable, station, time) array view.
 
     Layout is variable-major, then station, then time:
     [u@P1 t0..t_{k-1}, ..., u@P5, v@P1, ..., v@P5, eta@P1, ..., eta@P5].
     """
-    grid = grid or _DEFAULT_GRID
-    if variable not in VARIABLES:
-        raise ValueError(f"unknown variable {variable!r}, expected one of {VARIABLES}")
-    if not 0 <= station < N_STATIONS:
-        raise ValueError(f"station must be in [0, {N_STATIONS}), got {station}")
-    if not 0 <= time_index < grid.n_times:
-        raise ValueError(f"time index must be in [0, {grid.n_times}), got {time_index}")
-    v = VARIABLES.index(variable)
-    return (v * N_STATIONS + station) * grid.n_times + time_index
-
-
-def unflatten(state: np.ndarray, grid: ToyGrid | None = None) -> np.ndarray:
-    """State vector as a (variable, station, time) array view."""
-    grid = grid or _DEFAULT_GRID
     state = np.asarray(state)
-    if state.shape != (grid.n_state,):
-        raise ValueError(f"state vector must have shape ({grid.n_state},), got {state.shape}")
-    return state.reshape(len(VARIABLES), N_STATIONS, grid.n_times)
-
-
-def series_slice(variable: str, station: int, grid: ToyGrid | None = None) -> slice:
-    """Flat-index slice of one (variable, station) time series."""
-    grid = grid or _DEFAULT_GRID
-    start = flat_index(variable, station, 0, grid)
-    return slice(start, start + grid.n_times)
+    if state.shape != (_GRID.n_state,):
+        raise ValueError(f"state vector must have shape ({_GRID.n_state},), got {state.shape}")
+    return state.reshape(len(VARIABLES), N_STATIONS, _GRID.n_times)
 
 
 def check_bounds(values: np.ndarray) -> None:
@@ -174,54 +159,27 @@ def check_bounds(values: np.ndarray) -> None:
             )
 
 
-def simulate(
-    params: TidalParams | np.ndarray,
-    grid: ToyGrid | None = None,
-    *,
-    enforce_bounds: bool = True,
-) -> np.ndarray:
-    """State vector for one parameter set.
+def simulate(params: np.ndarray, *, enforce_bounds: bool = True) -> np.ndarray:
+    """State vector for one parameter set (K2, MTL, CTL, CTV).
 
     ``enforce_bounds=False`` permits out-of-range probes in tests; regular
     callers stay inside the declared parameter box.
     """
-    grid = grid or _DEFAULT_GRID
-    if isinstance(params, TidalParams):
-        values = params.as_array()
-    else:
-        values = np.asarray(params, dtype=float)
-        if values.shape != (4,):
-            raise ValueError(f"expected 4 parameters {PARAMETER_NAMES}, got shape {values.shape}")
+    values = np.asarray(params, dtype=float)
+    if values.shape != (4,):
+        raise ValueError(f"expected 4 parameters {PARAMETER_NAMES}, got shape {values.shape}")
     if enforce_bounds:
         check_bounds(values)
     k2, mtl, ctl, ctv = values
 
-    t = grid.times_hours  # (k,)
-    theta = grid.station_phases  # (5,)
-    # Phase matrix per constituent/station/time: 2 pi t / T_i - phase_i - theta_p.
-    arg = 2.0 * np.pi * t[None, None, :] / grid.periods_hours[:, None, None]
-    arg = arg - theta[None, :, None]
+    eta = ctl * _ETA_RAW + mtl
+    depth = np.maximum(mtl + _GRID.station_depth_offsets[:, None] + ctl * _ETA_RAW, _GRID.min_depth)
+    s_along = ctv * _ALONG_RAW
+    s_across = ctv * _ACROSS_RAW
 
-    eta_raw = np.sum(
-        grid.level_amplitudes[:, None, None] * np.cos(arg - grid.level_phases[:, None, None]),
-        axis=0,
-    )  # (5, k)
-    eta = ctl * eta_raw + mtl
-    depth = np.maximum(mtl + grid.station_depth_offsets[:, None] + ctl * eta_raw, grid.min_depth)
-
-    psi = grid.velocity_phases
-    s_along = ctv * np.sum(
-        grid.velocity_amplitudes[:, None, None] * np.cos(arg - psi[:, None, None]), axis=0
-    )
-    s_across = ctv * np.sum(
-        grid.velocity_amplitudes[:, None, None]
-        * np.cos(arg - (psi + 0.5 * np.pi)[:, None, None]),
-        axis=0,
-    )
-
-    friction = grid.gravity * grid.drag_timescale / (k2**2 * depth ** (4.0 / 3.0))
+    friction = _GRID.gravity * _GRID.drag_timescale / (k2**2 * depth ** (4.0 / 3.0))
     u = s_along / (1.0 + friction * np.abs(s_along))
-    v = grid.transverse_fraction * s_across / (1.0 + friction * np.abs(s_across))
+    v = _GRID.transverse_fraction * s_across / (1.0 + friction * np.abs(s_across))
 
     return np.concatenate([u.ravel(), v.ravel(), eta.ravel()])
 
@@ -247,11 +205,16 @@ def sample_parameters(
     return bounds[:, 0] + raw * (bounds[:, 1] - bounds[:, 0])
 
 
-def propagate(params: np.ndarray, grid: ToyGrid | None = None) -> np.ndarray:
-    """States for a batch of parameter rows, one state per column (m_y, n)."""
+def propagate(params: np.ndarray) -> np.ndarray:
+    """States for a batch of parameter rows, one state per column (m_y, n).
+
+    One :func:`simulate` call per member, so every column has the bits of a
+    lone run: a single broadcast over all members does not, because numpy's
+    vectorized ``power`` rounds ``depth ** (4/3)`` differently depending on
+    an element's position in the array.
+    """
     params = np.atleast_2d(np.asarray(params, dtype=float))
-    grid = grid or _DEFAULT_GRID
-    out = np.empty((grid.n_state, params.shape[0]))
+    out = np.empty((_GRID.n_state, params.shape[0]))
     for j, row in enumerate(params):
-        out[:, j] = simulate(row, grid)
+        out[:, j] = simulate(row)
     return out

@@ -21,6 +21,7 @@ from romda.pce import PceModel, make_basis
 from romda.pod import PodBasis
 from romda.pce import PceConfig, pce_jacobian
 from romda.surrogate import (
+    COVARIANCE_KINDS,
     PodPceSurrogate,
     build_poden,
     build_podpce,
@@ -589,3 +590,18 @@ def test_structured_rtilde_rejects_nonpositive_base_variance(r_form, bad) -> Non
     problem = dataclasses.replace(problem, observation_cov=observation_covariance("r_tilde", s, r))
     with pytest.raises(ValueError, match="observation covariance is not positive definite"):
         podpce_cost(s, problem, np.array([0.5, 0.3]))
+
+
+def test_dense_r_symmetry_is_judged_the_same_for_every_covariance_kind() -> None:
+    s, problem, _ = random_rtilde_problem(11, 2, "r_tilde", "variances", 1.0, False)
+    near = 0.01 * np.eye(problem.m_y)
+    near[0, 1] += 5e-11  # roundoff-level asymmetry: accepted
+    gross = 0.01 * np.eye(problem.m_y)
+    gross[0, 1] += 1e-3
+    for kind in COVARIANCE_KINDS:
+        cov = observation_covariance(kind, s, near)
+        analysis = solve_podpce3dvar(s, dataclasses.replace(problem, observation_cov=cov))
+        assert np.isfinite(analysis.j_final)
+        with pytest.raises(ValueError, match="observation covariance must be symmetric"):
+            cov = observation_covariance(kind, s, gross)
+            solve_podpce3dvar(s, dataclasses.replace(problem, observation_cov=cov))

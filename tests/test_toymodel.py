@@ -5,16 +5,14 @@ from romda.toymodel import (
     N_STATIONS,
     PARAMETER_BOUNDS,
     PARAMETER_MEANS,
-    TidalParams,
     VARIABLES,
     default_grid,
-    flat_index,
     propagate,
     sample_parameters,
-    series_slice,
     simulate,
     unflatten,
 )
+from romda.rng import substream_seed
 
 
 def mid_params():
@@ -29,18 +27,24 @@ def test_state_vector_size_and_layout() -> None:
     assert y.shape == (570,)
     assert np.all(np.isfinite(y))
     cube = unflatten(y)
-    for v, variable in enumerate(VARIABLES):
+    assert cube.shape == (len(VARIABLES), N_STATIONS, 38)
+    # Variable-major, then station, then time.
+    for v in range(len(VARIABLES)):
         for p in range(N_STATIONS):
-            for t in (0, 17, 37):
-                assert y[flat_index(variable, p, t)] == cube[v, p, t]
-            sl = series_slice(variable, p)
-            assert np.array_equal(y[sl], cube[v, p])
+            start = (v * N_STATIONS + p) * 38
+            assert np.array_equal(y[start : start + 38], cube[v, p])
+    with pytest.raises(ValueError, match="shape"):
+        unflatten(y[:-1])
 
 
 def test_simulate_is_pure() -> None:
-    a = simulate(mid_params())
-    b = simulate(TidalParams.from_array(mid_params()))
+    params = mid_params()
+    a = simulate(params)
+    b = simulate(tuple(params))
     assert np.array_equal(a, b)
+    assert np.array_equal(params, mid_params())
+    with pytest.raises(ValueError, match="expected 4 parameters"):
+        simulate(params[:3])
 
 
 def test_ctl_zero_probe_forces_constant_level() -> None:
@@ -115,8 +119,11 @@ def test_sample_parameters_nested_in_n() -> None:
 
 
 def test_propagate_matches_loop() -> None:
-    params = sample_parameters(3, seed=9)
-    states = propagate(params)
-    assert states.shape == (570, 3)
-    for j in range(3):
-        assert np.array_equal(states[:, j], simulate(params[j]))
+    # The second input is one where a single broadcast over all members
+    # differs from the per-member loop in the last bit (vectorized ``power``).
+    for n, seed in ((3, 9), (800, substream_seed(7, "bootstrap/0"))):
+        params = sample_parameters(n, seed=seed)
+        states = propagate(params)
+        assert states.shape == (570, n)
+        for j in range(n):
+            assert np.array_equal(states[:, j], simulate(params[j]))
