@@ -12,7 +12,6 @@ from .assimilate import (
     AnalysisResult,
     AssimilationProblem,
     cost_3dvar,
-    scale_covariances,
     solve_classical_3dvar,
     solve_poden3dvar,
     solve_podpce3dvar,
@@ -59,7 +58,6 @@ __all__ = [
     "podpce_predict",
     "project",
     "reconstruct",
-    "scale_covariances",
     "select_degree",
     "solve_classical_3dvar",
     "solve_poden3dvar",

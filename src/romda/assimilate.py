@@ -24,13 +24,14 @@ no m_y x m_y matrix is built or factored. Solvers:
 * classical reference against any forward model with central
   finite-difference gradients.
 
-Solvers operate on whatever space the problem is posed in; the experiment
-drivers pose problems in standardized parameter/state coordinates and
-convert analyses back to physical units.
+Solvers operate on whatever space the problem is posed in. The experiment
+drivers and the command line pose every problem through
+:func:`pose_problem`, in the standardized coordinates a surrogate was built
+in, and convert analyses back to physical units.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -42,6 +43,8 @@ from .surrogate import (
     ErrorCovariance,
     PodEnSurrogate,
     PodPceSurrogate,
+    Scaling,
+    observation_covariance,
     poden_predict,
     podpce_predict,
 )
@@ -197,14 +200,32 @@ def _factor_spd(matrix: np.ndarray, name: str) -> tuple:
         ) from None
 
 
-def scale_covariances(
-    problem: AssimilationProblem, alpha_b: float, alpha_r: float
+def pose_problem(
+    surrogate: PodPceSurrogate | PodEnSurrogate | None, scaling: Scaling, y_o: np.ndarray,
+    r_diag: np.ndarray, covariance: str = "r", *, x_b: np.ndarray | None = None,
+    background_cov: np.ndarray | None = None, alpha_b: float = 1.0, alpha_r: float = 1.0,
 ) -> AssimilationProblem:
-    """New problem with covariances scaled by the given factors; the original
-    is untouched."""
-    if alpha_b <= 0.0 or alpha_r <= 0.0:
-        raise ValueError(f"scale factors must be positive, got ({alpha_b}, {alpha_r})")
-    return replace(problem, alpha_b=problem.alpha_b * alpha_b, alpha_r=problem.alpha_r * alpha_r)
+    """The problem in the standardized coordinates of ``scaling``.
+
+    ``y_o`` and its error variances ``r_diag`` are physical and mapped by the
+    state standardizer; ``covariance`` then picks R, R~ or the corrected R~
+    of ``surrogate`` (None will do for ``"r"``). ``x_b`` and
+    ``background_cov`` are standardized and default to the parameter
+    statistics, zeros and the identity. The bounds are the scaling's box.
+    """
+    if np.shape(y_o) != scaling.states.mean.shape:
+        raise ValueError(f"observations of shape {np.shape(y_o)} for states {scaling.states.mean.shape}")
+    m_x = scaling.params.mean.shape[0]
+    r_std = scaling.states.variance_diag(r_diag)
+    return AssimilationProblem(
+        x_b=np.zeros(m_x) if x_b is None else x_b,
+        background_cov=np.eye(m_x) if background_cov is None else background_cov,
+        y_o=scaling.states.transform(y_o),
+        observation_cov=observation_covariance(covariance, surrogate, r_std),
+        bounds=scaling.box,
+        alpha_b=alpha_b,
+        alpha_r=alpha_r,
+    )
 
 
 @dataclass

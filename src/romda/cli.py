@@ -7,6 +7,13 @@ file. Exit codes: 0 success, 1 validation/configuration error, 2 numerical
 failure. The toy-model sweeps (twin, covgrid, bootstrap, measure) run with
 the OpenBLAS copies bundled with numpy and scipy set to one thread, unless
 ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set.
+
+``build-surrogate`` standardizes like the drivers (the same
+``build_surrogates``; parameters by the midpoint and half-range of the
+required ``bounds``) and stores that scaling and the box in the surrogate
+document. ``assimilate`` takes the kind, the box and the default background
+from the document, poses the problem with ``pose_problem`` like the
+drivers, and reports ``x_a`` and ``y_a`` in physical units.
 """
 from __future__ import annotations
 
@@ -18,16 +25,18 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 import scipy
 
 from . import __version__, io, toymodel
-from .assimilate import AssimilationProblem, solve_poden3dvar, solve_podpce3dvar
+from .assimilate import pose_problem, solve_poden3dvar, solve_podpce3dvar
 from .experiments import (
+    SURROGATE_KINDS,
     MeasurementConfig,
     TwinConfig,
+    build_surrogates,
     measurement_noise_diag,
     run_bootstrap,
     run_covariance_grid,
@@ -37,7 +46,7 @@ from .experiments import (
 from .pce import PceConfig, select_degree, split_members
 from .pod import SnapshotMatrix, evr, fit_pod, truncate
 from .rng import split_seed
-from .surrogate import build_poden, build_podpce, observation_covariance
+from .surrogate import PodPceSurrogate
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -192,29 +201,31 @@ def _cmd_build_surrogate(args, cfg: dict) -> int:
                "max_degree", "bounds"}
     _check_keys(cfg, allowed, "build-surrogate")
     kind = _require(cfg, "kind", "build-surrogate")
+    if kind not in SURROGATE_KINDS:
+        raise ConfigError(f"unknown surrogate kind {kind!r}, expected podpce or poden")
+    bounds = _require(cfg, "bounds", "build-surrogate")
     out = _outdir(args)
     cfg_hash = _echo_config(out, "build-surrogate", cfg, args.seed)
     params = io.read_snapshot_csv(_require(cfg, "parameters_csv", "build-surrogate")).data
     states = io.read_snapshot_csv(_require(cfg, "states_csv", "build-surrogate")).data
+    built, scaling = build_surrogates(
+        params, states, bounds, (kind,), pce_degree=int(cfg.get("max_degree", 3)),
+        split_seed=split_seed(args.seed, params.shape[1]), **_truncation(cfg),
+    )
+    surrogate = built[kind]
+    io.save_surrogate(out / "surrogate.json", surrogate, scaling, seed=args.seed, cfg_hash=cfg_hash)
+    detail = f"d={surrogate.d}"
     if kind == "podpce":
-        bounds = np.asarray(_require(cfg, "bounds", "build-surrogate"), dtype=float)
-        surrogate = build_podpce(
-            params,
-            states,
-            PceConfig(bounds, int(cfg.get("max_degree", 3))),
-            split_seed=split_seed(args.seed, params.shape[1]),
-            **_truncation(cfg),
-        )
-        io.save_podpce(out / "surrogate.json", surrogate, seed=args.seed, cfg_hash=cfg_hash)
-        detail = f"d={surrogate.d}, degrees {surrogate.pce.selected_degrees}"
-    elif kind == "poden":
-        surrogate = build_poden(params, states, **_truncation(cfg))
-        io.save_poden(out / "surrogate.json", surrogate, seed=args.seed, cfg_hash=cfg_hash)
-        detail = f"d={surrogate.d}"
-    else:
-        raise ConfigError(f"unknown surrogate kind {kind!r}, expected podpce or poden")
+        detail += f", degrees {surrogate.pce.selected_degrees}"
     _summary(f"build-surrogate[{kind}]: {detail} -> {out / 'surrogate.json'}")
     return EXIT_OK
+
+
+def _read_observation(cfg: dict, command: str) -> np.ndarray:
+    obs = io.read_snapshot_csv(_require(cfg, "observations_csv", command))
+    if obs.data.shape[1] != 1:
+        raise ConfigError("observations CSV must hold exactly one member column")
+    return obs.data[:, 0]
 
 
 def _observation_diag(y_o: np.ndarray, cfg: dict) -> np.ndarray:
@@ -237,57 +248,35 @@ def _observation_diag(y_o: np.ndarray, cfg: dict) -> np.ndarray:
 
 
 def _cmd_assimilate(args, cfg: dict) -> int:
-    allowed = {"surrogate", "kind", "observations_csv", "noise_level", "r_diag",
-               "covariance", "alpha_b", "alpha_r", "x_b", "background_diag", "bounds"}
+    allowed = {"surrogate", "observations_csv", "noise_level", "r_diag", "covariance",
+               "alpha_b", "alpha_r", "x_b", "background_diag"}
     _check_keys(cfg, allowed, "assimilate")
     out = _outdir(args)
     cfg_hash = _echo_config(out, "assimilate", cfg, args.seed)
-    kind = _require(cfg, "kind", "assimilate")
-    surrogate_path = _require(cfg, "surrogate", "assimilate")
-    obs = io.read_snapshot_csv(_require(cfg, "observations_csv", "assimilate"))
-    if obs.data.shape[1] != 1:
-        raise ConfigError("observations CSV must hold exactly one member column")
-    y_o = obs.data[:, 0]
-    r_diag = _observation_diag(y_o, cfg)
-
-    if kind == "podpce":
-        surrogate = io.load_podpce(surrogate_path)
-        m_x = surrogate.parameter_bounds.shape[0]
-        bounds = np.asarray(cfg.get("bounds", surrogate.parameter_bounds), dtype=float)
-    elif kind == "poden":
-        surrogate = io.load_poden(surrogate_path)
-        m_x = surrogate.m_x
-        if "bounds" not in cfg:
-            raise ConfigError("poden assimilation requires explicit 'bounds'")
-        bounds = np.asarray(cfg["bounds"], dtype=float)
-    else:
-        raise ConfigError(f"unknown surrogate kind {kind!r}")
-
-    x_b = np.asarray(cfg.get("x_b", np.zeros(m_x)), dtype=float)
-    b_diag = np.asarray(cfg.get("background_diag", np.ones(m_x)), dtype=float)
-    if np.any(b_diag <= 0.0):
+    surrogate, scaling = io.load_surrogate(_require(cfg, "surrogate", "assimilate"))
+    y_o = _read_observation(cfg, "assimilate")
+    # Physical background settings, mapped like everything else the solver sees.
+    x_b = scaling.params.transform(cfg["x_b"]) if "x_b" in cfg else None
+    b_diag = cfg.get("background_diag")
+    if b_diag is not None and np.any(np.asarray(b_diag, dtype=float) <= 0.0):
         raise ConfigError("background covariance must be positive definite")
-
+    background_cov = None if b_diag is None else np.diag(scaling.params.variance_diag(b_diag))
     covariance = cfg.get("covariance", "r")
-    problem = AssimilationProblem(
-        x_b=x_b,
-        background_cov=np.diag(b_diag),
-        y_o=y_o,
-        observation_cov=observation_covariance(covariance, surrogate, r_diag),
-        bounds=bounds,
-        alpha_b=float(cfg.get("alpha_b", 1.0)),
-        alpha_r=float(cfg.get("alpha_r", 1.0)),
+    problem = pose_problem(
+        surrogate, scaling, y_o, _observation_diag(y_o, cfg), covariance,
+        x_b=x_b, background_cov=background_cov,
+        alpha_b=float(cfg.get("alpha_b", 1.0)), alpha_r=float(cfg.get("alpha_r", 1.0)),
     )
-    if kind == "podpce":
-        analysis = solve_podpce3dvar(surrogate, problem)
+    if isinstance(surrogate, PodPceSurrogate):
+        kind, analysis = "podpce", solve_podpce3dvar(surrogate, problem)
     else:
-        analysis = solve_poden3dvar(surrogate, problem)
+        kind, analysis = "poden", solve_poden3dvar(surrogate, problem)
     io.save_json(
         out / "analysis.json",
         "analysis",
         {
-            "x_a": analysis.x_a.tolist(),
-            "y_a": analysis.y_a.tolist(),
+            "x_a": scaling.params.inverse(analysis.x_a).tolist(),
+            "y_a": scaling.states.inverse(analysis.y_a).tolist(),
             "nu_a": None if analysis.nu_a is None else analysis.nu_a.tolist(),
             "j_final": analysis.j_final,
             "cost_trace": analysis.cost_trace,
@@ -337,56 +326,48 @@ def _write_experiment_outputs(out: Path, report, seed: int, cfg_hash: str) -> No
     )
 
 
-def _cmd_twin(args, cfg: dict) -> int:
-    config = _sweep_config(args, cfg, TwinConfig, "twin")
+class _Sweep(NamedTuple):
+    config_type: type
+    # driver(config), or driver(config, y_o) when observed; each calls the
+    # driver by its module name, so wrapping that name (as a tracer does) works.
+    driver: Callable
+    summary: Callable[..., str]  # summary(config, report, report_path)
+    observed: bool = False  # also reads one observation vector, observations_csv
+
+
+_SWEEPS = {
+    "twin": _Sweep(
+        TwinConfig, lambda config: run_twin(config),
+        lambda config, report, path: f"twin: {len(report.rows)} cells -> {path} (seed {config.seed})",
+    ),
+    "covgrid": _Sweep(
+        TwinConfig, lambda config: run_covariance_grid(config),
+        lambda config, report, path: f"covgrid: {len(report.rows)} cells "
+        f"({len(config.alpha_grid)}x{len(config.alpha_grid)}) -> {path}",
+    ),
+    "bootstrap": _Sweep(
+        TwinConfig, lambda config: run_bootstrap(config),
+        lambda config, report, path: f"bootstrap: {config.bootstrap_replicates} replicates -> {path}",
+    ),
+    "measure": _Sweep(
+        MeasurementConfig, lambda config, y_o: run_measurement(config, y_o),
+        lambda config, report, path: "measure: classical rmse_obs="
+        f"{report.extras['classical_rmse_obs']:.6g}, {len(report.rows)} rows -> {path}",
+        observed=True,
+    ),
+}
+
+
+def _cmd_sweep(args, cfg: dict) -> int:
+    sweep = _SWEEPS[args.command]
+    extra = frozenset({"observations_csv"} if sweep.observed else ())
+    config = _sweep_config(args, cfg, sweep.config_type, args.command, extra)
+    inputs = [_read_observation(cfg, args.command)] if sweep.observed else []
     out = _outdir(args)
-    cfg_hash = _echo_config(out, "twin", cfg, args.seed)
-    report = run_twin(config)
+    cfg_hash = _echo_config(out, args.command, cfg, args.seed)
+    report = sweep.driver(config, *inputs)
     _write_experiment_outputs(out, report, args.seed, cfg_hash)
-    _summary(f"twin: {len(report.rows)} cells -> {out / 'report.csv'} (seed {args.seed})")
-    return EXIT_OK
-
-
-def _cmd_covgrid(args, cfg: dict) -> int:
-    config = _sweep_config(args, cfg, TwinConfig, "covgrid")
-    out = _outdir(args)
-    cfg_hash = _echo_config(out, "covgrid", cfg, args.seed)
-    report = run_covariance_grid(config)
-    _write_experiment_outputs(out, report, args.seed, cfg_hash)
-    _summary(
-        f"covgrid: {len(report.rows)} cells ({len(config.alpha_grid)}x"
-        f"{len(config.alpha_grid)}) -> {out / 'report.csv'}"
-    )
-    return EXIT_OK
-
-
-def _cmd_bootstrap(args, cfg: dict) -> int:
-    config = _sweep_config(args, cfg, TwinConfig, "bootstrap")
-    out = _outdir(args)
-    cfg_hash = _echo_config(out, "bootstrap", cfg, args.seed)
-    report = run_bootstrap(config)
-    _write_experiment_outputs(out, report, args.seed, cfg_hash)
-    _summary(
-        f"bootstrap: {config.bootstrap_replicates} replicates -> {out / 'report.csv'}"
-    )
-    return EXIT_OK
-
-
-def _cmd_measure(args, cfg: dict) -> int:
-    config = _sweep_config(
-        args, cfg, MeasurementConfig, "measure", frozenset({"observations_csv"})
-    )
-    obs = io.read_snapshot_csv(_require(cfg, "observations_csv", "measure"))
-    if obs.data.shape[1] != 1:
-        raise ConfigError("observations CSV must hold exactly one member column")
-    out = _outdir(args)
-    cfg_hash = _echo_config(out, "measure", cfg, args.seed)
-    report = run_measurement(config, obs.data[:, 0])
-    _write_experiment_outputs(out, report, args.seed, cfg_hash)
-    _summary(
-        f"measure: classical rmse_obs={report.extras['classical_rmse_obs']:.6g}, "
-        f"{len(report.rows)} rows -> {out / 'report.csv'}"
-    )
+    _summary(sweep.summary(config, report, out / "report.csv"))
     return EXIT_OK
 
 
@@ -397,10 +378,7 @@ _COMMANDS = {
     "fit-pce": _cmd_fit_pce,
     "build-surrogate": _cmd_build_surrogate,
     "assimilate": _cmd_assimilate,
-    "twin": _cmd_twin,
-    "covgrid": _cmd_covgrid,
-    "bootstrap": _cmd_bootstrap,
-    "measure": _cmd_measure,
+    **dict.fromkeys(_SWEEPS, _cmd_sweep),
 }
 
 
@@ -430,7 +408,7 @@ _OPENBLAS_THREAD_SYMBOLS = (
 
 # Commands run on one BLAS thread: the sweeps over the toy model, whose
 # matrices have 570 state rows and at most a few hundred columns.
-_ONE_BLAS_THREAD_COMMANDS = frozenset({"twin", "covgrid", "bootstrap", "measure"})
+_ONE_BLAS_THREAD_COMMANDS = frozenset(_SWEEPS)
 
 
 def _bundled_openblas() -> list[tuple[Callable[[], int], Callable[[int], None]]]:

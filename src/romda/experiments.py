@@ -2,10 +2,11 @@
 
 Everything the solvers see is standardized: parameters are centered/reduced
 by the prior table statistics (so the default background covariance is the
-identity), states by per-component training-ensemble statistics. Analyses
-are reported back in physical units. All randomness flows from the run
-seed through named substreams; sweeps are deterministic per (config, seed),
-and nested training-size sweeps reuse members.
+identity), states by per-component training-ensemble statistics; the
+drivers and the ``build-surrogate`` command both build through
+:func:`build_surrogates`. Analyses are reported back in physical units. All
+randomness flows from the run seed through named substreams; sweeps are
+deterministic per (config, seed), and nested training-size sweeps reuse members.
 """
 from __future__ import annotations
 
@@ -13,18 +14,12 @@ import dataclasses
 import logging
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Collection, Iterator
 
 import numpy as np
 
 from . import toymodel
-from .assimilate import (
-    AssimilationProblem,
-    scale_covariances,
-    solve_classical_3dvar,
-    solve_poden3dvar,
-    solve_podpce3dvar,
-)
+from .assimilate import pose_problem, solve_classical_3dvar, solve_poden3dvar, solve_podpce3dvar
 from .optimize import OptimizerConfig
 from .pce import PceConfig
 from .pod import truncate
@@ -33,9 +28,10 @@ from .surrogate import (
     COVARIANCE_KINDS,
     PodEnSurrogate,
     PodPceSurrogate,
+    Scaling,
+    Standardizer,
     build_poden,
     build_podpce,
-    observation_covariance,
 )
 
 log = logging.getLogger(__name__)
@@ -45,48 +41,43 @@ DEFAULT_NOISE_LEVELS = (0.01, 0.05, 0.10, 0.20, 0.40)
 DEFAULT_ALPHA_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
 
 
-# Standardization ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Standardizer:
-    """Per-component affine map z = (y - mean) / std."""
-
-    mean: np.ndarray  # (m,)
-    std: np.ndarray  # (m,)
-
-    @classmethod
-    def fit(cls, ensemble: np.ndarray) -> "Standardizer":
-        ensemble = np.asarray(ensemble, dtype=float)
-        if ensemble.ndim != 2 or ensemble.shape[1] < 2:
-            raise ValueError("standardizer needs a (m, n >= 2) ensemble")
-        mean = ensemble.mean(axis=1)
-        std = ensemble.std(axis=1)
-        floor = 1e-12 + 1e-8 * np.abs(mean)
-        if np.any(std < floor):
-            log.warning("flooring %d zero-variance components", int(np.sum(std < floor)))
-        return cls(mean=mean, std=np.maximum(std, floor))
-
-    def transform(self, values: np.ndarray) -> np.ndarray:
-        values = np.asarray(values, dtype=float)
-        if values.ndim == 1:
-            return (values - self.mean) / self.std
-        return (values - self.mean[:, None]) / self.std[:, None]
-
-    def inverse(self, values: np.ndarray) -> np.ndarray:
-        values = np.asarray(values, dtype=float)
-        if values.ndim == 1:
-            return values * self.std + self.mean
-        return values * self.std[:, None] + self.mean[:, None]
-
-    def variance_diag(self, variances: np.ndarray) -> np.ndarray:
-        """Diagonal variances mapped into standardized coordinates."""
-        return np.asarray(variances, dtype=float) / self.std**2
+# Standardized builds -------------------------------------------------------------
 
 
 def parameter_standardizer() -> Standardizer:
     """Fixed parameter standardization from the prior table statistics."""
     return Standardizer(mean=toymodel.PARAMETER_MEANS.copy(), std=toymodel.PARAMETER_STDS.copy())
+
+
+def build_surrogates(
+    params: np.ndarray, states: np.ndarray, bounds: np.ndarray, kinds: Collection[str], *,
+    pce_degree: int, split_seed: int, param_std: Standardizer | None = None,
+    modes: int | None = None, evr_threshold: float | None = None,
+) -> tuple[dict[str, PodPceSurrogate | PodEnSurrogate], Scaling]:
+    """Fit each surrogate kind in ``kinds`` ("podpce", "poden") on one
+    standardized ensemble, and return them with the :class:`Scaling` used.
+
+    ``params`` (m_x, n) and ``states`` (m_y, n) are physical, paired by
+    column, and ``bounds`` is the physical box. Parameters are standardized
+    by ``param_std``, by default the box's midpoint and half-range; states
+    by their per-component ensemble statistics.
+    """
+    bounds = np.asarray(bounds, dtype=float)
+    if bounds.shape != (np.shape(params)[0], 2) or not np.all(bounds[:, 1] > bounds[:, 0]):
+        raise ValueError(f"bounds must be one (low, high) row per parameter, low < high: {bounds}")
+    if param_std is None:
+        param_std = Standardizer(bounds.mean(axis=1), (bounds[:, 1] - bounds[:, 0]) / 2.0)
+    scaling = Scaling(params=param_std, states=Standardizer.fit(states), bounds=bounds)
+    z_params = scaling.params.transform(params)
+    z_states = scaling.states.transform(states)
+    truncation = {"modes": modes, "evr_threshold": evr_threshold}
+    built: dict[str, PodPceSurrogate | PodEnSurrogate] = {}
+    if "podpce" in kinds:
+        config = PceConfig(scaling.box, pce_degree)
+        built["podpce"] = build_podpce(z_params, z_states, config, split_seed, **truncation)
+    if "poden" in kinds:
+        built["poden"] = build_poden(z_params, z_states, **truncation)
+    return built, scaling
 
 
 # Noise and metrics --------------------------------------------------------------
@@ -257,19 +248,20 @@ class ReportRow:
     noise: float
     alpha_b: float
     alpha_r: float
-    rmse_truth: float
-    rmse_obs: float
-    rmse_truth_background: float
-    rmse_by_variable: dict[str, float]
-    rmse_by_station: dict[str, float]
-    x_a: np.ndarray
-    clipped: bool
-    j_final: float
-    model_runs: int
-    surrogate_evals: int
-    converged: bool
-    reason: str
-    wall_time: float
+    # The defaults below describe a cell that produced no analysis.
+    rmse_truth: float = float("nan")
+    rmse_obs: float = float("nan")
+    rmse_truth_background: float = float("nan")
+    rmse_by_variable: dict[str, float] = field(default_factory=dict)
+    rmse_by_station: dict[str, float] = field(default_factory=dict)
+    x_a: np.ndarray = field(default_factory=lambda: np.full(4, np.nan))
+    clipped: bool = False
+    j_final: float = float("nan")
+    model_runs: int = 0
+    surrogate_evals: int = 0
+    converged: bool = False
+    reason: str = "error"
+    wall_time: float = 0.0
     error: str = ""
 
 
@@ -286,32 +278,18 @@ class ExperimentReport:
 
 @dataclass
 class _Context:
-    """Pools and transforms shared by every cell of one experiment run."""
+    """The sampled training pool of one run, in physical units; a training
+    size n uses its first n members."""
 
     seed: int
-    params_pool: np.ndarray  # (n_max, 4) physical
-    states_pool: np.ndarray  # (m_y, n_max) physical
-    param_std: Standardizer
+    params_pool: np.ndarray  # (n_max, 4)
+    states_pool: np.ndarray  # (m_y, n_max)
     pce_degree: int
-
-    def members(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        if n > self.params_pool.shape[0]:
-            raise ValueError(
-                f"training size {n} exceeds the sampled pool {self.params_pool.shape[0]}"
-            )
-        return self.params_pool[:n], self.states_pool[:, :n]
 
 
 def _make_context(seed: int, n_max: int, pce_degree: int) -> _Context:
     params_pool = toymodel.sample_parameters(n_max, seed)
-    states_pool = toymodel.propagate(params_pool)
-    return _Context(
-        seed=seed,
-        params_pool=params_pool,
-        states_pool=states_pool,
-        param_std=parameter_standardizer(),
-        pce_degree=pce_degree,
-    )
+    return _Context(seed, params_pool, toymodel.propagate(params_pool), pce_degree)
 
 
 def _draw_truth(config: TwinConfig) -> np.ndarray:
@@ -331,10 +309,13 @@ class _Builds:
 
     podpce: dict[int, PodPceSurrogate]
     poden: dict[int, PodEnSurrogate]
-    standardizer: Standardizer
+    scaling: Scaling
 
 
-def _shrink_podpce(s: PodPceSurrogate, d: int) -> PodPceSurrogate:
+def _shrink(s: PodPceSurrogate | PodEnSurrogate, d: int) -> PodPceSurrogate | PodEnSurrogate:
+    """The surrogate restricted to its first d modes."""
+    if isinstance(s, PodEnSurrogate):
+        return PodEnSurrogate(basis=truncate(s.basis, modes=d), m_x=s.m_x)
     pce = dataclasses.replace(
         s.pce,
         coefficients=s.pce.coefficients[:d],
@@ -348,55 +329,23 @@ def _shrink_podpce(s: PodPceSurrogate, d: int) -> PodPceSurrogate:
 def _build_surrogates(
     ctx: _Context,
     n: int,
-    kinds: Iterable[str],
+    kinds: Collection[str],
     mode_numbers: tuple[int, ...],
     evr_threshold: float | None,
 ) -> _Builds:
     """Surrogates of the first ``n`` members: one per mode number, or the
     single rank that ``evr_threshold`` selects when it is set."""
-    params_phys, states_phys = ctx.members(n)
-    standardizer = Standardizer.fit(states_phys)
-    z_states = standardizer.transform(states_phys)
-    z_params = ctx.param_std.transform(params_phys.T)  # (4, n), components first
-    if evr_threshold is None:
-        truncation = {"modes": max(mode_numbers)}
-    else:
-        truncation = {"evr_threshold": evr_threshold}
-
-    def ranks(full) -> tuple[int, ...]:
-        return mode_numbers if evr_threshold is None else (full.d,)
-
-    podpce: dict[int, PodPceSurrogate] = {}
-    poden: dict[int, PodEnSurrogate] = {}
-    if "podpce" in kinds:
-        full = build_podpce(
-            z_params,
-            z_states,
-            PceConfig(_standardized_bounds(ctx.param_std), ctx.pce_degree),
-            split_seed=split_seed(ctx.seed, n),
-            **truncation,
-        )
-        podpce = {d: _shrink_podpce(full, d) for d in ranks(full)}
-    if "poden" in kinds:
-        base = build_poden(z_params, z_states, **truncation)
-        poden = {d: PodEnSurrogate(basis=truncate(base.basis, modes=d), m_x=4) for d in ranks(base)}
-    return _Builds(podpce=podpce, poden=poden, standardizer=standardizer)
-
-
-def _standardized_bounds(param_std: Standardizer) -> np.ndarray:
-    return np.column_stack(
-        [
-            param_std.transform(toymodel.PARAMETER_BOUNDS[:, 0]),
-            param_std.transform(toymodel.PARAMETER_BOUNDS[:, 1]),
-        ]
+    full, scaling = build_surrogates(
+        ctx.params_pool[:n].T, ctx.states_pool[:, :n], toymodel.PARAMETER_BOUNDS, kinds,
+        pce_degree=ctx.pce_degree, split_seed=split_seed(ctx.seed, n),
+        param_std=parameter_standardizer(),
+        modes=max(mode_numbers) if evr_threshold is None else None, evr_threshold=evr_threshold,
     )
-
-
-def _background_cov_std(config_b_from_truth: bool, x_t: np.ndarray, param_std: Standardizer) -> np.ndarray:
-    if not config_b_from_truth:
-        return np.eye(4)
-    deviation = param_std.transform(toymodel.PARAMETER_MEANS) - param_std.transform(x_t)
-    return np.diag(np.maximum(deviation**2, 1e-12))
+    sliced = {
+        kind: {d: _shrink(s, d) for d in (mode_numbers if evr_threshold is None else (s.d,))}
+        for kind, s in full.items()
+    }
+    return _Builds(sliced.get("podpce", {}), sliced.get("poden", {}), scaling)
 
 
 @dataclass(frozen=True)
@@ -433,7 +382,9 @@ def _observe_truth(
     x_t = _draw_truth(config)
     y_t = toymodel.simulate(x_t)
     y_b = toymodel.simulate(toymodel.PARAMETER_MEANS)
-    b_cov = _background_cov_std(config.b_from_truth, x_t, parameter_standardizer())
+    b_cov = np.eye(4)  # standardized; from the truth's deviation from the prior mean if asked
+    if config.b_from_truth:
+        b_cov = np.diag(np.maximum(parameter_standardizer().transform(x_t) ** 2, 1e-12))
     observed = {}
     for level in noise_levels:
         y_o, r_diag = inject_noise(y_t, level, substream_seed(config.seed, f"noise/{level!r}"))
@@ -456,25 +407,47 @@ def _cells(
                 yield _Cell(solver=solver, covariance=covariance, d=d, **key)
 
 
-def _run_cell(ctx: _Context, builds: _Builds, cell: _Cell, observed: _Observed) -> ReportRow:
+def _scored_row(
+    cell: _Cell, analysis, x_a: np.ndarray, observed: _Observed, standardizer: Standardizer,
+    **counts,
+) -> ReportRow:
+    """Report row of a physical analysis ``x_a``, scored in standardized
+    state units against the observed states; ``counts`` are the clipped,
+    model_runs, surrogate_evals and wall_time fields."""
+    nan = float("nan")
+    y_a = toymodel.simulate(x_a)  # reporting run, not a solver call
+    y_t, y_b, y_o = observed.y_t, observed.y_b, observed.y_o
+    reference = y_t if y_t is not None else y_o
+    return ReportRow(
+        **dataclasses.asdict(cell),
+        rmse_truth=rmse_global(y_t, y_a, standardizer) if y_t is not None else nan,
+        rmse_obs=rmse_global(y_o, y_a, standardizer),
+        rmse_truth_background=(
+            rmse_global(y_t, y_b, standardizer) if (y_t is not None and y_b is not None) else nan
+        ),
+        rmse_by_variable=rmse_by(reference, y_a, standardizer, "variable"),
+        rmse_by_station=rmse_by(reference, y_a, standardizer, "station"),
+        x_a=x_a,
+        j_final=analysis.j_final,
+        converged=analysis.converged,
+        reason=analysis.reason,
+        **counts,
+    )
+
+
+def _run_cell(builds: _Builds, cell: _Cell, observed: _Observed) -> ReportRow:
     """Solve one cell in standardized space and report it in physical units.
 
     A failure is logged and becomes an error row, so the sweep goes on.
     """
-    nan = float("nan")
     start = time.perf_counter()
     try:
-        standardizer = builds.standardizer
+        scaling = builds.scaling
         surrogate = builds.podpce[cell.d] if cell.solver == "podpce" else builds.poden[cell.d]
-        r_diag_std = standardizer.variance_diag(observed.r_diag)
-        problem = AssimilationProblem(
-            x_b=np.zeros(4),
-            background_cov=observed.b_cov,
-            y_o=standardizer.transform(observed.y_o),
-            observation_cov=observation_covariance(cell.covariance, surrogate, r_diag_std),
-            bounds=_standardized_bounds(ctx.param_std),
+        problem = pose_problem(
+            surrogate, scaling, observed.y_o, observed.r_diag, cell.covariance,
+            background_cov=observed.b_cov, alpha_b=cell.alpha_b, alpha_r=cell.alpha_r,
         )
-        problem = scale_covariances(problem, cell.alpha_b, cell.alpha_r)
         if cell.solver == "podpce":
             analysis = solve_podpce3dvar(surrogate, problem)
             surrogate_evals = analysis.evaluations
@@ -482,49 +455,18 @@ def _run_cell(ctx: _Context, builds: _Builds, cell: _Cell, observed: _Observed) 
             analysis = solve_poden3dvar(surrogate, problem)
             surrogate_evals = 0
 
-        x_a_phys = ctx.param_std.inverse(analysis.x_a)
-        low, high = toymodel.PARAMETER_BOUNDS[:, 0], toymodel.PARAMETER_BOUNDS[:, 1]
-        x_a = np.clip(x_a_phys, low, high)
-        y_a = toymodel.simulate(x_a)  # reporting run, not a solver call
-        y_t, y_b, y_o = observed.y_t, observed.y_b, observed.y_o
-        reference = y_t if y_t is not None else y_o
-        return ReportRow(
-            **dataclasses.asdict(cell),
-            rmse_truth=rmse_global(y_t, y_a, standardizer) if y_t is not None else nan,
-            rmse_obs=rmse_global(y_o, y_a, standardizer),
-            rmse_truth_background=(
-                rmse_global(y_t, y_b, standardizer) if (y_t is not None and y_b is not None) else nan
-            ),
-            rmse_by_variable=rmse_by(reference, y_a, standardizer, "variable"),
-            rmse_by_station=rmse_by(reference, y_a, standardizer, "station"),
-            x_a=x_a,
+        x_a_phys = scaling.params.inverse(analysis.x_a)
+        x_a = np.clip(x_a_phys, scaling.bounds[:, 0], scaling.bounds[:, 1])
+        return _scored_row(
+            cell, analysis, x_a, observed, scaling.states,
             clipped=bool(np.any(np.abs(x_a - x_a_phys) > 0.0)),
-            j_final=analysis.j_final,
             model_runs=cell.n,  # ensemble only; the surrogate solvers never call the model
             surrogate_evals=surrogate_evals,
-            converged=analysis.converged,
-            reason=analysis.reason,
             wall_time=time.perf_counter() - start,
         )
     except Exception as exc:  # recorded per cell, sweep continues
         log.warning("cell failed: %s", exc, exc_info=True)
-        return ReportRow(
-            **dataclasses.asdict(cell),
-            rmse_truth=nan,
-            rmse_obs=nan,
-            rmse_truth_background=nan,
-            rmse_by_variable={},
-            rmse_by_station={},
-            x_a=np.full(4, np.nan),
-            clipped=False,
-            j_final=nan,
-            model_runs=0,
-            surrogate_evals=0,
-            converged=False,
-            reason="error",
-            wall_time=0.0,
-            error=str(exc),
-        )
+        return ReportRow(**dataclasses.asdict(cell), error=str(exc))
 
 
 # Drivers --------------------------------------------------------------------------
@@ -540,7 +482,7 @@ def run_twin(config: TwinConfig) -> ExperimentReport:
         for n in config.training_sizes
     }
     rows = [
-        _run_cell(ctx, builds[n], cell, observed[noise])
+        _run_cell(builds[n], cell, observed[noise])
         for noise in config.noise_levels
         for n in config.training_sizes
         for cell in _cells(
@@ -563,7 +505,7 @@ def run_covariance_grid(config: TwinConfig) -> ExperimentReport:
     x_t, observed = _observe_truth(config, (config.grid_noise,))
     builds = _build_surrogates(ctx, n, ("podpce",), (config.grid_modes,), None)
     rows = [
-        _run_cell(ctx, builds, cell, observed[config.grid_noise])
+        _run_cell(builds, cell, observed[config.grid_noise])
         for alpha_b in config.alpha_grid
         for alpha_r in config.alpha_grid
         for cell in _cells(
@@ -594,7 +536,7 @@ def run_bootstrap(config: TwinConfig) -> ExperimentReport:
             ctx, config.bootstrap_size, config.surrogates, config.mode_numbers, config.evr_threshold
         )
         rows.extend(
-            _run_cell(ctx, builds, cell, observed[config.bootstrap_noise])
+            _run_cell(builds, cell, observed[config.bootstrap_noise])
             for cell in _cells(
                 builds, config.surrogates, (config.covariance_kind,),
                 experiment=f"bootstrap/{replicate}", n=config.bootstrap_size,
@@ -650,11 +592,9 @@ def run_measurement(config: MeasurementConfig, y_o: np.ndarray) -> ExperimentRep
 
     # Classical reference in the same standardized coordinates as the
     # largest training ensemble.
-    standardizer = builds[n_max].standardizer
-    param_std = ctx.param_std
-    bounds_std = _standardized_bounds(param_std)
-
-    low, high = toymodel.PARAMETER_BOUNDS[:, 0], toymodel.PARAMETER_BOUNDS[:, 1]
+    scaling = builds[n_max].scaling
+    standardizer, param_std = scaling.states, scaling.params
+    low, high = scaling.bounds[:, 0], scaling.bounds[:, 1]
 
     def model_std(x_std: np.ndarray) -> np.ndarray:
         # Probes can sit on a bound; the inverse affine map may overshoot it
@@ -662,45 +602,19 @@ def run_measurement(config: MeasurementConfig, y_o: np.ndarray) -> ExperimentRep
         x_phys = np.clip(param_std.inverse(x_std), low, high)
         return standardizer.transform(toymodel.simulate(x_phys))
 
-    problem = AssimilationProblem(
-        x_b=np.zeros(4),
-        background_cov=np.eye(4),
-        y_o=standardizer.transform(y_o),
-        observation_cov=standardizer.variance_diag(r_diag),
-        bounds=bounds_std,
-    )
+    problem = pose_problem(None, scaling, y_o, r_diag)
     start = time.perf_counter()
     classical = solve_classical_3dvar(model_std, problem, optimizer_config=OptimizerConfig())
     classical_time = time.perf_counter() - start
     x_a_classical = param_std.inverse(classical.x_a)
-    y_a_classical = toymodel.simulate(x_a_classical)
-    classical_row = ReportRow(
-        experiment="measure",
-        solver="classical",
-        covariance="r",
-        n=0,
-        d=0,
-        noise=config.assumed_noise,
-        alpha_b=1.0,
-        alpha_r=1.0,
-        rmse_truth=float("nan"),
-        rmse_obs=rmse_global(y_o, y_a_classical, standardizer),
-        rmse_truth_background=float("nan"),
-        rmse_by_variable=rmse_by(y_o, y_a_classical, standardizer, "variable"),
-        rmse_by_station=rmse_by(y_o, y_a_classical, standardizer, "station"),
-        x_a=x_a_classical,
-        clipped=False,
-        j_final=classical.j_final,
-        model_runs=classical.evaluations,
-        surrogate_evals=0,
-        converged=classical.converged,
-        reason=classical.reason,
-        wall_time=classical_time,
-    )
-
     observed = _Observed(y_o, r_diag, np.eye(4))
+    classical_row = _scored_row(
+        _Cell("measure", "classical", "r", 0, 0, config.assumed_noise),
+        classical, x_a_classical, observed, standardizer,
+        model_runs=classical.evaluations, wall_time=classical_time,
+    )
     rows = [classical_row] + [
-        _run_cell(ctx, builds[n], cell, observed)
+        _run_cell(builds[n], cell, observed)
         for n in config.training_sizes
         for cell in _cells(
             builds[n], config.surrogates, config.covariance_kinds,

@@ -20,14 +20,14 @@ import numpy as np
 from . import __version__
 from .pce import PceBasis, PceModel
 from .pod import PodBasis, SnapshotMatrix
-from .surrogate import PodEnSurrogate, PodPceSurrogate
+from .surrogate import PodEnSurrogate, PodPceSurrogate, Scaling, Standardizer
 
 SCHEMAS = {
     "snapshot": "snapshot/1",
     "pod_basis": "pod-basis/1",
     "pce_model": "pce-model/1",
-    "podpce": "podpce-surrogate/1",
-    "poden": "poden-surrogate/1",
+    "podpce": "podpce-surrogate/2",
+    "poden": "poden-surrogate/2",
     "analysis": "analysis/1",
     "report": "report/1",
     "config": "config/1",
@@ -184,37 +184,61 @@ def load_pce_model(path: str | Path) -> PceModel:
     return _pce_from_body(load_json(path, "pce_model"))
 
 
-def save_podpce(path: str | Path, surrogate: PodPceSurrogate, **meta: Any) -> None:
-    save_json(
-        path,
-        "podpce",
-        {
+def save_surrogate(
+    path: str | Path, surrogate: PodPceSurrogate | PodEnSurrogate, scaling: Scaling, **meta: Any
+) -> None:
+    """Write a surrogate together with the scaling it was built in."""
+    if isinstance(surrogate, PodPceSurrogate):
+        kind, body = "podpce", {
             "state_basis": _pod_body(surrogate.state_basis),
             "pce": _pce_body(surrogate.pce),
             "parameter_bounds": surrogate.parameter_bounds.tolist(),
             "n_members": surrogate.n_members,
-        },
-        **meta,
-    )
+        }
+    else:
+        kind, body = "poden", {"basis": _pod_body(surrogate.basis), "m_x": surrogate.m_x}
+    body["scaling"] = {
+        "parameters": {"mean": scaling.params.mean.tolist(), "std": scaling.params.std.tolist()},
+        "states": {"mean": scaling.states.mean.tolist(), "std": scaling.states.std.tolist()},
+        "bounds": scaling.bounds.tolist(),
+    }
+    save_json(path, kind, body, **meta)
 
 
-def load_podpce(path: str | Path) -> PodPceSurrogate:
-    doc = load_json(path, "podpce")
-    return PodPceSurrogate(
-        state_basis=_pod_from_body(doc["state_basis"]),
-        pce=_pce_from_body(doc["pce"]),
-        parameter_bounds=np.array(doc["parameter_bounds"], dtype=float),
-        n_members=int(doc["n_members"]),
-    )
+def load_surrogate(path: str | Path) -> tuple[PodPceSurrogate | PodEnSurrogate, Scaling]:
+    """Read a surrogate document of either kind (by its schema tag) with its
+    scaling. A ``/1`` document holds none: it is read with identity maps and
+    the declared bounds of a POD-PCE surrogate, or an unbounded PODEn box.
+    """
+    doc = json.loads(Path(path).read_text())
+    kinds = {SCHEMAS["podpce"]: "podpce", SCHEMAS["poden"]: "poden",
+             "podpce-surrogate/1": "podpce", "poden-surrogate/1": "poden"}
+    if doc.get("schema") not in kinds:
+        raise SchemaError(
+            f"schema mismatch in {path}: found {doc.get('schema')!r}, expected one of {sorted(kinds)}"
+        )
+    if kinds[doc["schema"]] == "podpce":
+        surrogate = PodPceSurrogate(
+            state_basis=_pod_from_body(doc["state_basis"]),
+            pce=_pce_from_body(doc["pce"]),
+            parameter_bounds=np.array(doc["parameter_bounds"], dtype=float),
+            n_members=int(doc["n_members"]),
+        )
+        box = surrogate.parameter_bounds
+    else:
+        surrogate = PodEnSurrogate(basis=_pod_from_body(doc["basis"]), m_x=int(doc["m_x"]))
+        box = np.tile([-np.inf, np.inf], (surrogate.m_x, 1))
+    if doc["schema"].endswith("/1"):  # written before the scaling was stored
+        params, states = (Standardizer(np.zeros(m), np.ones(m)) for m in (len(box), surrogate.m_y))
+        return surrogate, Scaling(params, states, box)
+    scaling = doc["scaling"]
 
+    def standardizer(key: str) -> Standardizer:
+        return Standardizer(np.array(scaling[key]["mean"], dtype=float),
+                            np.array(scaling[key]["std"], dtype=float))
 
-def save_poden(path: str | Path, surrogate: PodEnSurrogate, **meta: Any) -> None:
-    save_json(path, "poden", {"basis": _pod_body(surrogate.basis), "m_x": surrogate.m_x}, **meta)
-
-
-def load_poden(path: str | Path) -> PodEnSurrogate:
-    doc = load_json(path, "poden")
-    return PodEnSurrogate(basis=_pod_from_body(doc["basis"]), m_x=int(doc["m_x"]))
+    bounds = np.array(scaling["bounds"], dtype=float)
+    return surrogate, Scaling(standardizer("parameters"), standardizer("states"), bounds)
 
 
 # Experiment reports ----------------------------------------------------------------

@@ -16,9 +16,12 @@ span of the orthonormal state modes, so the augmented covariance is held as
 its parts, R~ = R + Phi W Phi^T with W >= 0 diagonal over the r modes that
 carry variance (r is at most the ensemble rank, far below m_y), and solvers
 whiten it in r-space; the dense m_y x m_y matrix is built only on request.
+A :class:`Scaling` records the standardized coordinates a surrogate was
+built in and its physical parameter box.
 """
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +29,65 @@ import numpy as np
 from .pce import PceConfig, PceModel, pce_eval, select_degree, split_members
 from .pod import PodBasis, fit_pod, reconstruct, truncate
 
+log = logging.getLogger(__name__)
+
 COVARIANCE_KINDS = ("r", "r_tilde", "r_tilde_corrected")
+
+
+@dataclass(frozen=True)
+class Standardizer:
+    """Per-component affine map z = (y - mean) / std."""
+
+    mean: np.ndarray  # (m,)
+    std: np.ndarray  # (m,)
+
+    @classmethod
+    def fit(cls, ensemble: np.ndarray) -> "Standardizer":
+        ensemble = np.asarray(ensemble, dtype=float)
+        if ensemble.ndim != 2 or ensemble.shape[1] < 2:
+            raise ValueError("standardizer needs a (m, n >= 2) ensemble")
+        if not np.all(np.isfinite(ensemble)):
+            i, j = np.argwhere(~np.isfinite(ensemble))[0]
+            raise ValueError(f"non-finite snapshot entry at row {i}, column {j}")
+        mean = ensemble.mean(axis=1)
+        std = ensemble.std(axis=1)
+        floor = 1e-12 + 1e-8 * np.abs(mean)
+        if np.any(std < floor):
+            log.warning("flooring %d zero-variance components", int(np.sum(std < floor)))
+        return cls(mean=mean, std=np.maximum(std, floor))
+
+    def transform(self, values: np.ndarray) -> np.ndarray:
+        values = np.asarray(values, dtype=float)
+        if values.ndim == 1:
+            return (values - self.mean) / self.std
+        return (values - self.mean[:, None]) / self.std[:, None]
+
+    def inverse(self, values: np.ndarray) -> np.ndarray:
+        values = np.asarray(values, dtype=float)
+        if values.ndim == 1:
+            return values * self.std + self.mean
+        return values * self.std[:, None] + self.mean[:, None]
+
+    def variance_diag(self, variances: np.ndarray) -> np.ndarray:
+        """Diagonal variances mapped into standardized coordinates."""
+        return np.asarray(variances, dtype=float) / self.std**2
+
+
+@dataclass(frozen=True)
+class Scaling:
+    """The coordinates a surrogate was built in: the parameter and state
+    standardizers and the physical parameter box (rows (low, high))."""
+
+    params: Standardizer
+    states: Standardizer
+    bounds: np.ndarray  # (m_x, 2) physical
+
+    @property
+    def box(self) -> np.ndarray:
+        """The parameter box in standardized coordinates."""
+        return np.column_stack(
+            [self.params.transform(self.bounds[:, 0]), self.params.transform(self.bounds[:, 1])]
+        )
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ from romda.assimilate import (
 )
 from romda.experiments import (
     MeasurementConfig,
-    Standardizer,
     TwinConfig,
     inject_noise,
     parameter_standardizer,
@@ -31,6 +30,7 @@ from romda.pce import PceConfig, design_matrix, fit_lars, make_basis, select_deg
 from romda.pod import PodBasis, evr, fit_pod, truncate
 from romda.rng import substream, substream_seed
 from romda.surrogate import (
+    Standardizer,
     build_poden,
     build_podpce,
     metamodel_error_covariance,

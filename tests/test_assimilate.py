@@ -11,7 +11,6 @@ from romda.assimilate import (
     cost_3dvar,
     podpce_cost,
     podpce_gradient,
-    scale_covariances,
     solve_classical_3dvar,
     solve_poden3dvar,
     solve_podpce3dvar,
@@ -372,16 +371,10 @@ def test_classical_propagates_model_failure_with_probe() -> None:
         solve_classical_3dvar(broken, problem)
 
 
-def test_scale_covariances_identity_and_validation() -> None:
-    rng = np.random.default_rng(10)
-    problem = make_problem(rng)
-    same = scale_covariances(problem, 1.0, 1.0)
-    assert same.alpha_b == problem.alpha_b and same.alpha_r == problem.alpha_r
-    assert same is not problem
-    with pytest.raises(ValueError, match="positive"):
-        scale_covariances(problem, 0.0, 1.0)
-    with pytest.raises(ValueError, match="positive"):
-        scale_covariances(problem, 1.0, -2.0)
+def test_alpha_scalings_must_be_positive() -> None:
+    for scaling in ({"alpha_b": 0.0}, {"alpha_r": -2.0}):
+        with pytest.raises(ValueError, match="alpha scalings must be positive"):
+            make_problem(np.random.default_rng(10), **scaling)
 
 
 def test_uniform_scaling_leaves_argmin_unchanged() -> None:
@@ -390,16 +383,16 @@ def test_uniform_scaling_leaves_argmin_unchanged() -> None:
     params = rng.uniform(0, 1, size=(50, 2)).T
     states = np.vstack([params[0] + params[1], params[0] * params[1], params[1] ** 2]) + 0.1
     s = build_podpce(params, states, PceConfig(bounds, 2), split_seed=9, modes=2)
-    problem = AssimilationProblem(
-        x_b=np.array([0.5, 0.5]),
-        background_cov=0.3 * np.eye(2),
-        y_o=states[:, 7] + 0.02 * rng.standard_normal(3),
-        observation_cov=0.05 * np.eye(3),
-        bounds=bounds,
-    )
-    base = solve_podpce3dvar(s, problem, OptimizerConfig(tol=1e-11))
+    fields = {
+        "x_b": np.array([0.5, 0.5]),
+        "background_cov": 0.3 * np.eye(2),
+        "y_o": states[:, 7] + 0.02 * rng.standard_normal(3),
+        "observation_cov": 0.05 * np.eye(3),
+        "bounds": bounds,
+    }
+    base = solve_podpce3dvar(s, AssimilationProblem(**fields), OptimizerConfig(tol=1e-11))
     scaled = solve_podpce3dvar(
-        s, scale_covariances(problem, 7.3, 7.3), OptimizerConfig(tol=1e-11)
+        s, AssimilationProblem(**fields, alpha_b=7.3, alpha_r=7.3), OptimizerConfig(tol=1e-11)
     )
     assert np.allclose(base.x_a, scaled.x_a, atol=1e-6)
     assert scaled.j_final == pytest.approx(base.j_final / 7.3, rel=1e-6)

@@ -1,14 +1,19 @@
 import json
+import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from romda import cli, io, toymodel
+from romda.assimilate import pose_problem, solve_poden3dvar, solve_podpce3dvar
 from romda.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
+from romda.experiments import build_surrogates, measurement_noise_diag
 from romda.pce import PceConfig, select_degree, split_members
 from romda.pod import SnapshotMatrix
-from romda.rng import substream_seed
-from romda.surrogate import build_podpce
+from romda.rng import split_seed, substream_seed
+
+DATA = Path(__file__).parent / "data"
 
 
 def write_config(tmp_path, name, payload):
@@ -17,20 +22,54 @@ def write_config(tmp_path, name, payload):
     return str(path)
 
 
+class ToyChain:
+    """The README chain sample -> simulate -> build-surrogate (-> assimilate)
+    on the toy model, every command writing into one output directory."""
+
+    def __init__(self, tmp_path):
+        self.tmp = tmp_path
+        self.out = tmp_path / "out"
+
+    def run(self, command: str, cfg: dict, seed: int) -> int:
+        path = write_config(self.tmp, f"{command}.json", cfg)
+        return main([command, "--config", path, "--seed", str(seed), "--out", str(self.out)])
+
+    def ensemble(self, n: int, seed: int) -> Path:
+        """sample and simulate an n-member ensemble; returns the output directory."""
+        assert self.run("sample", {"n": n}, seed) == EXIT_OK
+        assert self.run("simulate", {"parameters_csv": str(self.out / "parameters.csv")}, seed) == EXIT_OK
+        return self.out
+
+    def build(self, seed: int, **keys) -> int:
+        """build-surrogate with the required keys (POD-PCE in the toy box) and ``keys``."""
+        cfg = {
+            "kind": "podpce",
+            "parameters_csv": str(self.out / "parameters.csv"),
+            "states_csv": str(self.out / "states.csv"),
+            "bounds": toymodel.PARAMETER_BOUNDS.tolist(),
+            **keys,
+        }
+        return self.run("build-surrogate", cfg, seed)
+
+
+@pytest.fixture
+def chain(tmp_path):
+    return ToyChain(tmp_path)
+
+
+def write_observation(path, y_o) -> None:
+    labels = tuple(f"c{i}" for i in range(y_o.size))
+    io.write_snapshot_csv(path, SnapshotMatrix(np.asarray(y_o)[:, None], labels, ("obs",)))
+
+
 def test_unknown_subcommand_fails_validation(capsys) -> None:
     assert main(["frobnicate"]) == EXIT_VALIDATION
 
 
-def test_sample_then_simulate_pipeline(tmp_path) -> None:
-    out = tmp_path / "out"
-    cfg = write_config(tmp_path, "sample.json", {"n": 12})
-    assert main(["sample", "--config", cfg, "--seed", "3", "--out", str(out)]) == EXIT_OK
+def test_sample_then_simulate_pipeline(chain) -> None:
+    out = chain.ensemble(12, 3)
     params_csv = out / "parameters.csv"
-    assert params_csv.exists()
     assert (out / "config_used.json").exists()
-
-    sim_cfg = write_config(tmp_path, "sim.json", {"parameters_csv": str(params_csv)})
-    assert main(["simulate", "--config", sim_cfg, "--seed", "3", "--out", str(out)]) == EXIT_OK
     states = io.read_snapshot_csv(out / "states.csv")
     assert states.data.shape == (570, 12)
     params = io.read_snapshot_csv(params_csv)
@@ -43,13 +82,8 @@ def test_unknown_config_key_rejected(tmp_path, capsys) -> None:
     assert "banana" in capsys.readouterr().err
 
 
-def test_fit_pod_and_surrogate_pipeline(tmp_path) -> None:
-    out = tmp_path / "out"
-    cfg = write_config(tmp_path, "sample.json", {"n": 40})
-    main(["sample", "--config", cfg, "--seed", "7", "--out", str(out)])
-    sim_cfg = write_config(tmp_path, "sim.json", {"parameters_csv": str(out / "parameters.csv")})
-    main(["simulate", "--config", sim_cfg, "--seed", "7", "--out", str(out)])
-
+def test_fit_pod_and_surrogate_pipeline(chain, tmp_path) -> None:
+    out = chain.ensemble(40, 7)
     pod_cfg = write_config(
         tmp_path, "pod.json", {"states_csv": str(out / "states.csv"), "evr_threshold": 0.95}
     )
@@ -57,86 +91,104 @@ def test_fit_pod_and_surrogate_pipeline(tmp_path) -> None:
     basis = io.load_pod_basis(out / "pod_basis.json")
     assert basis.retained >= 1
 
-    surr_cfg = write_config(
-        tmp_path,
-        "surr.json",
-        {
-            "kind": "podpce",
-            "parameters_csv": str(out / "parameters.csv"),
-            "states_csv": str(out / "states.csv"),
-            "modes": 2,
-            "max_degree": 2,
-            "bounds": toymodel.PARAMETER_BOUNDS.tolist(),
-        },
-    )
-    assert main(["build-surrogate", "--config", surr_cfg, "--seed", "7", "--out", str(out)]) == EXIT_OK
-    surrogate = io.load_podpce(out / "surrogate.json")
+    assert chain.build(7, modes=2, max_degree=2) == EXIT_OK
+    surrogate, scaling = io.load_surrogate(out / "surrogate.json")
     assert surrogate.d == 2
+    assert np.array_equal(scaling.bounds, toymodel.PARAMETER_BOUNDS)
 
 
-def test_assimilate_command_and_noise_zero_validation(tmp_path, capsys) -> None:
-    out = tmp_path / "out"
-    main(["sample", "--config", write_config(tmp_path, "s.json", {"n": 40}), "--seed", "1", "--out", str(out)])
-    main(
-        [
-            "simulate",
-            "--config",
-            write_config(tmp_path, "m.json", {"parameters_csv": str(out / "parameters.csv")}),
-            "--seed",
-            "1",
-            "--out",
-            str(out),
-        ]
-    )
-    main(
-        [
-            "build-surrogate",
-            "--config",
-            write_config(
-                tmp_path,
-                "b.json",
-                {
-                    "kind": "podpce",
-                    "parameters_csv": str(out / "parameters.csv"),
-                    "states_csv": str(out / "states.csv"),
-                    "modes": 2,
-                    "max_degree": 2,
-                    "bounds": toymodel.PARAMETER_BOUNDS.tolist(),
-                },
-            ),
-            "--seed",
-            "1",
-            "--out",
-            str(out),
-        ]
-    )
+def test_assimilate_command_and_noise_zero_validation(chain, capsys) -> None:
+    out = chain.ensemble(40, 1)
+    assert chain.build(1, modes=2, max_degree=2) == EXIT_OK
     # Single-member observation file from a fresh simulation.
-    x_obs = np.array([60.0, 5.2, 1.0, 2.0])
-    from romda.pod import SnapshotMatrix
-
-    obs = SnapshotMatrix(
-        data=toymodel.simulate(x_obs)[:, None],
-        row_labels=tuple(f"c{i}" for i in range(570)),
-        member_ids=("obs",),
-    )
-    io.write_snapshot_csv(out / "obs.csv", obs)
+    write_observation(out / "obs.csv", toymodel.simulate(np.array([60.0, 5.2, 1.0, 2.0])))
 
     base = {
-        "kind": "podpce",
         "surrogate": str(out / "surrogate.json"),
         "observations_csv": str(out / "obs.csv"),
         "covariance": "r_tilde",
-        "bounds": toymodel.PARAMETER_BOUNDS.tolist(),
         "x_b": list(toymodel.PARAMETER_MEANS),
     }
-    ok_cfg = write_config(tmp_path, "assim.json", {**base, "noise_level": 0.05})
-    assert main(["assimilate", "--config", ok_cfg, "--seed", "1", "--out", str(out)]) == EXIT_OK
+    assert chain.run("assimilate", {**base, "noise_level": 0.05}, 1) == EXIT_OK
     doc = io.load_json(out / "analysis.json", "analysis")
     assert len(doc["x_a"]) == 4
 
-    zero_cfg = write_config(tmp_path, "assim0.json", {**base, "noise_level": 0.0})
-    assert main(["assimilate", "--config", zero_cfg, "--seed", "1", "--out", str(out)]) == EXIT_VALIDATION
+    assert chain.run("assimilate", {**base, "noise_level": 0.0}, 1) == EXIT_VALIDATION
     assert "observation covariance must be positive definite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kind, solve", [("podpce", solve_podpce3dvar), ("poden", solve_poden3dvar)]
+)
+def test_readme_chain_runs_with_only_the_required_keys(chain, kind, solve) -> None:
+    seed, n = 3, 200
+    out = chain.ensemble(n, seed)
+    assert chain.build(seed, kind=kind, evr_threshold=0.999) == EXIT_OK
+    y_o = toymodel.simulate(np.array([70.0, 4.6, 1.2, 2.2]))
+    write_observation(out / "obs.csv", y_o)
+    assim = {
+        "surrogate": str(out / "surrogate.json"),
+        "observations_csv": str(out / "obs.csv"),
+        "noise_level": 0.05,
+    }
+    assert chain.run("assimilate", assim, seed) == EXIT_OK
+    x_a = np.array(io.load_json(out / "analysis.json", "analysis")["x_a"])
+    low, high = toymodel.PARAMETER_BOUNDS.T
+    assert np.all(x_a >= low) and np.all(x_a <= high)
+
+    # The library path on the same arrays: shared build, problem helper, solver.
+    params = io.read_snapshot_csv(out / "parameters.csv").data
+    states = io.read_snapshot_csv(out / "states.csv").data
+    built, scaling = build_surrogates(
+        params, states, toymodel.PARAMETER_BOUNDS, (kind,), pce_degree=3,
+        split_seed=split_seed(seed, n), evr_threshold=0.999,
+    )
+    problem = pose_problem(built[kind], scaling, y_o, measurement_noise_diag(y_o, 0.05))
+    expected = scaling.params.inverse(solve(built[kind], problem).x_a)
+    np.testing.assert_allclose(x_a, expected, rtol=1e-10, atol=0.0)
+
+
+def test_build_failure_cases_on_a_small_ensemble(chain, capsys, caplog) -> None:
+    """A 12-member toy ensemble: a plain build, a constant state row (floored
+    with a warning) and a NaN entry (rejected, naming where it sits)."""
+    out = chain.ensemble(12, 3)
+    assert chain.build(3, modes=4) == EXIT_OK
+    assert io.load_surrogate(out / "surrogate.json")[0].d == 4
+
+    states = io.read_snapshot_csv(out / "states.csv")
+    data = states.data.copy()
+    data[5] = 1.5
+    io.write_snapshot_csv(out / "states.csv", SnapshotMatrix(data, states.row_labels, states.member_ids))
+    with caplog.at_level(logging.WARNING):
+        assert chain.build(3, modes=4) == EXIT_OK
+    assert "flooring 1 zero-variance components" in caplog.text
+
+    data[3, 2] = np.nan
+    io.write_snapshot_csv(out / "states.csv", SnapshotMatrix(data, states.row_labels, states.member_ids))
+    assert chain.build(3, modes=4) == EXIT_VALIDATION
+    assert "non-finite snapshot entry at row 3, column 2" in capsys.readouterr().err
+
+
+def test_v1_documents_assimilate_with_identity_scaling(tmp_path) -> None:
+    """A podpce-surrogate/1 document gives the analysis the previous schema's
+    program wrote for the same config, bit for bit; a poden-surrogate/1
+    document assimilates in an unbounded box."""
+    base = {"observations_csv": str(DATA / "obs_v1.csv"), "noise_level": 0.05}
+    cfg = {**base, "surrogate": str(DATA / "podpce_v1.json"), "x_b": [0.5, 2.5]}
+    out = tmp_path / "podpce"
+    assert main(["assimilate", "--config", write_config(tmp_path, "a.json", cfg),
+                 "--seed", "4", "--out", str(out)]) == EXIT_OK
+    doc = io.load_json(out / "analysis.json", "analysis")
+    expected = io.load_json(DATA / "podpce_v1_analysis.json", "analysis")
+    for key in ("x_a", "y_a", "nu_a", "j_final", "cost_trace", "evaluations", "converged",
+                "reason", "in_bounds"):
+        assert doc[key] == expected[key], key
+
+    cfg = {**base, "surrogate": str(DATA / "poden_v1.json")}
+    out = tmp_path / "poden"
+    assert main(["assimilate", "--config", write_config(tmp_path, "e.json", cfg),
+                 "--out", str(out)]) == EXIT_OK
+    assert io.load_json(out / "analysis.json", "analysis")["reason"] == "closed_form"
 
 
 def test_twin_command_writes_reports(tmp_path) -> None:
@@ -166,8 +218,6 @@ def test_numerical_failure_maps_to_exit_2(tmp_path, capsys) -> None:
     # Rank-one joint ensemble with 3 retained modes: the reduced normal
     # matrix is singular and the closed-form analysis must fail numerically.
     rng = np.random.default_rng(0)
-    from romda.pod import SnapshotMatrix
-
     g = rng.standard_normal(30)
     params = np.outer(np.array([1.0, -2.0]), g) + np.array([[5.0], [3.0]])
     states = np.outer(rng.standard_normal(4), g)
@@ -188,6 +238,7 @@ def test_numerical_failure_maps_to_exit_2(tmp_path, capsys) -> None:
             "parameters_csv": str(out / "params.csv"),
             "states_csv": str(out / "states.csv"),
             "modes": 3,
+            "bounds": [[-100.0, 100.0], [-100.0, 100.0]],
         },
     )
     assert main(["build-surrogate", "--config", build_cfg, "--out", str(out)]) == EXIT_OK
@@ -197,12 +248,10 @@ def test_numerical_failure_maps_to_exit_2(tmp_path, capsys) -> None:
         tmp_path,
         "a.json",
         {
-            "kind": "poden",
             "surrogate": str(out / "surrogate.json"),
             "observations_csv": str(out / "obs.csv"),
             "noise_level": 0.1,
             "x_b": [5.0, 3.0],
-            "bounds": [[-100.0, 100.0], [-100.0, 100.0]],
         },
     )
     assert main(["assimilate", "--config", assim_cfg, "--out", str(out)]) == EXIT_NUMERICAL
@@ -250,29 +299,20 @@ def test_workers_option_and_key_are_rejected(tmp_path, capsys) -> None:
     assert "workers" in capsys.readouterr().err
 
 
-def test_cli_builds_split_members_with_the_driver_seed_rule(tmp_path) -> None:
-    out = tmp_path / "out"
+def test_cli_builds_split_members_with_the_driver_seed_rule(chain, tmp_path) -> None:
     n, seed = 40, 5
-    main(["sample", "--config", write_config(tmp_path, "s.json", {"n": n}), "--seed", "1", "--out", str(out)])
-    sim = write_config(tmp_path, "m.json", {"parameters_csv": str(out / "parameters.csv")})
-    main(["simulate", "--config", sim, "--out", str(out)])
+    out = chain.ensemble(n, 1)
     params = io.read_snapshot_csv(out / "parameters.csv").data
     states = io.read_snapshot_csv(out / "states.csv").data
     bounds = toymodel.PARAMETER_BOUNDS
-    surr = {
-        "kind": "podpce",
-        "parameters_csv": str(out / "parameters.csv"),
-        "states_csv": str(out / "states.csv"),
-        "modes": 2,
-        "max_degree": 2,
-        "bounds": bounds.tolist(),
-    }
-    argv = ["--seed", str(seed), "--out", str(out)]
-    assert main(["build-surrogate", "--config", write_config(tmp_path, "b.json", surr), *argv]) == EXIT_OK
-    direct = build_podpce(
-        params, states, PceConfig(bounds, 2), split_seed=substream_seed(seed, f"split/{n}"), modes=2
+    assert chain.build(seed, modes=2, max_degree=2) == EXIT_OK
+    built, _ = build_surrogates(
+        params, states, bounds, ("podpce",), pce_degree=2,
+        split_seed=substream_seed(seed, f"split/{n}"), modes=2,
     )
-    assert np.array_equal(io.load_podpce(out / "surrogate.json").pce.coefficients, direct.pce.coefficients)
+    direct = built["podpce"]
+    cli_built = io.load_surrogate(out / "surrogate.json")[0]
+    assert np.array_equal(cli_built.pce.coefficients, direct.pce.coefficients)
 
     # fit-pce splits its members the same way.
     targets = direct.state_basis.coefficients[:, :2]  # (n, 2)
@@ -282,6 +322,7 @@ def test_cli_builds_split_members_with_the_driver_seed_rule(tmp_path) -> None:
     )
     pce = {"parameters_csv": str(out / "parameters.csv"), "targets_csv": str(out / "targets.csv"),
            "bounds": bounds.tolist(), "max_degree": 2}
+    argv = ["--seed", str(seed), "--out", str(out)]
     assert main(["fit-pce", "--config", write_config(tmp_path, "p.json", pce), *argv]) == EXIT_OK
     train, val = split_members(n, substream_seed(seed, f"split/{n}"))
     x = params.T

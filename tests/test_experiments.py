@@ -6,7 +6,6 @@ import pytest
 from romda import experiments, toymodel
 from romda.experiments import (
     MeasurementConfig,
-    Standardizer,
     TwinConfig,
     inject_noise,
     parameter_standardizer,
@@ -19,7 +18,7 @@ from romda.experiments import (
 )
 from romda.pod import fit_pod, truncate
 from romda.rng import substream, substream_seed
-from romda.surrogate import build_poden
+from romda.surrogate import Standardizer, build_poden
 
 
 def test_standardizer_round_trip() -> None:

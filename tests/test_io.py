@@ -1,18 +1,25 @@
+import dataclasses
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from romda import io
-from romda.experiments import TwinConfig, run_twin
+from romda.experiments import TwinConfig, build_surrogates, run_twin
 from romda.pce import PceConfig
 from romda.pod import SnapshotMatrix, fit_pod, project, reconstruct, truncate
 from romda.surrogate import (
-    build_poden,
+    PodEnSurrogate,
+    PodPceSurrogate,
     build_podpce,
     podpce_predict,
     poden_predict,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_snapshot_csv_round_trip(tmp_path) -> None:
@@ -63,23 +70,62 @@ def test_pce_model_round_trip_predictions(tmp_path) -> None:
     assert np.array_equal(pce_eval(loaded, x), pce_eval(s.pce, x))
 
 
-def test_surrogate_round_trips(tmp_path) -> None:
-    rng = np.random.default_rng(3)
-    bounds = np.array([[0.0, 1.0], [0.0, 1.0]])
-    params = rng.uniform(0, 1, size=(40, 2)).T
-    states = np.vstack([np.sin(params[0]), params[1] ** 2, params[0] + params[1]])
-    podpce = build_podpce(params, states, PceConfig(bounds, 2), split_seed=1, modes=2)
-    io.save_podpce(tmp_path / "podpce.json", podpce, seed=0)
-    loaded = io.load_podpce(tmp_path / "podpce.json")
-    x = np.array([0.4, 0.7])
-    assert np.array_equal(podpce_predict(loaded, x), podpce_predict(podpce, x))
+def assert_identical(a, b) -> None:
+    """Equal types, and every field, array or value equal exactly."""
+    assert type(a) is type(b)
+    if dataclasses.is_dataclass(a):
+        for f in dataclasses.fields(a):
+            assert_identical(getattr(a, f.name), getattr(b, f.name))
+    elif isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+    else:
+        assert a == b
 
-    poden = build_poden(params, states, modes=2)
-    io.save_poden(tmp_path / "poden.json", poden, seed=0)
-    loaded_en = io.load_poden(tmp_path / "poden.json")
-    nu = np.array([0.3, -0.2])
-    for a, b in zip(poden_predict(loaded_en, nu), poden_predict(poden, nu)):
+
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(12, 40),
+    d=st.integers(1, 3),
+)
+def test_surrogate_round_trips(seed, n, d) -> None:
+    rng = np.random.default_rng(seed)
+    low = rng.uniform(-2.0, 2.0, 2)
+    bounds = np.column_stack([low, low + rng.uniform(0.5, 3.0, 2)])
+    params = rng.uniform(bounds[:, 0], bounds[:, 1], size=(n, 2)).T
+    states = np.vstack([np.sin(params[0]), params[1] ** 2, params[0] * params[1], params[0] + params[1]])
+    built, scaling = build_surrogates(
+        params, states, bounds, ("podpce", "poden"), pce_degree=2, split_seed=seed, modes=d
+    )
+    loaded = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for kind, surrogate in built.items():
+            path = Path(tmp) / f"{kind}.json"
+            io.save_surrogate(path, surrogate, scaling, seed=seed)
+            assert io.load_json(path, kind)["schema"].endswith("/2")
+            loaded[kind], loaded_scaling = io.load_surrogate(path)
+            assert_identical(loaded[kind], surrogate)
+            assert_identical(loaded_scaling, scaling)
+            assert np.array_equal(loaded_scaling.box, scaling.box)
+    z = scaling.params.transform(params[:, 0])
+    assert np.array_equal(podpce_predict(loaded["podpce"], z), podpce_predict(built["podpce"], z))
+    nu = np.linspace(-0.3, 0.3, d)
+    for a, b in zip(poden_predict(loaded["poden"], nu), poden_predict(built["poden"], nu)):
         assert np.array_equal(a, b)
+
+
+def test_v1_surrogate_documents_load_with_identity_scaling() -> None:
+    podpce, scaling = io.load_surrogate(DATA / "podpce_v1.json")
+    assert isinstance(podpce, PodPceSurrogate) and podpce.d == 2
+    assert np.array_equal(scaling.bounds, podpce.parameter_bounds)
+    assert np.array_equal(scaling.box, podpce.parameter_bounds)
+    for standardizer, m in ((scaling.params, 2), (scaling.states, 4)):
+        assert np.array_equal(standardizer.mean, np.zeros(m))
+        assert np.array_equal(standardizer.std, np.ones(m))
+    poden, scaling = io.load_surrogate(DATA / "poden_v1.json")
+    assert isinstance(poden, PodEnSurrogate) and (poden.d, poden.m_x, poden.m_y) == (2, 2, 4)
+    assert np.array_equal(scaling.box, np.tile([-np.inf, np.inf], (2, 1)))
+    assert np.array_equal(scaling.states.std, np.ones(4))
 
 
 def test_tampered_schema_rejected(tmp_path) -> None:
@@ -92,6 +138,10 @@ def test_tampered_schema_rejected(tmp_path) -> None:
     path.write_text(json.dumps(doc))
     with pytest.raises(io.SchemaError, match="pod-basis/99"):
         io.load_pod_basis(path)
+    doc["schema"] = "podpce-surrogate/99"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(io.SchemaError, match="podpce-surrogate/99"):
+        io.load_surrogate(path)
 
 
 def test_report_csv_deterministic_bytes(tmp_path) -> None:
