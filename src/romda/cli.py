@@ -203,6 +203,8 @@ def _cmd_build_surrogate(args, cfg: dict) -> int:
     kind = _require(cfg, "kind", "build-surrogate")
     if kind not in SURROGATE_KINDS:
         raise ConfigError(f"unknown surrogate kind {kind!r}, expected podpce or poden")
+    if kind == "poden" and "max_degree" in cfg:
+        raise ConfigError("max_degree applies to podpce only: a poden surrogate has no polynomial degree")
     bounds = _require(cfg, "bounds", "build-surrogate")
     out = _outdir(args)
     cfg_hash = _echo_config(out, "build-surrogate", cfg, args.seed)

@@ -192,7 +192,6 @@ def save_surrogate(
         kind, body = "podpce", {
             "state_basis": _pod_body(surrogate.state_basis),
             "pce": _pce_body(surrogate.pce),
-            "parameter_bounds": surrogate.parameter_bounds.tolist(),
             "n_members": surrogate.n_members,
         }
     else:
@@ -208,7 +207,10 @@ def save_surrogate(
 def load_surrogate(path: str | Path) -> tuple[PodPceSurrogate | PodEnSurrogate, Scaling]:
     """Read a surrogate document of either kind (by its schema tag) with its
     scaling. A ``/1`` document holds none: it is read with identity maps and
-    the declared bounds of a POD-PCE surrogate, or an unbounded PODEn box.
+    the declared bounds of a POD-PCE surrogate (its ``parameter_bounds``), or
+    an unbounded PODEn box. ``/2`` documents take the box from the scaling
+    record only; the duplicate ``parameter_bounds`` that early ``/2`` POD-PCE
+    documents carry is ignored.
     """
     doc = json.loads(Path(path).read_text())
     kinds = {SCHEMAS["podpce"]: "podpce", SCHEMAS["poden"]: "poden",
@@ -221,14 +223,15 @@ def load_surrogate(path: str | Path) -> tuple[PodPceSurrogate | PodEnSurrogate, 
         surrogate = PodPceSurrogate(
             state_basis=_pod_from_body(doc["state_basis"]),
             pce=_pce_from_body(doc["pce"]),
-            parameter_bounds=np.array(doc["parameter_bounds"], dtype=float),
             n_members=int(doc["n_members"]),
         )
-        box = surrogate.parameter_bounds
     else:
         surrogate = PodEnSurrogate(basis=_pod_from_body(doc["basis"]), m_x=int(doc["m_x"]))
-        box = np.tile([-np.inf, np.inf], (surrogate.m_x, 1))
     if doc["schema"].endswith("/1"):  # written before the scaling was stored
+        if isinstance(surrogate, PodPceSurrogate):
+            box = np.array(doc["parameter_bounds"], dtype=float)
+        else:
+            box = np.tile([-np.inf, np.inf], (surrogate.m_x, 1))
         params, states = (Standardizer(np.zeros(m), np.ones(m)) for m in (len(box), surrogate.m_y))
         return surrogate, Scaling(params, states, box)
     scaling = doc["scaling"]

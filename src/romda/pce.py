@@ -3,11 +3,13 @@
 Multivariate basis: products of orthonormal univariate polynomials
 (Legendre for uniform inputs on a bounded interval, probabilists' Hermite
 for Gaussian inputs), truncated by total degree. Coefficients are fitted by
-least angle regression over standardized regressors; each path model is
-re-estimated by least squares on its active set and scored with the
-hat-matrix leave-one-out error times the usual small-sample correction
-factor. Degree selection minimizes the empirical (validation) error per
-output component independently.
+least angle regression over standardized regressors (Efron et al. 2004).
+The path only adds regressors, so its models are nested prefixes of one
+design: a single QR of the longest model scores every prefix by its
+hat-matrix leave-one-out error times the small-sample correction factor
+(Blatman & Sudret 2011), and only the winning prefix is re-estimated by
+least squares on its own columns. Degree selection minimizes the empirical
+(validation) error per output component independently.
 """
 from __future__ import annotations
 
@@ -292,39 +294,49 @@ class LarsFit:
     active: tuple[int, ...]  # selected columns, intercept excluded
 
 
-def _ols_with_loo(design: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, float] | None:
-    """Least squares fit with hat-matrix LOO and its corrected variant.
+def _prefix_scores(q: np.ndarray, r: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Corrected leave-one-out error of every leading-column block of a design.
 
-    Returns (coefficients, loo, corrected_loo); None if the design is
-    numerically rank deficient.
+    ``q, r`` is the thin QR of an (n, P) design. The first p columns of the
+    design have the leading blocks q[:, :p], r[:p, :p] as their factor, so one
+    pass of running sums scores them all: leverages are running row sums of
+    q**2, residuals running subtractions of q[:, k] (q[:, k] . y), and
+    tr((Psi_p^T Psi_p)^-1) the running sum of squared column norms of R^-1.
+    Entry p - 1 is the hat-matrix LOO error of the least-squares fit on the
+    first p columns times the correction n / (n - p) (1 + tr(...)); it is
+    infinite where a leverage reaches 1 or p >= n. The array stops before
+    the first numerically rank-deficient block (running min over running
+    max of |diag R|), as every longer block is deficient too.
     """
-    n, p = design.shape
-    q, r = np.linalg.qr(design)
+    n = q.shape[0]
     diag = np.abs(np.diag(r))
-    if diag.min() <= 1e-12 * max(diag.max(), 1.0):
-        return None
-    coef = solve_triangular(r, q.T @ y)
-    resid = y - design @ coef
-    leverage = np.einsum("ij,ij->i", q, q)
+    full_rank = np.minimum.accumulate(diag) > 1e-12 * np.maximum(np.maximum.accumulate(diag), 1.0)
+    p_max = int(full_rank.sum())
+    q, r = q[:, :p_max], r[:p_max, :p_max]
+    sizes = np.arange(1, p_max + 1)
+
+    leverage = np.cumsum(q * q, axis=1)
+    resid = y[:, None] - np.cumsum(q * (q.T @ y), axis=1)
     denom = 1.0 - leverage
-    if np.any(denom <= 1e-12):
-        return coef, np.inf, np.inf
-    loo = float(np.mean((resid / denom) ** 2))
-    if n <= p:
-        return coef, loo, np.inf
-    r_inv = solve_triangular(r, np.eye(p))
-    trace_inv = float(np.sum(r_inv**2))  # tr((Psi^T Psi)^-1)
-    correction = (n / (n - p)) * (1.0 + trace_inv)
-    return coef, loo, loo * correction
+    trace_inv = np.cumsum(np.sum(solve_triangular(r, np.eye(p_max)) ** 2, axis=0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        loo = np.mean((resid / denom) ** 2, axis=0)
+        correction = (n / (n - sizes)) * (1.0 + trace_inv)
+    corrected = loo * correction
+    corrected[(sizes >= n) | np.any(denom <= 1e-12, axis=0)] = np.inf
+    return corrected
 
 
 def fit_lars(psi: np.ndarray, targets: np.ndarray) -> LarsFit:
     """Sparse coefficients for ``targets ~ psi`` by LARS + corrected LOO.
 
     The path is computed on centered, unit-norm regressors (intercept held
-    out); every path prefix is re-estimated by least squares on the original
-    columns and the model with minimal corrected leave-one-out error wins,
-    ties going to the sparser model.
+    out). It never drops a regressor, so its models are nested: model k uses
+    the intercept and the first k path columns. One QR of the longest model's
+    design scores every prefix (:func:`_prefix_scores`); the prefix with
+    minimal corrected leave-one-out error wins, ties going to the sparser
+    model. Only the winner is refitted, by least squares on its own columns,
+    so its coefficients do not depend on the path that scored it.
     """
     psi = np.asarray(psi, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -352,25 +364,16 @@ def fit_lars(psi: np.ndarray, targets: np.ndarray) -> LarsFit:
     x = np.column_stack(columns) if columns else np.zeros((n, 0))
 
     prefixes = _lars_path(x, y_c, max_active=min(len(candidates), n - 1))
-
-    best: tuple[float, np.ndarray, tuple[int, ...]] | None = None
-    for prefix in [()] + prefixes:
-        active = tuple(candidates[j] for j in prefix)
-        design = psi[:, (0,) + active]
-        fitted = _ols_with_loo(design, targets)
-        if fitted is None:
-            continue
-        coef_active, _, corrected = fitted
-        if best is None or corrected < best[0]:
-            coef = np.zeros(n_terms)
-            coef[0] = coef_active[0]
-            for value, j in zip(coef_active[1:], active):
-                coef[j] = value
-            best = (corrected, coef, active)
-    if best is None:
-        raise ValueError("no valid model on the LARS path (design rank deficient)")
-    corrected, coef, active = best
-    return LarsFit(coefficients=coef, loo_error=corrected, active=active)
+    path = (0,) + tuple(candidates[j] for j in (prefixes[-1] if prefixes else ()))
+    q, r = np.linalg.qr(psi[:, path])
+    # The intercept-only prefix is never rank deficient, so a winner exists.
+    scores = _prefix_scores(q, r, targets)
+    p = int(np.argmin(scores)) + 1
+    if p < len(path):
+        q, r = np.linalg.qr(psi[:, path[:p]])
+    coef = np.zeros(n_terms)
+    coef[list(path[:p])] = solve_triangular(r, q.T @ targets)
+    return LarsFit(coefficients=coef, loo_error=float(scores[p - 1]), active=path[1:p])
 
 
 def _lars_path(x: np.ndarray, y: np.ndarray, max_active: int) -> list[tuple[int, ...]]:
@@ -421,12 +424,15 @@ def _lars_path(x: np.ndarray, y: np.ndarray, max_active: int) -> list[tuple[int,
         corr_max = float(np.max(np.abs(c[active])))
         a = x.T @ u
         gamma = corr_max / a_norm  # full least-squares step by default
-        for j in range(n_cols):
-            if j in active or j in barred:
-                continue
-            for candidate in ((corr_max - c[j]) / (a_norm - a[j]), (corr_max + c[j]) / (a_norm + a[j])):
-                if np.isfinite(candidate) and 1e-15 < candidate < gamma:
-                    gamma = float(candidate)
+        free = np.ones(n_cols, dtype=bool)
+        free[active + list(barred)] = False
+        with np.errstate(divide="ignore", invalid="ignore"):
+            steps = np.concatenate(
+                ((corr_max - c[free]) / (a_norm - a[free]), (corr_max + c[free]) / (a_norm + a[free]))
+            )
+        steps = steps[np.isfinite(steps) & (steps > 1e-15) & (steps < gamma)]
+        if steps.size:
+            gamma = float(steps.min())
         mu = mu + gamma * u
     return prefixes
 

@@ -132,7 +132,6 @@ class PodPceSurrogate:
 
     state_basis: PodBasis  # retained d + complement
     pce: PceModel  # m_x inputs -> d modes
-    parameter_bounds: np.ndarray  # (m_x, 2), the declared input box
     n_members: int
 
     @property
@@ -278,7 +277,6 @@ def build_podpce(
     return PodPceSurrogate(
         state_basis=basis,
         pce=pce,
-        parameter_bounds=np.asarray(pce_config.bounds, dtype=float),
         n_members=n,
     )
 

@@ -255,7 +255,6 @@ def test_criterion_5_error_covariance_assembly() -> None:
             selected_degrees=(0,),
             validation_bias=np.zeros(1),
         ),
-        parameter_bounds=np.array([[0.0, 1.0]]),
         n_members=5,
     )
     hand_cov = metamodel_error_covariance(hand, np.zeros((2, 2)))

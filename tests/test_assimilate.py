@@ -146,27 +146,29 @@ def test_poden_observation_dominated_limit_matches_least_squares() -> None:
     assert np.allclose(res.nu_a, oracle, atol=1e-6)
 
 
-def test_poden_closed_form_matches_descent() -> None:
-    rng = np.random.default_rng(6)
-    for trial in range(3):
-        # Noise keeps the joint ensemble full rank so every retained mode
-        # carries variance.
-        params, states = linear_ensemble(rng, n=30, noise=0.05)
-        d = 2 + trial
-        s = build_poden(params, states, modes=d)
-        problem = AssimilationProblem(
-            x_b=params[:, 0],
-            background_cov=spd(rng, 3),
-            y_o=states[:, 1] + 0.05 * rng.standard_normal(8),
-            observation_cov=spd(rng, 8, scale=0.5),
-            bounds=wide_bounds(3),
-        )
-        closed = solve_poden3dvar(s, problem)
-        descent = solve_poden3dvar(
-            s, problem, method="descent", optimizer_config=OptimizerConfig(tol=1e-12)
-        )
-        assert np.allclose(closed.nu_a, descent.nu_a, atol=1e-8)
-        assert closed.reason == "closed_form"
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 5))
+def test_poden_closed_form_matches_descent(seed, d) -> None:
+    rng = np.random.default_rng(seed)
+    # Noise keeps the joint ensemble full rank so every retained mode
+    # carries variance.
+    params, states = linear_ensemble(rng, n=30, noise=0.05)
+    s = build_poden(params, states, modes=d)
+    problem = AssimilationProblem(
+        x_b=params[:, 0],
+        background_cov=spd(rng, 3),
+        y_o=states[:, 1] + 0.05 * rng.standard_normal(8),
+        observation_cov=spd(rng, 8, scale=0.5),
+        bounds=wide_bounds(3),
+    )
+    closed = solve_poden3dvar(s, problem)
+    # The descent runs to its gradient tolerance: its default stop on a
+    # 1e-12 relative decrease leaves up to ~1e-5 in ill-conditioned modes.
+    descent = solve_poden3dvar(
+        s, problem, method="descent", optimizer_config=OptimizerConfig(tol=1e-12, f_rel_tol=0.0)
+    )
+    assert np.allclose(closed.nu_a, descent.nu_a, atol=1e-8)
+    assert closed.reason == "closed_form"
 
 
 def test_poden_singular_normal_matrix_advises_smaller_d() -> None:
@@ -204,7 +206,6 @@ def one_parameter_surrogate(bounds=(0.0, 2.0), mean_y=1.0, sigma=0.8, c0=0.2, c1
     return PodPceSurrogate(
         state_basis=basis,
         pce=pce,
-        parameter_bounds=np.array([bounds]),
         n_members=6,
     )
 

@@ -169,6 +169,16 @@ def test_build_failure_cases_on_a_small_ensemble(chain, capsys, caplog) -> None:
     assert "non-finite snapshot entry at row 3, column 2" in capsys.readouterr().err
 
 
+def test_poden_build_rejects_max_degree(chain, capsys) -> None:
+    out = chain.ensemble(12, 3)
+    assert chain.build(3, kind="poden", modes=2, max_degree=7) == EXIT_VALIDATION
+    assert "max_degree" in capsys.readouterr().err
+    assert not (out / "surrogate.json").exists()
+    assert chain.build(3, kind="poden", modes=2) == EXIT_OK
+    assert chain.build(3, kind="podpce", modes=2, max_degree=1) == EXIT_OK
+    assert max(io.load_surrogate(out / "surrogate.json")[0].pce.selected_degrees) <= 1
+
+
 def test_v1_documents_assimilate_with_identity_scaling(tmp_path) -> None:
     """A podpce-surrogate/1 document gives the analysis the previous schema's
     program wrote for the same config, bit for bit; a poden-surrogate/1

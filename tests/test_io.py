@@ -102,7 +102,9 @@ def test_surrogate_round_trips(seed, n, d) -> None:
         for kind, surrogate in built.items():
             path = Path(tmp) / f"{kind}.json"
             io.save_surrogate(path, surrogate, scaling, seed=seed)
-            assert io.load_json(path, kind)["schema"].endswith("/2")
+            doc = io.load_json(path, kind)
+            assert doc["schema"].endswith("/2")
+            assert "parameter_bounds" not in doc  # the box lives in the scaling record only
             loaded[kind], loaded_scaling = io.load_surrogate(path)
             assert_identical(loaded[kind], surrogate)
             assert_identical(loaded_scaling, scaling)
@@ -114,11 +116,30 @@ def test_surrogate_round_trips(seed, n, d) -> None:
         assert np.array_equal(a, b)
 
 
+def test_v2_podpce_documents_ignore_a_stored_parameter_bounds(tmp_path) -> None:
+    # Early podpce-surrogate/2 documents repeat the box as parameter_bounds;
+    # the reader takes it from the scaling record alone.
+    rng = np.random.default_rng(4)
+    bounds = np.array([[0.0, 1.0], [2.0, 3.0]])
+    params = rng.uniform(bounds[:, 0], bounds[:, 1], size=(30, 2)).T
+    states = np.vstack([params[0] ** 2, params[1], params[0] * params[1]])
+    built, scaling = build_surrogates(params, states, bounds, ("podpce",), pce_degree=2, split_seed=1, modes=2)
+    path = tmp_path / "podpce.json"
+    io.save_surrogate(path, built["podpce"], scaling)
+    doc = json.loads(path.read_text())
+    doc["parameter_bounds"] = [[-9.0, 9.0], [-9.0, 9.0]]
+    path.write_text(json.dumps(doc))
+    loaded, loaded_scaling = io.load_surrogate(path)
+    assert_identical(loaded, built["podpce"])
+    assert_identical(loaded_scaling, scaling)
+
+
 def test_v1_surrogate_documents_load_with_identity_scaling() -> None:
     podpce, scaling = io.load_surrogate(DATA / "podpce_v1.json")
     assert isinstance(podpce, PodPceSurrogate) and podpce.d == 2
-    assert np.array_equal(scaling.bounds, podpce.parameter_bounds)
-    assert np.array_equal(scaling.box, podpce.parameter_bounds)
+    declared = np.array(json.loads((DATA / "podpce_v1.json").read_text())["parameter_bounds"])
+    assert np.array_equal(scaling.bounds, declared)
+    assert np.array_equal(scaling.box, declared)
     for standardizer, m in ((scaling.params, 2), (scaling.states, 4)):
         assert np.array_equal(standardizer.mean, np.zeros(m))
         assert np.array_equal(standardizer.std, np.ones(m))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from romda.optimize import OptimizerConfig, bounded_quasi_newton, projected_gradient
 
@@ -57,6 +58,38 @@ def test_trace_is_nonincreasing() -> None:
     diffs = np.diff(res.f_trace)
     assert np.all(diffs <= 1e-15)
     assert len(res.f_trace) == len(res.grad_norms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 6))
+def test_trace_is_monotone_and_iterates_stay_in_bounds(seed, dim) -> None:
+    # A nonconvex objective whose unconstrained minimum may lie outside a
+    # random box, some of whose sides are infinite.
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((dim + 2, dim))
+    h = a.T @ a + 0.1 * np.eye(dim)
+    b = 3.0 * rng.standard_normal(dim)
+    lower = rng.uniform(-2.0, 0.0, dim)
+    upper = rng.uniform(0.1, 2.0, dim)
+    lower[rng.random(dim) < 0.2] = -np.inf
+    upper[rng.random(dim) < 0.2] = np.inf
+    evaluated = []
+
+    def f(x):
+        evaluated.append(x.copy())
+        return float(0.5 * x @ h @ x - b @ x + np.sum(np.sin(x) ** 2))
+
+    def g(x):
+        evaluated.append(x.copy())
+        return h @ x - b + np.sin(2.0 * x)
+
+    x0 = np.clip(rng.uniform(-1.0, 1.0, dim), lower, upper)
+    res = bounded_quasi_newton(f, g, x0, np.column_stack([lower, upper]))
+    assert np.all(np.diff(res.f_trace) <= 1e-15)
+    assert res.f_trace[-1] == res.f
+    assert len(res.f_trace) == len(res.grad_norms)
+    points = np.array(evaluated + [res.x])
+    assert np.all(points >= lower) and np.all(points <= upper)
 
 
 def test_starts_at_bound_with_outward_gradient() -> None:

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import solve_triangular
 
 from romda.pce import (
     PceConfig,
@@ -21,7 +22,8 @@ from romda.pce import (
     _hermite_values,
     _legendre_derivatives,
     _legendre_values,
-    _ols_with_loo,
+    _lars_path,
+    _prefix_scores,
 )
 
 
@@ -151,15 +153,32 @@ def test_corrected_loo_dominates_training_mse() -> None:
     samples = rng.uniform(-1.0, 1.0, size=(80, 2))
     psi = design_matrix(samples, basis)
     y = np.sin(2.0 * samples[:, 0]) + 0.3 * rng.standard_normal(80)
-    # Nested designs along a plausible path: every model's corrected LOO
-    # bounds its own training error from above.
+    # Nested designs along a plausible path: each model's LOO bounds its
+    # training error from above and its corrected LOO bounds its LOO, in the
+    # per-prefix oracle and in the one-factor scores alike.
+    scores = _prefix_scores(*np.linalg.qr(psi), y)
+    assert scores.size == 15
     for p_cols in (1, 3, 6, 10, 15):
-        fitted = _ols_with_loo(psi[:, :p_cols], y)
-        assert fitted is not None
-        coef, loo, corrected = fitted
+        coef, loo, corrected = ols_with_loo(psi[:, :p_cols], y)
         mse = float(np.mean((y - psi[:, :p_cols] @ coef) ** 2))
         assert loo >= mse - 1e-12
         assert corrected >= loo - 1e-12
+        assert scores[p_cols - 1] >= loo - 1e-12
+        assert scores[p_cols - 1] == pytest.approx(corrected, rel=1e-10)
+
+
+def test_prefix_scores_stop_at_the_first_rank_deficient_block() -> None:
+    rng = np.random.default_rng(16)
+    basis = unit_basis(3, m_x=2)
+    samples = rng.uniform(-1.0, 1.0, size=(40, 2))
+    psi = design_matrix(samples, basis)
+    y = np.cos(samples[:, 1]) + 0.1 * rng.standard_normal(40)
+    design = psi[:, [0, 1, 2, 1, 3]]  # the fourth column repeats the second
+    assert ols_with_loo(design[:, :4], y) is None
+    scores = _prefix_scores(*np.linalg.qr(design), y)
+    assert scores.size == 3
+    for p_cols in (1, 2, 3):
+        assert scores[p_cols - 1] == pytest.approx(ols_with_loo(design[:, :p_cols], y)[2], rel=1e-10)
 
 
 def test_lars_path_is_monotone_nested() -> None:
@@ -173,8 +192,6 @@ def test_lars_path_is_monotone_nested() -> None:
         + 0.8 * psi[:, 5]
         + 0.05 * rng.standard_normal(120)
     )
-    from romda.pce import _lars_path
-
     x = psi[:, 1:] - psi[:, 1:].mean(axis=0)
     x /= np.linalg.norm(x, axis=0)
     prefixes = _lars_path(x, y - y.mean(), max_active=10)
@@ -429,3 +446,153 @@ def test_vectorized_basis_matches_loop_reference_bitwise(seed, families, max_deg
             loop_standardize(basis, outside)
         with pytest.raises(ValueError, match=re.escape(str(expected.value))):
             design_matrix(outside, basis)
+
+
+# Per-prefix LARS scoring and a column-by-column step search: the references
+# for fit_lars's one QR per path and _lars_path's vectorized step.
+
+
+def ols_with_loo(design, y):
+    """Least squares fit with hat-matrix LOO and its corrected variant.
+
+    Returns (coefficients, loo, corrected_loo); None if the design is
+    numerically rank deficient.
+    """
+    n, p = design.shape
+    q, r = np.linalg.qr(design)
+    diag = np.abs(np.diag(r))
+    if diag.min() <= 1e-12 * max(diag.max(), 1.0):
+        return None
+    coef = solve_triangular(r, q.T @ y)
+    resid = y - design @ coef
+    leverage = np.einsum("ij,ij->i", q, q)
+    denom = 1.0 - leverage
+    if np.any(denom <= 1e-12):
+        return coef, np.inf, np.inf
+    loo = float(np.mean((resid / denom) ** 2))
+    if n <= p:
+        return coef, loo, np.inf
+    r_inv = solve_triangular(r, np.eye(p))
+    trace_inv = float(np.sum(r_inv**2))  # tr((Psi^T Psi)^-1)
+    correction = (n / (n - p)) * (1.0 + trace_inv)
+    return coef, loo, loo * correction
+
+
+def loop_lars_path(x, y, max_active):
+    """_lars_path with the step length searched one column at a time."""
+    n, n_cols = x.shape
+    if n_cols == 0 or max_active <= 0:
+        return []
+    mu = np.zeros(n)
+    active, barred, prefixes = [], set(), []
+    corr_floor = 1e-10 * max(float(np.linalg.norm(y)), 1.0)
+    while len(active) < max_active:
+        c = x.T @ (y - mu)
+        c_abs = np.abs(c)
+        c_abs[list(active) + list(barred)] = -np.inf
+        j_new = int(np.argmax(c_abs))
+        if not np.isfinite(c_abs[j_new]) or c_abs[j_new] <= corr_floor:
+            break
+        trial = active + [j_new]
+        signs = np.sign(c[trial])
+        signs[signs == 0.0] = 1.0
+        xa = x[:, trial] * signs[None, :]
+        try:
+            ginv_ones = np.linalg.solve(xa.T @ xa, np.ones(len(trial)))
+        except np.linalg.LinAlgError:
+            barred.add(j_new)
+            continue
+        total = float(ginv_ones.sum())
+        if total <= 1e-12:
+            barred.add(j_new)
+            continue
+        active = trial
+        prefixes.append(tuple(active))
+        if len(active) >= max_active:
+            break
+        a_norm = 1.0 / np.sqrt(total)
+        u = xa @ (a_norm * ginv_ones)
+        corr_max = float(np.max(np.abs(c[active])))
+        a = x.T @ u
+        gamma = corr_max / a_norm
+        for j in range(n_cols):
+            if j in active or j in barred:
+                continue
+            with np.errstate(divide="ignore", invalid="ignore"):
+                candidates = ((corr_max - c[j]) / (a_norm - a[j]), (corr_max + c[j]) / (a_norm + a[j]))
+            for candidate in candidates:
+                if np.isfinite(candidate) and 1e-15 < candidate < gamma:
+                    gamma = float(candidate)
+        mu = mu + gamma * u
+    return prefixes
+
+
+def per_prefix_fit(psi, targets):
+    """fit_lars's winner when every path prefix is refactored and scored.
+
+    Returns the winner (corrected LOO, coefficients, active set), the
+    longest path's design columns and every prefix's corrected LOO, None
+    where the prefix is rank deficient.
+    """
+    n, n_terms = psi.shape
+    centered = {j: psi[:, j] - psi[:, j].mean() for j in range(1, n_terms)}
+    keep = [j for j, col in centered.items() if np.linalg.norm(col) > 1e-13 * np.sqrt(n)]
+    columns = [centered[j] / np.linalg.norm(centered[j]) for j in keep]
+    x = np.column_stack(columns) if keep else np.zeros((n, 0))
+    y_c = targets - targets.mean()
+    max_active = min(len(keep), n - 1)
+    prefixes = loop_lars_path(x, y_c, max_active)
+    assert _lars_path(x, y_c, max_active) == prefixes
+    best, scores = None, []
+    for prefix in [()] + prefixes:
+        active = tuple(keep[j] for j in prefix)
+        fitted = ols_with_loo(psi[:, (0,) + active], targets)
+        scores.append(None if fitted is None else fitted[2])
+        if fitted is not None and (best is None or fitted[2] < best[0]):
+            coef = np.zeros(n_terms)
+            coef[[0, *active]] = fitted[0]
+            best = (fitted[2], coef, active)
+    return best, (0,) + active, scores
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(4, 60),
+    m_x=st.integers(1, 3),
+    max_degree=st.integers(1, 4),
+    duplicate=st.booleans(),
+)
+def test_one_factor_lars_matches_per_prefix_oracle(seed, n, m_x, max_degree, duplicate) -> None:
+    rng = np.random.default_rng(seed)
+    basis = unit_basis(max_degree, m_x=m_x)
+    samples = rng.uniform(-1.0, 1.0, size=(n, m_x))
+    psi = design_matrix(samples, basis)
+    if duplicate and basis.n_terms > 2:
+        # A repeated regressor: LARS either bars it or the prefix holding it
+        # is rank deficient, on both sides.
+        j = int(rng.integers(1, basis.n_terms - 1))
+        psi[:, j + 1] = psi[:, j]
+    # Noisy targets keep every residual, and so every LOO, away from roundoff.
+    targets = np.sin(samples @ rng.standard_normal(m_x)) + 0.2 * rng.standard_normal(n)
+    (oracle_loo, oracle_coef, oracle_active), path, oracle_scores = per_prefix_fit(psi, targets)
+
+    fit = fit_lars(psi, targets)
+    assert fit.active == oracle_active
+    assert np.array_equal(fit.coefficients, oracle_coef)
+    assert fit.loo_error == pytest.approx(oracle_loo, rel=1e-10)
+
+    # Every prefix is scored alike, and scoring stops at the first deficient
+    # one. A prefix's LOO divides by its 1 - h_i, so both computations agree
+    # to 1e-10 relative over the smallest of those.
+    q, r = np.linalg.qr(psi[:, path])
+    scores = _prefix_scores(q, r, targets)
+    valid = [score for score in oracle_scores if score is not None]
+    assert oracle_scores[: len(valid)] == valid
+    assert scores.size == len(valid)
+    valid = np.array(valid)
+    finite = np.isfinite(valid)
+    assert np.array_equal(np.isfinite(scores), finite)
+    slack = 1.0 - np.max(np.cumsum(q * q, axis=1), axis=0)[: scores.size]
+    ours, oracle, slack = scores[finite], valid[finite], slack[finite]
+    assert np.all(np.abs(ours - oracle) <= 1e-10 * oracle / slack)

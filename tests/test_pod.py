@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from romda.pod import PodBasis, SnapshotMatrix, evr, fit_pod, project, reconstruct, truncate
 
@@ -248,3 +249,47 @@ def test_snapshot_matrix_wrapper() -> None:
     plain = fit_pod(data)
     assert np.array_equal(basis.modes, plain.modes)
     assert np.array_equal(basis.singular_values, plain.singular_values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 40),
+    extra=st.floats(0.01, 2.0),
+    rank=st.integers(1, 12),
+    noise=st.sampled_from([0.0, 1e-13]),
+    data=st.data(),
+)
+def test_wide_snapshot_matrices_match_a_plain_svd(seed, m, extra, rank, noise, data) -> None:
+    # n > m: below and above the ratio where fit_pod switches to QR-first.
+    # A planted spectrum 1, 1/2, 1/4, ... keeps the retained subspaces
+    # separated; the optional noise has spectral norm 1e-13 sigma_1, below
+    # the zero threshold.
+    rng = np.random.default_rng(seed)
+    n = m + 1 + int(extra * m)
+    rank = min(rank, m)
+    phi = random_orthonormal(rng, m, rank)
+    coeff = rng.standard_normal((n, rank))
+    coeff, _ = np.linalg.qr(coeff - coeff.mean(axis=0))  # zero-mean columns
+    planted = 0.5 ** np.arange(rank)
+    snapshots = rng.uniform(-3.0, 3.0, m)[:, None] + (phi * planted) @ coeff.T
+    if noise:
+        jitter = rng.standard_normal((m, n))
+        snapshots += noise * jitter / np.linalg.norm(jitter, 2)
+    basis = fit_pod(snapshots)
+
+    centered = snapshots - snapshots.mean(axis=1, keepdims=True)
+    u, svals, _ = np.linalg.svd(centered, full_matrices=False)
+    assert basis.modes.shape == (m, m) and basis.coefficients.shape == (n, m)
+    assert np.all(np.abs(basis.singular_values - svals) <= 1e-13 * svals[0])
+    assert basis.nonzero_rank == rank
+
+    d = data.draw(st.integers(1, rank), label="retained")
+    ours, oracle = basis.modes[:, :d], u[:, :d]
+    assert np.max(np.abs(ours @ ours.T - oracle @ oracle.T)) <= 1e-10
+
+    nz = basis.coefficients[:, :rank]
+    assert np.max(np.abs(nz.T @ nz - np.eye(rank))) <= 1e-10
+    assert np.all(basis.coefficients[:, rank:] == 0.0)
+    recon = basis.modes @ (basis.singular_values[:, None] * basis.coefficients.T)
+    assert np.linalg.norm(recon - centered) <= 1e-12 * np.linalg.norm(centered)

@@ -173,7 +173,6 @@ def hand_surrogate(delta, bias=None, lam=(4.0, 1.0), d=1, n=5):
     return PodPceSurrogate(
         state_basis=basis,
         pce=pce,
-        parameter_bounds=np.array([[0.0, 1.0]]),
         n_members=n,
     )
 
@@ -200,7 +199,6 @@ def test_metamodel_covariance_reduces_to_r_without_truncation() -> None:
             selected_degrees=(0,) * s.state_basis.n_modes,
             validation_bias=np.zeros(s.state_basis.n_modes),
         ),
-        parameter_bounds=s.parameter_bounds,
         n_members=s.n_members,
     )
     rng = np.random.default_rng(10)
@@ -243,7 +241,6 @@ def test_metamodel_covariance_trace_identity_and_psd() -> None:
             selected_degrees=s.pce.selected_degrees,
             validation_bias=np.zeros(d),
         ),
-        parameter_bounds=s.parameter_bounds,
         n_members=n,
     )
     cov0 = metamodel_error_covariance(zero_pce, r)
