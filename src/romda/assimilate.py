@@ -8,9 +8,13 @@ one whitening factor per covariance, computed on first use: the standard
 deviations of a diagonal covariance (which is never factored densely), the
 lower Cholesky factor of a dense one, or, for the augmented covariance
 R~ = R + Phi W Phi^T of a POD-PCE surrogate, R's factor plus an r-space
-correction (one thin QR of L_R^-1 Phi and one r x r Cholesky, r the number
-of modes carrying variance; the low-rank update algebra of Hager 1989), so
-no m_y x m_y matrix is built or factored. Solvers:
+correction (the low-rank update algebra of Hager 1989), so no m_y x m_y
+matrix is built or factored. The correction rests on the thin QR
+L_R^-1 Phi = Q0 R0 (r the number of modes carrying variance), which
+depends on R and the mode block alone: alpha only scales R's own factor
+and the weights W only enter an r x r Cholesky. The cells of one surrogate
+build and one R share that QR through a :class:`ModeWhitening`, whatever
+their mode count, R~ kind or alpha. Solvers:
 
 * closed-form analysis for the linear joint-decomposition surrogate
   (cancelling the gradient of the reduced quadratic cost);
@@ -79,6 +83,11 @@ class AssimilationProblem:
     _r_factor: "np.ndarray | _LowRankFactor | None" = field(
         default=None, init=False, repr=False, compare=False
     )
+    # Shared Q0 R0 of R~'s modes, set by a caller that poses many R~ problems
+    # on one surrogate build and one R.
+    _mode_whitening: "ModeWhitening | None" = field(
+        default=None, init=False, repr=False, compare=False
+    )
     _reduced: "_ReducedCost | None" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -116,7 +125,9 @@ class AssimilationProblem:
 
     def _observation_factor(self) -> "np.ndarray | _LowRankFactor":
         if self._r_factor is None:
-            self._r_factor = _whitening_factor(self.observation_cov, self.alpha_r, "observation")
+            self._r_factor = _whitening_factor(
+                self.observation_cov, self.alpha_r, "observation", self._mode_whitening
+            )
         return self._r_factor
 
     def whiten_background(self, v: np.ndarray) -> np.ndarray:
@@ -132,10 +143,13 @@ class AssimilationProblem:
 class _LowRankFactor:
     """Whitening factor of alpha (R + Phi W Phi^T), kept in r-space.
 
-    With L_R L_R^T = alpha R, L_R^-1 Phi = Q0 R0 (thin QR) and
-    C C^T = I + alpha R0 W R0^T, the factor is L_R F with
+    With L_R L_R^T = R, L_R^-1 Phi = Q0 R0 (thin QR) and
+    C C^T = I + R0 W R0^T, the factor is sqrt(alpha) L_R F with
     F = (I - Q0 Q0^T) + Q0 C Q0^T, whose inverse is
-    (I - Q0 Q0^T) + Q0 C^-1 Q0^T.
+    (I - Q0 Q0^T) + Q0 C^-1 Q0^T. Neither Q0 nor C depends on alpha:
+    whitening Phi with alpha R's factor instead would scale R0 by
+    1 / sqrt(alpha), which cancels against alpha W. So alpha enters through
+    ``base`` only, the factor of alpha R computed as for any covariance.
     """
 
     base: np.ndarray  # whitening factor of alpha R (1-D or lower 2-D)
@@ -143,20 +157,59 @@ class _LowRankFactor:
     c: np.ndarray  # (r, r) C in its lower triangle (cho_factor leaves input above it)
 
 
+class ModeWhitening:
+    """The thin QR L_R^-1 Phi = Q0 R0 of one R against one mode block.
+
+    It is the part of R~ = R + Phi W Phi^T's whitening that neither alpha
+    nor the weights W touch, so every R~ posed on the modes of one
+    surrogate build against one R can share it: each mode count, both R~
+    kinds and every alpha. An instance keeps the last QR it computed and
+    computes a new one only when a problem brings a different R or mode
+    block; whoever loops over the cells of one build and one R owns it, and
+    the QR goes when the instance does.
+    """
+
+    def __init__(self) -> None:
+        self._key: tuple[np.ndarray, np.ndarray] | None = None  # (R, modes)
+        self._qr: tuple[np.ndarray, np.ndarray] | None = None  # (Q0, R0)
+
+    def qr(self, cov: ErrorCovariance, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """(Q0, R0) for ``cov``'s R and modes, reused while they stay the same."""
+        key = self._key
+        if key is None or not (
+            np.array_equal(key[0], cov.r) and np.array_equal(key[1], cov.modes)
+        ):
+            self._qr = _whitened_modes_qr(cov, name)
+            self._key = (cov.r, cov.modes)
+        return self._qr
+
+    def share(self, problem: AssimilationProblem) -> AssimilationProblem:
+        """``problem``, set to take its R~ QR from this instance."""
+        problem._mode_whitening = self
+        return problem
+
+
+def _whitened_modes_qr(cov: ErrorCovariance, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Thin QR of L_R^-1 Phi, with L_R the whitening factor of R itself."""
+    return np.linalg.qr(_whiten(_whitening_factor(cov.r, 1.0, name), cov.modes))
+
+
 def _whitening_factor(
-    cov: np.ndarray | ErrorCovariance, alpha: float, name: str
+    cov: np.ndarray | ErrorCovariance, alpha: float, name: str,
+    shared: ModeWhitening | None = None,
 ) -> "np.ndarray | _LowRankFactor":
     """L with L L^T = alpha * cov: the standard deviations (1-D) when cov is
-    diagonal, the lower Cholesky factor (2-D) when it is dense, R's factor
-    plus its r-space correction when it is an :class:`ErrorCovariance`."""
+    diagonal, the lower Cholesky factor (2-D) when it is dense, alpha R's
+    factor plus the r-space correction when it is an
+    :class:`ErrorCovariance`, whose Q0 R0 comes from ``shared`` if given."""
     if isinstance(cov, ErrorCovariance):
         base = _whitening_factor(cov.r, alpha, name)
-        if not np.all(np.isfinite(cov.weights)):
-            raise ValueError(f"{name} covariance must be finite")
+        if not (np.all(np.isfinite(cov.weights)) and np.all(cov.weights >= 0.0)):
+            raise ValueError(f"{name} covariance weights must be finite and nonnegative")
         if cov.weights.size == 0:
             return base
-        q, r0 = np.linalg.qr(_whiten(base, cov.modes))
-        g = r0 * np.sqrt(alpha * cov.weights)  # R0 (alpha W)^1/2
+        q, r0 = shared.qr(cov, name) if shared is not None else _whitened_modes_qr(cov, name)
+        g = r0 * np.sqrt(cov.weights)  # R0 W^1/2
         c, _ = cho_factor(np.eye(g.shape[0]) + g @ g.T, lower=True)
         return _LowRankFactor(base=base, q=q, c=c)
     if cov.ndim == 2 and np.count_nonzero(cov) == np.count_nonzero(np.diagonal(cov)):

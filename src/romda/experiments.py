@@ -19,7 +19,13 @@ from typing import Collection, Iterator
 import numpy as np
 
 from . import toymodel
-from .assimilate import pose_problem, solve_classical_3dvar, solve_poden3dvar, solve_podpce3dvar
+from .assimilate import (
+    ModeWhitening,
+    pose_problem,
+    solve_classical_3dvar,
+    solve_poden3dvar,
+    solve_podpce3dvar,
+)
 from .optimize import OptimizerConfig
 from .pce import PceConfig
 from .pod import truncate
@@ -435,7 +441,16 @@ def _scored_row(
     )
 
 
-def _run_cell(builds: _Builds, cell: _Cell, observed: _Observed) -> ReportRow:
+def _run_cells(builds: _Builds, observed: _Observed, cells: Iterator[_Cell]) -> list[ReportRow]:
+    """The cells of one build against one observation: every R~ among them
+    whitens its modes with one shared QR, dropped when the cells are done."""
+    whitening = ModeWhitening()
+    return [_run_cell(builds, cell, observed, whitening) for cell in cells]
+
+
+def _run_cell(
+    builds: _Builds, cell: _Cell, observed: _Observed, whitening: ModeWhitening
+) -> ReportRow:
     """Solve one cell in standardized space and report it in physical units.
 
     A failure is logged and becomes an error row, so the sweep goes on.
@@ -444,10 +459,10 @@ def _run_cell(builds: _Builds, cell: _Cell, observed: _Observed) -> ReportRow:
     try:
         scaling = builds.scaling
         surrogate = builds.podpce[cell.d] if cell.solver == "podpce" else builds.poden[cell.d]
-        problem = pose_problem(
+        problem = whitening.share(pose_problem(
             surrogate, scaling, observed.y_o, observed.r_diag, cell.covariance,
             background_cov=observed.b_cov, alpha_b=cell.alpha_b, alpha_r=cell.alpha_r,
-        )
+        ))
         if cell.solver == "podpce":
             analysis = solve_podpce3dvar(surrogate, problem)
             surrogate_evals = analysis.evaluations
@@ -482,13 +497,13 @@ def run_twin(config: TwinConfig) -> ExperimentReport:
         for n in config.training_sizes
     }
     rows = [
-        _run_cell(builds[n], cell, observed[noise])
+        row
         for noise in config.noise_levels
         for n in config.training_sizes
-        for cell in _cells(
+        for row in _run_cells(builds[n], observed[noise], _cells(
             builds[n], config.surrogates, (config.covariance_kind,),
             experiment="twin", n=n, noise=noise,
-        )
+        ))
     ]
     return ExperimentReport(
         rows=rows,
@@ -504,15 +519,16 @@ def run_covariance_grid(config: TwinConfig) -> ExperimentReport:
     ctx = _make_context(config.seed, n, config.pce_degree)
     x_t, observed = _observe_truth(config, (config.grid_noise,))
     builds = _build_surrogates(ctx, n, ("podpce",), (config.grid_modes,), None)
-    rows = [
-        _run_cell(builds, cell, observed[config.grid_noise])
+    cells = (
+        cell
         for alpha_b in config.alpha_grid
         for alpha_r in config.alpha_grid
         for cell in _cells(
             builds, ("podpce",), (config.covariance_kind,),
             experiment="covgrid", n=n, noise=config.grid_noise, alpha_b=alpha_b, alpha_r=alpha_r,
         )
-    ]
+    )
+    rows = _run_cells(builds, observed[config.grid_noise], cells)
     size = len(config.alpha_grid)
     matrix = np.array([row.rmse_truth for row in rows]).reshape(size, size)
     return ExperimentReport(
@@ -535,14 +551,11 @@ def run_bootstrap(config: TwinConfig) -> ExperimentReport:
         builds = _build_surrogates(
             ctx, config.bootstrap_size, config.surrogates, config.mode_numbers, config.evr_threshold
         )
-        rows.extend(
-            _run_cell(builds, cell, observed[config.bootstrap_noise])
-            for cell in _cells(
-                builds, config.surrogates, (config.covariance_kind,),
-                experiment=f"bootstrap/{replicate}", n=config.bootstrap_size,
-                noise=config.bootstrap_noise,
-            )
-        )
+        rows += _run_cells(builds, observed[config.bootstrap_noise], _cells(
+            builds, config.surrogates, (config.covariance_kind,),
+            experiment=f"bootstrap/{replicate}", n=config.bootstrap_size,
+            noise=config.bootstrap_noise,
+        ))
 
     summary: dict[str, dict[str, float]] = {}
     for solver in config.surrogates:
@@ -614,12 +627,12 @@ def run_measurement(config: MeasurementConfig, y_o: np.ndarray) -> ExperimentRep
         model_runs=classical.evaluations, wall_time=classical_time,
     )
     rows = [classical_row] + [
-        _run_cell(builds[n], cell, observed)
+        row
         for n in config.training_sizes
-        for cell in _cells(
+        for row in _run_cells(builds[n], observed, _cells(
             builds[n], config.surrogates, config.covariance_kinds,
             experiment="measure", n=n, noise=config.assumed_noise,
-        )
+        ))
     ]
     return ExperimentReport(
         rows=rows,

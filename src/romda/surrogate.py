@@ -156,15 +156,17 @@ class ErrorCovariance:
     """Augmented observation-error covariance R~ = R + Phi diag(weights) Phi^T.
 
     Kept as its parts: the base R as given, the orthonormal state modes that
-    carry variance and their weights. The first ``n_retained`` columns are
-    retained modes (learning error, ``pce_term``), the rest truncated ones
-    (ensemble variance, ``pod_term``). Modes with a zero singular value or a
-    zero weight are dropped. The dense properties are for audit and tests.
+    have a nonzero singular value, and their weights. The first
+    ``n_retained`` columns are retained modes (learning error, ``pce_term``),
+    the rest truncated ones (ensemble variance, ``pod_term``). A mode whose
+    weight is zero (a floored corrected variance, say) is kept with weight
+    0, so every R~ of one surrogate build has the same mode block whatever
+    its mode count and kind. The dense properties are for audit and tests.
     """
 
     r: np.ndarray  # (m_y,) variances or (m_y, m_y) symmetric, as given
     modes: np.ndarray  # (m_y, k) orthonormal columns of the state basis
-    weights: np.ndarray  # (k,) nonzero
+    weights: np.ndarray  # (k,) >= 0
     n_retained: int  # leading columns of ``modes`` that are retained modes
     kind: str  # one of COVARIANCE_KINDS
     floored_modes: tuple[int, ...] = ()  # modes whose corrected variance hit 0
@@ -313,15 +315,11 @@ def _augmented_covariance(
     weights = basis.eigenvalues[:rank].copy()
     weights[:d] *= variances[:rank]
     weights[d:] /= surrogate.n_members - 1
-    keep = weights != 0.0
-    modes = basis.modes[:, :rank]  # a view, unless a mode is dropped below
-    if not keep.all():
-        modes, weights = modes[:, keep], weights[keep]
     return ErrorCovariance(
         r=r,
-        modes=modes,
+        modes=basis.modes[:, :rank],  # the same block for every d and kind
         weights=weights,
-        n_retained=int(np.count_nonzero(keep[:d])),
+        n_retained=min(d, rank),
         kind=kind,
         floored_modes=floored_modes,
     )

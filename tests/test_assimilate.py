@@ -1,11 +1,13 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
+from romda import assimilate
 from romda.assimilate import (
     AssimilationProblem,
     cost_3dvar,
@@ -521,7 +523,8 @@ def random_rtilde_problem(seed, d, kind, r_form, alpha_r, floored):
         "dense": spd(rng, m_y, 0.02),
     }[r_form]
     cov = observation_covariance(kind, s, r)
-    assert cov.n_retained == d - floored
+    assert cov.n_retained == d  # a floored mode stays, with weight 0
+    assert cov.weights[0] == 0.0 if floored else cov.weights[0] > 0.0
     problem = AssimilationProblem(
         x_b=np.array([0.5, 0.3]),
         background_cov=spd(rng, 2, 0.3),
@@ -546,6 +549,47 @@ def test_structured_rtilde_whitening_equals_dense_oracle(
     seed, d, kind, r_form, alpha_r, floored
 ) -> None:
     s, problem, rng = random_rtilde_problem(seed, d, kind, r_form, alpha_r, floored)
+    assert_rtilde_matches_dense_oracle(s, problem, rng)
+
+
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), r_form=st.sampled_from(["variances", "diagonal", "dense"]))
+def test_one_mode_whitening_serves_every_rtilde_cell_of_a_build(seed, r_form) -> None:
+    # One ensemble and one R: every mode count, both R~ kinds, a floored
+    # mode and several alpha_r whiten with the QR of the first cell.
+    shared = assimilate.ModeWhitening()
+    with mock.patch.object(
+        assimilate, "_whitened_modes_qr", wraps=assimilate._whitened_modes_qr
+    ) as qr:
+        for d in range(1, 5):
+            for kind in ("r_tilde", "r_tilde_corrected"):
+                for floored in (False, True):
+                    s, problem, rng = random_rtilde_problem(seed, d, kind, r_form, 1.0, floored)
+                    for alpha_r in (0.01, 1.0, 37.0):
+                        posed = shared.share(dataclasses.replace(problem, alpha_r=alpha_r))
+                        assert_rtilde_matches_dense_oracle(s, posed, rng)
+    assert qr.call_count == 1
+
+
+@pytest.mark.parametrize("where", ["weights", "empirical_errors"])
+@pytest.mark.parametrize("bad", [-1e-3, np.nan, np.inf])
+def test_rtilde_rejects_negative_or_nonfinite_weights(where, bad) -> None:
+    s, problem, _ = random_rtilde_problem(5, 2, "r_tilde", "variances", 1.0, False)
+    cov = problem.observation_cov
+    if where == "weights":
+        cov = dataclasses.replace(cov, weights=np.r_[cov.weights[:1], bad, cov.weights[2:]])
+    else:  # a tampered surrogate document's learning errors
+        errors = np.r_[bad, s.pce.empirical_errors[1:]]
+        s = dataclasses.replace(s, pce=dataclasses.replace(s.pce, empirical_errors=errors))
+        cov = observation_covariance("r_tilde", s, cov.r)
+    problem = dataclasses.replace(problem, observation_cov=cov)
+    with pytest.raises(ValueError, match="observation covariance weights must be finite"):
+        podpce_cost(s, problem, np.array([0.5, 0.3]))
+
+
+def assert_rtilde_matches_dense_oracle(s, problem, rng) -> None:
+    """podpce_cost, cost_3dvar, podpce_gradient and ||L~^-1 v||^2 of an R~
+    problem against dense Cholesky solves with alpha_r R~.matrix."""
     b_dense = problem.alpha_b * problem.background_cov
     r_dense = problem.alpha_r * problem.observation_cov.matrix
     b_fac, r_fac = cho_factor(b_dense), cho_factor(r_dense)

@@ -2,8 +2,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from romda import experiments, toymodel
+from romda import assimilate, experiments, toymodel
 from romda.experiments import (
     MeasurementConfig,
     TwinConfig,
@@ -161,19 +162,40 @@ def test_run_twin_rows_and_improvement() -> None:
     assert best < report.rows[0].rmse_truth_background
 
 
-def test_run_twin_deterministic_and_nested() -> None:
-    first = run_twin(small_config())
-    second = run_twin(small_config())
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_run_twin_deterministic_and_nested(seed) -> None:
+    first = run_twin(small_config(seed=seed))
+    second = run_twin(small_config(seed=seed))
     for a, b in zip(first.rows, second.rows):
         assert np.array_equal(a.x_a, b.x_a)
         assert a.rmse_truth == b.rmse_truth
         assert a.j_final == b.j_final
 
-    larger = run_twin(small_config(training_sizes=(60, 90)))
+    larger = run_twin(small_config(seed=seed, training_sizes=(60, 90)))
     small_rows = [r for r in larger.rows if r.n == 60]
     for a, b in zip(first.rows, small_rows):
         assert np.array_equal(a.x_a, b.x_a)
         assert a.rmse_truth == b.rmse_truth
+
+
+def test_sweeps_whiten_rtilde_modes_once_per_build_and_observation(monkeypatch) -> None:
+    qrs = []
+    whitened_modes_qr = assimilate._whitened_modes_qr
+
+    def counted(cov, name):
+        qrs.append(cov.kind)
+        return whitened_modes_qr(cov, name)
+
+    monkeypatch.setattr(assimilate, "_whitened_modes_qr", counted)
+    grid = small_config(alpha_grid=(0.1, 1.0, 10.0), grid_modes=3)
+    assert len(run_covariance_grid(grid).rows) == 9
+    assert len(qrs) == 1  # one build, one R
+
+    qrs.clear()
+    twin = small_config(noise_levels=(0.05, 0.10), training_sizes=(60, 90))
+    assert len(run_twin(twin).rows) == 8  # two mode counts per (n, noise)
+    assert len(qrs) == 4  # one per (n, noise)
 
 
 def test_run_twin_rmse_obs_nondecreasing_in_noise() -> None:

@@ -311,7 +311,9 @@ def test_augmented_covariance_parts_over_random_ensembles(seed, corrected, r_for
     )
     assert np.trace(diff) == pytest.approx(cov.weights.sum(), rel=1e-10)
     assert cov.weights.sum() == pytest.approx(gain, rel=1e-10)
-    assert np.all(cov.weights > 0.0)
+    floored = list(cov.floored_modes)  # kept with weight 0
+    assert np.all(cov.weights[floored] == 0.0)
+    assert np.all(np.delete(cov.weights, floored) > 0.0)
 
 
 def test_biased_learner_measured_bias() -> None:
