@@ -206,8 +206,6 @@ def _whitening_factor(
         base = _whitening_factor(cov.r, alpha, name)
         if not (np.all(np.isfinite(cov.weights)) and np.all(cov.weights >= 0.0)):
             raise ValueError(f"{name} covariance weights must be finite and nonnegative")
-        if cov.weights.size == 0:
-            return base
         q, r0 = shared.qr(cov, name) if shared is not None else _whitened_modes_qr(cov, name)
         g = r0 * np.sqrt(cov.weights)  # R0 W^1/2
         c, _ = cho_factor(np.eye(g.shape[0]) + g @ g.T, lower=True)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .pce import PceBasis, PceModel
-from .pod import PodBasis, SnapshotMatrix
+from .pod import PodBasis, SnapshotMatrix, numerical_rank
 from .surrogate import PodEnSurrogate, PodPceSurrogate, Scaling, Standardizer
 
 SCHEMAS = {
@@ -130,12 +130,20 @@ def _pod_body(basis: PodBasis) -> dict:
 
 
 def _pod_from_body(doc: dict) -> PodBasis:
+    """The stored basis at its numerical rank r. Columns beyond r, which
+    documents written before bases ended there carry, are dropped; a
+    retained count above r is rejected."""
+    svals = np.array(doc["singular_values"], dtype=float)
+    r = numerical_rank(svals)
+    retained = int(doc["retained"])
+    if retained > r:
+        raise ValueError(f"stored retained mode count {retained} exceeds the numerical rank {r}")
     return PodBasis(
         mean=np.array(doc["mean"], dtype=float),
-        modes=np.array(doc["modes"], dtype=float),
-        singular_values=np.array(doc["singular_values"], dtype=float),
-        coefficients=np.array(doc["coefficients"], dtype=float),
-        retained=int(doc["retained"]),
+        modes=np.array(doc["modes"], dtype=float)[:, :r],
+        singular_values=svals[:r],
+        coefficients=np.array(doc["coefficients"], dtype=float)[:, :r],
+        retained=retained,
     )
 
 

@@ -5,9 +5,11 @@ centered by its column mean and factored as U = mean + Phi * Sigma * N^T with
 orthonormal Phi (modes) and N (expansion coefficients), singular values
 Sigma sorted descending. One factorization gives Phi and Sigma: the thin SVD
 of the centered matrix, or, for an ensemble well wider than the state, the
-SVD of the triangle of its transpose's QR (see :func:`fit_pod`). Truncation
-at rank d keeps the leading d modes as the retained block; the complement
-stays in the basis.
+SVD of the triangle of its transpose's QR (see :func:`fit_pod`). A basis
+ends at the numerical rank r of the centered matrix: only the modes with a
+nonzero singular value are kept, so every mode can be inverted against.
+Truncation at rank d <= r keeps the leading d modes as the retained block;
+the other r - d modes stay in the basis.
 """
 from __future__ import annotations
 
@@ -16,8 +18,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import svd
 
-# Singular values below this fraction of the largest are treated as zero;
-# their modes are never inverted against.
+# Singular values at or below this fraction of the largest are treated as
+# zero; their modes are not kept (see numerical_rank).
 ZERO_SV_RTOL = 1e-12
 
 # Member-to-row ratio from which fit_pod factors QR-first (the measured
@@ -50,18 +52,18 @@ class PodView:
 
 @dataclass(frozen=True)
 class PodBasis:
-    """Full decomposition plus the currently retained rank.
+    """Decomposition at its numerical rank plus the currently retained rank.
 
     Immutable; safe for concurrent reads. Invariants (orthonormal modes,
-    descending singular values, reconstruction identity) are established by
-    :func:`fit_pod`, not re-checked here.
+    descending singular values above the zero threshold, reconstruction
+    identity) are established by :func:`fit_pod`, not re-checked here.
     """
 
     mean: np.ndarray  # (m,)
-    modes: np.ndarray  # (m, e), e = min(m, n)
-    singular_values: np.ndarray  # (e,) descending, >= 0
-    coefficients: np.ndarray  # (n, e), zero columns on the zero-sv block
-    retained: int  # d, 1 <= d <= e
+    modes: np.ndarray  # (m, r), r = numerical rank
+    singular_values: np.ndarray  # (r,) descending, > ZERO_SV_RTOL * sigma_1
+    coefficients: np.ndarray  # (n, r) orthonormal columns
+    retained: int  # d, 1 <= d <= r
 
     @property
     def n_modes(self) -> int:
@@ -76,13 +78,6 @@ class PodBasis:
         return self.singular_values**2
 
     @property
-    def nonzero_rank(self) -> int:
-        """Number of singular values above the zero threshold."""
-        if self.singular_values.size == 0 or self.singular_values[0] <= 0.0:
-            return 0
-        return int(np.sum(self.singular_values > ZERO_SV_RTOL * self.singular_values[0]))
-
-    @property
     def retained_view(self) -> PodView:
         d = self.retained
         return PodView(
@@ -93,24 +88,28 @@ class PodBasis:
         )
 
 
-def _first_nonfinite(data: np.ndarray) -> tuple[int, int]:
-    bad = np.argwhere(~np.isfinite(data))
-    i, j = bad[0]
-    return int(i), int(j)
+def check_finite(data: np.ndarray) -> None:
+    """Reject a snapshot matrix with a NaN or infinite entry, naming the first."""
+    if not np.all(np.isfinite(data)):
+        i, j = np.argwhere(~np.isfinite(data))[0]
+        raise ValueError(f"non-finite snapshot entry at row {i}, column {j}")
+
+
+def numerical_rank(singular_values: np.ndarray) -> int:
+    """Number of (descending) singular values above ZERO_SV_RTOL * sigma_1."""
+    svals = np.asarray(singular_values, dtype=float)
+    return int(np.sum(svals > ZERO_SV_RTOL * np.max(svals, initial=0.0)))
 
 
 def _fix_mode_signs(modes: np.ndarray) -> np.ndarray:
     """Flip column signs so each mode's largest-magnitude entry is positive."""
-    if modes.size == 0:
-        return modes
     anchor = np.argmax(np.abs(modes), axis=0)
-    signs = np.sign(modes[anchor, np.arange(modes.shape[1])])
-    signs[signs == 0.0] = 1.0
-    return modes * signs
+    return modes * np.sign(modes[anchor, np.arange(modes.shape[1])])
 
 
 def fit_pod(snapshots: SnapshotMatrix | np.ndarray) -> PodBasis:
-    """Decompose a snapshot matrix; all modes retained initially.
+    """Decompose a snapshot matrix at its numerical rank r; all r modes
+    retained initially.
 
     Modes and singular values come from one factorization of the centered
     (m, n) matrix X. When n >= WIDE_RATIO * m it takes the R-only QR of X^T,
@@ -118,10 +117,11 @@ def fit_pod(snapshots: SnapshotMatrix | np.ndarray) -> PodBasis:
     X = U S (Q W)^T; otherwise the thin SVD of X. On one BLAS thread the
     QR-first route is the faster one from that ratio on: at m = 570 it takes
     0.15 s instead of 0.19 s at n = 800 but 0.080 s instead of 0.072 s at
-    n = 400, and the two meet near n = 1.25 m at m = 400 and 570. Mode signs
-    are fixed so each mode's largest-magnitude entry is positive;
-    coefficients are the projections X^T Phi / Sigma, zero on the
-    numerically zero part of the spectrum.
+    n = 400, and the two meet near n = 1.25 m at m = 400 and 570. The modes
+    whose singular value is at or below ZERO_SV_RTOL * sigma_1 are dropped,
+    and a matrix with no variance left (r = 0) is rejected. Mode signs are
+    fixed so each mode's largest-magnitude entry is positive; coefficients
+    are the projections X^T Phi / Sigma.
     """
     if isinstance(snapshots, SnapshotMatrix):
         data = np.asarray(snapshots.data, dtype=float)
@@ -134,13 +134,10 @@ def fit_pod(snapshots: SnapshotMatrix | np.ndarray) -> PodBasis:
         raise ValueError("snapshot matrix needs at least one row")
     if n < 2:
         raise ValueError(f"need at least 2 ensemble members for POD, got {n}")
-    if not np.all(np.isfinite(data)):
-        i, j = _first_nonfinite(data)
-        raise ValueError(f"non-finite snapshot entry at row {i}, column {j}")
+    check_finite(data)
 
     mean = data.mean(axis=1)
     centered = data - mean[:, None]
-    e = min(m, n)
 
     if n >= WIDE_RATIO * m:
         # R^T is factored in place: a copy of it would raise peak memory
@@ -150,18 +147,16 @@ def fit_pod(snapshots: SnapshotMatrix | np.ndarray) -> PodBasis:
         modes = np.ascontiguousarray(modes)
     else:
         modes, svals, _ = np.linalg.svd(centered, full_matrices=False)
-    modes = _fix_mode_signs(modes)
-    nz = svals > (svals[0] * ZERO_SV_RTOL if svals[0] > 0 else np.inf)
-    # Coefficients by projection, restricted to the nonzero spectrum.
-    coeffs = np.zeros((n, e))
-    coeffs[:, nz] = (centered.T @ modes[:, nz]) / svals[nz]
-
+    r = numerical_rank(svals)
+    if r == 0:
+        raise ValueError("snapshot matrix has no variance: every member equals the mean")
+    modes, svals = _fix_mode_signs(modes[:, :r]), svals[:r]
     return PodBasis(
         mean=mean,
         modes=modes,
         singular_values=svals,
-        coefficients=coeffs,
-        retained=e,
+        coefficients=(centered.T @ modes) / svals,
+        retained=r,
     )
 
 
@@ -170,14 +165,11 @@ def evr(basis: PodBasis, d: int) -> float:
 
     Cumulative eigenvalue fraction: sum_{k<=d} sigma_k^2 / sum_k sigma_k^2.
     """
-    e = basis.n_modes
-    if not 1 <= d <= e:
-        raise ValueError(f"d must be in [1, {e}], got {d}")
+    r = basis.n_modes
+    if not 1 <= d <= r:
+        raise ValueError(f"d must be in [1, {r}], got {d}")
     lam = basis.eigenvalues
-    total = float(lam.sum())
-    if total <= 0.0:
-        raise ValueError("explained variance rate undefined for an all-zero spectrum")
-    return float(lam[:d].sum() / total)
+    return float(lam[:d].sum() / lam.sum())
 
 
 def truncate(
@@ -188,27 +180,26 @@ def truncate(
 ) -> PodBasis:
     """New basis retaining d modes, by explicit count or smallest-rank EVR.
 
-    The full decomposition is kept; the retained block of the result is
-    exposed as ``retained_view``, the first d columns of ``modes``.
+    All r modes are kept; the retained block of the result is exposed as
+    ``retained_view``, the first d columns of ``modes``.
     """
     if (modes is None) == (evr_threshold is None):
         raise ValueError("specify exactly one of modes= or evr_threshold=")
-    e = basis.n_modes
+    r = basis.n_modes
     if modes is not None:
         d = int(modes)
-        if not 1 <= d <= e:
-            raise ValueError(f"retained mode count must be in [1, {e}], got {d}")
+        if not 1 <= d <= r:
+            raise ValueError(
+                f"retained mode count must be in [1, {r}] (the numerical rank of the "
+                f"snapshots), got {d}"
+            )
     else:
         tau = float(evr_threshold)
         if not 0.0 < tau <= 1.0:
             raise ValueError(f"EVR threshold must be in (0, 1], got {tau}")
         lam = basis.eigenvalues
-        total = float(lam.sum())
-        if total <= 0.0:
-            raise ValueError("explained variance rate undefined for an all-zero spectrum")
-        ratios = np.cumsum(lam) / total
-        d = int(np.searchsorted(ratios, tau - 1e-15) + 1)
-        d = min(d, e)
+        ratios = np.cumsum(lam) / lam.sum()
+        d = min(int(np.searchsorted(ratios, tau - 1e-15) + 1), r)
     return replace(basis, retained=d)
 
 
@@ -219,14 +210,7 @@ def project(basis: PodBasis, y: np.ndarray) -> np.ndarray:
     if y.shape != (m,):
         raise ValueError(f"state vector must have shape ({m},), got {y.shape}")
     d = basis.retained
-    svals = basis.singular_values[:d]
-    top = basis.singular_values[0] if basis.n_modes else 0.0
-    if np.any(svals <= top * ZERO_SV_RTOL):
-        raise ValueError(
-            "retained block contains a numerically zero singular value; "
-            "projection is not invertible there"
-        )
-    return (basis.modes[:, :d].T @ (y - basis.mean)) / svals
+    return (basis.modes[:, :d].T @ (y - basis.mean)) / basis.singular_values[:d]
 
 
 def reconstruct(basis: PodBasis, nu: np.ndarray) -> np.ndarray:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pce import PceConfig, PceModel, pce_eval, select_degree, split_members
-from .pod import PodBasis, fit_pod, reconstruct, truncate
+from .pod import PodBasis, check_finite, fit_pod, reconstruct, truncate
 
 log = logging.getLogger(__name__)
 
@@ -46,9 +46,7 @@ class Standardizer:
         ensemble = np.asarray(ensemble, dtype=float)
         if ensemble.ndim != 2 or ensemble.shape[1] < 2:
             raise ValueError("standardizer needs a (m, n >= 2) ensemble")
-        if not np.all(np.isfinite(ensemble)):
-            i, j = np.argwhere(~np.isfinite(ensemble))[0]
-            raise ValueError(f"non-finite snapshot entry at row {i}, column {j}")
+        check_finite(ensemble)
         mean = ensemble.mean(axis=1)
         std = ensemble.std(axis=1)
         floor = 1e-12 + 1e-8 * np.abs(mean)
@@ -130,7 +128,7 @@ class PodEnSurrogate:
 class PodPceSurrogate:
     """State decomposition plus per-mode polynomial map; immutable after build."""
 
-    state_basis: PodBasis  # retained d + complement
+    state_basis: PodBasis  # retained d of its r modes
     pce: PceModel  # m_x inputs -> d modes
     n_members: int
 
@@ -155,18 +153,19 @@ class PodPceSurrogate:
 class ErrorCovariance:
     """Augmented observation-error covariance R~ = R + Phi diag(weights) Phi^T.
 
-    Kept as its parts: the base R as given, the orthonormal state modes that
-    have a nonzero singular value, and their weights. The first
-    ``n_retained`` columns are retained modes (learning error, ``pce_term``),
-    the rest truncated ones (ensemble variance, ``pod_term``). A mode whose
-    weight is zero (a floored corrected variance, say) is kept with weight
-    0, so every R~ of one surrogate build has the same mode block whatever
-    its mode count and kind. The dense properties are for audit and tests.
+    Kept as its parts: the base R as given, all r orthonormal modes of the
+    state basis (which ends at its numerical rank), and their weights. The
+    first ``n_retained`` columns are retained modes (learning error,
+    ``pce_term``), the rest truncated ones (ensemble variance, ``pod_term``).
+    A mode whose weight is zero (a floored corrected variance, say) is kept
+    with weight 0, so every R~ of one surrogate build has the same mode
+    block whatever its mode count and kind. The dense properties are for
+    audit and tests.
     """
 
     r: np.ndarray  # (m_y,) variances or (m_y, m_y) symmetric, as given
-    modes: np.ndarray  # (m_y, k) orthonormal columns of the state basis
-    weights: np.ndarray  # (k,) >= 0
+    modes: np.ndarray  # (m_y, r) the state basis's modes
+    weights: np.ndarray  # (r,) >= 0
     n_retained: int  # leading columns of ``modes`` that are retained modes
     kind: str  # one of COVARIANCE_KINDS
     floored_modes: tuple[int, ...] = ()  # modes whose corrected variance hit 0
@@ -308,18 +307,17 @@ def _augmented_covariance(
 ) -> ErrorCovariance:
     """R plus the per-mode learning ``variances`` (weights lambda_k var_k on
     the retained modes) plus the truncated-mode variance (lambda_k / (n - 1)
-    on the complement), over the modes with a nonzero singular value."""
+    on the other modes of the basis)."""
     basis = surrogate.state_basis
     d = basis.retained
-    rank = basis.nonzero_rank
-    weights = basis.eigenvalues[:rank].copy()
-    weights[:d] *= variances[:rank]
+    weights = basis.singular_values**2
+    weights[:d] *= variances
     weights[d:] /= surrogate.n_members - 1
     return ErrorCovariance(
         r=r,
-        modes=basis.modes[:, :rank],  # the same block for every d and kind
+        modes=basis.modes,  # the same block for every d and kind
         weights=weights,
-        n_retained=min(d, rank),
+        n_retained=d,
         kind=kind,
         floored_modes=floored_modes,
     )

@@ -92,9 +92,8 @@ def test_criterion_1_pod_correctness() -> None:
         basis = fit_pod(data)
         e = basis.n_modes
         orth_phi = np.max(np.abs(basis.modes.T @ basis.modes - np.eye(e)))
-        nz = basis.nonzero_rank
-        coeff_block = basis.coefficients[:, :nz]
-        orth_n = np.max(np.abs(coeff_block.T @ coeff_block - np.eye(nz)))
+        coeff_block = basis.coefficients
+        orth_n = np.max(np.abs(coeff_block.T @ coeff_block - np.eye(e)))
         evr_values = np.array([evr(basis, d) for d in range(1, e + 1)])
         monotone = np.all(np.diff(evr_values) >= -1e-14)
         last_is_one = abs(evr_values[-1] - 1.0) <= 1e-12

@@ -23,6 +23,7 @@ from romda.pod import PodBasis
 from romda.pce import PceConfig, pce_jacobian
 from romda.surrogate import (
     COVARIANCE_KINDS,
+    PodEnSurrogate,
     PodPceSurrogate,
     build_poden,
     build_podpce,
@@ -174,14 +175,21 @@ def test_poden_closed_form_matches_descent(seed, d) -> None:
 
 
 def test_poden_singular_normal_matrix_advises_smaller_d() -> None:
-    rng = np.random.default_rng(7)
-    params = rng.standard_normal((2, 12))
-    states = np.vstack([params.sum(axis=0), params.sum(axis=0)])  # rank-deficient joint matrix
-    s = build_poden(params, states, modes=4)
+    # Two equal joint mode columns (a basis fit_pod never returns) make the
+    # reduced normal matrix [[1, 1], [1, 1]] exactly.
+    column = np.array([0.5, 0.5, 0.5, 0.5])
+    basis = PodBasis(
+        mean=np.zeros(4),
+        modes=np.column_stack([column, column]),
+        singular_values=np.ones(2),
+        coefficients=np.zeros((12, 2)),
+        retained=2,
+    )
+    s = PodEnSurrogate(basis=basis, m_x=2)
     problem = AssimilationProblem(
-        x_b=params[:, 0],
+        x_b=np.array([0.3, -0.2]),
         background_cov=np.eye(2),
-        y_o=states[:, 1],
+        y_o=np.array([1.0, 2.0]),
         observation_cov=np.eye(2),
         bounds=wide_bounds(2),
     )

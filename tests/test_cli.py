@@ -10,8 +10,9 @@ from romda.assimilate import pose_problem, solve_poden3dvar, solve_podpce3dvar
 from romda.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 from romda.experiments import build_surrogates, measurement_noise_diag
 from romda.pce import PceConfig, select_degree, split_members
-from romda.pod import SnapshotMatrix
+from romda.pod import PodBasis, SnapshotMatrix
 from romda.rng import split_seed, substream_seed
+from romda.surrogate import PodEnSurrogate, Scaling, Standardizer
 
 DATA = Path(__file__).parent / "data"
 
@@ -224,48 +225,48 @@ def test_twin_command_writes_reports(tmp_path) -> None:
 
 
 def test_numerical_failure_maps_to_exit_2(tmp_path, capsys) -> None:
+    # A PODEn document whose two joint mode columns are equal (a basis fit_pod
+    # never writes): with identity scaling, B = I and R = I the reduced normal
+    # matrix is [[1, 1], [1, 1]] exactly, and the closed-form analysis must
+    # fail numerically.
     out = tmp_path / "out"
-    # Rank-one joint ensemble with 3 retained modes: the reduced normal
-    # matrix is singular and the closed-form analysis must fail numerically.
-    rng = np.random.default_rng(0)
-    g = rng.standard_normal(30)
-    params = np.outer(np.array([1.0, -2.0]), g) + np.array([[5.0], [3.0]])
-    states = np.outer(rng.standard_normal(4), g)
     out.mkdir(parents=True)
-    io.write_snapshot_csv(
-        out / "params.csv",
-        SnapshotMatrix(params, ("a", "b"), tuple(f"m{j}" for j in range(30))),
+    column = np.array([0.5, 0.5, 0.5, 0.5, 0.0, 0.0])
+    basis = PodBasis(
+        mean=np.zeros(6),
+        modes=np.column_stack([column, column]),
+        singular_values=np.ones(2),
+        coefficients=np.zeros((30, 2)),
+        retained=2,
     )
-    io.write_snapshot_csv(
-        out / "states.csv",
-        SnapshotMatrix(states, ("s0", "s1", "s2", "s3"), tuple(f"m{j}" for j in range(30))),
+    scaling = Scaling(
+        *(Standardizer(np.zeros(m), np.ones(m)) for m in (2, 4)), np.tile([-100.0, 100.0], (2, 1))
     )
-    build_cfg = write_config(
-        tmp_path,
-        "b.json",
-        {
-            "kind": "poden",
-            "parameters_csv": str(out / "params.csv"),
-            "states_csv": str(out / "states.csv"),
-            "modes": 3,
-            "bounds": [[-100.0, 100.0], [-100.0, 100.0]],
-        },
-    )
-    assert main(["build-surrogate", "--config", build_cfg, "--out", str(out)]) == EXIT_OK
-    obs = SnapshotMatrix(states[:, :1], ("s0", "s1", "s2", "s3"), ("obs",))
-    io.write_snapshot_csv(out / "obs.csv", obs)
+    io.save_surrogate(out / "surrogate.json", PodEnSurrogate(basis=basis, m_x=2), scaling)
+    write_observation(out / "obs.csv", np.array([1.0, -1.0, 2.0, 0.5]))
     assim_cfg = write_config(
         tmp_path,
         "a.json",
         {
             "surrogate": str(out / "surrogate.json"),
             "observations_csv": str(out / "obs.csv"),
-            "noise_level": 0.1,
+            "r_diag": [1.0, 1.0, 1.0, 1.0],
             "x_b": [5.0, 3.0],
         },
     )
     assert main(["assimilate", "--config", assim_cfg, "--out", str(out)]) == EXIT_NUMERICAL
     assert "smaller d" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["podpce", "poden"])
+def test_build_asking_for_more_modes_than_the_rank_fails_validation(chain, capsys, kind) -> None:
+    # 12 centered members span 11 directions, so a 12th mode does not exist.
+    out = chain.ensemble(12, 3)
+    assert chain.build(3, kind=kind, modes=12) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "[1, 11]" in err and "numerical rank" in err and "got 12" in err
+    assert not (out / "surrogate.json").exists()
+    assert chain.build(3, kind=kind, modes=11) == EXIT_OK
 
 
 def test_covgrid_command_cell_count(tmp_path) -> None:

@@ -10,7 +10,15 @@ from hypothesis import given, settings, strategies as st
 from romda import io
 from romda.experiments import TwinConfig, build_surrogates, run_twin
 from romda.pce import PceConfig
-from romda.pod import SnapshotMatrix, fit_pod, project, reconstruct, truncate
+from romda.pod import (
+    ZERO_SV_RTOL,
+    SnapshotMatrix,
+    fit_pod,
+    numerical_rank,
+    project,
+    reconstruct,
+    truncate,
+)
 from romda.surrogate import (
     PodEnSurrogate,
     PodPceSurrogate,
@@ -82,23 +90,50 @@ def assert_identical(a, b) -> None:
         assert a == b
 
 
-@settings(max_examples=15, deadline=None)
+def assert_at_rank(basis) -> None:
+    """The basis ends at its numerical rank and retains 1..r modes."""
+    r = basis.n_modes
+    assert basis.singular_values.shape == (r,) and basis.coefficients.shape[1] == r
+    assert r == numerical_rank(basis.singular_values)
+    assert np.all(basis.singular_values > ZERO_SV_RTOL * basis.singular_values[0])
+    assert 1 <= basis.retained <= r
+
+
+@settings(max_examples=20, deadline=None)
 @given(
     seed=st.integers(0, 2**16),
     n=st.integers(12, 40),
     d=st.integers(1, 3),
+    shape=st.sampled_from(["wide", "tall", "rank-deficient"]),
 )
-def test_surrogate_round_trips(seed, n, d) -> None:
+def test_surrogate_round_trips(seed, n, d, shape) -> None:
+    # Fewer state rows than members (wide), more (tall), or more rows on
+    # three planted directions (rank-deficient): the POD basis, the PCE model
+    # and both surrogate kinds come back with every array equal, at rank.
     rng = np.random.default_rng(seed)
     low = rng.uniform(-2.0, 2.0, 2)
     bounds = np.column_stack([low, low + rng.uniform(0.5, 3.0, 2)])
     params = rng.uniform(bounds[:, 0], bounds[:, 1], size=(n, 2)).T
     states = np.vstack([np.sin(params[0]), params[1] ** 2, params[0] * params[1], params[0] + params[1]])
+    if shape == "tall":
+        states = rng.standard_normal((n + 7, 4)) @ states + 0.1 * rng.standard_normal((n + 7, n))
+    elif shape == "rank-deficient":
+        states = rng.standard_normal((n + 7, 3)) @ states[:3]
     built, scaling = build_surrogates(
         params, states, bounds, ("podpce", "poden"), pce_degree=2, split_seed=seed, modes=d
     )
+    state_basis = built["podpce"].state_basis
+    assert state_basis.n_modes == {"wide": 4, "tall": n - 1, "rank-deficient": 3}[shape]
     loaded = {}
     with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "basis.json"
+        io.save_pod_basis(path, state_basis, seed=seed)
+        basis = io.load_pod_basis(path)
+        assert_identical(basis, state_basis)
+        assert_at_rank(basis)
+        path = Path(tmp) / "pce.json"
+        io.save_pce_model(path, built["podpce"].pce, seed=seed)
+        assert_identical(io.load_pce_model(path), built["podpce"].pce)
         for kind, surrogate in built.items():
             path = Path(tmp) / f"{kind}.json"
             io.save_surrogate(path, surrogate, scaling, seed=seed)
@@ -109,6 +144,7 @@ def test_surrogate_round_trips(seed, n, d) -> None:
             assert_identical(loaded[kind], surrogate)
             assert_identical(loaded_scaling, scaling)
             assert np.array_equal(loaded_scaling.box, scaling.box)
+            assert_at_rank(loaded[kind].state_basis if kind == "podpce" else loaded[kind].basis)
     z = scaling.params.transform(params[:, 0])
     assert np.array_equal(podpce_predict(loaded["podpce"], z), podpce_predict(built["podpce"], z))
     nu = np.linspace(-0.3, 0.3, d)
@@ -145,8 +181,20 @@ def test_v1_surrogate_documents_load_with_identity_scaling() -> None:
         assert np.array_equal(standardizer.std, np.ones(m))
     poden, scaling = io.load_surrogate(DATA / "poden_v1.json")
     assert isinstance(poden, PodEnSurrogate) and (poden.d, poden.m_x, poden.m_y) == (2, 2, 4)
+    # Six stored modes; the sixth (sigma = 6.5e-16) is below the zero threshold.
+    assert_at_rank(poden.basis)
+    assert poden.basis.modes.shape == (6, 5) and poden.basis.coefficients.shape == (24, 5)
     assert np.array_equal(scaling.box, np.tile([-np.inf, np.inf], (2, 1)))
     assert np.array_equal(scaling.states.std, np.ones(4))
+
+
+def test_stored_retained_above_the_rank_is_rejected(tmp_path) -> None:
+    doc = json.loads((DATA / "poden_v1.json").read_text())
+    doc["basis"]["retained"] = 6
+    path = tmp_path / "poden.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="retained mode count 6 exceeds the numerical rank 5"):
+        io.load_surrogate(path)
 
 
 def test_tampered_schema_rejected(tmp_path) -> None:

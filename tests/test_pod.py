@@ -2,7 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from romda.pod import PodBasis, SnapshotMatrix, evr, fit_pod, project, reconstruct, truncate
+from romda.io import load_pod_basis, save_pod_basis
+from romda.pod import (
+    ZERO_SV_RTOL,
+    PodBasis,
+    SnapshotMatrix,
+    evr,
+    fit_pod,
+    project,
+    reconstruct,
+    truncate,
+)
 
 
 def random_orthonormal(rng, m, k):
@@ -10,14 +20,30 @@ def random_orthonormal(rng, m, k):
     return q * np.sign(np.diag(r))[None, :]
 
 
-def test_zero_variance_matrix_gives_mean_and_zero_spectrum() -> None:
-    column = np.array([1.0, -2.0, 0.5])
-    data = np.tile(column[:, None], (1, 6))
-    basis = fit_pod(data)
-    assert np.allclose(basis.mean, column)
-    assert np.all(basis.singular_values == 0.0)
-    recon = basis.mean[:, None] + basis.modes @ np.diag(basis.singular_values) @ basis.coefficients.T
-    assert np.allclose(recon, data)
+def test_fit_rejects_a_constant_matrix() -> None:
+    # Every member equals the mean: no singular value is nonzero, so there is
+    # no mode to keep.
+    data = np.tile(np.array([1.0, -2.0, 0.5])[:, None], (1, 6))
+    with pytest.raises(ValueError, match="no variance"):
+        fit_pod(data)
+
+
+def test_no_zero_singular_value_reaches_project(tmp_path) -> None:
+    # project divides by the retained singular values without a guard: neither
+    # a fit nor a stored document can hand it a basis with a zero one.
+    data = np.tile(np.array([1.0, 2.0])[:, None], (1, 4))
+    with pytest.raises(ValueError, match="no variance"):
+        fit_pod(data)
+    zero = PodBasis(
+        mean=np.array([1.0, 2.0]),
+        modes=np.eye(2),
+        singular_values=np.zeros(2),
+        coefficients=np.zeros((4, 2)),
+        retained=2,
+    )
+    save_pod_basis(tmp_path / "zero.json", zero)
+    with pytest.raises(ValueError, match="exceeds the numerical rank 0"):
+        load_pod_basis(tmp_path / "zero.json")
 
 
 def test_planted_singular_values_recovered() -> None:
@@ -59,12 +85,11 @@ def test_orthonormality_and_round_trip(shape) -> None:
     rng = np.random.default_rng(7)
     data = rng.standard_normal(shape)
     basis = fit_pod(data)
-    e = min(shape)
-    assert basis.modes.shape == (shape[0], e)
-    assert np.allclose(basis.modes.T @ basis.modes, np.eye(e), atol=1e-10)
-    nz = basis.nonzero_rank
-    gram = basis.coefficients[:, :nz].T @ basis.coefficients[:, :nz]
-    assert np.allclose(gram, np.eye(nz), atol=1e-10)
+    r = min(shape[0], shape[1] - 1)  # centering removes one direction
+    assert basis.modes.shape == (shape[0], r) and basis.coefficients.shape == (shape[1], r)
+    assert np.allclose(basis.modes.T @ basis.modes, np.eye(r), atol=1e-10)
+    gram = basis.coefficients.T @ basis.coefficients
+    assert np.allclose(gram, np.eye(r), atol=1e-10)
     assert np.all(np.diff(basis.singular_values) <= 1e-12)
     recon = basis.mean[:, None] + basis.modes @ np.diag(basis.singular_values) @ basis.coefficients.T
     assert np.linalg.norm(recon - data) <= 1e-8 * np.linalg.norm(data)
@@ -94,36 +119,28 @@ def test_evr_values_and_monotonicity() -> None:
     basis = fit_pod(np.random.default_rng(0).standard_normal((10, 6)))
     doctored = PodBasis(
         mean=basis.mean,
-        modes=basis.modes,
-        singular_values=np.array([3.0, 1.0, 0.0, 0.0, 0.0, 0.0]),
-        coefficients=basis.coefficients,
-        retained=6,
+        modes=basis.modes[:, :2],
+        singular_values=np.array([3.0, 1.0]),
+        coefficients=basis.coefficients[:, :2],
+        retained=2,
     )
     assert evr(doctored, 1) == pytest.approx(0.9)
-    assert evr(doctored, 6) == pytest.approx(1.0, abs=1e-12)
+    assert evr(doctored, 2) == pytest.approx(1.0, abs=1e-12)
 
     two_two = PodBasis(
         mean=basis.mean,
-        modes=basis.modes,
-        singular_values=np.array([2.0, 2.0, 0.0, 0.0, 0.0, 0.0]),
-        coefficients=basis.coefficients,
-        retained=6,
+        modes=basis.modes[:, :2],
+        singular_values=np.array([2.0, 2.0]),
+        coefficients=basis.coefficients[:, :2],
+        retained=2,
     )
     assert evr(two_two, 1) == pytest.approx(0.5)
 
     values = [evr(basis, d) for d in range(1, basis.n_modes + 1)]
     assert all(b >= a - 1e-14 for a, b in zip(values, values[1:]))
     assert values[-1] == pytest.approx(1.0, abs=1e-12)
-
-    zero = PodBasis(
-        mean=basis.mean,
-        modes=basis.modes,
-        singular_values=np.zeros(6),
-        coefficients=basis.coefficients,
-        retained=6,
-    )
-    with pytest.raises(ValueError, match="all-zero spectrum"):
-        evr(zero, 1)
+    with pytest.raises(ValueError, match=r"\[1, 2\], got 3"):
+        evr(doctored, 3)
 
 
 def test_truncate_by_threshold_and_count() -> None:
@@ -131,10 +148,10 @@ def test_truncate_by_threshold_and_count() -> None:
     base = fit_pod(rng.standard_normal((8, 6)))
     doctored = PodBasis(
         mean=base.mean,
-        modes=base.modes,
-        singular_values=np.array([3.0, 1.0, 0.0, 0.0, 0.0]),
-        coefficients=base.coefficients[:, :5],
-        retained=5,
+        modes=base.modes[:, :2],
+        singular_values=np.array([3.0, 1.0]),
+        coefficients=base.coefficients[:, :2],
+        retained=2,
     )
     assert truncate(doctored, evr_threshold=0.85).retained == 1
     assert truncate(doctored, evr_threshold=0.95).retained == 2
@@ -144,11 +161,11 @@ def test_truncate_by_threshold_and_count() -> None:
     assert cut.retained == 2
     assert np.array_equal(cut.retained_view.modes, five.modes[:, :2])
     assert np.array_equal(cut.retained_view.singular_values, five.singular_values[:2])
-    # The complement stays in the truncated basis.
+    # The other modes stay in the truncated basis.
     assert np.array_equal(cut.modes, five.modes)
     assert np.array_equal(cut.singular_values, five.singular_values)
 
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"\[1, 5\].*got 6"):
         truncate(five, modes=6)
     with pytest.raises(ValueError):
         truncate(five, evr_threshold=0.0)
@@ -173,13 +190,6 @@ def test_project_basics() -> None:
     j = 3
     nu_j = project(basis, data[:, j])
     assert np.allclose(nu_j, basis.coefficients[j], atol=1e-9)
-
-
-def test_project_rejects_zero_singular_values() -> None:
-    data = np.tile(np.array([1.0, 2.0])[:, None], (1, 4))
-    basis = fit_pod(data)
-    with pytest.raises(ValueError, match="zero singular value"):
-        project(basis, np.array([1.0, 2.0]))
 
 
 def test_reconstruct_round_trips() -> None:
@@ -222,9 +232,10 @@ def test_rank_d_optimality_vs_random_bases() -> None:
         assert err_pod <= err_q + 1e-12
 
 
-def test_snapshot_method_agrees_with_direct_svd() -> None:
+def test_tall_matrix_agrees_with_direct_svd() -> None:
     # Tall matrix (m = 15 n): the spectrum, orthonormality and reconstruction
-    # still hold, checked against a plain SVD of the same data.
+    # hold, checked against a plain SVD of the same data. Centering leaves
+    # rank n - 1, and the one dropped singular value is numerically zero.
     rng = np.random.default_rng(25)
     left = rng.standard_normal((300, 6))
     right = rng.standard_normal((6, 20))
@@ -232,9 +243,10 @@ def test_snapshot_method_agrees_with_direct_svd() -> None:
     basis = fit_pod(data)
     centered = data - data.mean(axis=1, keepdims=True)
     svals_direct = np.linalg.svd(centered, compute_uv=False)
-    assert np.allclose(basis.singular_values, svals_direct, atol=1e-10 * svals_direct[0])
-    e = min(data.shape)
-    assert np.allclose(basis.modes.T @ basis.modes, np.eye(e), atol=1e-10)
+    r = data.shape[1] - 1
+    assert basis.n_modes == r and svals_direct[r] <= ZERO_SV_RTOL * svals_direct[0]
+    assert np.allclose(basis.singular_values, svals_direct[:r], atol=1e-10 * svals_direct[0])
+    assert np.allclose(basis.modes.T @ basis.modes, np.eye(r), atol=1e-10)
     recon = basis.mean[:, None] + basis.modes @ np.diag(basis.singular_values) @ basis.coefficients.T
     assert np.linalg.norm(recon - data) <= 1e-8 * np.linalg.norm(data)
 
@@ -264,7 +276,7 @@ def test_wide_snapshot_matrices_match_a_plain_svd(seed, m, extra, rank, noise, d
     # n > m: below and above the ratio where fit_pod switches to QR-first.
     # A planted spectrum 1, 1/2, 1/4, ... keeps the retained subspaces
     # separated; the optional noise has spectral norm 1e-13 sigma_1, below
-    # the zero threshold.
+    # the zero threshold, so the basis ends at the planted rank.
     rng = np.random.default_rng(seed)
     n = m + 1 + int(extra * m)
     rank = min(rank, m)
@@ -280,16 +292,15 @@ def test_wide_snapshot_matrices_match_a_plain_svd(seed, m, extra, rank, noise, d
 
     centered = snapshots - snapshots.mean(axis=1, keepdims=True)
     u, svals, _ = np.linalg.svd(centered, full_matrices=False)
-    assert basis.modes.shape == (m, m) and basis.coefficients.shape == (n, m)
-    assert np.all(np.abs(basis.singular_values - svals) <= 1e-13 * svals[0])
-    assert basis.nonzero_rank == rank
+    assert basis.modes.shape == (m, rank) and basis.coefficients.shape == (n, rank)
+    assert np.all(np.abs(basis.singular_values - svals[:rank]) <= 1e-13 * svals[0])
+    assert np.all(svals[rank:] <= ZERO_SV_RTOL * svals[0])
 
     d = data.draw(st.integers(1, rank), label="retained")
     ours, oracle = basis.modes[:, :d], u[:, :d]
     assert np.max(np.abs(ours @ ours.T - oracle @ oracle.T)) <= 1e-10
 
-    nz = basis.coefficients[:, :rank]
-    assert np.max(np.abs(nz.T @ nz - np.eye(rank))) <= 1e-10
-    assert np.all(basis.coefficients[:, rank:] == 0.0)
+    coeffs = basis.coefficients
+    assert np.max(np.abs(coeffs.T @ coeffs - np.eye(rank))) <= 1e-10
     recon = basis.modes @ (basis.singular_values[:, None] * basis.coefficients.T)
     assert np.linalg.norm(recon - centered) <= 1e-12 * np.linalg.norm(centered)

@@ -300,8 +300,8 @@ def test_augmented_covariance_parts_over_random_ensembles(seed, corrected, r_for
         cov = metamodel_error_covariance(s, r)
         var = s.empirical_errors
     basis = s.state_basis
-    lam = basis.eigenvalues[: basis.nonzero_rank]
-    gain = float(np.sum(lam[:d] * var[: lam.size]) + lam[d:].sum() / (n - 1))
+    lam = basis.eigenvalues
+    gain = float(np.sum(lam[:d] * var) + lam[d:].sum() / (n - 1))
 
     diff = cov.matrix - r_dense
     scale = max(float(np.abs(cov.matrix).max()), 1e-300)
