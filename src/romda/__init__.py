@@ -18,7 +18,7 @@ from .assimilate import (
 )
 from .optimize import OptimizerConfig, bounded_quasi_newton
 from .pce import PceConfig, PceModel, fit_lars, pce_eval, pce_jacobian, select_degree
-from .pod import PodBasis, SnapshotMatrix, evr, fit_pod, project, reconstruct, truncate
+from .pod import PodBasis, SnapshotMatrix, evr, fit_pod, reconstruct, truncate
 from .surrogate import (
     ErrorCovariance,
     PodEnSurrogate,
@@ -56,7 +56,6 @@ __all__ = [
     "pce_jacobian",
     "poden_predict",
     "podpce_predict",
-    "project",
     "reconstruct",
     "select_degree",
     "solve_classical_3dvar",

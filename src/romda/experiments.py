@@ -28,7 +28,7 @@ from .assimilate import (
 )
 from .optimize import OptimizerConfig
 from .pce import PceConfig
-from .pod import truncate
+from .pod import fit_pod, truncate
 from .rng import split_seed, substream, substream_seed
 from .surrogate import (
     COVARIANCE_KINDS,
@@ -62,6 +62,7 @@ def build_surrogates(
 ) -> tuple[dict[str, PodPceSurrogate | PodEnSurrogate], Scaling]:
     """Fit each surrogate kind in ``kinds`` ("podpce", "poden") on one
     standardized ensemble, and return them with the :class:`Scaling` used.
+    The state POD is fitted once and serves both kinds.
 
     ``params`` (m_x, n) and ``states`` (m_y, n) are physical, paired by
     column, and ``bounds`` is the physical box. Parameters are standardized
@@ -76,13 +77,13 @@ def build_surrogates(
     scaling = Scaling(params=param_std, states=Standardizer.fit(states), bounds=bounds)
     z_params = scaling.params.transform(params)
     z_states = scaling.states.transform(states)
-    truncation = {"modes": modes, "evr_threshold": evr_threshold}
+    shared = {"modes": modes, "evr_threshold": evr_threshold, "state_basis": fit_pod(z_states)}
     built: dict[str, PodPceSurrogate | PodEnSurrogate] = {}
     if "podpce" in kinds:
         config = PceConfig(scaling.box, pce_degree)
-        built["podpce"] = build_podpce(z_params, z_states, config, split_seed, **truncation)
+        built["podpce"] = build_podpce(z_params, z_states, config, split_seed, **shared)
     if "poden" in kinds:
-        built["poden"] = build_poden(z_params, z_states, **truncation)
+        built["poden"] = build_poden(z_params, z_states, **shared)
     return built, scaling
 
 

@@ -38,16 +38,30 @@ class OptimizeResult:
     grad_norms: list[float] = field(default_factory=list)
 
 
-def projected_gradient(x: np.ndarray, grad: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """Gradient with components into an active bound zeroed out."""
-    pg = grad.copy()
-    span = np.where(np.isfinite(upper - lower), upper - lower, 1.0)
-    edge = 1e-12 * np.maximum(span, 1.0)
-    at_lower = np.isfinite(lower) & (x <= lower + edge)
-    at_upper = np.isfinite(upper) & (x >= upper - edge)
-    pg[at_lower] = np.minimum(pg[at_lower], 0.0)
-    pg[at_upper] = np.maximum(pg[at_upper], 0.0)
-    return pg
+@dataclass(frozen=True)
+class _Box:
+    """Which bounds are finite and the edges within which a point counts as
+    pressed against them; built once per descent."""
+
+    has_lower: np.ndarray
+    lower_edge: np.ndarray
+    has_upper: np.ndarray
+    upper_edge: np.ndarray
+
+    @classmethod
+    def of(cls, lower: np.ndarray, upper: np.ndarray) -> "_Box":
+        span = np.where(np.isfinite(upper - lower), upper - lower, 1.0)
+        edge = 1e-12 * np.maximum(span, 1.0)
+        return cls(np.isfinite(lower), lower + edge, np.isfinite(upper), upper - edge)
+
+    def project(self, x: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        """Gradient with components into an active bound zeroed out."""
+        pg = grad.copy()
+        at_lower = self.has_lower & (x <= self.lower_edge)
+        at_upper = self.has_upper & (x >= self.upper_edge)
+        pg[at_lower] = np.minimum(pg[at_lower], 0.0)
+        pg[at_upper] = np.maximum(pg[at_upper], 0.0)
+        return pg
 
 
 def _two_loop(grad: np.ndarray, pairs: deque) -> np.ndarray:
@@ -98,17 +112,17 @@ def bounded_quasi_newton(
     if not np.isfinite(fx) or not np.all(np.isfinite(gx)):
         raise ValueError("objective or gradient is not finite at the starting point")
 
+    box = _Box.of(lower, upper)
     pairs: deque = deque(maxlen=config.memory)
     f_trace = [fx]
-    grad_norms = [float(np.max(np.abs(projected_gradient(x, gx, lower, upper))))]
+    pg = box.project(x, gx)  # at the current point, reused until it moves
+    grad_norms = [float(np.max(np.abs(pg)))]
     converged = False
     reason = "max_iter"
     iterations = 0
 
     for iterations in range(1, config.max_iter + 1):
-        pg = projected_gradient(x, gx, lower, upper)
-        pg_norm = float(np.max(np.abs(pg))) if pg.size else 0.0
-        if pg_norm <= config.tol:
+        if grad_norms[-1] <= config.tol:
             converged, reason = True, "projected_gradient"
             iterations -= 1
             break
@@ -156,7 +170,8 @@ def bounded_quasi_newton(
         decrease = fx - f_new
         x, fx, gx = x_new, f_new, g_new
         f_trace.append(fx)
-        grad_norms.append(float(np.max(np.abs(projected_gradient(x, gx, lower, upper)))))
+        pg = box.project(x, gx)
+        grad_norms.append(float(np.max(np.abs(pg))))
         if decrease <= config.f_rel_tol * max(abs(fx), 1.0):
             converged, reason = True, "f_decrease"
             break

@@ -8,8 +8,11 @@ of the centered matrix, or, for an ensemble well wider than the state, the
 SVD of the triangle of its transpose's QR (see :func:`fit_pod`). A basis
 ends at the numerical rank r of the centered matrix: only the modes with a
 nonzero singular value are kept, so every mode can be inverted against.
-Truncation at rank d <= r keeps the leading d modes as the retained block;
-the other r - d modes stay in the basis.
+Rows stacked on top of a factored matrix (PODEn's parameters over its
+states) are added by a low-rank update of its basis (see
+:func:`fit_stacked_pod`), not by a second factorization. Truncation at
+rank d <= r keeps the leading d modes as the retained block; the other
+r - d modes stay in the basis.
 """
 from __future__ import annotations
 
@@ -147,6 +150,60 @@ def fit_pod(snapshots: SnapshotMatrix | np.ndarray) -> PodBasis:
         modes = np.ascontiguousarray(modes)
     else:
         modes, svals, _ = np.linalg.svd(centered, full_matrices=False)
+    return _at_rank(mean, centered, modes, svals)
+
+
+def fit_stacked_pod(rows: np.ndarray, snapshots: np.ndarray, basis: PodBasis) -> PodBasis:
+    """Decompose the stack [rows; snapshots] from ``basis = fit_pod(snapshots)``.
+
+    A low-rank modification of the thin SVD (Brand 2006, Linear Algebra
+    Appl. 415): the k new rows are added to the basis's r modes, so the
+    (m + k, n) stack is never factored. With X = Phi Sigma V^T the centered
+    snapshots and P the centered rows:
+
+    * V = Q T is re-orthonormalized by a thin QR (the projected coefficients
+      of modes near the zero threshold are not orthonormal to working
+      precision);
+    * A = P Q and E = P - A Q^T, the part of the rows outside the span of V,
+      with the R-only QR E^T = W K;
+    * the stack is [[I, 0], [0, Phi]] C [Q W]^T with the small core
+      C = [[A, K^T], [Sigma T^T, 0]] of k + r rows, and both outer factors
+      have orthonormal columns, so the SVD C = U S Z^T gives the stack's
+      modes [[I, 0], [0, Phi]] U and singular values S.
+
+    The rank, sign and coefficient rules are fit_pod's. ``basis`` is used at
+    its numerical rank whatever its retained count; the result retains all
+    its modes.
+    """
+    rows = np.asarray(rows, dtype=float)
+    data = np.asarray(snapshots, dtype=float)
+    m, n = basis.modes.shape[0], basis.n_members
+    if data.shape != (m, n) or rows.ndim != 2 or rows.shape[1] != n:
+        raise ValueError(
+            f"rows {rows.shape} and snapshots {data.shape} do not match a basis of "
+            f"{m} rows and {n} members"
+        )
+    check_finite(rows)
+
+    row_mean = rows.mean(axis=1)
+    p_c = rows - row_mean[:, None]
+    q, t = np.linalg.qr(basis.coefficients)
+    a = p_c @ q
+    k_tri = np.linalg.qr((p_c - a @ q.T).T, mode="r")  # K of E^T = W K
+    k, r = rows.shape[0], q.shape[1]
+    core = np.zeros((k + r, r + k_tri.shape[0]))
+    core[:k, :r] = a
+    core[:k, r:] = k_tri.T
+    core[k:, :r] = basis.singular_values[:, None] * t.T
+    u, svals, _ = np.linalg.svd(core, full_matrices=False)
+    modes = np.vstack([u[:k], basis.modes @ u[k:]])
+    centered = np.vstack([p_c, data - basis.mean[:, None]])
+    return _at_rank(np.concatenate([row_mean, basis.mean]), centered, modes, svals)
+
+
+def _at_rank(mean: np.ndarray, centered: np.ndarray, modes: np.ndarray, svals: np.ndarray) -> PodBasis:
+    """The basis of the factored ``centered`` matrix at its numerical rank:
+    signs fixed, coefficients the projections X^T Phi / Sigma."""
     r = numerical_rank(svals)
     if r == 0:
         raise ValueError("snapshot matrix has no variance: every member equals the mean")
@@ -201,16 +258,6 @@ def truncate(
         ratios = np.cumsum(lam) / lam.sum()
         d = min(int(np.searchsorted(ratios, tau - 1e-15) + 1), r)
     return replace(basis, retained=d)
-
-
-def project(basis: PodBasis, y: np.ndarray) -> np.ndarray:
-    """Reduced coordinates of a state: nu = Sigma_d^-1 Phi_d^T (y - mean)."""
-    y = np.asarray(y, dtype=float)
-    m = basis.mean.shape[0]
-    if y.shape != (m,):
-        raise ValueError(f"state vector must have shape ({m},), got {y.shape}")
-    d = basis.retained
-    return (basis.modes[:, :d].T @ (y - basis.mean)) / basis.singular_values[:d]
 
 
 def reconstruct(basis: PodBasis, nu: np.ndarray) -> np.ndarray:

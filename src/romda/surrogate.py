@@ -2,9 +2,9 @@
 
 Two metamodels over an ensemble of paired parameter/state realizations:
 
-* a linear one from a joint parameter-state decomposition (the stacked
-  snapshot matrix is factored once; the mode matrix splits into parameter
-  and state blocks sharing the reduced coordinates);
+* a linear one from a joint parameter-state decomposition (the state
+  basis extended by the parameter rows; the mode matrix splits into
+  parameter and state blocks sharing the reduced coordinates);
 * a nonlinear one from a state-only decomposition whose retained expansion
   coefficients are each learned as a sparse polynomial of the parameters.
 
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pce import PceConfig, PceModel, pce_eval, select_degree, split_members
-from .pod import PodBasis, check_finite, fit_pod, reconstruct, truncate
+from .pod import PodBasis, check_finite, fit_pod, fit_stacked_pod, reconstruct, truncate
 
 log = logging.getLogger(__name__)
 
@@ -218,15 +218,21 @@ def build_poden(
     *,
     modes: int | None = None,
     evr_threshold: float | None = None,
+    state_basis: PodBasis | None = None,
 ) -> PodEnSurrogate:
     """Fit the joint linear surrogate on column-paired ensembles.
 
-    Inputs are taken as given; callers standardize rows beforehand so that
-    parameters and heterogeneous state components carry comparable weight.
+    The joint basis of the stack [params; states] is the state basis
+    extended by the parameter rows (:func:`~romda.pod.fit_stacked_pod`).
+    ``state_basis`` is ``fit_pod(states)`` when a caller already has it,
+    else it is fitted here. Inputs are taken as given; callers standardize
+    rows beforehand so that parameters and heterogeneous state components
+    carry comparable weight.
     """
     params, states = _check_pair(params, states)
-    stacked = np.vstack([params, states])
-    basis = fit_pod(stacked)
+    if state_basis is None:
+        state_basis = fit_pod(states)
+    basis = fit_stacked_pod(params, states, state_basis)
     basis = truncate(basis, modes=modes, evr_threshold=evr_threshold)
     return PodEnSurrogate(basis=basis, m_x=params.shape[0])
 
@@ -250,9 +256,11 @@ def build_podpce(
     *,
     modes: int | None = None,
     evr_threshold: float | None = None,
+    state_basis: PodBasis | None = None,
 ) -> PodPceSurrogate:
-    """Fit the nonlinear surrogate: state decomposition, then one sparse
-    polynomial per retained mode.
+    """Fit the nonlinear surrogate: state decomposition (``state_basis``,
+    fitted here when not given), then one sparse polynomial per retained
+    mode.
 
     Members are shuffled by ``split_seed`` and split 75/25 into a training
     set (coefficient fit) and a validation set (degree choice and the
@@ -263,7 +271,9 @@ def build_podpce(
     n = params.shape[1]
     train_idx, val_idx = split_members(n, split_seed)
 
-    basis = truncate(fit_pod(states), modes=modes, evr_threshold=evr_threshold)
+    if state_basis is None:
+        state_basis = fit_pod(states)
+    basis = truncate(state_basis, modes=modes, evr_threshold=evr_threshold)
     d = basis.retained
     targets = basis.coefficients[:, :d]  # (n, d)
     inputs = params.T  # (n, m_x)

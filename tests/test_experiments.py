@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from romda import assimilate, experiments, toymodel
+from romda import assimilate, experiments, surrogate, toymodel
 from romda.experiments import (
     MeasurementConfig,
     TwinConfig,
@@ -255,6 +255,37 @@ def test_run_bootstrap_builds_the_evr_selected_rank() -> None:
     assert [(row.solver, row.d) for row in report.rows] == list(expected.items())
     assert all(row.error == "" for row in report.rows)
     assert set(report.extras["summary"]) == {f"{s}/d={d}" for s, d in expected.items()}
+
+
+def test_both_kinds_share_one_state_pod(monkeypatch) -> None:
+    # PODEn's joint basis extends the POD-PCE state basis: one fit_pod per build.
+    fitted = []
+
+    def counting(data):
+        fitted.append(np.shape(data))
+        return fit_pod(data)
+
+    monkeypatch.setattr(experiments, "fit_pod", counting)
+    monkeypatch.setattr(surrogate, "fit_pod", counting)
+    params = toymodel.sample_parameters(40, 3)
+    states = toymodel.propagate(params)
+    built, _ = experiments.build_surrogates(
+        params.T, states, toymodel.PARAMETER_BOUNDS, ("podpce", "poden"),
+        pce_degree=2, split_seed=1, modes=3,
+    )
+    assert fitted == [states.shape]
+    assert built["poden"].m_y == built["podpce"].m_y == states.shape[0]
+
+
+@pytest.mark.parametrize("kinds", [("poden",), ("podpce", "poden")])
+def test_a_nan_parameter_is_rejected_by_name(kinds) -> None:
+    params = toymodel.sample_parameters(40, 3).T.copy()
+    states = toymodel.propagate(params.T)
+    params[1, 5] = np.nan
+    with pytest.raises(ValueError, match="non-finite snapshot entry at row 1, column 5"):
+        experiments.build_surrogates(
+            params, states, toymodel.PARAMETER_BOUNDS, kinds, pce_degree=2, split_seed=1, modes=3
+        )
 
 
 def _tiny_sweep(driver: str):

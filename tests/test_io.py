@@ -15,7 +15,6 @@ from romda.pod import (
     SnapshotMatrix,
     fit_pod,
     numerical_rank,
-    project,
     reconstruct,
     truncate,
 )
@@ -28,6 +27,13 @@ from romda.surrogate import (
 )
 
 DATA = Path(__file__).parent / "data"
+
+
+def project(basis, y):
+    """Reduced coordinates of a state, Sigma_d^-1 Phi_d^T (y - mean): the
+    oracle inverse of ``reconstruct``."""
+    d = basis.retained
+    return (basis.modes[:, :d].T @ (y - basis.mean)) / basis.singular_values[:d]
 
 
 def test_snapshot_csv_round_trip(tmp_path) -> None:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from romda.optimize import OptimizerConfig, bounded_quasi_newton, projected_gradient
+from romda.optimize import OptimizerConfig, _Box, bounded_quasi_newton
 
 
 def box(*pairs):
@@ -125,10 +125,10 @@ def test_projected_gradient_masks_active_bounds() -> None:
     lower = np.array([0.0, -np.inf])
     upper = np.array([1.0, np.inf])
     g = np.array([2.0, 2.0])
-    pg = projected_gradient(np.array([0.0, 0.0]), g, lower, upper)
+    pg = _Box.of(lower, upper).project(np.array([0.0, 0.0]), g)
     assert pg[0] == 0.0 and pg[1] == 2.0
     g = np.array([-2.0, -2.0])
-    pg = projected_gradient(np.array([1.0, 0.0]), g, lower, upper)
+    pg = _Box.of(lower, upper).project(np.array([1.0, 0.0]), g)
     assert pg[0] == 0.0 and pg[1] == -2.0
 
 

@@ -9,10 +9,17 @@ from romda.pod import (
     SnapshotMatrix,
     evr,
     fit_pod,
-    project,
+    fit_stacked_pod,
     reconstruct,
     truncate,
 )
+
+
+def project(basis, y):
+    """Reduced coordinates of a state, Sigma_d^-1 Phi_d^T (y - mean): the
+    oracle inverse of ``reconstruct``."""
+    d = basis.retained
+    return (basis.modes[:, :d].T @ (y - basis.mean)) / basis.singular_values[:d]
 
 
 def random_orthonormal(rng, m, k):
@@ -304,3 +311,74 @@ def test_wide_snapshot_matrices_match_a_plain_svd(seed, m, extra, rank, noise, d
     assert np.max(np.abs(coeffs.T @ coeffs - np.eye(rank))) <= 1e-10
     recon = basis.modes @ (basis.singular_values[:, None] * basis.coefficients.T)
     assert np.linalg.norm(recon - centered) <= 1e-12 * np.linalg.norm(centered)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from(["tall", "wide", "rank_deficient", "graded"]),
+    m_x=st.integers(1, 5),
+    rows_in_span=st.booleans(),
+    data=st.data(),
+)
+def test_stacked_update_matches_a_fit_of_the_stack(seed, shape, m_x, rows_in_span, data) -> None:
+    # The update's joint basis against fit_pod of the stacked matrix: tall
+    # (thin-SVD state fit), wide (QR-first state fit) and rank-deficient
+    # states, with the extra rows independent of the states or, when
+    # rows_in_span, linear in them (then the stack has the states' rank and
+    # the rows add nothing outside their span).
+    rng = np.random.default_rng(seed)
+    m, n = {"tall": (30, 12), "wide": (8, 30), "rank_deficient": (20, 25), "graded": (20, 25)}[shape]
+    if shape == "rank_deficient":
+        states = rng.standard_normal((m, 4)) @ rng.standard_normal((4, n))
+    elif shape == "graded":
+        # Singular values from 1 down to 1e-10: the projected coefficients of
+        # the smallest modes are orthonormal only to ~eps * sigma_1 / sigma_r.
+        coeff, _ = np.linalg.qr(rng.standard_normal((n, 12)))
+        states = (random_orthonormal(rng, m, 12) * np.logspace(0, -10, 12)) @ coeff.T
+    else:
+        states = rng.standard_normal((m, n))
+    states += rng.uniform(-3.0, 3.0, m)[:, None]
+    if rows_in_span:
+        rows = rng.standard_normal((m_x, m)) @ states
+    else:
+        rows = rng.standard_normal((m_x, n))
+    stack = np.vstack([rows, states])
+
+    joint = fit_stacked_pod(rows, states, fit_pod(states))
+    oracle = fit_pod(stack)
+    r = oracle.n_modes
+    assert joint.n_modes == r and joint.retained == r
+    sigma_1 = oracle.singular_values[0]
+    assert np.max(np.abs(joint.singular_values - oracle.singular_values)) <= 1e-13 * sigma_1
+    assert np.array_equal(joint.mean, stack.mean(axis=1))
+    assert joint.modes.flags.c_contiguous
+
+    # Retained projectors, to the accuracy that the gap after d allows.
+    d = data.draw(st.integers(1, r), label="retained")
+    svals = oracle.singular_values
+    gap = svals[d - 1] - (svals[d] if d < r else 0.0)
+    ours, want = joint.modes[:, :d], oracle.modes[:, :d]
+    assert np.max(np.abs(ours @ ours.T - want @ want.T)) <= 1e-13 * sigma_1 / gap + 1e-12
+
+    coeffs = joint.coefficients
+    # Orthonormal to the accuracy of the projection rule at the condition
+    # number of the kept spectrum.
+    assert np.max(np.abs(coeffs.T @ coeffs - np.eye(r))) <= 1e-14 * sigma_1 / svals[-1] + 1e-12
+    centered = stack - stack.mean(axis=1, keepdims=True)
+    recon = joint.modes @ (joint.singular_values[:, None] * coeffs.T)
+    assert np.linalg.norm(recon - centered) <= 1e-12 * np.linalg.norm(centered)
+
+
+def test_stacked_update_checks_its_inputs() -> None:
+    rng = np.random.default_rng(3)
+    states = rng.standard_normal((6, 9))
+    basis = fit_pod(states)
+    rows = rng.standard_normal((2, 9))
+    rows[1, 4] = np.nan
+    with pytest.raises(ValueError, match="non-finite snapshot entry at row 1, column 4"):
+        fit_stacked_pod(rows, states, basis)
+    with pytest.raises(ValueError, match="do not match"):
+        fit_stacked_pod(rng.standard_normal((2, 8)), states, basis)
+    with pytest.raises(ValueError, match="do not match"):
+        fit_stacked_pod(rng.standard_normal((2, 9)), states[:5], basis)

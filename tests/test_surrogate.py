@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from romda.pce import PceConfig, PceModel, make_basis, select_degree
-from romda.pod import PodBasis, evr, project, reconstruct, truncate
+from romda.pod import PodBasis, evr, fit_pod, reconstruct, truncate
 from romda.surrogate import (
     PodPceSurrogate,
     build_poden,
@@ -14,6 +14,13 @@ from romda.surrogate import (
     podpce_predict,
 )
 from romda import toymodel
+
+
+def project(basis, y):
+    """Reduced coordinates of a state, Sigma_d^-1 Phi_d^T (y - mean): the
+    oracle inverse of ``reconstruct``."""
+    d = basis.retained
+    return (basis.modes[:, :d].T @ (y - basis.mean)) / basis.singular_values[:d]
 
 
 def test_poden_linear_single_direction() -> None:
@@ -349,3 +356,12 @@ def test_build_rejects_mismatched_members() -> None:
             split_seed=0,
             modes=1,
         )
+
+
+def test_poden_names_a_nan_parameter_with_or_without_a_state_basis() -> None:
+    rng = np.random.default_rng(4)
+    params, states = rng.standard_normal((3, 10)), rng.standard_normal((6, 10))
+    params[2, 7] = np.nan
+    for state_basis in (None, fit_pod(states)):
+        with pytest.raises(ValueError, match="non-finite snapshot entry at row 2, column 7"):
+            build_poden(params, states, modes=2, state_basis=state_basis)
