@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .assimilate import (
     AnalysisResult,
     AssimilationProblem,
-    cost_3dvar,
     solve_classical_3dvar,
     solve_poden3dvar,
     solve_podpce3dvar,
@@ -47,7 +46,6 @@ __all__ = [
     "build_poden",
     "build_podpce",
     "corrected_error_covariance",
-    "cost_3dvar",
     "evr",
     "fit_lars",
     "fit_pod",

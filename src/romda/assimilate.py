@@ -305,16 +305,6 @@ def _observation_misfit(problem: AssimilationProblem, y: np.ndarray) -> float:
     return 0.5 * float(w @ w)
 
 
-def cost_3dvar(
-    x: np.ndarray,
-    model: Callable[[np.ndarray], np.ndarray],
-    problem: AssimilationProblem,
-) -> float:
-    """Two-term cost at ``x`` with the state produced by ``model``."""
-    x = np.asarray(x, dtype=float)
-    return _background_misfit(problem, x) + _observation_misfit(problem, np.asarray(model(x)))
-
-
 def solve_poden3dvar(
     surrogate: PodEnSurrogate,
     problem: AssimilationProblem,
@@ -422,9 +412,10 @@ class _ReducedCost:
             raise ValueError(
                 f"surrogate state dimension {surrogate.m_y} does not match problem {problem.m_y}"
             )
-        retained = surrogate.state_basis.retained_view
-        a = problem.whiten_observation(retained.modes * retained.singular_values[None, :])
-        z = problem.whiten_observation(problem.y_o - retained.mean)
+        basis = surrogate.state_basis
+        d = basis.retained
+        a = problem.whiten_observation(basis.modes[:, :d] * basis.singular_values[:d])
+        z = problem.whiten_observation(problem.y_o - basis.mean)
         q, self.t = np.linalg.qr(a)
         self.c = q.T @ z
         outside = z - q @ self.c
@@ -526,22 +517,20 @@ def solve_classical_3dvar(
     model: Callable[[np.ndarray], np.ndarray],
     problem: AssimilationProblem,
     *,
-    fd_step: np.ndarray | None = None,
     optimizer_config: OptimizerConfig | None = None,
 ) -> AnalysisResult:
     """Reference solver against the forward model itself.
 
     The gradient is approximated by central finite differences (one-sided
-    within a step of a bound), costing 2 m_x model runs per gradient.
-    Every model call is counted in ``evaluations``.
+    within a step of a bound), costing 2 m_x model runs per gradient; each
+    parameter's step is FD_STEP_FRACTION of its bound width. Every model
+    call is counted in ``evaluations``.
     """
     lower, upper = problem.bounds[:, 0], problem.bounds[:, 1]
-    if fd_step is None:
-        width = upper - lower
-        if not np.all(np.isfinite(width)):
-            raise ValueError("classical solver needs finite bounds to size its steps")
-        fd_step = FD_STEP_FRACTION * width
-    fd_step = np.asarray(fd_step, dtype=float)
+    width = upper - lower
+    if not np.all(np.isfinite(width)):
+        raise ValueError("classical solver needs finite bounds to size its steps")
+    fd_step = FD_STEP_FRACTION * width
     calls = 0
 
     def run_model(x: np.ndarray) -> np.ndarray:

@@ -165,7 +165,7 @@ def _cmd_fit_pod(args, cfg: dict) -> int:
     out = _outdir(args)
     cfg_hash = _echo_config(out, "fit-pod", cfg, args.seed)
     snap = io.read_snapshot_csv(_require(cfg, "states_csv", "fit-pod"))
-    basis = truncate(fit_pod(snap), **_truncation(cfg))
+    basis = truncate(fit_pod(snap.data), **_truncation(cfg))
     io.save_pod_basis(out / "pod_basis.json", basis, seed=args.seed, cfg_hash=cfg_hash)
     _summary(
         f"fit-pod: retained d={basis.retained} (EVR {evr(basis, basis.retained):.6f}) "

@@ -14,7 +14,7 @@ import dataclasses
 import logging
 import time
 from dataclasses import dataclass, field
-from typing import Collection, Iterator
+from typing import Callable, Collection, Iterator
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .assimilate import (
     solve_poden3dvar,
     solve_podpce3dvar,
 )
-from .optimize import OptimizerConfig
 from .pce import PceConfig
 from .pod import fit_pod, truncate
 from .rng import split_seed, substream, substream_seed
@@ -122,29 +121,13 @@ def inject_noise(
     return y_o, sigma**2
 
 
-def rmse_global(
-    y_ref: np.ndarray,
-    y_hat: np.ndarray,
-    standardizer: Standardizer,
-    *,
-    relative: bool = False,
-) -> float:
-    """Root mean square error over standardized components.
-
-    With ``relative=True`` the value is divided by the standardized
-    reference root mean square.
-    """
+def rmse_global(y_ref: np.ndarray, y_hat: np.ndarray, standardizer: Standardizer) -> float:
+    """Root mean square error over standardized components."""
     z_ref = standardizer.transform(np.asarray(y_ref, dtype=float))
     z_hat = standardizer.transform(np.asarray(y_hat, dtype=float))
     if z_ref.shape != z_hat.shape:
         raise ValueError("reference and prediction must have equal shapes")
-    rmse = float(np.sqrt(np.mean((z_hat - z_ref) ** 2)))
-    if not relative:
-        return rmse
-    ref_rms = float(np.sqrt(np.mean(z_ref**2)))
-    if ref_rms <= 0.0:
-        raise ValueError("relative RMSE undefined: standardized reference has zero RMS")
-    return rmse / ref_rms
+    return float(np.sqrt(np.mean((z_hat - z_ref) ** 2)))
 
 
 def rmse_by(
@@ -153,7 +136,7 @@ def rmse_by(
     standardizer: Standardizer,
     by: str = "variable",
 ) -> dict[str, float]:
-    """Standardized RMSE sliced by 'variable', 'station' or 'series'."""
+    """Standardized RMSE sliced by 'variable' or 'station'."""
     z_ref = standardizer.transform(np.asarray(y_ref, dtype=float))
     z_hat = standardizer.transform(np.asarray(y_hat, dtype=float))
     diff2 = toymodel.unflatten((z_hat - z_ref) ** 2)
@@ -164,32 +147,47 @@ def rmse_by(
     elif by == "station":
         for p in range(toymodel.N_STATIONS):
             out[f"P{p + 1}"] = float(np.sqrt(diff2[:, p].mean()))
-    elif by == "series":
-        for v, name in enumerate(toymodel.VARIABLES):
-            for p in range(toymodel.N_STATIONS):
-                out[f"{name}@P{p + 1}"] = float(np.sqrt(diff2[v, p].mean()))
     else:
-        raise ValueError(f"unknown grouping {by!r}, expected variable/station/series")
+        raise ValueError(f"unknown grouping {by!r}, expected variable or station")
     return out
 
 
 # Configurations and report rows --------------------------------------------------
 
 
+def _check_each(field: str, values: tuple, ok: Callable, rule: str) -> None:
+    """Reject an empty ``values`` or its first entry that fails ``ok``; the
+    message starts with ``field``."""
+    if not values:
+        raise ValueError(f"{field}: need at least one entry")
+    for value in values:
+        if not ok(value):
+            raise ValueError(f"{field}: {rule}, got {value!r}")
+
+
+# (ok, rule) of an observation noise level.
+_NOISE = (lambda level: 0.0 < level < 1.0,
+          "noise levels lie strictly in (0, 1), so the observation covariance is positive definite")
+
+
 def _check_sweep(config: "TwinConfig | MeasurementConfig") -> None:
-    """Checks shared by the sweep configurations; each message names its field."""
+    """Checks shared by the sweep configurations, made before any ensemble
+    is drawn; each message starts with its field."""
     sizes = config.training_sizes
     if any(b <= a for a, b in zip(sizes, sizes[1:])) or not sizes:
         raise ValueError("training_sizes: training sizes must be strictly increasing and nonempty")
     if min(sizes) < 8:
         raise ValueError("training_sizes: training sizes below 8 members are not supported")
-    for kind in config.surrogates:
-        if kind not in SURROGATE_KINDS:
-            raise ValueError(
-                f"surrogates: surrogate kind must be one of {SURROGATE_KINDS}, got {kind!r}"
-            )
+    _check_each("surrogates", config.surrogates, SURROGATE_KINDS.__contains__,
+                f"surrogate kind must be one of {SURROGATE_KINDS}")
     if config.evr_threshold is None and not config.mode_numbers:
         raise ValueError("mode_numbers: need mode_numbers or evr_threshold")
+    if config.mode_numbers:
+        _check_each("mode_numbers", config.mode_numbers, lambda d: d >= 1, "mode counts start at 1")
+    if config.evr_threshold is not None:
+        _check_each("evr_threshold", (config.evr_threshold,), lambda tau: 0.0 < tau <= 1.0,
+                    "EVR threshold must be in (0, 1]")
+    _check_each("pce_degree", (config.pce_degree,), lambda p: p >= 0, "degree must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -212,17 +210,18 @@ class TwinConfig:
     b_from_truth: bool = False
 
     def __post_init__(self) -> None:
-        for level in self.noise_levels + (self.grid_noise, self.bootstrap_noise):
-            if not 0.0 < level < 1.0:
-                raise ValueError(
-                    f"noise level {level} rejected: observation covariance must be "
-                    "positive definite, so levels lie strictly in (0, 1)"
-                )
+        _check_each("noise_levels", self.noise_levels, *_NOISE)
+        _check_each("grid_noise", (self.grid_noise,), *_NOISE)
+        _check_each("bootstrap_noise", (self.bootstrap_noise,), *_NOISE)
         _check_sweep(self)
-        if self.covariance_kind not in COVARIANCE_KINDS:
-            raise ValueError(f"covariance kind must be one of {COVARIANCE_KINDS}")
-        if any(a <= 0 for a in self.alpha_grid):
-            raise ValueError("alpha factors must be positive")
+        _check_each("covariance_kind", (self.covariance_kind,), COVARIANCE_KINDS.__contains__,
+                    f"covariance kind must be one of {COVARIANCE_KINDS}")
+        _check_each("alpha_grid", self.alpha_grid, lambda a: a > 0, "alpha factors must be positive")
+        _check_each("grid_modes", (self.grid_modes,), lambda d: d >= 1, "mode counts start at 1")
+        _check_each("bootstrap_replicates", (self.bootstrap_replicates,), lambda k: k >= 1,
+                    "need at least one replicate")
+        _check_each("bootstrap_size", (self.bootstrap_size,), lambda n: n >= 8,
+                    "ensembles below 8 members are not supported")
 
 
 @dataclass(frozen=True)
@@ -237,12 +236,10 @@ class MeasurementConfig:
     pce_degree: int = 3
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.assumed_noise < 1.0:
-            raise ValueError("assumed noise must be in (0, 1)")
+        _check_each("assumed_noise", (self.assumed_noise,), *_NOISE)
         _check_sweep(self)
-        for kind in self.covariance_kinds:
-            if kind not in COVARIANCE_KINDS:
-                raise ValueError(f"covariance kind must be one of {COVARIANCE_KINDS}")
+        _check_each("covariance_kinds", self.covariance_kinds, COVARIANCE_KINDS.__contains__,
+                    f"covariance kind must be one of {COVARIANCE_KINDS}")
 
 
 @dataclass
@@ -618,7 +615,7 @@ def run_measurement(config: MeasurementConfig, y_o: np.ndarray) -> ExperimentRep
 
     problem = pose_problem(None, scaling, y_o, r_diag)
     start = time.perf_counter()
-    classical = solve_classical_3dvar(model_std, problem, optimizer_config=OptimizerConfig())
+    classical = solve_classical_3dvar(model_std, problem)
     classical_time = time.perf_counter() - start
     x_a_classical = param_std.inverse(classical.x_a)
     observed = _Observed(y_o, r_diag, np.eye(4))

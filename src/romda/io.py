@@ -147,12 +147,10 @@ def _pod_from_body(doc: dict) -> PodBasis:
     )
 
 
+# fit-pod and fit-pce write pod_basis and pce_model documents for inspection;
+# no command reads them back.
 def save_pod_basis(path: str | Path, basis: PodBasis, **meta: Any) -> None:
     save_json(path, "pod_basis", _pod_body(basis), **meta)
-
-
-def load_pod_basis(path: str | Path) -> PodBasis:
-    return _pod_from_body(load_json(path, "pod_basis"))
 
 
 def _pce_body(model: PceModel) -> dict:
@@ -186,10 +184,6 @@ def _pce_from_body(doc: dict) -> PceModel:
 
 def save_pce_model(path: str | Path, model: PceModel, **meta: Any) -> None:
     save_json(path, "pce_model", _pce_body(model), **meta)
-
-
-def load_pce_model(path: str | Path) -> PceModel:
-    return _pce_from_body(load_json(path, "pce_model"))
 
 
 def save_surrogate(

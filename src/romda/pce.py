@@ -124,25 +124,6 @@ def _univariate_tables(basis: "PceBasis", t: np.ndarray, kind: dict) -> list[np.
     return tables
 
 
-def _univariate(table: dict, family: str, degree: int, t: float | np.ndarray) -> float | np.ndarray:
-    if degree < 0:
-        raise ValueError(f"degree must be >= 0, got {degree}")
-    if family not in table:
-        raise ValueError(f"unknown basis family {family!r}, expected one of {FAMILIES}")
-    values = table[family](degree, np.atleast_1d(t))[degree]
-    return float(values[0]) if np.isscalar(t) else values
-
-
-def univariate_eval(family: str, degree: int, t: float | np.ndarray) -> float | np.ndarray:
-    """Orthonormalized univariate polynomial value at standardized ``t``."""
-    return _univariate(_VALUES, family, degree, t)
-
-
-def univariate_derivative(family: str, degree: int, t: float | np.ndarray) -> float | np.ndarray:
-    """Derivative in ``t`` of :func:`univariate_eval`."""
-    return _univariate(_DERIVATIVES, family, degree, t)
-
-
 # Multi-indices and the basis skeleton ----------------------------------------
 
 
@@ -208,7 +189,8 @@ class PceBasis:
         families = np.array(self.families)
         return {f: np.flatnonzero(families == f) for f in FAMILIES if f in self.families}
 
-    def standardize(self, samples: np.ndarray, *, check_bounds: bool = True) -> np.ndarray:
+    def standardize(self, samples: np.ndarray) -> np.ndarray:
+        """t = (x - offset) / scale; a bounded input outside its box is rejected."""
         samples = np.atleast_2d(np.asarray(samples, dtype=float))
         if samples.shape[1] != self.input_dim:
             raise ValueError(
@@ -216,7 +198,7 @@ class PceBasis:
             )
         t = (samples - self.offsets[None, :]) / self.scales[None, :]
         bounded = self.family_inputs.get("legendre")
-        if check_bounds and bounded is not None:
+        if bounded is not None:
             over = np.abs(t[:, bounded]) - 1.0
             worst = np.argmax(over, axis=0)  # per bounded input
             outside = over[worst, np.arange(bounded.size)] > BOUNDS_RTOL
@@ -464,10 +446,6 @@ class PceModel:
     empirical_errors: np.ndarray  # (d,)
     selected_degrees: tuple[int, ...]  # (d,)
     validation_bias: np.ndarray  # (d,)
-
-    @property
-    def output_dim(self) -> int:
-        return self.coefficients.shape[0]
 
 
 def split_members(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:

@@ -40,20 +40,6 @@ class SnapshotMatrix:
 
 
 @dataclass(frozen=True)
-class PodView:
-    """The retained column block of a decomposition."""
-
-    mean: np.ndarray  # (m,)
-    modes: np.ndarray  # (m, k)
-    singular_values: np.ndarray  # (k,)
-    coefficients: np.ndarray  # (n, k)
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return self.singular_values**2
-
-
-@dataclass(frozen=True)
 class PodBasis:
     """Decomposition at its numerical rank plus the currently retained rank.
 
@@ -80,16 +66,6 @@ class PodBasis:
     def eigenvalues(self) -> np.ndarray:
         return self.singular_values**2
 
-    @property
-    def retained_view(self) -> PodView:
-        d = self.retained
-        return PodView(
-            mean=self.mean,
-            modes=self.modes[:, :d],
-            singular_values=self.singular_values[:d],
-            coefficients=self.coefficients[:, :d],
-        )
-
 
 def check_finite(data: np.ndarray) -> None:
     """Reject a snapshot matrix with a NaN or infinite entry, naming the first."""
@@ -110,7 +86,7 @@ def _fix_mode_signs(modes: np.ndarray) -> np.ndarray:
     return modes * np.sign(modes[anchor, np.arange(modes.shape[1])])
 
 
-def fit_pod(snapshots: SnapshotMatrix | np.ndarray) -> PodBasis:
+def fit_pod(snapshots: np.ndarray) -> PodBasis:
     """Decompose a snapshot matrix at its numerical rank r; all r modes
     retained initially.
 
@@ -126,10 +102,7 @@ def fit_pod(snapshots: SnapshotMatrix | np.ndarray) -> PodBasis:
     fixed so each mode's largest-magnitude entry is positive; coefficients
     are the projections X^T Phi / Sigma.
     """
-    if isinstance(snapshots, SnapshotMatrix):
-        data = np.asarray(snapshots.data, dtype=float)
-    else:
-        data = np.asarray(snapshots, dtype=float)
+    data = np.asarray(snapshots, dtype=float)
     if data.ndim != 2:
         raise ValueError(f"snapshot data must be 2D (m, n), got shape {data.shape}")
     m, n = data.shape
@@ -237,8 +210,8 @@ def truncate(
 ) -> PodBasis:
     """New basis retaining d modes, by explicit count or smallest-rank EVR.
 
-    All r modes are kept; the retained block of the result is exposed as
-    ``retained_view``, the first d columns of ``modes``.
+    All r modes are kept; the retained block of the result is the first d
+    columns of ``modes`` and the first d singular values.
     """
     if (modes is None) == (evr_threshold is None):
         raise ValueError("specify exactly one of modes= or evr_threshold=")

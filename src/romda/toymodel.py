@@ -159,17 +159,13 @@ def check_bounds(values: np.ndarray) -> None:
             )
 
 
-def simulate(params: np.ndarray, *, enforce_bounds: bool = True) -> np.ndarray:
-    """State vector for one parameter set (K2, MTL, CTL, CTV).
-
-    ``enforce_bounds=False`` permits out-of-range probes in tests; regular
-    callers stay inside the declared parameter box.
-    """
+def simulate(params: np.ndarray) -> np.ndarray:
+    """State vector for one parameter set (K2, MTL, CTL, CTV) inside the
+    declared parameter box."""
     values = np.asarray(params, dtype=float)
     if values.shape != (4,):
         raise ValueError(f"expected 4 parameters {PARAMETER_NAMES}, got shape {values.shape}")
-    if enforce_bounds:
-        check_bounds(values)
+    check_bounds(values)
     k2, mtl, ctl, ctv = values
 
     eta = ctl * _ETA_RAW + mtl
@@ -184,12 +180,8 @@ def simulate(params: np.ndarray, *, enforce_bounds: bool = True) -> np.ndarray:
     return np.concatenate([u.ravel(), v.ravel(), eta.ravel()])
 
 
-def sample_parameters(
-    n: int,
-    seed: int,
-    bounds: np.ndarray | None = None,
-) -> np.ndarray:
-    """Uniform parameter draws, one row per member, shape (n, 4).
+def sample_parameters(n: int, seed: int) -> np.ndarray:
+    """Uniform draws in the parameter box, one row per member, shape (n, 4).
 
     Nested by construction: the first rows of a larger draw with the same
     seed coincide bit-for-bit with a smaller draw, so inclusive
@@ -197,12 +189,9 @@ def sample_parameters(
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    bounds = PARAMETER_BOUNDS if bounds is None else np.asarray(bounds, dtype=float)
-    if bounds.ndim != 2 or bounds.shape[1] != 2 or np.any(bounds[:, 0] >= bounds[:, 1]):
-        raise ValueError("bounds must be (m_x, 2) rows of low < high")
-    rng = substream(seed, "sampling")
-    raw = rng.random((n, bounds.shape[0]))  # row-major fill keeps draws nested in n
-    return bounds[:, 0] + raw * (bounds[:, 1] - bounds[:, 0])
+    low, high = PARAMETER_BOUNDS[:, 0], PARAMETER_BOUNDS[:, 1]
+    raw = substream(seed, "sampling").random((n, 4))  # row-major fill keeps draws nested in n
+    return low + raw * (high - low)
 
 
 def propagate(params: np.ndarray) -> np.ndarray:

@@ -10,7 +10,6 @@ from scipy.linalg import cho_factor, cho_solve
 from romda import assimilate
 from romda.assimilate import (
     AssimilationProblem,
-    cost_3dvar,
     podpce_cost,
     podpce_gradient,
     solve_classical_3dvar,
@@ -52,11 +51,17 @@ def make_problem(rng, m_x=3, m_y=6, **kwargs):
     )
 
 
+def cost(problem, x, y):
+    """The two-term cost at parameters ``x`` and state ``y``, from the problem's whitening."""
+    wb, wr = problem.whiten_background(x - problem.x_b), problem.whiten_observation(y - problem.y_o)
+    return 0.5 * float(wb @ wb) + 0.5 * float(wr @ wr)
+
+
 def test_cost_zero_at_perfect_fit() -> None:
     rng = np.random.default_rng(0)
     problem = make_problem(rng)
     model = lambda x: problem.y_o
-    assert cost_3dvar(problem.x_b, model, problem) == 0.0
+    assert cost(problem, problem.x_b, model(problem.x_b)) == 0.0
 
 
 def test_cost_unit_deviation() -> None:
@@ -71,7 +76,7 @@ def test_cost_unit_deviation() -> None:
         bounds=wide_bounds(4),
     )
     x = x_b + np.array([1.0, 0.0, 0.0, 0.0])
-    assert cost_3dvar(x, lambda _: y_o, problem) == pytest.approx(0.5)
+    assert cost(problem, x, y_o) == pytest.approx(0.5)
 
 
 def test_cost_matches_explicit_inverse_oracle() -> None:
@@ -85,7 +90,7 @@ def test_cost_matches_explicit_inverse_oracle() -> None:
         dr = model(x) - problem.y_o
         oracle = 0.5 * db @ np.linalg.inv(problem.background_cov) @ db
         oracle += 0.5 * dr @ np.linalg.inv(problem.observation_cov) @ dr
-        assert cost_3dvar(x, model, problem) == pytest.approx(oracle, rel=1e-10)
+        assert cost(problem, x, model(x)) == pytest.approx(oracle, rel=1e-10)
 
 
 def test_cost_rejects_non_pd_covariance() -> None:
@@ -99,7 +104,7 @@ def test_cost_rejects_non_pd_covariance() -> None:
         bounds=wide_bounds(3),
     )
     with pytest.raises(ValueError, match="positive definite"):
-        cost_3dvar(np.zeros(3), lambda x: np.zeros(4), problem)
+        cost(problem, np.zeros(3), np.zeros(4))
 
 
 def linear_ensemble(rng, m_x=3, m_y=8, n=40, noise=0.0):
@@ -284,7 +289,8 @@ def test_podpce_gradient_matches_finite_differences() -> None:
             problem, podpce_predict(s, x)
         )
 
-    h_y = s.state_basis.retained_view.modes * s.state_basis.retained_view.singular_values
+    d = s.state_basis.retained
+    h_y = s.state_basis.modes[:, :d] * s.state_basis.singular_values[:d]
     b_fac = cho_factor(problem.alpha_b * problem.background_cov)
     r_fac = cho_factor(problem.alpha_r * problem.observation_cov)
     for _ in range(20):
@@ -596,13 +602,14 @@ def test_rtilde_rejects_negative_or_nonfinite_weights(where, bad) -> None:
 
 
 def assert_rtilde_matches_dense_oracle(s, problem, rng) -> None:
-    """podpce_cost, cost_3dvar, podpce_gradient and ||L~^-1 v||^2 of an R~
-    problem against dense Cholesky solves with alpha_r R~.matrix."""
+    """podpce_cost, the whitened two-term cost, podpce_gradient and
+    ||L~^-1 v||^2 of an R~ problem against dense Cholesky solves with
+    alpha_r R~.matrix."""
     b_dense = problem.alpha_b * problem.background_cov
     r_dense = problem.alpha_r * problem.observation_cov.matrix
     b_fac, r_fac = cho_factor(b_dense), cho_factor(r_dense)
-    retained = s.state_basis.retained_view
-    h_y = retained.modes * retained.singular_values
+    d = s.state_basis.retained
+    h_y = s.state_basis.modes[:, :d] * s.state_basis.singular_values[:d]
     predict = lambda x: podpce_predict(s, x)
     for _ in range(4):
         x = rng.uniform([0.05, -0.85], [0.95, 1.85])
@@ -610,7 +617,7 @@ def assert_rtilde_matches_dense_oracle(s, problem, rng) -> None:
         dr = podpce_predict(s, x) - problem.y_o
         oracle = 0.5 * db @ cho_solve(b_fac, db) + 0.5 * dr @ cho_solve(r_fac, dr)
         assert podpce_cost(s, problem, x) == pytest.approx(oracle, rel=1e-10)
-        assert cost_3dvar(x, predict, problem) == pytest.approx(oracle, rel=1e-10)
+        assert cost(problem, x, predict(x)) == pytest.approx(oracle, rel=1e-10)
 
         terms = (cho_solve(b_fac, db), (h_y @ pce_jacobian(s.pce, x)).T @ cho_solve(r_fac, dr))
         scale = max(float(np.abs(t).max()) for t in terms)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import logging
 from pathlib import Path
@@ -5,12 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import romda
 from romda import cli, io, toymodel
 from romda.assimilate import pose_problem, solve_poden3dvar, solve_podpce3dvar
 from romda.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 from romda.experiments import build_surrogates, measurement_noise_diag
 from romda.pce import PceConfig, select_degree, split_members
-from romda.pod import PodBasis, SnapshotMatrix
+from romda.pod import PodBasis, SnapshotMatrix, fit_pod, truncate
 from romda.rng import split_seed, substream_seed
 from romda.surrogate import PodEnSurrogate, Scaling, Standardizer
 
@@ -89,8 +91,12 @@ def test_fit_pod_and_surrogate_pipeline(chain, tmp_path) -> None:
         tmp_path, "pod.json", {"states_csv": str(out / "states.csv"), "evr_threshold": 0.95}
     )
     assert main(["fit-pod", "--config", pod_cfg, "--seed", "7", "--out", str(out)]) == EXIT_OK
-    basis = io.load_pod_basis(out / "pod_basis.json")
-    assert basis.retained >= 1
+    # The document holds the POD of the CSV's snapshot data, field for field.
+    doc = io.load_json(out / "pod_basis.json", "pod_basis")
+    expected = truncate(fit_pod(io.read_snapshot_csv(out / "states.csv").data), evr_threshold=0.95)
+    assert doc["retained"] == expected.retained >= 1
+    for name in ("mean", "modes", "singular_values", "coefficients"):
+        assert np.array_equal(np.array(doc[name]), getattr(expected, name))
 
     assert chain.build(7, modes=2, max_degree=2) == EXIT_OK
     surrogate, scaling = io.load_surrogate(out / "surrogate.json")
@@ -300,6 +306,55 @@ def test_measure_command_rejects_bad_config_naming_the_field(tmp_path, capsys) -
         assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, field, value",
+    [
+        ("twin", "surrogates", []),
+        ("measure", "covariance_kinds", []),
+        ("measure", "covariance_kinds", ["q"]),
+        ("twin", "covariance_kind", "q"),
+        ("twin", "mode_numbers", [0]),
+        ("measure", "mode_numbers", [-1, 2]),
+        ("twin", "noise_levels", [0.1, 1.5]),
+        ("covgrid", "grid_noise", 1.5),
+        ("bootstrap", "bootstrap_noise", 1.5),
+        ("covgrid", "alpha_grid", [1.0, 0.0]),
+        ("measure", "assumed_noise", 1.5),
+        ("twin", "evr_threshold", 1.5),
+        ("twin", "pce_degree", -1),
+        ("covgrid", "grid_modes", 0),
+        ("bootstrap", "bootstrap_replicates", 0),
+        ("bootstrap", "bootstrap_size", 4),
+    ],
+)
+def test_sweep_config_fails_before_sampling_naming_the_field(
+    tmp_path, capsys, monkeypatch, command, field, value
+) -> None:
+    def never(*args, **kwargs):
+        raise AssertionError("an ensemble was drawn or fitted")
+
+    monkeypatch.setattr("romda.experiments.fit_pod", never)
+    monkeypatch.setattr("romda.toymodel.sample_parameters", never)
+    cfg = {field: value, **({"observations_csv": "unused.csv"} if command == "measure" else {})}
+    path = write_config(tmp_path, "cfg.json", cfg)
+    assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+
+def test_readme_command_block_lists_every_subcommand() -> None:
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    listed = [line.split()[1] for line in block.splitlines() if line.startswith("romda ")]
+    parser = cli._parser()
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(listed) == sorted(subcommands.choices)
+    assert len(listed) == len(set(listed))
+
+
+def test_every_exported_name_resolves() -> None:
+    assert [name for name in romda.__all__ if not hasattr(romda, name)] == []
+
+
 def test_workers_option_and_key_are_rejected(tmp_path, capsys) -> None:
     cfg = write_config(tmp_path, "twin.json", {"training_sizes": [40]})
     out = str(tmp_path / "out")
@@ -338,7 +393,8 @@ def test_cli_builds_split_members_with_the_driver_seed_rule(chain, tmp_path) -> 
     train, val = split_members(n, substream_seed(seed, f"split/{n}"))
     x = params.T
     expected = select_degree(x[train], targets[train], x[val], targets[val], PceConfig(bounds, 2))
-    assert np.array_equal(io.load_pce_model(out / "pce_model.json").coefficients, expected.coefficients)
+    doc = io.load_json(out / "pce_model.json", "pce_model")
+    assert np.array_equal(np.array(doc["coefficients"]), expected.coefficients)
 
 
 @pytest.fixture

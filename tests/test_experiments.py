@@ -89,9 +89,6 @@ def test_rmse_global_basics() -> None:
     shift = 0.37
     y_shifted = y + shift * stdzr.std
     assert rmse_global(y, y_shifted, stdzr) == pytest.approx(shift)
-    rel = rmse_global(y, y_shifted, stdzr, relative=True)
-    z_rms = np.sqrt(np.mean(stdzr.transform(y) ** 2))
-    assert rel == pytest.approx(shift / z_rms)
 
 
 def test_rmse_groups_recombine_to_global() -> None:
@@ -148,6 +145,25 @@ def test_sweep_configs_reject_bad_fields(field, value) -> None:
             config_type(**{field: value})
     # An EVR threshold stands in for explicit mode numbers.
     MeasurementConfig(mode_numbers=(), evr_threshold=0.95)
+
+
+@pytest.mark.parametrize("b_from_truth", [False, True])
+def test_background_covariance_from_the_truth(monkeypatch, b_from_truth) -> None:
+    # K2 sits on its prior mean, so its variance takes the 1e-12 floor.
+    x_t = (toymodel.PARAMETER_MEANS[0], 4.5, 1.2, 2.5)
+    z_t = (np.array(x_t) - toymodel.PARAMETER_MEANS) / toymodel.PARAMETER_STDS
+    expected = np.diag(np.maximum(z_t**2, 1e-12)) if b_from_truth else np.eye(4)
+    posed = []
+
+    def pose(*args, **kwargs):
+        posed.append(kwargs["background_cov"])
+        return assimilate.pose_problem(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "pose_problem", pose)
+    report = run_twin(small_config(x_t=x_t, b_from_truth=b_from_truth))
+    assert [row.error for row in report.rows] == ["", ""]
+    assert len(posed) == 2 and all(np.array_equal(b, expected) for b in posed)
+    assert expected[0, 0] == (1e-12 if b_from_truth else 1.0)
 
 
 def test_run_twin_rows_and_improvement() -> None:

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from romda import io
 from romda.experiments import TwinConfig, build_surrogates, run_twin
-from romda.pce import PceConfig
+from romda.pce import PceConfig, pce_eval
 from romda.pod import (
     ZERO_SV_RTOL,
     SnapshotMatrix,
@@ -21,6 +21,8 @@ from romda.pod import (
 from romda.surrogate import (
     PodEnSurrogate,
     PodPceSurrogate,
+    Scaling,
+    Standardizer,
     build_podpce,
     podpce_predict,
     poden_predict,
@@ -54,13 +56,28 @@ def test_snapshot_csv_round_trip(tmp_path) -> None:
     assert np.array_equal(loaded.data, snap.data)  # bit-for-bit
 
 
+def identity_scaling(bounds, m_y):
+    """Identity standardizers for a surrogate built on physical values in
+    the box ``bounds`` (m_x, 2)."""
+    params, states = (Standardizer(np.zeros(m), np.ones(m)) for m in (len(bounds), m_y))
+    return Scaling(params, states, bounds)
+
+
 def test_pod_basis_round_trip(tmp_path) -> None:
     rng = np.random.default_rng(1)
     data = rng.standard_normal((6, 10))
     basis = truncate(fit_pod(data), modes=3)
+    # fit-pod's document stores every field exactly.
     path = tmp_path / "basis.json"
     io.save_pod_basis(path, basis, seed=1)
-    loaded = io.load_pod_basis(path)
+    doc = io.load_json(path, "pod_basis")
+    for name in ("mean", "modes", "singular_values", "coefficients"):
+        assert np.array_equal(np.array(doc[name]), getattr(basis, name))
+    assert doc["retained"] == 3
+    # The same body in a surrogate document loads back to the same basis.
+    path = tmp_path / "poden.json"
+    io.save_surrogate(path, PodEnSurrogate(basis, m_x=1), identity_scaling(np.array([[-1.0, 1.0]]), 5))
+    loaded = io.load_surrogate(path)[0].basis
     assert np.array_equal(loaded.modes, basis.modes)
     assert loaded.retained == 3
     y = data[:, 4]
@@ -75,11 +92,16 @@ def test_pce_model_round_trip_predictions(tmp_path) -> None:
     params = rng.uniform(bounds[:, 0], bounds[:, 1], size=(50, 2)).T
     states = np.vstack([params[0] ** 2, params[1], params[0] * params[1]])
     s = build_podpce(params, states, PceConfig(bounds, 2), split_seed=5, modes=2)
+    # fit-pce's document stores the coefficients and degrees exactly.
     path = tmp_path / "pce.json"
     io.save_pce_model(path, s.pce, seed=2)
-    loaded = io.load_pce_model(path)
-    from romda.pce import pce_eval
-
+    doc = io.load_json(path, "pce_model")
+    assert np.array_equal(np.array(doc["coefficients"]), s.pce.coefficients)
+    assert tuple(doc["selected_degrees"]) == s.pce.selected_degrees
+    # The same body in a surrogate document predicts with the same bits.
+    path = tmp_path / "podpce.json"
+    io.save_surrogate(path, s, identity_scaling(bounds, 3), seed=2)
+    loaded = io.load_surrogate(path)[0].pce
     x = rng.uniform(bounds[:, 0], bounds[:, 1], size=(100, 2))
     assert np.array_equal(pce_eval(loaded, x), pce_eval(s.pce, x))
 
@@ -132,14 +154,6 @@ def test_surrogate_round_trips(seed, n, d, shape) -> None:
     assert state_basis.n_modes == {"wide": 4, "tall": n - 1, "rank-deficient": 3}[shape]
     loaded = {}
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "basis.json"
-        io.save_pod_basis(path, state_basis, seed=seed)
-        basis = io.load_pod_basis(path)
-        assert_identical(basis, state_basis)
-        assert_at_rank(basis)
-        path = Path(tmp) / "pce.json"
-        io.save_pce_model(path, built["podpce"].pce, seed=seed)
-        assert_identical(io.load_pce_model(path), built["podpce"].pce)
         for kind, surrogate in built.items():
             path = Path(tmp) / f"{kind}.json"
             io.save_surrogate(path, surrogate, scaling, seed=seed)
@@ -206,16 +220,14 @@ def test_stored_retained_above_the_rank_is_rejected(tmp_path) -> None:
 def test_tampered_schema_rejected(tmp_path) -> None:
     rng = np.random.default_rng(4)
     basis = fit_pod(rng.standard_normal((4, 6)))
-    path = tmp_path / "basis.json"
-    io.save_pod_basis(path, basis)
+    path = tmp_path / "poden.json"
+    io.save_surrogate(path, PodEnSurrogate(basis, m_x=1), identity_scaling(np.array([[-1.0, 1.0]]), 3))
     doc = json.loads(path.read_text())
-    doc["schema"] = "pod-basis/99"
+    doc["schema"] = "poden-surrogate/99"
     path.write_text(json.dumps(doc))
-    with pytest.raises(io.SchemaError, match="pod-basis/99"):
-        io.load_pod_basis(path)
-    doc["schema"] = "podpce-surrogate/99"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(io.SchemaError, match="podpce-surrogate/99"):
+    with pytest.raises(io.SchemaError, match="poden-surrogate/99"):
+        io.load_json(path, "poden")
+    with pytest.raises(io.SchemaError, match="poden-surrogate/99"):
         io.load_surrogate(path)
 
 

@@ -16,8 +16,6 @@ from romda.pce import (
     pce_eval,
     pce_jacobian,
     select_degree,
-    univariate_derivative,
-    univariate_eval,
     _hermite_derivatives,
     _hermite_values,
     _legendre_derivatives,
@@ -32,37 +30,51 @@ def unit_basis(max_degree, m_x=1):
     return make_basis(bounds, max_degree)
 
 
+def one_input_model(family, max_degree):
+    """The one-input expansion whose k-th output is the degree-k polynomial
+    of ``family`` (identity coefficients), standardized to [-1, 1] for
+    Legendre and to (0, 1) for Hermite, so t = x."""
+    basis = make_basis(np.array([[-1.0, 1.0] if family == "legendre" else [0.0, 1.0]]),
+                       max_degree, (family,))
+    n = basis.n_terms
+    return PceModel(basis, np.eye(n), np.zeros(n), (max_degree,) * n, np.zeros(n))
+
+
 def test_legendre_values() -> None:
-    assert univariate_eval("legendre", 0, 0.37) == pytest.approx(1.0)
-    assert univariate_eval("legendre", 1, 0.5) == pytest.approx(math.sqrt(3.0) * 0.5)
-    assert univariate_eval("legendre", 2, 1.0) == pytest.approx(math.sqrt(5.0))
+    psi = design_matrix(np.array([[0.37], [0.5], [1.0]]), unit_basis(5))
+    assert psi[0, 0] == pytest.approx(1.0)
+    assert psi[1, 1] == pytest.approx(math.sqrt(3.0) * 0.5)
+    assert psi[2, 2] == pytest.approx(math.sqrt(5.0))
     # P_b(1) = 1 for all b: normalized value is sqrt(2b + 1).
     for b in range(6):
-        assert univariate_eval("legendre", b, 1.0) == pytest.approx(math.sqrt(2 * b + 1))
-    with pytest.raises(ValueError):
-        univariate_eval("legendre", -1, 0.0)
-    for univariate in (univariate_eval, univariate_derivative):
-        with pytest.raises(ValueError, match="unknown basis family 'chebyshev'"):
-            univariate("chebyshev", 1, 0.0)
+        assert psi[2, b] == pytest.approx(math.sqrt(2 * b + 1))
+    with pytest.raises(ValueError, match="max_degree must be >= 0"):
+        unit_basis(-1)
+    with pytest.raises(ValueError, match="unknown basis family 'chebyshev'"):
+        make_basis(np.array([[-1.0, 1.0]]), 1, ("chebyshev",))
 
 
 def test_hermite_values_orthonormal_mc() -> None:
     rng = np.random.default_rng(0)
     t = rng.standard_normal(200000)
-    values = np.stack([univariate_eval("hermite", b, t) for b in range(4)])
+    values = design_matrix(t[:, None], one_input_model("hermite", 3).basis).T
     gram = values @ values.T / t.size
     assert np.allclose(gram, np.eye(4), atol=0.05)
 
 
 def test_univariate_derivatives() -> None:
-    assert univariate_derivative("legendre", 0, 0.3) == 0.0
-    assert univariate_derivative("hermite", 0, 0.3) == 0.0
+    def derivative(family, degree, t):
+        return pce_jacobian(one_input_model(family, 3), np.array([t]))[degree, 0]
+
+    assert derivative("legendre", 0, 0.3) == 0.0
+    assert derivative("hermite", 0, 0.3) == 0.0
     for t in (-0.8, 0.0, 0.9):
-        assert univariate_derivative("legendre", 1, t) == pytest.approx(math.sqrt(3.0))
+        assert derivative("legendre", 1, t) == pytest.approx(math.sqrt(3.0))
     h = 1e-6
     for family, t in (("legendre", 0.2), ("hermite", 0.7)):
-        fd = (univariate_eval(family, 3, t + h) - univariate_eval(family, 3, t - h)) / (2 * h)
-        assert univariate_derivative(family, 3, t) == pytest.approx(fd, rel=1e-7)
+        model = one_input_model(family, 3)
+        fd = (pce_eval(model, np.array([t + h]))[3] - pce_eval(model, np.array([t - h]))[3]) / (2 * h)
+        assert derivative(family, 3, t) == pytest.approx(fd, rel=1e-7)
 
 
 def test_multi_index_set_counts_and_order() -> None:

@@ -2,17 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from romda.io import load_pod_basis, save_pod_basis
+from romda.io import load_surrogate, save_surrogate
 from romda.pod import (
     ZERO_SV_RTOL,
     PodBasis,
-    SnapshotMatrix,
     evr,
     fit_pod,
     fit_stacked_pod,
     reconstruct,
     truncate,
 )
+from romda.surrogate import PodEnSurrogate, Scaling, Standardizer
 
 
 def project(basis, y):
@@ -48,9 +48,11 @@ def test_no_zero_singular_value_reaches_project(tmp_path) -> None:
         coefficients=np.zeros((4, 2)),
         retained=2,
     )
-    save_pod_basis(tmp_path / "zero.json", zero)
+    unit = Standardizer(np.zeros(1), np.ones(1))
+    scaling = Scaling(unit, unit, np.array([[-1.0, 1.0]]))
+    save_surrogate(tmp_path / "zero.json", PodEnSurrogate(zero, m_x=1), scaling)
     with pytest.raises(ValueError, match="exceeds the numerical rank 0"):
-        load_pod_basis(tmp_path / "zero.json")
+        load_surrogate(tmp_path / "zero.json")
 
 
 def test_planted_singular_values_recovered() -> None:
@@ -166,9 +168,8 @@ def test_truncate_by_threshold_and_count() -> None:
     five = fit_pod(rng.standard_normal((5, 9)))
     cut = truncate(five, modes=2)
     assert cut.retained == 2
-    assert np.array_equal(cut.retained_view.modes, five.modes[:, :2])
-    assert np.array_equal(cut.retained_view.singular_values, five.singular_values[:2])
-    # The other modes stay in the truncated basis.
+    # The leading modes are the retained block; the other modes stay in the
+    # truncated basis.
     assert np.array_equal(cut.modes, five.modes)
     assert np.array_equal(cut.singular_values, five.singular_values)
 
@@ -213,7 +214,7 @@ def test_reconstruct_round_trips() -> None:
     cut = truncate(basis, modes=3)
     y = data[:, 2]
     resid = y - reconstruct(cut, project(cut, y))
-    assert np.allclose(cut.retained_view.modes.T @ resid, 0.0, atol=1e-10)
+    assert np.allclose(cut.modes[:, :3].T @ resid, 0.0, atol=1e-10)
 
     with pytest.raises(ValueError, match="shape"):
         reconstruct(cut, np.zeros(5))
@@ -231,7 +232,7 @@ def test_rank_d_optimality_vs_random_bases() -> None:
     data = rng.standard_normal((40, 25))
     centered = data - data.mean(axis=1, keepdims=True)
     basis = truncate(fit_pod(data), modes=5)
-    phi = basis.retained_view.modes
+    phi = basis.modes[:, :basis.retained]
     err_pod = np.linalg.norm(centered - phi @ (phi.T @ centered))
     for _ in range(20):
         q = random_orthonormal(rng, 40, 5)
@@ -256,18 +257,6 @@ def test_tall_matrix_agrees_with_direct_svd() -> None:
     assert np.allclose(basis.modes.T @ basis.modes, np.eye(r), atol=1e-10)
     recon = basis.mean[:, None] + basis.modes @ np.diag(basis.singular_values) @ basis.coefficients.T
     assert np.linalg.norm(recon - data) <= 1e-8 * np.linalg.norm(data)
-
-
-def test_snapshot_matrix_wrapper() -> None:
-    data = np.random.default_rng(1).standard_normal((3, 4))
-    snap = SnapshotMatrix(
-        data=data, row_labels=("a", "b", "c"), member_ids=("m0", "m1", "m2", "m3")
-    )
-    basis = fit_pod(snap)
-    assert basis.n_members == 4
-    plain = fit_pod(data)
-    assert np.array_equal(basis.modes, plain.modes)
-    assert np.array_equal(basis.singular_values, plain.singular_values)
 
 
 @settings(max_examples=60, deadline=None)

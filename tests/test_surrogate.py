@@ -121,7 +121,7 @@ def test_podpce_constant_states_select_intercepts() -> None:
 def test_podpce_prediction_stays_in_retained_subspace() -> None:
     params, states, bounds, _ = podpce_quadratic_fixture(seed=8)
     s = build_podpce(params, states, PceConfig(bounds, 3), split_seed=5, modes=1)
-    phi_d = s.state_basis.retained_view.modes
+    phi_d = s.state_basis.modes[:, : s.d]
     x = np.array([0.5, 0.5])
     deviation = podpce_predict(s, x) - s.state_basis.mean
     residual = deviation - phi_d @ (phi_d.T @ deviation)
@@ -145,7 +145,7 @@ def test_podpce_heldout_member_error_bound() -> None:
         split_seed=1,
         evr_threshold=0.95,
     )
-    lam = s.state_basis.retained_view.eigenvalues
+    lam = s.state_basis.eigenvalues[: s.d]
     slack = 5.0 * np.sqrt(float(np.sum(lam * s.empirical_errors)))
     m_y = z_train.shape[0]
     for x, y in zip(held_p, held_y.T):

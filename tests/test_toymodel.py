@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from romda import toymodel
 from romda.toymodel import (
     N_STATIONS,
     PARAMETER_BOUNDS,
@@ -47,17 +48,23 @@ def test_simulate_is_pure() -> None:
         simulate(params[:3])
 
 
-def test_ctl_zero_probe_forces_constant_level() -> None:
+@pytest.fixture
+def unbounded(monkeypatch):
+    """simulate without its parameter-box check, for out-of-box probes."""
+    monkeypatch.setattr(toymodel, "check_bounds", lambda values: None)
+
+
+def test_ctl_zero_probe_forces_constant_level(unbounded) -> None:
     params = mid_params()
-    params[2] = 0.0  # outside bounds: test-only override
-    y = unflatten(simulate(params, enforce_bounds=False))
+    params[2] = 0.0  # outside bounds
+    y = unflatten(simulate(params))
     assert np.allclose(y[2], params[1])
 
 
-def test_ctv_zero_probe_kills_velocities() -> None:
+def test_ctv_zero_probe_kills_velocities(unbounded) -> None:
     params = mid_params()
     params[3] = 0.0
-    y = unflatten(simulate(params, enforce_bounds=False))
+    y = unflatten(simulate(params))
     assert np.allclose(y[0], 0.0)
     assert np.allclose(y[1], 0.0)
 
