@@ -6,6 +6,7 @@ from romda.io import load_surrogate, save_surrogate
 from romda.pod import (
     ZERO_SV_RTOL,
     PodBasis,
+    SnapshotMatrix,
     evr,
     fit_pod,
     fit_stacked_pod,
@@ -257,6 +258,22 @@ def test_tall_matrix_agrees_with_direct_svd() -> None:
     assert np.allclose(basis.modes.T @ basis.modes, np.eye(r), atol=1e-10)
     recon = basis.mean[:, None] + basis.modes @ np.diag(basis.singular_values) @ basis.coefficients.T
     assert np.linalg.norm(recon - data) <= 1e-8 * np.linalg.norm(data)
+
+
+def test_snapshot_matrix_wrapper() -> None:
+    # The labelled wrapper carries its data untouched: fitting snap.data, as
+    # ``romda fit-pod`` does, gives the basis of the plain array, one
+    # coefficient row per member id.
+    data = np.random.default_rng(1).standard_normal((3, 4))
+    snap = SnapshotMatrix(
+        data=data, row_labels=("a", "b", "c"), member_ids=("m0", "m1", "m2", "m3")
+    )
+    basis = fit_pod(snap.data)
+    assert basis.n_members == len(snap.member_ids) == 4
+    assert basis.mean.shape == (len(snap.row_labels),)
+    plain = fit_pod(data)
+    assert np.array_equal(basis.modes, plain.modes)
+    assert np.array_equal(basis.singular_values, plain.singular_values)
 
 
 @settings(max_examples=60, deadline=None)
