@@ -287,7 +287,6 @@ class AnalysisResult:
     y_a: np.ndarray  # surrogate or model output at x_a
     nu_a: np.ndarray | None  # reduced analysis (linear-surrogate case)
     cost_trace: list[float]
-    grad_norms: list[float]
     evaluations: int  # model/surrogate calls made by the solver
     converged: bool
     reason: str
@@ -360,7 +359,6 @@ def solve_poden3dvar(
         nu_a = cho_solve((low, True), rhs)
         j_final = reduced_cost(nu_a)
         cost_trace = [j_final]
-        grad_norms = [float(np.max(np.abs(reduced_grad(nu_a))))]
         evaluations = 0
         converged, reason = True, "closed_form"
     elif method == "descent":
@@ -373,7 +371,6 @@ def solve_poden3dvar(
         nu_a = res.x
         j_final = res.f
         cost_trace = res.f_trace
-        grad_norms = res.grad_norms
         evaluations = 0
         converged, reason = res.converged, res.reason
     else:
@@ -388,7 +385,6 @@ def solve_poden3dvar(
         y_a=y_a,
         nu_a=nu_a,
         cost_trace=cost_trace,
-        grad_norms=grad_norms,
         evaluations=evaluations,
         converged=converged,
         reason=reason,
@@ -504,7 +500,6 @@ def solve_podpce3dvar(
         y_a=podpce_predict(surrogate, res.x),
         nu_a=pce_eval(surrogate.pce, res.x),
         cost_trace=res.f_trace,
-        grad_norms=res.grad_norms,
         evaluations=calls,
         converged=res.converged,
         reason=res.reason,
@@ -573,7 +568,6 @@ def solve_classical_3dvar(
         y_a=y_a,
         nu_a=None,
         cost_trace=res.f_trace,
-        grad_norms=res.grad_norms,
         evaluations=calls,
         converged=res.converged,
         reason=res.reason,

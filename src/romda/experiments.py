@@ -190,6 +190,12 @@ def _check_sweep(config: "TwinConfig | MeasurementConfig") -> None:
     _check_each("pce_degree", (config.pce_degree,), lambda p: p >= 0, "degree must be >= 0")
 
 
+def _check_modes(field: str, counts: tuple[int, ...], n: int) -> None:
+    """Reject a mode count above n - 1, the rank of n centered members;
+    each driver checks its own counts before it draws an ensemble."""
+    _check_each(field, counts, lambda d: d <= n - 1, f"{n} members hold at most {n - 1} modes")
+
+
 @dataclass(frozen=True)
 class TwinConfig:
     seed: int = 0
@@ -487,6 +493,8 @@ def _run_cell(
 
 def run_twin(config: TwinConfig) -> ExperimentReport:
     """Noise x training-size x mode sweep against a drawn synthetic truth."""
+    if config.evr_threshold is None:
+        _check_modes("mode_numbers", config.mode_numbers, min(config.training_sizes))
     n_max = max(config.training_sizes)
     ctx = _make_context(config.seed, n_max, config.pce_degree)
     x_t, observed = _observe_truth(config, config.noise_levels)
@@ -514,6 +522,7 @@ def run_twin(config: TwinConfig) -> ExperimentReport:
 def run_covariance_grid(config: TwinConfig) -> ExperimentReport:
     """One assimilation per (alpha_B, alpha_R) pair on the alpha grid."""
     n = max(config.training_sizes)
+    _check_modes("grid_modes", (config.grid_modes,), n)
     ctx = _make_context(config.seed, n, config.pce_degree)
     x_t, observed = _observe_truth(config, (config.grid_noise,))
     builds = _build_surrogates(ctx, n, ("podpce",), (config.grid_modes,), None)
@@ -540,6 +549,8 @@ def run_covariance_grid(config: TwinConfig) -> ExperimentReport:
 def run_bootstrap(config: TwinConfig) -> ExperimentReport:
     """Fresh training ensembles per replicate at a fixed size; RMSE spread per
     mode count and solver."""
+    if config.evr_threshold is None:
+        _check_modes("mode_numbers", config.mode_numbers, config.bootstrap_size)
     x_t, observed = _observe_truth(config, (config.bootstrap_noise,))
 
     rows: list[ReportRow] = []
@@ -588,6 +599,8 @@ def measurement_noise_diag(y_o: np.ndarray, assumed_noise: float) -> np.ndarray:
 def run_measurement(config: MeasurementConfig, y_o: np.ndarray) -> ExperimentReport:
     """Surrogate solvers confronted with the classical reference on a
     measured (external) observation vector."""
+    if config.evr_threshold is None:
+        _check_modes("mode_numbers", config.mode_numbers, min(config.training_sizes))
     y_o = np.asarray(y_o, dtype=float)
     m_y = toymodel.default_grid().n_state
     if y_o.shape != (m_y,):

@@ -156,7 +156,8 @@ def save_pod_basis(path: str | Path, basis: PodBasis, **meta: Any) -> None:
 def _pce_body(model: PceModel) -> dict:
     basis = model.basis
     return {
-        "families": list(basis.families),
+        # Written for readers of pce-model/1 documents; every input is Legendre.
+        "families": ["legendre"] * basis.input_dim,
         "offsets": basis.offsets.tolist(),
         "scales": basis.scales.tolist(),
         "indices": [list(alpha) for alpha in basis.indices],
@@ -168,9 +169,13 @@ def _pce_body(model: PceModel) -> dict:
 
 
 def _pce_from_body(doc: dict) -> PceModel:
+    m_x = len(doc["offsets"])
+    if doc["families"] != ["legendre"] * m_x:
+        raise SchemaError(
+            f"families: expected 'legendre' for each of the {m_x} inputs, got {doc['families']!r}"
+        )
     return PceModel(
         basis=PceBasis(
-            families=tuple(doc["families"]),
             offsets=np.array(doc["offsets"], dtype=float),
             scales=np.array(doc["scales"], dtype=float),
             indices=tuple(tuple(alpha) for alpha in doc["indices"]),

@@ -1,9 +1,11 @@
 """Sparse orthonormal polynomial chaos regression.
 
-Multivariate basis: products of orthonormal univariate polynomials
-(Legendre for uniform inputs on a bounded interval, probabilists' Hermite
-for Gaussian inputs), truncated by total degree. Coefficients are fitted by
-least angle regression over standardized regressors (Efron et al. 2004).
+Multivariate basis: products of orthonormal Legendre polynomials, the
+family that matches inputs uniform on a box (Xiu & Karniadakis 2002),
+truncated by total degree. One three-term recurrence per evaluation gives
+the polynomial values, and the derivatives come from the same table.
+Coefficients are fitted by least angle regression over standardized
+regressors (Efron et al. 2004).
 The path only adds regressors, so its models are nested prefixes of one
 design: a single QR of the longest model scores every prefix by its
 hat-matrix leave-one-out error times the small-sample correction factor
@@ -13,115 +15,48 @@ least squares on its own columns. Degree selection minimizes the empirical
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
-FAMILIES = ("legendre", "hermite")
-
 # Tolerance for "sample inside declared bounds" checks, relative to the
 # standardized support.
 BOUNDS_RTOL = 1e-9
 
 
-# Univariate orthonormal bases ------------------------------------------------
+# Univariate Legendre tables ---------------------------------------------------
 
 
-def _legendre_values(max_degree: int, t: np.ndarray) -> np.ndarray:
-    """Orthonormal Legendre values, shape (max_degree + 1, len(t)).
-
-    xi_b(t) = sqrt(2b + 1) * P_b(t), orthonormal for the uniform density on
-    [-1, 1].
-    """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.empty((max_degree + 1, t.size))
-    p_prev = np.ones_like(t)
-    out[0] = p_prev
-    if max_degree == 0:
-        return out
-    p_cur = t.copy()
-    out[1] = math.sqrt(3.0) * p_cur
-    for b in range(1, max_degree):
-        p_next = ((2 * b + 1) * t * p_cur - b * p_prev) / (b + 1)
-        out[b + 1] = math.sqrt(2 * (b + 1) + 1) * p_next
-        p_prev, p_cur = p_cur, p_next
-    return out
+def _legendre(degree: int, t: np.ndarray) -> np.ndarray:
+    """Legendre polynomials P_0..P_degree at every entry of ``t``, stacked
+    on a new leading axis: (b + 1) P_{b+1} = (2b + 1) t P_b - b P_{b-1}."""
+    p = np.empty((degree + 1,) + t.shape)
+    p[0] = 1.0
+    if degree > 0:
+        p[1] = t
+    for b in range(1, degree):
+        p[b + 1] = ((2 * b + 1) * t * p[b] - b * p[b - 1]) / (b + 1)
+    return p
 
 
-def _legendre_derivatives(max_degree: int, t: np.ndarray) -> np.ndarray:
-    """d/dt of the orthonormal Legendre values, same shape convention."""
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.empty((max_degree + 1, t.size))
-    out[0] = 0.0
-    if max_degree == 0:
-        return out
-    dp_prev = np.zeros_like(t)  # P_0'
-    dp_cur = np.ones_like(t)  # P_1'
-    out[1] = math.sqrt(3.0) * dp_cur
-    p_prev = np.ones_like(t)
-    p_cur = t.copy()
-    for b in range(1, max_degree):
-        # P'_{b+1} = P'_{b-1} + (2b + 1) P_b (stable at the endpoints).
-        dp_next = dp_prev + (2 * b + 1) * p_cur
-        out[b + 1] = math.sqrt(2 * (b + 1) + 1) * dp_next
-        p_next = ((2 * b + 1) * t * p_cur - b * p_prev) / (b + 1)
-        p_prev, p_cur = p_cur, p_next
-        dp_prev, dp_cur = dp_cur, dp_next
-    return out
+def _derivatives(p: np.ndarray) -> np.ndarray:
+    """d/dt of a :func:`_legendre` table, from the table itself:
+    P'_{b+1} = P'_{b-1} + (2b + 1) P_b (stable at the endpoints)."""
+    dp = np.zeros_like(p)
+    if p.shape[0] > 1:
+        dp[1] = 1.0
+    for b in range(1, p.shape[0] - 1):
+        dp[b + 1] = dp[b - 1] + (2 * b + 1) * p[b]
+    return dp
 
 
-def _hermite_values(max_degree: int, t: np.ndarray) -> np.ndarray:
-    """Orthonormal probabilists' Hermite values: He_b(t) / sqrt(b!)."""
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.empty((max_degree + 1, t.size))
-    he_prev = np.ones_like(t)
-    out[0] = he_prev
-    if max_degree == 0:
-        return out
-    he_cur = t.copy()
-    out[1] = he_cur
-    fact = 1.0
-    for b in range(1, max_degree):
-        he_next = t * he_cur - b * he_prev
-        fact *= b + 1
-        out[b + 1] = he_next / math.sqrt(fact)
-        he_prev, he_cur = he_cur, he_next
-    return out
-
-
-def _hermite_derivatives(max_degree: int, t: np.ndarray) -> np.ndarray:
-    # xi'_b = sqrt(b) * xi_{b-1}
-    values = _hermite_values(max(max_degree - 1, 0), t)
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.zeros((max_degree + 1, t.size))
-    for b in range(1, max_degree + 1):
-        out[b] = math.sqrt(b) * values[b - 1]
-    return out
-
-
-_VALUES = {"legendre": _legendre_values, "hermite": _hermite_values}
-_DERIVATIVES = {"legendre": _legendre_derivatives, "hermite": _hermite_derivatives}
-
-
-def _univariate_tables(basis: "PceBasis", t: np.ndarray, kind: dict) -> list[np.ndarray]:
-    """Per input i, a table of shape (degree + 1, n) whose row b is the
-    degree-b polynomial (or derivative) of input i's family at t[:, i].
-
-    One call per family covers all its inputs up to the highest degree any of
-    them takes: the recurrences act elementwise and row by row, so every row
-    holds the same bits as a call for that input alone.
-    """
-    n = t.shape[0]
-    tables = [None] * basis.input_dim
-    for family, inputs in basis.family_inputs.items():
-        degree = int(basis.input_degrees[inputs].max())
-        block = kind[family](degree, t[:, inputs].T.ravel()).reshape(degree + 1, inputs.size, n)
-        for k, i in enumerate(inputs):
-            tables[i] = block[:, k, :]
-    return tables
+def _orthonormal(table: np.ndarray) -> np.ndarray:
+    """Row b of a Legendre table times sqrt(2b + 1): orthonormal for the
+    uniform density on [-1, 1]."""
+    norms = np.sqrt(2.0 * np.arange(table.shape[0]) + 1.0)
+    return norms.reshape((-1,) + (1,) * (table.ndim - 1)) * table
 
 
 # Multi-indices and the basis skeleton ----------------------------------------
@@ -150,119 +85,76 @@ def multi_index_set(input_dim: int, max_degree: int) -> tuple[tuple[int, ...], .
 
 @dataclass(frozen=True)
 class PceBasis:
-    """Basis skeleton: per-input family and affine standardization, index set.
+    """Basis skeleton: per-input affine standardization and the index set.
 
-    The affine map t = (x - offset) / scale sends the physical support to the
-    standard one ([-1, 1] for Legendre bounds, unit Gaussian for Hermite).
+    The affine map t = (x - offset) / scale sends each input's box to
+    [-1, 1], where the Legendre polynomials are orthonormal.
     """
 
-    families: tuple[str, ...]
     offsets: np.ndarray  # (m_x,)
     scales: np.ndarray  # (m_x,)
     indices: tuple[tuple[int, ...], ...]
 
     @property
     def input_dim(self) -> int:
-        return len(self.families)
+        return self.offsets.size
 
     @property
     def n_terms(self) -> int:
         return len(self.indices)
-
-    @property
-    def max_degree(self) -> int:
-        return max(sum(alpha) for alpha in self.indices)
 
     @cached_property
     def exponents(self) -> np.ndarray:
         """The index set as an integer array, shape (n_terms, m_x)."""
         return np.array(self.indices, dtype=np.intp).reshape(self.n_terms, self.input_dim)
 
-    @cached_property
-    def input_degrees(self) -> np.ndarray:
-        """Highest exponent of each input over the index set, shape (m_x,)."""
-        return self.exponents.max(axis=0)
-
-    @cached_property
-    def family_inputs(self) -> dict[str, np.ndarray]:
-        """Input positions of each family present in the basis."""
-        families = np.array(self.families)
-        return {f: np.flatnonzero(families == f) for f in FAMILIES if f in self.families}
-
     def standardize(self, samples: np.ndarray) -> np.ndarray:
-        """t = (x - offset) / scale; a bounded input outside its box is rejected."""
+        """t = (x - offset) / scale; an input outside its box is rejected."""
         samples = np.atleast_2d(np.asarray(samples, dtype=float))
         if samples.shape[1] != self.input_dim:
             raise ValueError(
                 f"samples must have {self.input_dim} columns, got {samples.shape[1]}"
             )
         t = (samples - self.offsets[None, :]) / self.scales[None, :]
-        bounded = self.family_inputs.get("legendre")
-        if bounded is not None:
-            over = np.abs(t[:, bounded]) - 1.0
-            worst = np.argmax(over, axis=0)  # per bounded input
-            outside = over[worst, np.arange(bounded.size)] > BOUNDS_RTOL
-            if np.any(outside):
-                k = int(np.argmax(outside))
-                i, row = int(bounded[k]), int(worst[k])
-                raise ValueError(
-                    f"sample {row} is outside the declared bounds of input {i} "
-                    f"(standardized coordinate {t[row, i]:.12g})"
-                )
-            t[:, bounded] = np.clip(t[:, bounded], -1.0, 1.0)
-        return t
+        over = np.abs(t) - 1.0
+        worst = np.argmax(over, axis=0)  # per input
+        outside = over[worst, np.arange(self.input_dim)] > BOUNDS_RTOL
+        if np.any(outside):
+            i = int(np.argmax(outside))
+            row = int(worst[i])
+            raise ValueError(
+                f"sample {row} is outside the declared bounds of input {i} "
+                f"(standardized coordinate {t[row, i]:.12g})"
+            )
+        return np.clip(t, -1.0, 1.0, out=t)
 
 
-def make_basis(
-    bounds: np.ndarray,
-    max_degree: int,
-    families: tuple[str, ...] | None = None,
-) -> PceBasis:
-    """Basis skeleton from physical bounds.
-
-    ``bounds`` rows are (low, high) for Legendre inputs and (mean, std) for
-    Hermite inputs.
-    """
+def make_basis(bounds: np.ndarray, max_degree: int) -> PceBasis:
+    """Basis skeleton of total degree ``max_degree`` from the (low, high)
+    rows of the inputs' boxes."""
     bounds = np.asarray(bounds, dtype=float)
     if bounds.ndim != 2 or bounds.shape[1] != 2:
         raise ValueError(f"bounds must have shape (m_x, 2), got {bounds.shape}")
-    m_x = bounds.shape[0]
-    if families is None:
-        families = ("legendre",) * m_x
-    if len(families) != m_x:
-        raise ValueError("one family per input required")
-    offsets = np.empty(m_x)
-    scales = np.empty(m_x)
-    for i, family in enumerate(families):
-        if family == "legendre":
-            low, high = bounds[i]
-            if not low < high:
-                raise ValueError(f"input {i}: bounds must satisfy low < high, got {bounds[i]}")
-            offsets[i] = 0.5 * (low + high)
-            scales[i] = 0.5 * (high - low)
-        elif family == "hermite":
-            offsets[i] = bounds[i, 0]
-            scales[i] = bounds[i, 1]
-            if scales[i] <= 0:
-                raise ValueError(f"input {i}: Hermite scale must be positive")
-        else:
-            raise ValueError(f"unknown basis family {family!r}, expected one of {FAMILIES}")
+    low, high = bounds.T
+    bad = np.flatnonzero(~(low < high))
+    if bad.size:
+        raise ValueError(f"input {bad[0]}: bounds must satisfy low < high, got {bounds[bad[0]]}")
     return PceBasis(
-        families=tuple(families),
-        offsets=offsets,
-        scales=scales,
-        indices=multi_index_set(m_x, max_degree),
+        offsets=0.5 * (low + high),
+        scales=0.5 * (high - low),
+        indices=multi_index_set(bounds.shape[0], max_degree),
     )
 
 
 def design_matrix(samples: np.ndarray, basis: PceBasis) -> np.ndarray:
     """Evaluation of every basis term at every sample, shape (n, n_terms)."""
     t = basis.standardize(samples)
+    values = _orthonormal(_legendre(basis.exponents.max(), t.T))  # (degree + 1, m_x, n)
     psi = np.ones((t.shape[0], basis.n_terms))
     # Degree-0 factors are exactly 1.0, so multiplying every column by every
     # input's factor gives the same bits as skipping the zero exponents.
-    for i, values in enumerate(_univariate_tables(basis, t, _VALUES)):
-        psi *= values.T[:, basis.exponents[:, i]]
+    for i in range(basis.input_dim):
+        psi *= values[:, i].T[:, basis.exponents[:, i]]
     return psi
 
 
@@ -428,7 +320,6 @@ class PceConfig:
 
     bounds: np.ndarray  # (m_x, 2)
     max_degree: int = 3
-    families: tuple[str, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -486,7 +377,7 @@ def select_degree(
         raise ValueError("max_degree must be >= 0")
 
     d_out = train_targets.shape[1]
-    full = make_basis(config.bounds, config.max_degree, config.families)
+    full = make_basis(config.bounds, config.max_degree)
     psi_train = design_matrix(train_inputs, full)
     psi_val = design_matrix(val_inputs, full)
     m_x = full.input_dim
@@ -547,18 +438,12 @@ def pce_jacobian(model: PceModel, x: np.ndarray) -> np.ndarray:
     if x.shape != (basis.input_dim,):
         raise ValueError(f"x must have shape ({basis.input_dim},), got {x.shape}")
     t = basis.standardize(x[None, :])
-    exponents = basis.exponents
-    values = [
-        table[:, 0][exponents[:, i]]
-        for i, table in enumerate(_univariate_tables(basis, t, _VALUES))
-    ]
-    derivs = _univariate_tables(basis, t, _DERIVATIVES)
-    dz = np.empty((basis.n_terms, basis.input_dim))  # d zeta_alpha / d x_i
-    for i, deriv in enumerate(derivs):
-        term = deriv[:, 0][exponents[:, i]] / basis.scales[i]
-        for j, value in enumerate(values):
-            if j != i:
-                term *= value  # degree-0 factors are exactly 1.0
-        term[exponents[:, i] == 0] = 0.0  # a constant factor in x_i
-        dz[:, i] = term
+    exponents, inputs = basis.exponents, np.arange(basis.input_dim)
+    table = _legendre(exponents.max(), t[0])  # (degree + 1, m_x)
+    # Factor i of term alpha is row alpha_i of input i's column.
+    values = _orthonormal(table)[exponents, inputs]
+    dz = _orthonormal(_derivatives(table))[exponents, inputs] / basis.scales  # d zeta / d x
+    for j in inputs:
+        dz[:, inputs != j] *= values[:, j, None]  # degree-0 factors are exactly 1.0
+    dz[exponents == 0] = 0.0  # a constant factor in x_i
     return model.coefficients @ dz

@@ -96,9 +96,11 @@ def fit_pod(snapshots: np.ndarray) -> PodBasis:
     X = U S (Q W)^T; otherwise the thin SVD of X. On one BLAS thread the
     QR-first route is the faster one from that ratio on: at m = 570 it takes
     0.15 s instead of 0.19 s at n = 800 but 0.080 s instead of 0.072 s at
-    n = 400, and the two meet near n = 1.25 m at m = 400 and 570. The modes
-    whose singular value is at or below ZERO_SV_RTOL * sigma_1 are dropped,
-    and a matrix with no variance left (r = 0) is rejected. Mode signs are
+    n = 400, and the two meet near n = 1.25 m at m = 400 and 570. A matrix
+    whose every row is constant across the members is rejected before it is
+    factored (its centered entries are roundoff, not variance); otherwise the
+    modes whose singular value is at or below ZERO_SV_RTOL * sigma_1 are
+    dropped, which leaves at least one. Mode signs are
     fixed so each mode's largest-magnitude entry is positive; coefficients
     are the projections X^T Phi / Sigma.
     """
@@ -111,6 +113,8 @@ def fit_pod(snapshots: np.ndarray) -> PodBasis:
     if n < 2:
         raise ValueError(f"need at least 2 ensemble members for POD, got {n}")
     check_finite(data)
+    if np.array_equal(data.max(axis=1), data.min(axis=1)):
+        raise ValueError("snapshot matrix has no variance: every member equals the mean")
 
     mean = data.mean(axis=1)
     centered = data - mean[:, None]
@@ -178,8 +182,6 @@ def _at_rank(mean: np.ndarray, centered: np.ndarray, modes: np.ndarray, svals: n
     """The basis of the factored ``centered`` matrix at its numerical rank:
     signs fixed, coefficients the projections X^T Phi / Sigma."""
     r = numerical_rank(svals)
-    if r == 0:
-        raise ValueError("snapshot matrix has no variance: every member equals the mean")
     modes, svals = _fix_mode_signs(modes[:, :r]), svals[:r]
     return PodBasis(
         mean=mean,

@@ -346,22 +346,16 @@ def metamodel_error_covariance(surrogate: PodPceSurrogate, r: np.ndarray) -> Err
     return _augmented_covariance(surrogate, r, surrogate.empirical_errors, "r_tilde")
 
 
-def corrected_error_covariance(
-    surrogate: PodPceSurrogate,
-    r: np.ndarray,
-    validation_bias: np.ndarray | None = None,
-) -> ErrorCovariance:
-    """Bias-corrected variant: per-mode variance delta_k - bias_k^2.
+def corrected_error_covariance(surrogate: PodPceSurrogate, r: np.ndarray) -> ErrorCovariance:
+    """Bias-corrected variant: per-mode variance delta_k - bias_k^2, with
+    bias_k the mean validation error recorded at build time.
 
-    ``validation_bias`` defaults to the mean validation error recorded at
-    build time. Variances are floored at zero; floored modes are reported
-    in the result for audit.
+    Variances are floored at zero; floored modes are reported in the result
+    for audit.
     """
     r = _check_observation_cov(r, surrogate.m_y)
-    if validation_bias is None:
-        validation_bias = surrogate.validation_bias
-    bias = np.asarray(validation_bias, dtype=float)
-    if bias.shape != (surrogate.d,):
+    bias = surrogate.validation_bias
+    if bias.shape != (surrogate.d,):  # a loaded document may disagree
         raise ValueError(f"validation_bias must have shape ({surrogate.d},), got {bias.shape}")
     delta = surrogate.empirical_errors
     variances = delta - bias**2

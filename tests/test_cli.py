@@ -325,6 +325,13 @@ def test_measure_command_rejects_bad_config_naming_the_field(tmp_path, capsys) -
         ("covgrid", "grid_modes", 0),
         ("bootstrap", "bootstrap_replicates", 0),
         ("bootstrap", "bootstrap_size", 4),
+        # n members hold at most n - 1 modes: the smallest default training
+        # size (100) for twin, the largest (400) for covgrid, the one (400)
+        # for measure, bootstrap_size (800) for bootstrap.
+        ("twin", "mode_numbers", [100]),
+        ("covgrid", "grid_modes", 400),
+        ("measure", "mode_numbers", [2, 400]),
+        ("bootstrap", "mode_numbers", [800]),
     ],
 )
 def test_sweep_config_fails_before_sampling_naming_the_field(
@@ -335,10 +342,24 @@ def test_sweep_config_fails_before_sampling_naming_the_field(
 
     monkeypatch.setattr("romda.experiments.fit_pod", never)
     monkeypatch.setattr("romda.toymodel.sample_parameters", never)
-    cfg = {field: value, **({"observations_csv": "unused.csv"} if command == "measure" else {})}
+    monkeypatch.setattr("romda.toymodel.propagate", never)
+    observations = tmp_path / "obs.csv"
+    write_observation(observations, np.zeros(toymodel.default_grid().n_state))
+    cfg = {field: value, **({"observations_csv": str(observations)} if command == "measure" else {})}
     path = write_config(tmp_path, "cfg.json", cfg)
     assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
     assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+
+def test_stored_pce_family_other_than_legendre_fails_validation(tmp_path, capsys) -> None:
+    doc = json.loads((DATA / "podpce_v1.json").read_text())
+    doc["pce"]["families"] = ["legendre", "chebyshev"]
+    surrogate = tmp_path / "podpce.json"
+    surrogate.write_text(json.dumps(doc))
+    cfg = {"surrogate": str(surrogate), "observations_csv": str(DATA / "obs_v1.csv"), "noise_level": 0.05}
+    assert main(["assimilate", "--config", write_config(tmp_path, "a.json", cfg),
+                 "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+    assert "families" in capsys.readouterr().err
 
 
 def test_readme_command_block_lists_every_subcommand() -> None:

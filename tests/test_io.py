@@ -101,6 +101,8 @@ def test_pce_model_round_trip_predictions(tmp_path) -> None:
     # The same body in a surrogate document predicts with the same bits.
     path = tmp_path / "podpce.json"
     io.save_surrogate(path, s, identity_scaling(bounds, 3), seed=2)
+    # Both documents still name each input's family, as earlier readers expect.
+    assert doc["families"] == io.load_json(path, "podpce")["pce"]["families"] == ["legendre"] * 2
     loaded = io.load_surrogate(path)[0].pce
     x = rng.uniform(bounds[:, 0], bounds[:, 1], size=(100, 2))
     assert np.array_equal(pce_eval(loaded, x), pce_eval(s.pce, x))

@@ -16,10 +16,6 @@ from romda.pce import (
     pce_eval,
     pce_jacobian,
     select_degree,
-    _hermite_derivatives,
-    _hermite_values,
-    _legendre_derivatives,
-    _legendre_values,
     _lars_path,
     _prefix_scores,
 )
@@ -30,12 +26,10 @@ def unit_basis(max_degree, m_x=1):
     return make_basis(bounds, max_degree)
 
 
-def one_input_model(family, max_degree):
-    """The one-input expansion whose k-th output is the degree-k polynomial
-    of ``family`` (identity coefficients), standardized to [-1, 1] for
-    Legendre and to (0, 1) for Hermite, so t = x."""
-    basis = make_basis(np.array([[-1.0, 1.0] if family == "legendre" else [0.0, 1.0]]),
-                       max_degree, (family,))
+def one_input_model(max_degree):
+    """The one-input expansion on [-1, 1] (so t = x) whose k-th output is the
+    degree-k orthonormal Legendre polynomial (identity coefficients)."""
+    basis = unit_basis(max_degree)
     n = basis.n_terms
     return PceModel(basis, np.eye(n), np.zeros(n), (max_degree,) * n, np.zeros(n))
 
@@ -50,31 +44,23 @@ def test_legendre_values() -> None:
         assert psi[2, b] == pytest.approx(math.sqrt(2 * b + 1))
     with pytest.raises(ValueError, match="max_degree must be >= 0"):
         unit_basis(-1)
-    with pytest.raises(ValueError, match="unknown basis family 'chebyshev'"):
-        make_basis(np.array([[-1.0, 1.0]]), 1, ("chebyshev",))
-
-
-def test_hermite_values_orthonormal_mc() -> None:
-    rng = np.random.default_rng(0)
-    t = rng.standard_normal(200000)
-    values = design_matrix(t[:, None], one_input_model("hermite", 3).basis).T
-    gram = values @ values.T / t.size
-    assert np.allclose(gram, np.eye(4), atol=0.05)
+    with pytest.raises(ValueError, match=re.escape("input 1: bounds must satisfy low < high")):
+        make_basis(np.array([[-1.0, 1.0], [2.0, 2.0]]), 1)
 
 
 def test_univariate_derivatives() -> None:
-    def derivative(family, degree, t):
-        return pce_jacobian(one_input_model(family, 3), np.array([t]))[degree, 0]
+    model = one_input_model(3)
 
-    assert derivative("legendre", 0, 0.3) == 0.0
-    assert derivative("hermite", 0, 0.3) == 0.0
+    def derivative(degree, t):
+        return pce_jacobian(model, np.array([t]))[degree, 0]
+
+    assert derivative(0, 0.3) == 0.0
     for t in (-0.8, 0.0, 0.9):
-        assert derivative("legendre", 1, t) == pytest.approx(math.sqrt(3.0))
+        assert derivative(1, t) == pytest.approx(math.sqrt(3.0))
     h = 1e-6
-    for family, t in (("legendre", 0.2), ("hermite", 0.7)):
-        model = one_input_model(family, 3)
-        fd = (pce_eval(model, np.array([t + h]))[3] - pce_eval(model, np.array([t - h]))[3]) / (2 * h)
-        assert derivative(family, 3, t) == pytest.approx(fd, rel=1e-7)
+    t = 0.2
+    fd = (pce_eval(model, np.array([t + h]))[3] - pce_eval(model, np.array([t - h]))[3]) / (2 * h)
+    assert derivative(3, t) == pytest.approx(fd, rel=1e-7)
 
 
 def test_multi_index_set_counts_and_order() -> None:
@@ -362,23 +348,55 @@ def test_degree_selection_is_deterministic() -> None:
     assert np.array_equal(first.empirical_errors, second.empirical_errors)
 
 
-# Loop references: one basis term, one input at a time, skipping zero exponents.
+# Loop references: one basis term, one input at a time, skipping zero exponents,
+# each univariate table from its own recurrence.
 
 
-def _tables(basis, t, kind):
-    fns = {
-        "values": {"legendre": _legendre_values, "hermite": _hermite_values},
-        "derivatives": {"legendre": _legendre_derivatives, "hermite": _hermite_derivatives},
-    }[kind]
+def _legendre_values(max_degree: int, t: np.ndarray) -> np.ndarray:
+    """Orthonormal Legendre values sqrt(2b + 1) P_b(t), shape (max_degree + 1, len(t))."""
+    out = np.empty((max_degree + 1, t.size))
+    p_prev = np.ones_like(t)
+    out[0] = p_prev
+    if max_degree == 0:
+        return out
+    p_cur = t.copy()
+    out[1] = math.sqrt(3.0) * p_cur
+    for b in range(1, max_degree):
+        p_next = ((2 * b + 1) * t * p_cur - b * p_prev) / (b + 1)
+        out[b + 1] = math.sqrt(2 * (b + 1) + 1) * p_next
+        p_prev, p_cur = p_cur, p_next
+    return out
+
+
+def _legendre_derivatives(max_degree: int, t: np.ndarray) -> np.ndarray:
+    """d/dt of the orthonormal Legendre values, same shape convention."""
+    out = np.empty((max_degree + 1, t.size))
+    out[0] = 0.0
+    if max_degree == 0:
+        return out
+    dp_prev = np.zeros_like(t)  # P_0'
+    dp_cur = np.ones_like(t)  # P_1'
+    out[1] = math.sqrt(3.0) * dp_cur
+    p_prev = np.ones_like(t)
+    p_cur = t.copy()
+    for b in range(1, max_degree):
+        # P'_{b+1} = P'_{b-1} + (2b + 1) P_b
+        dp_next = dp_prev + (2 * b + 1) * p_cur
+        out[b + 1] = math.sqrt(2 * (b + 1) + 1) * dp_next
+        p_next = ((2 * b + 1) * t * p_cur - b * p_prev) / (b + 1)
+        p_prev, p_cur = p_cur, p_next
+        dp_prev, dp_cur = dp_cur, dp_next
+    return out
+
+
+def _tables(basis, t, table):
     degrees = [max(alpha[i] for alpha in basis.indices) for i in range(basis.input_dim)]
-    return [fns[f](degrees[i], t[:, i]) for i, f in enumerate(basis.families)]
+    return [table(degrees[i], t[:, i]) for i in range(basis.input_dim)]
 
 
 def loop_standardize(basis, samples):
     t = (samples - basis.offsets[None, :]) / basis.scales[None, :]
-    for i, family in enumerate(basis.families):
-        if family != "legendre":
-            continue
+    for i in range(basis.input_dim):
         over = np.abs(t[:, i]) - 1.0
         worst = int(np.argmax(over))
         if over[worst] > 1e-9:
@@ -392,7 +410,7 @@ def loop_standardize(basis, samples):
 
 def loop_design_matrix(samples, basis):
     t = loop_standardize(basis, samples)
-    per_degree = _tables(basis, t, "values")
+    per_degree = _tables(basis, t, _legendre_values)
     psi = np.ones((t.shape[0], basis.n_terms))
     for col, alpha in enumerate(basis.indices):
         for i, a_i in enumerate(alpha):
@@ -404,8 +422,8 @@ def loop_design_matrix(samples, basis):
 def loop_pce_jacobian(model, x):
     basis = model.basis
     t = loop_standardize(basis, x[None, :])
-    values = [table[:, 0] for table in _tables(basis, t, "values")]
-    derivs = [table[:, 0] for table in _tables(basis, t, "derivatives")]
+    values = [table[:, 0] for table in _tables(basis, t, _legendre_values)]
+    derivs = [table[:, 0] for table in _tables(basis, t, _legendre_derivatives)]
     m_x = basis.input_dim
     dz = np.zeros((basis.n_terms, m_x))
     for col, alpha in enumerate(basis.indices):
@@ -423,21 +441,14 @@ def loop_pce_jacobian(model, x):
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    families=st.lists(st.sampled_from(["legendre", "hermite"]), min_size=1, max_size=4),
+    m_x=st.integers(1, 4),
     max_degree=st.integers(0, 4),
 )
-def test_vectorized_basis_matches_loop_reference_bitwise(seed, families, max_degree) -> None:
+def test_vectorized_basis_matches_loop_reference_bitwise(seed, m_x, max_degree) -> None:
     rng = np.random.default_rng(seed)
-    m_x = len(families)
-    # Legendre rows are (low, high); Hermite rows are (mean, std).
     bounds = np.column_stack([rng.uniform(-2.0, 0.0, m_x), rng.uniform(0.5, 3.0, m_x)])
-    basis = make_basis(bounds, max_degree, tuple(families))
-    samples = np.column_stack(
-        [
-            rng.uniform(low, high, 7) if family == "legendre" else rng.normal(low, high, 7)
-            for family, (low, high) in zip(families, bounds)
-        ]
-    )
+    basis = make_basis(bounds, max_degree)
+    samples = np.column_stack([rng.uniform(low, high, 7) for low, high in bounds])
     assert np.array_equal(design_matrix(samples, basis), loop_design_matrix(samples, basis))
 
     model = PceModel(
@@ -450,9 +461,9 @@ def test_vectorized_basis_matches_loop_reference_bitwise(seed, families, max_deg
     for x in samples:
         assert np.array_equal(pce_jacobian(model, x), loop_pce_jacobian(model, x))
 
-    # Out-of-bounds samples are reported alike: first bounded input, worst sample.
+    # Out-of-bounds samples are reported alike: first input, worst sample.
     outside = samples.copy()
-    for i in np.flatnonzero(np.array(families) == "legendre")[::-1]:
+    for i in range(m_x)[::-1]:
         outside[rng.integers(7), i] = bounds[i, 1] + rng.uniform(0.01, 1.0)
         with pytest.raises(ValueError) as expected:
             loop_standardize(basis, outside)

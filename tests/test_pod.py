@@ -29,11 +29,13 @@ def random_orthonormal(rng, m, k):
 
 
 def test_fit_rejects_a_constant_matrix() -> None:
-    # Every member equals the mean: no singular value is nonzero, so there is
-    # no mode to keep.
-    data = np.tile(np.array([1.0, -2.0, 0.5])[:, None], (1, 6))
-    with pytest.raises(ValueError, match="no variance"):
-        fit_pod(data)
+    # Every member equals the mean: there is no mode to keep. The second
+    # matrix's row means do not round exactly; its centered entries of 1e-16
+    # have one singular value (3e-16) that is roundoff, not a mode.
+    for data in (np.tile(np.array([1.0, -2.0, 0.5])[:, None], (1, 6)),
+                 np.tile([0.1, 0.7, 1.3], (7, 1)).T):
+        with pytest.raises(ValueError, match="no variance"):
+            fit_pod(data)
 
 
 def test_no_zero_singular_value_reaches_project(tmp_path) -> None:
