@@ -27,7 +27,7 @@ from .assimilate import (
     solve_podpce3dvar,
 )
 from .pce import PceConfig
-from .pod import fit_pod, truncate
+from .pod import ModeCountError, fit_pod, truncate
 from .rng import split_seed, substream, substream_seed
 from .surrogate import (
     COVARIANCE_KINDS,
@@ -86,7 +86,7 @@ def build_surrogates(
     return built, scaling
 
 
-# Noise and metrics --------------------------------------------------------------
+# Observation noise --------------------------------------------------------------
 
 
 def inject_noise(
@@ -119,37 +119,6 @@ def inject_noise(
     rng = substream(seed, "noise")
     y_o = y_t + sigma * rng.standard_normal(y_t.size)
     return y_o, sigma**2
-
-
-def rmse_global(y_ref: np.ndarray, y_hat: np.ndarray, standardizer: Standardizer) -> float:
-    """Root mean square error over standardized components."""
-    z_ref = standardizer.transform(np.asarray(y_ref, dtype=float))
-    z_hat = standardizer.transform(np.asarray(y_hat, dtype=float))
-    if z_ref.shape != z_hat.shape:
-        raise ValueError("reference and prediction must have equal shapes")
-    return float(np.sqrt(np.mean((z_hat - z_ref) ** 2)))
-
-
-def rmse_by(
-    y_ref: np.ndarray,
-    y_hat: np.ndarray,
-    standardizer: Standardizer,
-    by: str = "variable",
-) -> dict[str, float]:
-    """Standardized RMSE sliced by 'variable' or 'station'."""
-    z_ref = standardizer.transform(np.asarray(y_ref, dtype=float))
-    z_hat = standardizer.transform(np.asarray(y_hat, dtype=float))
-    diff2 = toymodel.unflatten((z_hat - z_ref) ** 2)
-    out: dict[str, float] = {}
-    if by == "variable":
-        for v, name in enumerate(toymodel.VARIABLES):
-            out[name] = float(np.sqrt(diff2[v].mean()))
-    elif by == "station":
-        for p in range(toymodel.N_STATIONS):
-            out[f"P{p + 1}"] = float(np.sqrt(diff2[:, p].mean()))
-    else:
-        raise ValueError(f"unknown grouping {by!r}, expected variable or station")
-    return out
 
 
 # Configurations and report rows --------------------------------------------------
@@ -262,8 +231,15 @@ class ReportRow:
     rmse_truth: float = float("nan")
     rmse_obs: float = float("nan")
     rmse_truth_background: float = float("nan")
-    rmse_by_variable: dict[str, float] = field(default_factory=dict)
-    rmse_by_station: dict[str, float] = field(default_factory=dict)
+    # Against the truth, or the observation in measurement mode.
+    rmse_u: float = float("nan")
+    rmse_v: float = float("nan")
+    rmse_eta: float = float("nan")
+    rmse_p1: float = float("nan")
+    rmse_p2: float = float("nan")
+    rmse_p3: float = float("nan")
+    rmse_p4: float = float("nan")
+    rmse_p5: float = float("nan")
     x_a: np.ndarray = field(default_factory=lambda: np.full(4, np.nan))
     clipped: bool = False
     j_final: float = float("nan")
@@ -315,10 +291,9 @@ def _draw_truth(config: TwinConfig) -> np.ndarray:
 @dataclass
 class _Builds:
     """Surrogates built once per (n, kind) at the largest requested rank and
-    sliced per mode count (mode fits are independent, so slicing is exact)."""
+    sliced per mode count d (mode fits are independent, so slicing is exact)."""
 
-    podpce: dict[int, PodPceSurrogate]
-    poden: dict[int, PodEnSurrogate]
+    surrogates: dict[str, dict[int, PodPceSurrogate | PodEnSurrogate]]  # [kind][d]
     scaling: Scaling
 
 
@@ -342,20 +317,24 @@ def _build_surrogates(
     kinds: Collection[str],
     mode_numbers: tuple[int, ...],
     evr_threshold: float | None,
+    field: str = "mode_numbers",
 ) -> _Builds:
     """Surrogates of the first ``n`` members: one per mode number, or the
-    single rank that ``evr_threshold`` selects when it is set."""
-    full, scaling = build_surrogates(
-        ctx.params_pool[:n].T, ctx.states_pool[:, :n], toymodel.PARAMETER_BOUNDS, kinds,
-        pce_degree=ctx.pce_degree, split_seed=split_seed(ctx.seed, n),
-        param_std=parameter_standardizer(),
-        modes=max(mode_numbers) if evr_threshold is None else None, evr_threshold=evr_threshold,
-    )
-    sliced = {
+    single rank that ``evr_threshold`` selects when it is set. A count above
+    the members' rank, known once they are fitted, fails naming ``field``."""
+    try:
+        full, scaling = build_surrogates(
+            ctx.params_pool[:n].T, ctx.states_pool[:, :n], toymodel.PARAMETER_BOUNDS, kinds,
+            pce_degree=ctx.pce_degree, split_seed=split_seed(ctx.seed, n),
+            param_std=parameter_standardizer(),
+            modes=max(mode_numbers) if evr_threshold is None else None, evr_threshold=evr_threshold,
+        )
+    except ModeCountError as exc:
+        raise ModeCountError(f"{field}: {exc}") from None
+    return _Builds({
         kind: {d: _shrink(s, d) for d in (mode_numbers if evr_threshold is None else (s.d,))}
         for kind, s in full.items()
-    }
-    return _Builds(sliced.get("podpce", {}), sliced.get("poden", {}), scaling)
+    }, scaling)
 
 
 @dataclass(frozen=True)
@@ -411,49 +390,76 @@ def _cells(
     """Cells of one build in report order: solver, then covariance (the
     linear surrogate runs with plain R only), then mode count."""
     for solver in surrogates:
-        available = builds.podpce if solver == "podpce" else builds.poden
         for covariance in (covariances if solver == "podpce" else ("r",)):
-            for d in sorted(available):
+            for d in sorted(builds.surrogates[solver]):
                 yield _Cell(solver=solver, covariance=covariance, d=d, **key)
 
 
-def _scored_row(
-    cell: _Cell, analysis, x_a: np.ndarray, observed: _Observed, standardizer: Standardizer,
-    **counts,
-) -> ReportRow:
-    """Report row of a physical analysis ``x_a``, scored in standardized
-    state units against the observed states; ``counts`` are the clipped,
-    model_runs, surrogate_evals and wall_time fields."""
-    nan = float("nan")
-    y_a = toymodel.simulate(x_a)  # reporting run, not a solver call
-    y_t, y_b, y_o = observed.y_t, observed.y_b, observed.y_o
-    reference = y_t if y_t is not None else y_o
-    return ReportRow(
-        **dataclasses.asdict(cell),
-        rmse_truth=rmse_global(y_t, y_a, standardizer) if y_t is not None else nan,
-        rmse_obs=rmse_global(y_o, y_a, standardizer),
-        rmse_truth_background=(
-            rmse_global(y_t, y_b, standardizer) if (y_t is not None and y_b is not None) else nan
-        ),
-        rmse_by_variable=rmse_by(reference, y_a, standardizer, "variable"),
-        rmse_by_station=rmse_by(reference, y_a, standardizer, "station"),
-        x_a=x_a,
-        j_final=analysis.j_final,
-        converged=analysis.converged,
-        reason=analysis.reason,
-        **counts,
-    )
+def _physical(scaling: Scaling, x_std: np.ndarray) -> tuple[np.ndarray, bool]:
+    """A standardized analysis in physical units, snapped into the box (the
+    inverse map may overshoot a bound by an ulp), and whether it was snapped."""
+    x_phys = scaling.params.inverse(x_std)
+    x_a = np.clip(x_phys, scaling.bounds[:, 0], scaling.bounds[:, 1])
+    return x_a, bool(np.any(np.abs(x_a - x_phys) > 0.0))
+
+
+def _rms(z: np.ndarray) -> float:
+    return float(np.sqrt(np.mean(z**2)))
+
+
+class _Scorer:
+    """Report rows of the analyses of one build against one observation,
+    scored in the build's standardized state units. The observed states are
+    standardized once; each analysis's reporting run once per row."""
+
+    def __init__(self, states: Standardizer, observed: _Observed) -> None:
+        self.states = states
+        self.z_o = states.transform(observed.y_o)
+        self.z_t = None if observed.y_t is None else states.transform(observed.y_t)
+        self.rmse_truth_background = float("nan")
+        if self.z_t is not None and observed.y_b is not None:
+            self.rmse_truth_background = _rms(states.transform(observed.y_b) - self.z_t)
+
+    def rmses(self, y_a: np.ndarray) -> dict[str, float]:
+        """The RMSE fields of a :class:`ReportRow` for the physical state ``y_a``."""
+        z_a = self.states.transform(y_a)
+        to_obs = z_a - self.z_o
+        to_ref = to_obs if self.z_t is None else z_a - self.z_t
+        squared = toymodel.unflatten(to_ref**2)  # (variable, station, time)
+        return {
+            "rmse_truth": float("nan") if self.z_t is None else _rms(to_ref),
+            "rmse_obs": _rms(to_obs),
+            "rmse_truth_background": self.rmse_truth_background,
+            **{f"rmse_{name}": float(np.sqrt(squared[v].mean()))
+               for v, name in enumerate(toymodel.VARIABLES)},
+            **{f"rmse_p{p + 1}": float(np.sqrt(squared[:, p].mean()))
+               for p in range(toymodel.N_STATIONS)},
+        }
+
+    def row(self, cell: _Cell, analysis, x_a: np.ndarray, **counts) -> ReportRow:
+        """Row of the physical analysis ``x_a``; ``counts`` are the clipped,
+        model_runs, surrogate_evals and wall_time fields."""
+        return ReportRow(
+            **dataclasses.asdict(cell),
+            **self.rmses(toymodel.simulate(x_a)),  # reporting run, not a solver call
+            x_a=x_a,
+            j_final=analysis.j_final,
+            converged=analysis.converged,
+            reason=analysis.reason,
+            **counts,
+        )
 
 
 def _run_cells(builds: _Builds, observed: _Observed, cells: Iterator[_Cell]) -> list[ReportRow]:
-    """The cells of one build against one observation: every R~ among them
-    whitens its modes with one shared QR, dropped when the cells are done."""
+    """The cells of one build against one observation, scored by one
+    scorer; every R~ among them whitens its modes with one shared QR."""
     whitening = ModeWhitening()
-    return [_run_cell(builds, cell, observed, whitening) for cell in cells]
+    scorer = _Scorer(builds.scaling.states, observed)
+    return [_run_cell(builds, cell, observed, whitening, scorer) for cell in cells]
 
 
 def _run_cell(
-    builds: _Builds, cell: _Cell, observed: _Observed, whitening: ModeWhitening
+    builds: _Builds, cell: _Cell, observed: _Observed, whitening: ModeWhitening, scorer: _Scorer
 ) -> ReportRow:
     """Solve one cell in standardized space and report it in physical units.
 
@@ -461,26 +467,18 @@ def _run_cell(
     """
     start = time.perf_counter()
     try:
-        scaling = builds.scaling
-        surrogate = builds.podpce[cell.d] if cell.solver == "podpce" else builds.poden[cell.d]
+        surrogate = builds.surrogates[cell.solver][cell.d]
         problem = whitening.share(pose_problem(
-            surrogate, scaling, observed.y_o, observed.r_diag, cell.covariance,
+            surrogate, builds.scaling, observed.y_o, observed.r_diag, cell.covariance,
             background_cov=observed.b_cov, alpha_b=cell.alpha_b, alpha_r=cell.alpha_r,
         ))
-        if cell.solver == "podpce":
-            analysis = solve_podpce3dvar(surrogate, problem)
-            surrogate_evals = analysis.evaluations
-        else:
-            analysis = solve_poden3dvar(surrogate, problem)
-            surrogate_evals = 0
-
-        x_a_phys = scaling.params.inverse(analysis.x_a)
-        x_a = np.clip(x_a_phys, scaling.bounds[:, 0], scaling.bounds[:, 1])
-        return _scored_row(
-            cell, analysis, x_a, observed, scaling.states,
-            clipped=bool(np.any(np.abs(x_a - x_a_phys) > 0.0)),
+        solve = solve_podpce3dvar if cell.solver == "podpce" else solve_poden3dvar
+        analysis = solve(surrogate, problem)
+        x_a, clipped = _physical(builds.scaling, analysis.x_a)
+        return scorer.row(
+            cell, analysis, x_a, clipped=clipped,
             model_runs=cell.n,  # ensemble only; the surrogate solvers never call the model
-            surrogate_evals=surrogate_evals,
+            surrogate_evals=analysis.evaluations,
             wall_time=time.perf_counter() - start,
         )
     except Exception as exc:  # recorded per cell, sweep continues
@@ -525,11 +523,11 @@ def run_covariance_grid(config: TwinConfig) -> ExperimentReport:
     _check_modes("grid_modes", (config.grid_modes,), n)
     ctx = _make_context(config.seed, n, config.pce_degree)
     x_t, observed = _observe_truth(config, (config.grid_noise,))
-    builds = _build_surrogates(ctx, n, ("podpce",), (config.grid_modes,), None)
+    builds = _build_surrogates(ctx, n, ("podpce",), (config.grid_modes,), None, "grid_modes")
     cells = (
         cell
-        for alpha_b in config.alpha_grid
-        for alpha_r in config.alpha_grid
+        for alpha_b in map(float, config.alpha_grid)  # a JSON config may hold ints
+        for alpha_r in map(float, config.alpha_grid)
         for cell in _cells(
             builds, ("podpce",), (config.covariance_kind,),
             experiment="covgrid", n=n, noise=config.grid_noise, alpha_b=alpha_b, alpha_r=alpha_r,
@@ -615,27 +613,21 @@ def run_measurement(config: MeasurementConfig, y_o: np.ndarray) -> ExperimentRep
     }
 
     # Classical reference in the same standardized coordinates as the
-    # largest training ensemble.
+    # largest training ensemble. Probes can sit on a bound, so the model
+    # sees them snapped into the box, as the analysis is reported.
     scaling = builds[n_max].scaling
-    standardizer, param_std = scaling.states, scaling.params
-    low, high = scaling.bounds[:, 0], scaling.bounds[:, 1]
 
     def model_std(x_std: np.ndarray) -> np.ndarray:
-        # Probes can sit on a bound; the inverse affine map may overshoot it
-        # by one ulp, so snap back before simulating.
-        x_phys = np.clip(param_std.inverse(x_std), low, high)
-        return standardizer.transform(toymodel.simulate(x_phys))
+        return scaling.states.transform(toymodel.simulate(_physical(scaling, x_std)[0]))
 
-    problem = pose_problem(None, scaling, y_o, r_diag)
     start = time.perf_counter()
-    classical = solve_classical_3dvar(model_std, problem)
+    classical = solve_classical_3dvar(model_std, pose_problem(None, scaling, y_o, r_diag))
     classical_time = time.perf_counter() - start
-    x_a_classical = param_std.inverse(classical.x_a)
+    x_a_classical, clipped = _physical(scaling, classical.x_a)
     observed = _Observed(y_o, r_diag, np.eye(4))
-    classical_row = _scored_row(
-        _Cell("measure", "classical", "r", 0, 0, config.assumed_noise),
-        classical, x_a_classical, observed, standardizer,
-        model_runs=classical.evaluations, wall_time=classical_time,
+    classical_row = _Scorer(scaling.states, observed).row(
+        _Cell("measure", "classical", "r", 0, 0, config.assumed_noise), classical, x_a_classical,
+        clipped=clipped, model_runs=classical.evaluations, wall_time=classical_time,
     )
     rows = [classical_row] + [
         row

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io as _io
 import json
 from pathlib import Path
 from typing import Any
@@ -253,81 +252,48 @@ def load_surrogate(path: str | Path) -> tuple[PodPceSurrogate | PodEnSurrogate, 
 
 # Experiment reports ----------------------------------------------------------------
 
+# The report schema. Every column but x_a_* is the experiments.ReportRow
+# attribute of the same name; the first eight name a cell.
 REPORT_COLUMNS = (
-    "experiment",
-    "solver",
-    "covariance",
-    "n",
-    "d",
-    "noise",
-    "alpha_b",
-    "alpha_r",
-    "rmse_truth",
-    "rmse_obs",
-    "rmse_truth_background",
-    "rmse_u",
-    "rmse_v",
-    "rmse_eta",
-    "rmse_p1",
-    "rmse_p2",
-    "rmse_p3",
-    "rmse_p4",
-    "rmse_p5",
-    "x_a_k2",
-    "x_a_mtl",
-    "x_a_ctl",
-    "x_a_ctv",
-    "clipped",
-    "j_final",
-    "model_runs",
-    "surrogate_evals",
-    "converged",
-    "reason",
-    "error",
+    "experiment", "solver", "covariance", "n", "d", "noise", "alpha_b", "alpha_r",
+    "rmse_truth", "rmse_obs", "rmse_truth_background",
+    "rmse_u", "rmse_v", "rmse_eta", "rmse_p1", "rmse_p2", "rmse_p3", "rmse_p4", "rmse_p5",
+    "x_a_k2", "x_a_mtl", "x_a_ctl", "x_a_ctv",
+    "clipped", "j_final", "model_runs", "surrogate_evals", "converged", "reason", "error",
 )
+_KEY_COLUMNS = REPORT_COLUMNS[:8]
+_X_A_COLUMNS = tuple(c for c in REPORT_COLUMNS if c.startswith("x_a_"))
 
 
-_KEY_COLUMNS = REPORT_COLUMNS[:8]  # what names a cell
+def _cell(value) -> str:
+    """One CSV cell: text with its separators masked, bools and integers
+    as integers, floats in their shortest round-trip form."""
+    if isinstance(value, str):
+        return value.replace(",", ";").replace("\n", " ")
+    if isinstance(value, (int, np.integer, np.bool_)):
+        return str(int(value))
+    return _fmt(value)
 
 
-def _key_cells(row) -> list[str]:
-    return [
-        row.experiment,
-        row.solver,
-        row.covariance,
-        str(row.n),
-        str(row.d),
-        _fmt(row.noise),
-        _fmt(row.alpha_b),
-        _fmt(row.alpha_r),
-    ]
+def _value(row, column: str):
+    """A report row's ``column``: the row attribute of that name, except an
+    entry of ``row.x_a``, the wall time in seconds, and the replicate of a
+    ``bootstrap/<replicate>`` row."""
+    if column in _X_A_COLUMNS:
+        return row.x_a[_X_A_COLUMNS.index(column)]
+    if column == "wall_time_s":
+        return row.wall_time
+    if column == "replicate":
+        return row.experiment.split("/", 1)[1]
+    return getattr(row, column)
 
 
-def _report_cells(row) -> list[str]:
-    by_var = row.rmse_by_variable
-    by_station = row.rmse_by_station
-    cells = _key_cells(row) + [
-        _fmt(row.rmse_truth),
-        _fmt(row.rmse_obs),
-        _fmt(row.rmse_truth_background),
-    ]
-    for key in ("u", "v", "eta"):
-        cells.append(_fmt(by_var.get(key, float("nan"))))
-    for p in range(1, 6):
-        cells.append(_fmt(by_station.get(f"P{p}", float("nan"))))
-    cells.extend(_fmt(v) for v in row.x_a)
-    cells.extend(
-        [
-            str(int(row.clipped)),
-            _fmt(row.j_final),
-            str(row.model_runs),
-            str(row.surrogate_evals),
-            str(int(row.converged)),
-            row.reason,
-            row.error.replace(",", ";").replace("\n", " "),
-        ]
-    )
-    return cells
+def _line(row, columns: tuple[str, ...]) -> str:
+    return ",".join(_cell(_value(row, column)) for column in columns)
+
+
+def _csv_text(header: str, rows, columns: tuple[str, ...]) -> str:
+    return "\n".join([header, ",".join(columns), *(_line(row, columns) for row in rows)]) + "\n"
 
 
 def report_csv_text(report, seed: int | None = None, cfg_hash: str | None = None) -> str:
@@ -336,12 +302,8 @@ def report_csv_text(report, seed: int | None = None, cfg_hash: str | None = None
     Wall-clock timings vary between runs, so they are written separately by
     :func:`write_timings_csv`.
     """
-    buffer = _io.StringIO()
-    buffer.write(csv_header_line(seed, cfg_hash, schema=SCHEMAS["report"]) + "\n")
-    buffer.write(",".join(REPORT_COLUMNS) + "\n")
-    for row in report.rows:
-        buffer.write(",".join(_report_cells(row)) + "\n")
-    return buffer.getvalue()
+    header = csv_header_line(seed, cfg_hash, schema=SCHEMAS["report"])
+    return _csv_text(header, report.rows, REPORT_COLUMNS)
 
 
 def write_report_csv(path: str | Path, report, seed: int | None = None,
@@ -351,65 +313,32 @@ def write_report_csv(path: str | Path, report, seed: int | None = None,
 
 def write_timings_csv(path: str | Path, report, seed: int | None = None,
                       cfg_hash: str | None = None) -> None:
-    lines = [csv_header_line(seed, cfg_hash, schema=SCHEMAS["report"], content="timings")]
-    lines.append(",".join(_KEY_COLUMNS + ("wall_time_s",)))
-    for row in report.rows:
-        lines.append(",".join(_key_cells(row) + [_fmt(row.wall_time)]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    """The cell keys and each cell's wall time in seconds."""
+    header = csv_header_line(seed, cfg_hash, schema=SCHEMAS["report"], content="timings")
+    Path(path).write_text(_csv_text(header, report.rows, _KEY_COLUMNS + ("wall_time_s",)))
+
+
+# (file, experiment, columns) of each figure analogue; a bootstrap row's
+# experiment is "bootstrap/<replicate>".
+_PLOTS = (
+    ("plot_noise_sweep.csv", "twin", ("noise", "n", "d", "solver", "rmse_truth", "rmse_obs")),
+    ("plot_mode_sweep.csv", "twin", ("d", "n", "noise", "solver", "rmse_truth")),
+    ("plot_covariance_grid.csv", "covgrid", ("alpha_b", "alpha_r", "rmse_truth")),
+    ("plot_bootstrap.csv", "bootstrap", ("replicate", "solver", "d", "rmse_truth")),
+    ("plot_measurement.csv", "measure", ("solver", "covariance", "n", "d", "rmse_obs", "model_runs")),
+)
 
 
 def write_plot_csvs(outdir: str | Path, report, seed: int | None = None,
                     cfg_hash: str | None = None) -> list[Path]:
-    """Long-format CSVs, one per figure analogue present in the report."""
-    outdir = Path(outdir)
+    """Long-format CSVs, one per figure analogue with a successful row in
+    the report; each cell equals the report.csv cell of its row and column."""
     written: list[Path] = []
-
-    def dump(name: str, header: list[str], rows: list[list[str]]) -> None:
-        if not rows:
-            return
-        path = outdir / name
-        lines = [csv_header_line(seed, cfg_hash, content=name)]
-        lines.append(",".join(header))
-        lines.extend(",".join(r) for r in rows)
-        path.write_text("\n".join(lines) + "\n")
-        written.append(path)
-
-    twin = [r for r in report.rows if r.experiment == "twin" and not r.error]
-    dump(
-        "plot_noise_sweep.csv",
-        ["noise", "n", "d", "solver", "rmse_truth", "rmse_obs"],
-        [
-            [_fmt(r.noise), str(r.n), str(r.d), r.solver, _fmt(r.rmse_truth), _fmt(r.rmse_obs)]
-            for r in twin
-        ],
-    )
-    dump(
-        "plot_mode_sweep.csv",
-        ["d", "n", "noise", "solver", "rmse_truth"],
-        [[str(r.d), str(r.n), _fmt(r.noise), r.solver, _fmt(r.rmse_truth)] for r in twin],
-    )
-    grid = [r for r in report.rows if r.experiment == "covgrid" and not r.error]
-    dump(
-        "plot_covariance_grid.csv",
-        ["alpha_b", "alpha_r", "rmse_truth"],
-        [[_fmt(r.alpha_b), _fmt(r.alpha_r), _fmt(r.rmse_truth)] for r in grid],
-    )
-    boot = [r for r in report.rows if r.experiment.startswith("bootstrap") and not r.error]
-    dump(
-        "plot_bootstrap.csv",
-        ["replicate", "solver", "d", "rmse_truth"],
-        [
-            [r.experiment.split("/", 1)[1], r.solver, str(r.d), _fmt(r.rmse_truth)]
-            for r in boot
-        ],
-    )
-    measure = [r for r in report.rows if r.experiment == "measure" and not r.error]
-    dump(
-        "plot_measurement.csv",
-        ["solver", "covariance", "n", "d", "rmse_obs", "model_runs"],
-        [
-            [r.solver, r.covariance, str(r.n), str(r.d), _fmt(r.rmse_obs), str(r.model_runs)]
-            for r in measure
-        ],
-    )
+    for name, experiment, columns in _PLOTS:
+        rows = [r for r in report.rows
+                if r.experiment.split("/", 1)[0] == experiment and not r.error]
+        if rows:
+            path = Path(outdir) / name
+            path.write_text(_csv_text(csv_header_line(seed, cfg_hash, content=name), rows, columns))
+            written.append(path)
     return written

@@ -16,13 +16,13 @@ import numpy as np
 
 ARMIJO_C1 = 1e-4
 MAX_BACKTRACKS = 60
+LBFGS_MEMORY = 10  # correction pairs
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     tol: float = 1e-8  # projected-gradient infinity norm
     max_iter: int = 500
-    memory: int = 10  # L-BFGS correction pairs
     f_rel_tol: float = 1e-12  # relative decrease per accepted step
 
 
@@ -113,7 +113,7 @@ def bounded_quasi_newton(
         raise ValueError("objective or gradient is not finite at the starting point")
 
     box = _Box.of(lower, upper)
-    pairs: deque = deque(maxlen=config.memory)
+    pairs: deque = deque(maxlen=LBFGS_MEMORY)
     f_trace = [fx]
     pg = box.project(x, gx)  # at the current point, reused until it moves
     grad_norms = [float(np.max(np.abs(pg)))]

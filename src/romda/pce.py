@@ -392,7 +392,7 @@ def select_degree(
         # Validation errors at roundoff level are ties; the parsimony rule
         # must not be decided by which exact fit rounds lower.
         floor = 1e-24 * float(np.mean(val_targets[:, k] ** 2))
-        best: tuple[float, int, np.ndarray] | None = None
+        best: tuple[float, int, np.ndarray, np.ndarray] | None = None
         for p, n_cols in enumerate(n_terms_per_degree):
             fit = fit_lars(psi_train[:, :n_cols], train_targets[:, k])
             predicted = psi_val[:, :n_cols] @ fit.coefficients
@@ -401,12 +401,11 @@ def select_degree(
             if delta <= floor:
                 delta = 0.0
             if best is None or delta < best[0]:
-                best = (delta, p, fit.coefficients)
-        delta, p_sel, coef = best
+                best = (delta, p, fit.coefficients, residual)
+        delta, p_sel, coef, residual = best
         rows[k, : coef.size] = coef
         errors[k] = delta
-        predicted = psi_val[:, : coef.size] @ coef
-        biases[k] = float(np.mean(val_targets[:, k] - predicted))
+        biases[k] = float(np.mean(residual))
         degrees.append(p_sel)
 
     return PceModel(

@@ -204,6 +204,10 @@ def evr(basis: PodBasis, d: int) -> float:
     return float(lam[:d].sum() / lam.sum())
 
 
+class ModeCountError(ValueError):
+    """A retained mode count outside [1, r], r the numerical rank."""
+
+
 def truncate(
     basis: PodBasis,
     *,
@@ -221,7 +225,7 @@ def truncate(
     if modes is not None:
         d = int(modes)
         if not 1 <= d <= r:
-            raise ValueError(
+            raise ModeCountError(
                 f"retained mode count must be in [1, {r}] (the numerical rank of the "
                 f"snapshots), got {d}"
             )

@@ -351,6 +351,21 @@ def test_sweep_config_fails_before_sampling_naming_the_field(
     assert capsys.readouterr().err.startswith(f"error: {field}: ")
 
 
+@pytest.mark.parametrize("command, field, value", [("twin", "mode_numbers", [150]),
+                                                   ("covgrid", "grid_modes", 150)])
+def test_mode_count_above_the_ensemble_rank_fails_naming_the_field(
+    tmp_path, capsys, command, field, value
+) -> None:
+    # 200 toy members pass the n - 1 check but span only 99 state modes; the
+    # rank is known once they are fitted, so the ensemble is propagated.
+    cfg = {"training_sizes": [200], field: value, "surrogates": ["podpce"], "noise_levels": [0.1]}
+    path = write_config(tmp_path, "cfg.json", cfg)
+    assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: ")
+    assert "numerical rank" in err
+
+
 def test_stored_pce_family_other_than_legendre_fails_validation(tmp_path, capsys) -> None:
     doc = json.loads((DATA / "podpce_v1.json").read_text())
     doc["pce"]["families"] = ["legendre", "chebyshev"]

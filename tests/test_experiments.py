@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from romda import assimilate, experiments, surrogate, toymodel
+from romda import assimilate, experiments, io, surrogate, toymodel
 from romda.experiments import (
     MeasurementConfig,
     TwinConfig,
     inject_noise,
     parameter_standardizer,
-    rmse_by,
-    rmse_global,
     run_bootstrap,
     run_covariance_grid,
     run_measurement,
@@ -80,15 +78,20 @@ def test_inject_noise_rejects_bad_level() -> None:
             inject_noise(y_t, level, seed=0)
 
 
+def _scorer(y_ref: np.ndarray, stdzr: Standardizer) -> experiments._Scorer:
+    """A scorer against the truth ``y_ref``, observed without noise."""
+    return experiments._Scorer(stdzr, experiments._Observed(y_ref, np.ones(570), np.eye(4), y_ref))
+
+
 def test_rmse_global_basics() -> None:
     rng = np.random.default_rng(1)
     ensemble = rng.standard_normal((570, 40)) + 2.0
     stdzr = Standardizer.fit(ensemble)
     y = ensemble[:, 0]
-    assert rmse_global(y, y, stdzr) == 0.0
+    assert _scorer(y, stdzr).rmses(y)["rmse_truth"] == 0.0
     shift = 0.37
     y_shifted = y + shift * stdzr.std
-    assert rmse_global(y, y_shifted, stdzr) == pytest.approx(shift)
+    assert _scorer(y, stdzr).rmses(y_shifted)["rmse_truth"] == pytest.approx(shift)
 
 
 def test_rmse_groups_recombine_to_global() -> None:
@@ -97,13 +100,30 @@ def test_rmse_groups_recombine_to_global() -> None:
     stdzr = Standardizer.fit(ensemble)
     y_ref = ensemble[:, 3]
     y_hat = y_ref + rng.standard_normal(570) * stdzr.std * 0.2
-    total = rmse_global(y_ref, y_hat, stdzr)
-    by_var = rmse_by(y_ref, y_hat, stdzr, "variable")
-    assert np.sqrt(np.mean([v**2 for v in by_var.values()])) == pytest.approx(total, rel=1e-12)
-    by_station = rmse_by(y_ref, y_hat, stdzr, "station")
-    assert np.sqrt(np.mean([v**2 for v in by_station.values()])) == pytest.approx(total, rel=1e-12)
-    with pytest.raises(ValueError, match="grouping"):
-        rmse_by(y_ref, y_hat, stdzr, "component")
+    rmses = _scorer(y_ref, stdzr).rmses(y_hat)
+    total = rmses["rmse_truth"]
+    by_var = [rmses[f"rmse_{name}"] for name in toymodel.VARIABLES]
+    assert np.sqrt(np.mean([v**2 for v in by_var])) == pytest.approx(total, rel=1e-12)
+    by_station = [rmses[f"rmse_p{p}"] for p in range(1, toymodel.N_STATIONS + 1)]
+    assert np.sqrt(np.mean([v**2 for v in by_station])) == pytest.approx(total, rel=1e-12)
+
+
+def test_physical_snaps_an_analysis_one_ulp_outside_the_box() -> None:
+    bounds = toymodel.PARAMETER_BOUNDS
+    scaling = surrogate.Scaling(parameter_standardizer(), Standardizer(np.zeros(1), np.ones(1)), bounds)
+    inside = scaling.params.transform(toymodel.PARAMETER_MEANS)
+    x_a, clipped = experiments._physical(scaling, inside)
+    assert not clipped
+    assert np.array_equal(x_a, scaling.params.inverse(inside))
+
+    # One ulp below K2's standardized lower bound maps below its physical one.
+    outside = inside.copy()
+    outside[0] = np.nextafter(scaling.box[0, 0], -np.inf)
+    assert scaling.params.inverse(outside)[0] < bounds[0, 0]
+    x_a, clipped = experiments._physical(scaling, outside)
+    assert clipped
+    assert x_a[0] == bounds[0, 0]
+    assert np.array_equal(x_a[1:], scaling.params.inverse(outside)[1:])
 
 
 def small_config(**kwargs):
@@ -421,3 +441,26 @@ def test_inflated_observation_error_pulls_toward_background() -> None:
     inflated = next(r for r in report.rows if r.alpha_b == 1.0 and r.alpha_r == 100.0)
     reference = next(r for r in report.rows if r.alpha_b == 1.0 and r.alpha_r == 1.0)
     assert distance_to_background(inflated) <= distance_to_background(reference)
+
+
+@pytest.mark.parametrize("driver", ["twin", "covgrid", "bootstrap", "measure"])
+def test_plot_cells_equal_the_report_cells_of_their_row(driver, tmp_path) -> None:
+    report = _tiny_sweep(driver)
+
+    def table(path):
+        lines = path.read_text().splitlines()[1:]  # after the metadata comment
+        return [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+
+    io.write_report_csv(tmp_path / "report.csv", report)
+    written = io.write_plot_csvs(tmp_path, report)
+    rows = table(tmp_path / "report.csv")
+    plots = [(name, experiment) for name, experiment, _ in io._PLOTS if experiment == driver]
+    assert [path.name for path in written] == [name for name, _ in plots]
+    for name, experiment in plots:
+        plot = table(tmp_path / name)
+        kept = [row for row in rows if row["experiment"].split("/")[0] == experiment]
+        assert len(plot) == len(kept) > 0
+        for cells, row in zip(plot, kept):
+            for column, cell in cells.items():
+                expected = row["experiment"].split("/")[1] if column == "replicate" else row[column]
+                assert cell == expected, (name, column)
