@@ -7,14 +7,18 @@ drivers and the ``build-surrogate`` command both build through
 :func:`build_surrogates`. Analyses are reported back in physical units. All
 randomness flows from the run seed through named substreams; sweeps are
 deterministic per (config, seed), and nested training-size sweeps reuse members.
+The independent units of a sweep (bootstrap replicates, twin (noise, n)
+groups) run in forked workers (:func:`_map`); their rows do not depend on
+the worker count.
 """
 from __future__ import annotations
 
 import dataclasses
 import logging
+import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Collection, Iterator
+from typing import Any, Callable, Collection, Iterator, Sequence
 
 import numpy as np
 
@@ -254,7 +258,6 @@ class ReportRow:
 @dataclass
 class ExperimentReport:
     rows: list[ReportRow]
-    seed: int
     experiment: str
     extras: dict = field(default_factory=dict)
 
@@ -486,6 +489,47 @@ def _run_cell(
         return ReportRow(**dataclasses.asdict(cell), error=str(exc))
 
 
+# Independent units -----------------------------------------------------------------
+
+
+_unit: Callable[[Any], Any] | None = None  # a worker's fn, set by _adopt after fork
+
+
+def _adopt(fn: Callable[[Any], Any]) -> None:
+    global _unit
+    _unit = fn
+
+
+def _apply(item: Any) -> Any:
+    return _unit(item)
+
+
+def _map(fn: Callable[[Any], Any], items: Sequence) -> list:
+    """``[fn(item) for item in items]``, run on forked workers: one per CPU
+    the process may use, divided by the bundled OpenBLAS's thread count (so
+    workers never oversubscribe the CPUs), and at most one per item.
+
+    The workers reach ``fn`` and what it closes over through fork, so only
+    the items and the results are pickled; they inherit the caller's BLAS
+    thread counts, so the results do not depend on the worker count. An
+    exception raised by ``fn`` is re-raised here, and a worker that dies
+    raises ``BrokenProcessPool``. With one worker, ``fn`` runs in this process.
+    """
+    from .cli import _bundled_openblas  # the BLAS probe of the CLI's one-thread scope
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    blas_threads = max([get() for get, _ in _bundled_openblas()], default=1)
+    workers = min(cpus // blas_threads, len(items))
+    if workers <= 1:
+        return [fn(item) for item in items]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(workers, fork, initializer=_adopt, initargs=(fn,)) as pool:
+        return list(pool.map(_apply, items))
+
+
 # Drivers --------------------------------------------------------------------------
 
 
@@ -500,18 +544,18 @@ def run_twin(config: TwinConfig) -> ExperimentReport:
         n: _build_surrogates(ctx, n, config.surrogates, config.mode_numbers, config.evr_threshold)
         for n in config.training_sizes
     }
-    rows = [
-        row
-        for noise in config.noise_levels
-        for n in config.training_sizes
-        for row in _run_cells(builds[n], observed[noise], _cells(
+
+    def group_rows(group: tuple[float, int]) -> list[ReportRow]:
+        noise, n = group
+        return _run_cells(builds[n], observed[noise], _cells(
             builds[n], config.surrogates, (config.covariance_kind,),
             experiment="twin", n=n, noise=noise,
         ))
-    ]
+
+    groups = [(noise, n) for noise in config.noise_levels for n in config.training_sizes]
+    rows = [row for group in _map(group_rows, groups) for row in group]
     return ExperimentReport(
         rows=rows,
-        seed=config.seed,
         experiment="twin",
         extras={"x_t": x_t.tolist(), "rmse_truth_background": rows[0].rmse_truth_background if rows else None},
     )
@@ -538,7 +582,6 @@ def run_covariance_grid(config: TwinConfig) -> ExperimentReport:
     matrix = np.array([row.rmse_truth for row in rows]).reshape(size, size)
     return ExperimentReport(
         rows=rows,
-        seed=config.seed,
         experiment="covgrid",
         extras={"x_t": x_t.tolist(), "alpha_grid": list(config.alpha_grid), "rmse_matrix": matrix.tolist()},
     )
@@ -551,18 +594,20 @@ def run_bootstrap(config: TwinConfig) -> ExperimentReport:
         _check_modes("mode_numbers", config.mode_numbers, config.bootstrap_size)
     x_t, observed = _observe_truth(config, (config.bootstrap_noise,))
 
-    rows: list[ReportRow] = []
-    for replicate in range(config.bootstrap_replicates):
+    def replicate_rows(replicate: int) -> list[ReportRow]:
         member_seed = substream_seed(config.seed, f"bootstrap/{replicate}")
         ctx = _make_context(member_seed, config.bootstrap_size, config.pce_degree)
         builds = _build_surrogates(
             ctx, config.bootstrap_size, config.surrogates, config.mode_numbers, config.evr_threshold
         )
-        rows += _run_cells(builds, observed[config.bootstrap_noise], _cells(
+        return _run_cells(builds, observed[config.bootstrap_noise], _cells(
             builds, config.surrogates, (config.covariance_kind,),
             experiment=f"bootstrap/{replicate}", n=config.bootstrap_size,
             noise=config.bootstrap_noise,
         ))
+
+    replicates = _map(replicate_rows, range(config.bootstrap_replicates))
+    rows = [row for replicate in replicates for row in replicate]
 
     summary: dict[str, dict[str, float]] = {}
     for solver in config.surrogates:
@@ -580,7 +625,6 @@ def run_bootstrap(config: TwinConfig) -> ExperimentReport:
                 }
     return ExperimentReport(
         rows=rows,
-        seed=config.seed,
         experiment="bootstrap",
         extras={"x_t": x_t.tolist(), "summary": summary},
     )
@@ -639,7 +683,6 @@ def run_measurement(config: MeasurementConfig, y_o: np.ndarray) -> ExperimentRep
     ]
     return ExperimentReport(
         rows=rows,
-        seed=config.seed,
         experiment="measure",
         extras={
             "classical_rmse_obs": classical_row.rmse_obs,

@@ -201,6 +201,20 @@ def _prefix_scores(q: np.ndarray, r: np.ndarray, y: np.ndarray) -> np.ndarray:
     return corrected
 
 
+def _corrected_loo(q: np.ndarray, r: np.ndarray, resid: np.ndarray) -> float:
+    """Corrected leave-one-out error of a least-squares fit with thin QR
+    ``q, r`` and residual ``resid``: the hat-matrix LOO error times
+    n / (n - p) (1 + tr((Psi^T Psi)^-1)), infinite where a leverage reaches
+    1 or p >= n."""
+    n, p = q.shape
+    denom = 1.0 - np.einsum("ij,ij->i", q, q)
+    if p >= n or np.any(denom <= 1e-12):
+        return np.inf
+    loo = float(np.mean((resid / denom) ** 2))
+    trace_inv = float(np.sum(solve_triangular(r, np.eye(p)) ** 2))
+    return loo * ((n / (n - p)) * (1.0 + trace_inv))
+
+
 def fit_lars(psi: np.ndarray, targets: np.ndarray) -> LarsFit:
     """Sparse coefficients for ``targets ~ psi`` by LARS + corrected LOO.
 
@@ -210,7 +224,8 @@ def fit_lars(psi: np.ndarray, targets: np.ndarray) -> LarsFit:
     design scores every prefix (:func:`_prefix_scores`); the prefix with
     minimal corrected leave-one-out error wins, ties going to the sparser
     model. Only the winner is refitted, by least squares on its own columns,
-    so its coefficients do not depend on the path that scored it.
+    so its coefficients, and the leave-one-out error reported with them, do
+    not depend on the path that scored it.
     """
     psi = np.asarray(psi, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -245,9 +260,11 @@ def fit_lars(psi: np.ndarray, targets: np.ndarray) -> LarsFit:
     p = int(np.argmin(scores)) + 1
     if p < len(path):
         q, r = np.linalg.qr(psi[:, path[:p]])
+    fitted = solve_triangular(r, q.T @ targets)
     coef = np.zeros(n_terms)
-    coef[list(path[:p])] = solve_triangular(r, q.T @ targets)
-    return LarsFit(coefficients=coef, loo_error=float(scores[p - 1]), active=path[1:p])
+    coef[list(path[:p])] = fitted
+    loo_error = _corrected_loo(q, r, targets - psi[:, path[:p]] @ fitted)
+    return LarsFit(coefficients=coef, loo_error=loo_error, active=path[1:p])
 
 
 def _lars_path(x: np.ndarray, y: np.ndarray, max_active: int) -> list[tuple[int, ...]]:

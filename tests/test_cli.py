@@ -1,18 +1,22 @@
 import argparse
 import json
 import logging
+import multiprocessing
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import romda
-from romda import cli, io, toymodel
+from romda import cli, experiments, io, toymodel
 from romda.assimilate import pose_problem, solve_poden3dvar, solve_podpce3dvar
 from romda.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 from romda.experiments import build_surrogates, measurement_noise_diag
 from romda.pce import PceConfig, select_degree, split_members
-from romda.pod import PodBasis, SnapshotMatrix, fit_pod, truncate
+from romda.pod import ModeCountError, PodBasis, SnapshotMatrix, fit_pod, truncate
 from romda.rng import split_seed, substream_seed
 from romda.surrogate import PodEnSurrogate, Scaling, Standardizer
 
@@ -389,6 +393,45 @@ def test_readme_command_block_lists_every_subcommand() -> None:
 
 def test_every_exported_name_resolves() -> None:
     assert [name for name in romda.__all__ if not hasattr(romda, name)] == []
+
+
+def test_import_loads_no_process_pool() -> None:
+    # The sweeps import the pool only when they run units in workers.
+    code = ("import sys, romda, romda.cli; "
+            "print([m for m in ('concurrent.futures.process', 'multiprocessing.pool') if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=str(Path(romda.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("error, code, message", [
+    (None, EXIT_OK, ""),
+    (ModeCountError("injected rank failure"), EXIT_VALIDATION, "error: mode_numbers: injected rank failure"),
+    (np.linalg.LinAlgError("injected numerical failure"), EXIT_NUMERICAL,
+     "numerical failure: injected numerical failure"),
+])
+def test_bootstrap_in_workers_exits_by_its_replicates_and_leaves_no_process(
+    tmp_path, capsys, monkeypatch, error, code, message
+) -> None:
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    cfg = {"surrogates": ["podpce"], "mode_numbers": [2], "pce_degree": 2,
+           "bootstrap_replicates": 3, "bootstrap_size": 40}
+    failing = split_seed(substream_seed(5, "bootstrap/2"), 40)
+    build = experiments.build_surrogates
+
+    def build_or_fail(*args, split_seed, **kwargs):
+        if error is not None and split_seed == failing:
+            raise error
+        return build(*args, split_seed=split_seed, **kwargs)
+
+    monkeypatch.setattr(experiments, "build_surrogates", build_or_fail)
+    path = write_config(tmp_path, "bootstrap.json", cfg)
+    assert main(["bootstrap", "--config", path, "--seed", "5", "--out", str(tmp_path / "out")]) == code
+    assert capsys.readouterr().err.startswith(message)
+    assert multiprocessing.active_children() == []
+    assert (tmp_path / "out" / "report.csv").exists() == (error is None)
 
 
 def test_workers_option_and_key_are_rejected(tmp_path, capsys) -> None:

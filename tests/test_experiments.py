@@ -1,10 +1,14 @@
 import dataclasses
+import multiprocessing
+import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from romda import assimilate, experiments, io, surrogate, toymodel
+from romda import assimilate, cli, experiments, io, surrogate, toymodel
 from romda.experiments import (
     MeasurementConfig,
     TwinConfig,
@@ -15,8 +19,8 @@ from romda.experiments import (
     run_measurement,
     run_twin,
 )
-from romda.pod import fit_pod, truncate
-from romda.rng import substream, substream_seed
+from romda.pod import ModeCountError, fit_pod, truncate
+from romda.rng import split_seed, substream, substream_seed
 from romda.surrogate import Standardizer, build_poden
 
 
@@ -216,22 +220,24 @@ def test_run_twin_deterministic_and_nested(seed) -> None:
 
 
 def test_sweeps_whiten_rtilde_modes_once_per_build_and_observation(monkeypatch) -> None:
-    qrs = []
+    # A shared counter: the twin groups, and so their QRs, may run in forked workers.
+    qrs = multiprocessing.Value("i", 0)
     whitened_modes_qr = assimilate._whitened_modes_qr
 
     def counted(cov, name):
-        qrs.append(cov.kind)
+        with qrs.get_lock():
+            qrs.value += 1
         return whitened_modes_qr(cov, name)
 
     monkeypatch.setattr(assimilate, "_whitened_modes_qr", counted)
     grid = small_config(alpha_grid=(0.1, 1.0, 10.0), grid_modes=3)
     assert len(run_covariance_grid(grid).rows) == 9
-    assert len(qrs) == 1  # one build, one R
+    assert qrs.value == 1  # one build, one R
 
-    qrs.clear()
+    qrs.value = 0
     twin = small_config(noise_levels=(0.05, 0.10), training_sizes=(60, 90))
     assert len(run_twin(twin).rows) == 8  # two mode counts per (n, noise)
-    assert len(qrs) == 4  # one per (n, noise)
+    assert qrs.value == 4  # one per (n, noise)
 
 
 def test_run_twin_rmse_obs_nondecreasing_in_noise() -> None:
@@ -344,6 +350,123 @@ def _row_fields(row) -> dict:
     fields = dataclasses.asdict(row)
     del fields["wall_time"]
     return fields
+
+
+def _cpus(monkeypatch, count: int) -> None:
+    """Let the drivers see ``count`` CPUs in the process's affinity mask."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two CPUs and one BLAS thread, as a sweep runs from the command line:
+    a driver with two or more units runs them on two workers. Yields the
+    number of cell groups run outside this process, shared across fork."""
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    _cpus(monkeypatch, 2)
+    in_workers = multiprocessing.Value("i", 0)
+    parent, run_cells = os.getpid(), experiments._run_cells
+
+    def counted(*args):
+        if os.getpid() != parent:
+            with in_workers.get_lock():
+                in_workers.value += 1
+        return run_cells(*args)
+
+    monkeypatch.setattr(experiments, "_run_cells", counted)
+    with cli._one_blas_thread():
+        yield in_workers
+
+
+# Several units per driver, so two CPUs give two workers.
+POOLED = small_config(surrogates=("podpce", "poden"), noise_levels=(0.05, 0.10),
+                      training_sizes=(40, 60), bootstrap_replicates=3, bootstrap_size=40)
+
+
+@pytest.mark.parametrize("driver", [run_bootstrap, run_twin])
+def test_pooled_rows_equal_serial_rows_bit_for_bit(driver, monkeypatch, two_cpus) -> None:
+    pooled = driver(POOLED)
+    assert multiprocessing.active_children() == []
+    units = len(pooled.rows) // 4  # four cells per replicate or (noise, n) group
+    assert two_cpus.value == units  # every unit ran in a worker
+    _cpus(monkeypatch, 1)
+    serial = driver(POOLED)
+    assert two_cpus.value == units
+    assert len(pooled.rows) == len(serial.rows) > 0
+    np.testing.assert_equal([_row_fields(r) for r in pooled.rows], [_row_fields(r) for r in serial.rows])
+    assert io.report_csv_text(pooled) == io.report_csv_text(serial)
+
+
+@pytest.mark.parametrize("driver", [run_bootstrap, run_twin])
+def test_a_cell_failing_in_a_worker_becomes_its_error_row_in_place(driver, monkeypatch, two_cpus) -> None:
+    baseline = driver(POOLED)
+    solve = experiments.solve_podpce3dvar
+
+    def failing_at_d2(surrogate, problem):
+        if surrogate.d == 2:
+            raise ValueError("injected failure")
+        return solve(surrogate, problem)
+
+    monkeypatch.setattr(experiments, "solve_podpce3dvar", failing_at_d2)
+    two_cpus.value = 0
+    report = driver(POOLED)
+    assert multiprocessing.active_children() == []
+    assert two_cpus.value > 0
+    failed = [i for i, row in enumerate(report.rows) if row.error]
+    assert failed == [i for i, row in enumerate(baseline.rows) if row.solver == "podpce" and row.d == 2]
+    assert len(failed) == len(report.rows) // 4  # one row in four: podpce at d = 2
+    for i, (before, after) in enumerate(zip(baseline.rows, report.rows)):
+        if i in failed:
+            assert "injected failure" in after.error and after.reason == "error"
+            assert (after.experiment, after.n, after.noise) == (before.experiment, before.n, before.noise)
+        else:
+            np.testing.assert_equal(_row_fields(after), _row_fields(before))
+
+
+@pytest.mark.parametrize("error, message", [
+    (ModeCountError("injected rank failure"), "mode_numbers: injected rank failure"),
+    (np.linalg.LinAlgError("injected numerical failure"), "injected numerical failure"),
+])
+def test_a_replicate_build_failing_in_a_worker_is_raised_in_the_parent(
+    monkeypatch, two_cpus, error, message
+) -> None:
+    failing = split_seed(substream_seed(POOLED.seed, "bootstrap/1"), POOLED.bootstrap_size)
+    build = experiments.build_surrogates
+
+    def build_or_fail(*args, split_seed, **kwargs):
+        if split_seed == failing:
+            raise error
+        return build(*args, split_seed=split_seed, **kwargs)
+
+    monkeypatch.setattr(experiments, "build_surrogates", build_or_fail)
+    with pytest.raises(type(error), match=message):
+        run_bootstrap(POOLED)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_killed_worker_raises_instead_of_hanging(two_cpus) -> None:
+    def die_at_one(item):
+        if item == 1:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return item
+
+    with pytest.raises(BrokenProcessPool):
+        experiments._map(die_at_one, [0, 1, 2])
+    assert multiprocessing.active_children() == []
+
+
+def test_workers_do_not_oversubscribe_the_blas_threads(monkeypatch, two_cpus) -> None:
+    pools = cli._bundled_openblas()
+    if not pools:
+        pytest.skip("numpy and scipy bundle no OpenBLAS here")
+    parent = os.getpid()
+    assert experiments._map(lambda item: os.getpid(), [0, 1]) != [parent, parent]
+    for _, put in pools:
+        put(2)  # two threads fill both CPUs: the units run here
+    assert experiments._map(lambda item: os.getpid(), [0, 1]) == [parent, parent]
+    _cpus(monkeypatch, 4)
+    assert experiments._map(lambda item: os.getpid(), [0, 1]) != [parent, parent]
 
 
 @pytest.mark.parametrize("driver", ["twin", "covgrid", "bootstrap", "measure"])

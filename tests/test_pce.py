@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import solve_triangular
 
 from romda.pce import (
@@ -586,6 +586,9 @@ def per_prefix_fit(psi, targets):
     max_degree=st.integers(1, 4),
     duplicate=st.booleans(),
 )
+# The winner's LOO scored from the longest path's QR differed from its own
+# refit's by 2.9e-10 relative here; it is now scored from the refit.
+@example(seed=185806, n=9, m_x=3, max_degree=2, duplicate=True)
 def test_one_factor_lars_matches_per_prefix_oracle(seed, n, m_x, max_degree, duplicate) -> None:
     rng = np.random.default_rng(seed)
     basis = unit_basis(max_degree, m_x=m_x)
