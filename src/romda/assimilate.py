@@ -42,7 +42,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from .optimize import OptimizerConfig, bounded_quasi_newton
-from .pce import pce_eval, pce_jacobian
+from .pce import _Point, pce_eval, pce_jacobian
 from .surrogate import (
     ErrorCovariance,
     PodEnSurrogate,
@@ -401,6 +401,13 @@ class _ReducedCost:
     1/2 ||y(x) - y_o||^2_{R^-1} = 1/2 ||T nu(x) - c||^2 + const with
     c = Q^T z and const = 1/2 ||z - Q c||^2, the part of z outside the
     span of A. The m_y-sized work is done once, here.
+
+    Each x is evaluated once: the last x's :class:`~romda.pce._Point` (its
+    box check and Legendre table) and nu(x) are kept. The optimizer scores
+    a point and then asks for the gradient at the point it accepted, so that
+    gradient calls :func:`~romda.pce.pce_jacobian` on the kept point and
+    builds no second table. Both ``pce_eval`` and ``pce_jacobian`` are
+    called by name, so a traced run still times them.
     """
 
     def __init__(self, surrogate: PodPceSurrogate, problem: AssimilationProblem) -> None:
@@ -419,27 +426,28 @@ class _ReducedCost:
         self.w_b = problem.whiten_background(np.eye(problem.m_x))  # L_B^-1
         self.x_b = problem.x_b
         self.surrogate = surrogate
-        self._last: tuple[np.ndarray, np.ndarray] | None = None  # (x, nu(x))
+        self._last: tuple[_Point, np.ndarray] | None = None  # (point at x, nu(x))
 
-    def nu(self, x: np.ndarray) -> np.ndarray:
-        """nu(x), reused when asked again at the same x (the optimizer scores
-        a point, then takes the gradient at the point it accepted)."""
+    def at(self, x: np.ndarray) -> tuple[_Point, np.ndarray]:
+        """The evaluated point at x and nu(x). The last pair is kept, so the
+        gradient at the point the optimizer has just scored reuses its box
+        check and Legendre table."""
         last = self._last
-        if last is not None and np.array_equal(last[0], x):
-            return last[1]
-        nu = pce_eval(self.surrogate.pce, x)
-        self._last = (np.array(x, dtype=float), nu)
-        return nu
+        if last is None or not np.array_equal(last[0].x, x):
+            point = _Point.of(self.surrogate.pce.basis, x)
+            last = self._last = (point, pce_eval(self.surrogate.pce, point))
+        return last
 
     def cost(self, x: np.ndarray) -> float:
         w = self.w_b @ (x - self.x_b)
-        r = self.t @ self.nu(x) - self.c
+        r = self.t @ self.at(x)[1] - self.c
         return 0.5 * float(w @ w) + 0.5 * float(r @ r) + self.const
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
+        point, nu = self.at(x)
         w = self.w_b @ (x - self.x_b)
-        r = self.t @ self.nu(x) - self.c
-        return self.w_b.T @ w + pce_jacobian(self.surrogate.pce, x).T @ (self.t.T @ r)
+        r = self.t @ nu - self.c
+        return self.w_b.T @ w + pce_jacobian(self.surrogate.pce, point).T @ (self.t.T @ r)
 
 
 def _reduced_cost(surrogate: PodPceSurrogate, problem: AssimilationProblem) -> _ReducedCost:

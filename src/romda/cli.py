@@ -4,8 +4,9 @@ Every run takes a JSON config (strict keys), an integer seed, and an output
 directory; flags override config values. The effective configuration is
 echoed into the output directory and its hash stamped into every output
 file. Exit codes: 0 success, 1 validation/configuration error, 2 numerical
-failure. The toy-model sweeps (twin, covgrid, bootstrap, measure) run with
-the OpenBLAS copies bundled with numpy and scipy set to one thread, unless
+failure, 3 a worker process of a pooled sweep was lost. The toy-model
+sweeps (twin, covgrid, bootstrap, measure) run with the OpenBLAS copies
+bundled with numpy and scipy set to one thread, unless
 ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set.
 
 ``build-surrogate`` standardizes like the drivers (the same
@@ -24,6 +25,7 @@ import dataclasses
 import json
 import os
 import sys
+from concurrent.futures import BrokenExecutor
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
 
@@ -51,6 +53,7 @@ from .surrogate import PodPceSurrogate
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
+EXIT_WORKER_LOST = 3
 
 
 class ConfigError(ValueError):
@@ -471,6 +474,12 @@ def main(argv: list[str] | None = None) -> int:
         try:
             cfg = _load_config(args.config)
             return _COMMANDS[args.command](args, cfg)
+        # A pool whose worker died raises BrokenProcessPool, a BrokenExecutor
+        # and so a RuntimeError: it is no numerical failure of the inputs.
+        # The base class is caught so that importing the CLI loads no pool.
+        except BrokenExecutor as exc:
+            print(f"worker process lost: {exc}", file=sys.stderr)
+            return EXIT_WORKER_LOST
         # LinAlgError subclasses ValueError, so the numerical branch comes first.
         except (ArithmeticError, np.linalg.LinAlgError, RuntimeError) as exc:
             print(f"numerical failure: {exc}", file=sys.stderr)

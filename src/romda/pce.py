@@ -52,10 +52,9 @@ def _derivatives(p: np.ndarray) -> np.ndarray:
     return dp
 
 
-def _orthonormal(table: np.ndarray) -> np.ndarray:
-    """Row b of a Legendre table times sqrt(2b + 1): orthonormal for the
-    uniform density on [-1, 1]."""
-    norms = np.sqrt(2.0 * np.arange(table.shape[0]) + 1.0)
+def _orthonormal(table: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Row b of a Legendre table times ``norms[b]`` = sqrt(2b + 1)
+    (:attr:`PceBasis.norms`): orthonormal for the uniform density on [-1, 1]."""
     return norms.reshape((-1,) + (1,) * (table.ndim - 1)) * table
 
 
@@ -108,6 +107,31 @@ class PceBasis:
         """The index set as an integer array, shape (n_terms, m_x)."""
         return np.array(self.indices, dtype=np.intp).reshape(self.n_terms, self.input_dim)
 
+    @cached_property
+    def degree(self) -> int:
+        """The largest exponent: the last row of every Legendre table."""
+        return int(self.exponents.max())
+
+    @cached_property
+    def norms(self) -> np.ndarray:
+        """sqrt(2b + 1) for b = 0..degree, the orthonormal scale of table row b."""
+        return np.sqrt(2.0 * np.arange(self.degree + 1) + 1.0)
+
+    @cached_property
+    def inputs(self) -> np.ndarray:
+        """0..m_x - 1, the column each exponent is read from."""
+        return np.arange(self.input_dim)
+
+    @cached_property
+    def others(self) -> np.ndarray:
+        """Row j masks the inputs other than j, shape (m_x, m_x)."""
+        return self.inputs[:, None] != self.inputs[None, :]
+
+    @cached_property
+    def constant(self) -> np.ndarray:
+        """Where a term is constant in an input (exponent 0), shape (n_terms, m_x)."""
+        return self.exponents == 0
+
     def standardize(self, samples: np.ndarray) -> np.ndarray:
         """t = (x - offset) / scale; an input outside its box is rejected."""
         samples = np.atleast_2d(np.asarray(samples, dtype=float))
@@ -149,7 +173,7 @@ def make_basis(bounds: np.ndarray, max_degree: int) -> PceBasis:
 def design_matrix(samples: np.ndarray, basis: PceBasis) -> np.ndarray:
     """Evaluation of every basis term at every sample, shape (n, n_terms)."""
     t = basis.standardize(samples)
-    values = _orthonormal(_legendre(basis.exponents.max(), t.T))  # (degree + 1, m_x, n)
+    values = _orthonormal(_legendre(basis.degree, t.T), basis.norms)  # (degree + 1, m_x, n)
     psi = np.ones((t.shape[0], basis.n_terms))
     # Degree-0 factors are exactly 1.0, so multiplying every column by every
     # input's factor gives the same bits as skipping the zero exponents.
@@ -434,8 +458,37 @@ def select_degree(
     )
 
 
-def pce_eval(model: PceModel, x: np.ndarray) -> np.ndarray:
-    """Expansion value(s) at physical input(s): C zeta(T(x))."""
+@dataclass(frozen=True)
+class _Point:
+    """One physical input evaluated once for a basis: its Legendre table and
+    each term's orthonormal factor per input, which :func:`pce_eval` and
+    :func:`pce_jacobian` at this x both read (an optimizer asks for the
+    value and the gradient at the same point)."""
+
+    x: np.ndarray  # (m_x,) a copy of the input
+    table: np.ndarray  # (degree + 1, m_x) P_b at the clipped standardized x
+    factors: np.ndarray  # (n_terms, m_x) entry (alpha, i): sqrt(2a + 1) P_a(t_i), a = alpha_i
+
+    @classmethod
+    def of(cls, basis: PceBasis, x: np.ndarray) -> "_Point":
+        """Standardize, check and tabulate ``x`` once: the same bits and
+        the same messages as :meth:`PceBasis.standardize` on one row."""
+        if x.shape != (basis.input_dim,):
+            raise ValueError(f"x must have shape ({basis.input_dim},), got {x.shape}")
+        t = (x - basis.offsets) / basis.scales
+        if np.any(np.abs(t) - 1.0 > BOUNDS_RTOL):
+            basis.standardize(x)  # raises, naming the input
+        table = _legendre(basis.degree, np.clip(t, -1.0, 1.0, out=t))
+        factors = _orthonormal(table, basis.norms)[basis.exponents, basis.inputs]
+        return cls(np.array(x, dtype=float), table, factors)
+
+
+def pce_eval(model: PceModel, x: np.ndarray | _Point) -> np.ndarray:
+    """Expansion value(s) at physical input(s): C zeta(T(x)). ``x`` may be
+    an evaluated :class:`_Point`, whose factors are reused."""
+    if isinstance(x, _Point):
+        # Term alpha's factors multiply in input order, as in design_matrix.
+        return np.multiply.reduce(x.factors, axis=1) @ model.coefficients.T
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     psi = design_matrix(np.atleast_2d(x), model.basis)
@@ -443,23 +496,18 @@ def pce_eval(model: PceModel, x: np.ndarray) -> np.ndarray:
     return values[0] if single else values
 
 
-def pce_jacobian(model: PceModel, x: np.ndarray) -> np.ndarray:
+def pce_jacobian(model: PceModel, x: np.ndarray | _Point) -> np.ndarray:
     """Derivatives of the expansion at one physical input, shape (d, m_x).
 
     Entry (k, i) sums c^k_alpha over terms, each term differentiated in
     input i through the affine standardization (chain-rule factor 1/scale_i).
+    ``x`` may be an evaluated :class:`_Point`, whose table is reused.
     """
-    x = np.asarray(x, dtype=float)
     basis = model.basis
-    if x.shape != (basis.input_dim,):
-        raise ValueError(f"x must have shape ({basis.input_dim},), got {x.shape}")
-    t = basis.standardize(x[None, :])
-    exponents, inputs = basis.exponents, np.arange(basis.input_dim)
-    table = _legendre(exponents.max(), t[0])  # (degree + 1, m_x)
-    # Factor i of term alpha is row alpha_i of input i's column.
-    values = _orthonormal(table)[exponents, inputs]
-    dz = _orthonormal(_derivatives(table))[exponents, inputs] / basis.scales  # d zeta / d x
-    for j in inputs:
-        dz[:, inputs != j] *= values[:, j, None]  # degree-0 factors are exactly 1.0
-    dz[exponents == 0] = 0.0  # a constant factor in x_i
+    point = x if isinstance(x, _Point) else _Point.of(basis, np.asarray(x, dtype=float))
+    dz = _orthonormal(_derivatives(point.table), basis.norms)[basis.exponents, basis.inputs]
+    dz /= basis.scales  # d zeta / d x
+    for j in range(basis.input_dim):
+        dz[:, basis.others[j]] *= point.factors[:, j, None]  # degree-0 factors are exactly 1.0
+    dz[basis.constant] = 0.0  # a constant factor in x_i
     return model.coefficients @ dz

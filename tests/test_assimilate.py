@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -17,7 +18,7 @@ from romda.assimilate import (
     solve_podpce3dvar,
 )
 from romda.optimize import OptimizerConfig
-from romda.pce import PceModel, make_basis
+from romda.pce import PceModel, _legendre, make_basis
 from romda.pod import PodBasis
 from romda.pce import PceConfig, pce_jacobian
 from romda.surrogate import (
@@ -507,6 +508,52 @@ def test_reduced_gradient_matches_central_differences(seed, r_form) -> None:
             xm[i] -= h
             fd = (podpce_cost(s, problem, xp) - podpce_cost(s, problem, xm)) / (2 * h)
             assert grad[i] == pytest.approx(fd, rel=1e-6, abs=1e-8 * scale)
+
+
+@pytest.mark.parametrize("side", [0, 1])
+@pytest.mark.parametrize("i", [0, 1])
+def test_out_of_box_x_is_rejected_naming_the_input(i, side) -> None:
+    s, problem, rng = random_podpce_problem(3, "variances")
+    inside = rng.uniform([0.05, -0.85], [0.95, 1.85])
+    outside = inside.copy()
+    span = problem.bounds[i, 1] - problem.bounds[i, 0]
+    outside[i] = problem.bounds[i, side] + (0.1 if side else -0.1) * span
+    with pytest.raises(ValueError) as expected:
+        s.pce.basis.standardize(outside)
+    assert f"outside the declared bounds of input {i} " in str(expected.value)
+    # Also right after a point in the box was evaluated and kept.
+    for route in (podpce_cost, podpce_gradient):
+        route(s, problem, inside)
+        with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+            route(s, problem, outside)
+    with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+        pce_jacobian(s.pce, outside)
+
+
+def test_one_legendre_table_per_distinct_optimizer_point(monkeypatch) -> None:
+    s, problem, _ = random_podpce_problem(11, "dense")
+    points, tables, inside = set(), [0], [False]
+
+    def counted_legendre(degree, t):
+        tables[0] += inside[0]
+        return _legendre(degree, t)
+
+    def seen(route):
+        def call(surrogate, problem, x):
+            points.add(np.asarray(x, dtype=float).tobytes())
+            inside[0] = True
+            try:
+                return route(surrogate, problem, x)
+            finally:
+                inside[0] = False
+        return call
+
+    monkeypatch.setattr("romda.pce._legendre", counted_legendre)
+    monkeypatch.setattr(assimilate, "podpce_cost", seen(podpce_cost))
+    monkeypatch.setattr(assimilate, "podpce_gradient", seen(podpce_gradient))
+    result = solve_podpce3dvar(s, problem)
+    assert result.evaluations > len(points) > 2
+    assert tables[0] == len(points)
 
 
 def random_rtilde_problem(seed, d, kind, r_form, alpha_r, floored):

@@ -3,6 +3,7 @@ import json
 import logging
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ import pytest
 import romda
 from romda import cli, experiments, io, toymodel
 from romda.assimilate import pose_problem, solve_poden3dvar, solve_podpce3dvar
-from romda.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
+from romda.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, EXIT_WORKER_LOST, main
 from romda.experiments import build_surrogates, measurement_noise_diag
 from romda.pce import PceConfig, select_degree, split_members
 from romda.pod import ModeCountError, PodBasis, SnapshotMatrix, fit_pod, truncate
@@ -409,6 +410,7 @@ def test_import_loads_no_process_pool() -> None:
     (ModeCountError("injected rank failure"), EXIT_VALIDATION, "error: mode_numbers: injected rank failure"),
     (np.linalg.LinAlgError("injected numerical failure"), EXIT_NUMERICAL,
      "numerical failure: injected numerical failure"),
+    (signal.SIGKILL, EXIT_WORKER_LOST, "worker process lost: "),  # the replicate kills its worker
 ])
 def test_bootstrap_in_workers_exits_by_its_replicates_and_leaves_no_process(
     tmp_path, capsys, monkeypatch, error, code, message
@@ -419,9 +421,12 @@ def test_bootstrap_in_workers_exits_by_its_replicates_and_leaves_no_process(
     cfg = {"surrogates": ["podpce"], "mode_numbers": [2], "pce_degree": 2,
            "bootstrap_replicates": 3, "bootstrap_size": 40}
     failing = split_seed(substream_seed(5, "bootstrap/2"), 40)
-    build = experiments.build_surrogates
+    parent, build = os.getpid(), experiments.build_surrogates
 
     def build_or_fail(*args, split_seed, **kwargs):
+        if error is signal.SIGKILL and split_seed == failing:
+            assert os.getpid() != parent, "the replicates must run in workers"
+            os.kill(os.getpid(), error)
         if error is not None and split_seed == failing:
             raise error
         return build(*args, split_seed=split_seed, **kwargs)

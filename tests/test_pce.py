@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import solve_triangular
 
 from romda.pce import (
+    BOUNDS_RTOL,
     PceConfig,
     PceModel,
     design_matrix,
@@ -16,6 +17,7 @@ from romda.pce import (
     pce_eval,
     pce_jacobian,
     select_degree,
+    _Point,
     _lars_path,
     _prefix_scores,
 )
@@ -622,3 +624,54 @@ def test_one_factor_lars_matches_per_prefix_oracle(seed, n, m_x, max_degree, dup
     slack = 1.0 - np.max(np.cumsum(q * q, axis=1), axis=0)[: scores.size]
     ours, oracle, slack = scores[finite], valid[finite], slack[finite]
     assert np.all(np.abs(ours - oracle) <= 1e-10 * oracle / slack)
+
+
+# Where each input of an evaluated point sits: strictly inside its box, on a
+# face, or outside a face by no more than the bounds tolerance.
+PLACES = ("inside", "low", "high", "below", "above")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m_x=st.integers(1, 4),
+    max_degree=st.integers(0, 4),
+    places=st.lists(st.sampled_from(PLACES), min_size=4, max_size=4),
+)
+def test_evaluated_point_gives_the_array_bits(seed, m_x, max_degree, places) -> None:
+    rng = np.random.default_rng(seed)
+    bounds = np.column_stack([rng.uniform(-2.0, 0.0, m_x), rng.uniform(0.5, 3.0, m_x)])
+    basis = make_basis(bounds, max_degree)
+    model = PceModel(
+        basis=basis,
+        coefficients=rng.standard_normal((3, basis.n_terms)),
+        empirical_errors=np.zeros(3),
+        selected_degrees=(max_degree,) * 3,
+        validation_bias=np.zeros(3),
+    )
+    slack = basis.scales * 0.5 * BOUNDS_RTOL * rng.uniform(0.01, 1.0, m_x)
+    at = {
+        "inside": basis.offsets + basis.scales * rng.uniform(-1.0, 1.0, m_x),
+        "low": bounds[:, 0],
+        "high": bounds[:, 1],
+        "below": bounds[:, 0] - slack,
+        "above": bounds[:, 1] + slack,
+    }
+    x = np.array([at[place][i] for i, place in enumerate(places[:m_x])])
+    point = _Point.of(basis, x)
+    assert np.array_equal(point.x, x) and point.x is not x
+    assert np.array_equal(pce_eval(model, point), pce_eval(model, x))  # through design_matrix
+    assert np.array_equal(pce_jacobian(model, point), loop_pce_jacobian(model, x))
+    assert np.array_equal(pce_jacobian(model, point), pce_jacobian(model, x))
+
+    # Beyond the tolerance, the point and the array routes reject x alike.
+    i = int(rng.integers(m_x))
+    outside = x.copy()
+    outside[i] = basis.offsets[i] + basis.scales[i] * rng.choice([-1.0, 1.0]) * (1.0 + 1e-6)
+    with pytest.raises(ValueError) as expected:
+        loop_standardize(basis, outside[None, :])
+    assert f"input {i} " in str(expected.value)
+    for route in (lambda: _Point.of(basis, outside), lambda: pce_eval(model, outside),
+                  lambda: pce_jacobian(model, outside)):
+        with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+            route()
