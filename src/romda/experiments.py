@@ -7,20 +7,26 @@ drivers and the ``build-surrogate`` command both build through
 :func:`build_surrogates`. Analyses are reported back in physical units. All
 randomness flows from the run seed through named substreams; sweeps are
 deterministic per (config, seed), and nested training-size sweeps reuse members.
-The independent units of a sweep (bootstrap replicates, twin (noise, n)
-groups) run in forked workers (:func:`_map`); their rows do not depend on
-the worker count.
+Each driver runs with the OpenBLAS copies bundled with numpy and scipy at
+one thread (:func:`_one_blas_thread`), wherever it is called from, unless
+``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set. The independent
+units of a sweep (bootstrap replicates, twin (noise, n) groups) run in
+forked workers (:func:`_map`); their rows do not depend on the worker count.
 """
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import dataclasses
 import logging
 import os
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Callable, Collection, Iterator, Sequence
 
 import numpy as np
+import scipy
 
 from . import toymodel
 from .assimilate import (
@@ -93,6 +99,23 @@ def build_surrogates(
 # Observation noise --------------------------------------------------------------
 
 
+def _series_sigma(y: np.ndarray, noise_level: float) -> np.ndarray:
+    """Per-component noise standard deviation of a state: ``noise_level``
+    times the temporal standard deviation of its own (variable, station)
+    series. A constant series is floored at 1e-6 |mean| + 1e-12 / noise_level,
+    with a warning."""
+    cube = toymodel.unflatten(np.asarray(y, dtype=float))  # (variable, station, time)
+    series_std = cube.std(axis=2)
+    zero = series_std <= 0.0
+    if np.any(zero):
+        log.warning("flooring %d zero-variance observation series", int(np.sum(zero)))
+        series_std = np.where(
+            zero, 1e-6 * np.abs(cube.mean(axis=2)) + 1e-12 / noise_level, series_std
+        )
+    sigma = (noise_level * series_std)[:, :, None] * np.ones(cube.shape[2])
+    return sigma.reshape(-1)
+
+
 def inject_noise(
     y_t: np.ndarray,
     noise_level: float,
@@ -100,29 +123,23 @@ def inject_noise(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gaussian perturbation of a true state, plus the matching R diagonal.
 
-    The standard deviation of each component is ``noise_level`` times the
-    temporal standard deviation of its own (variable, station) series, so
-    every series is perturbed relative to its size. The same variances fill
-    the returned observation-error diagonal.
+    Each component's standard deviation is :func:`_series_sigma`'s, so every
+    series is perturbed relative to its size. The same variances fill the
+    returned observation-error diagonal.
     """
     if not 0.0 < noise_level < 1.0:
         raise ValueError(f"noise level must be in (0, 1), got {noise_level}")
     y_t = np.asarray(y_t, dtype=float)
-    cube = toymodel.unflatten(y_t)  # (variable, station, time)
-    series_std = cube.std(axis=2)
-    series_mean = cube.mean(axis=2)
-    zero = series_std <= 0.0
-    if np.any(zero):
-        log.warning("flooring %d zero-variance observation series", int(np.sum(zero)))
-        series_std = np.where(
-            zero, 1e-6 * np.abs(series_mean) + 1e-12 / noise_level, series_std
-        )
-    sigma = (noise_level * series_std)[:, :, None] * np.ones(cube.shape[2])
-    sigma = sigma.reshape(-1)
-
+    sigma = _series_sigma(y_t, noise_level)
     rng = substream(seed, "noise")
     y_o = y_t + sigma * rng.standard_normal(y_t.size)
     return y_o, sigma**2
+
+
+def measurement_noise_diag(y_o: np.ndarray, assumed_noise: float) -> np.ndarray:
+    """R diagonal for a measured state: the variances of
+    :func:`_series_sigma` at ``assumed_noise``."""
+    return _series_sigma(y_o, assumed_noise) ** 2
 
 
 # Configurations and report rows --------------------------------------------------
@@ -143,24 +160,49 @@ _NOISE = (lambda level: 0.0 < level < 1.0,
           "noise levels lie strictly in (0, 1), so the observation covariance is positive definite")
 
 
+def _check_counts(field: str, values: tuple, low: int, rule: str) -> None:
+    """Reject an entry of a count field that is no integer (a bool is
+    none) or, by ``rule``, is below ``low``."""
+    _check_each(field, values, lambda k: isinstance(k, (int, np.integer)) and not isinstance(k, bool),
+                "counts must be integers")
+    _check_each(field, values, lambda k: k >= low, rule)
+
+
 def _check_sweep(config: "TwinConfig | MeasurementConfig") -> None:
     """Checks shared by the sweep configurations, made before any ensemble
     is drawn; each message starts with its field."""
     sizes = config.training_sizes
-    if any(b <= a for a, b in zip(sizes, sizes[1:])) or not sizes:
-        raise ValueError("training_sizes: training sizes must be strictly increasing and nonempty")
-    if min(sizes) < 8:
-        raise ValueError("training_sizes: training sizes below 8 members are not supported")
+    _check_counts("training_sizes", sizes, 8, "training sizes below 8 members are not supported")
+    if any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise ValueError("training_sizes: training sizes must be strictly increasing")
     _check_each("surrogates", config.surrogates, SURROGATE_KINDS.__contains__,
                 f"surrogate kind must be one of {SURROGATE_KINDS}")
     if config.evr_threshold is None and not config.mode_numbers:
         raise ValueError("mode_numbers: need mode_numbers or evr_threshold")
     if config.mode_numbers:
-        _check_each("mode_numbers", config.mode_numbers, lambda d: d >= 1, "mode counts start at 1")
+        _check_counts("mode_numbers", config.mode_numbers, 1, "mode counts start at 1")
     if config.evr_threshold is not None:
         _check_each("evr_threshold", (config.evr_threshold,), lambda tau: 0.0 < tau <= 1.0,
                     "EVR threshold must be in (0, 1]")
-    _check_each("pce_degree", (config.pce_degree,), lambda p: p >= 0, "degree must be >= 0")
+    _check_counts("pce_degree", (config.pce_degree,), 0, "degree must be >= 0")
+
+
+def _check_truth(x_t: tuple | None) -> None:
+    """Reject a given truth that is not 4 finite values inside the toy
+    model's parameter box; the message starts with ``x_t``."""
+    if x_t is None:
+        return
+    names = toymodel.PARAMETER_NAMES
+    try:
+        values = np.asarray(x_t, dtype=float)
+    except (TypeError, ValueError):
+        values = None
+    if values is None or values.shape != (len(names),) or not np.all(np.isfinite(values)):
+        raise ValueError(f"x_t: need {len(names)} finite parameters {names}, got {x_t!r}")
+    try:
+        toymodel.check_bounds(values)
+    except ValueError as exc:
+        raise ValueError(f"x_t: {exc}") from None
 
 
 def _check_modes(field: str, counts: tuple[int, ...], n: int) -> None:
@@ -189,6 +231,7 @@ class TwinConfig:
     b_from_truth: bool = False
 
     def __post_init__(self) -> None:
+        _check_truth(self.x_t)
         _check_each("noise_levels", self.noise_levels, *_NOISE)
         _check_each("grid_noise", (self.grid_noise,), *_NOISE)
         _check_each("bootstrap_noise", (self.bootstrap_noise,), *_NOISE)
@@ -196,11 +239,11 @@ class TwinConfig:
         _check_each("covariance_kind", (self.covariance_kind,), COVARIANCE_KINDS.__contains__,
                     f"covariance kind must be one of {COVARIANCE_KINDS}")
         _check_each("alpha_grid", self.alpha_grid, lambda a: a > 0, "alpha factors must be positive")
-        _check_each("grid_modes", (self.grid_modes,), lambda d: d >= 1, "mode counts start at 1")
-        _check_each("bootstrap_replicates", (self.bootstrap_replicates,), lambda k: k >= 1,
-                    "need at least one replicate")
-        _check_each("bootstrap_size", (self.bootstrap_size,), lambda n: n >= 8,
-                    "ensembles below 8 members are not supported")
+        _check_counts("grid_modes", (self.grid_modes,), 1, "mode counts start at 1")
+        _check_counts("bootstrap_replicates", (self.bootstrap_replicates,), 1,
+                      "need at least one replicate")
+        _check_counts("bootstrap_size", (self.bootstrap_size,), 8,
+                      "ensembles below 8 members are not supported")
 
 
 @dataclass(frozen=True)
@@ -283,9 +326,7 @@ def _make_context(seed: int, n_max: int, pce_degree: int) -> _Context:
 
 def _draw_truth(config: TwinConfig) -> np.ndarray:
     if config.x_t is not None:
-        x_t = np.asarray(config.x_t, dtype=float)
-        toymodel.check_bounds(x_t)
-        return x_t
+        return np.asarray(config.x_t, dtype=float)
     rng = substream(config.seed, "truth")
     low, high = toymodel.PARAMETER_BOUNDS[:, 0], toymodel.PARAMETER_BOUNDS[:, 1]
     return low + rng.random(4) * (high - low)
@@ -489,7 +530,64 @@ def _run_cell(
         return ReportRow(**dataclasses.asdict(cell), error=str(exc))
 
 
-# Independent units -----------------------------------------------------------------
+# BLAS threads and independent units ------------------------------------------------
+
+
+# Thread-count functions (get, set) of the bundled OpenBLAS, by build flavour.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def _bundled_openblas() -> list[tuple[Callable[[], int], Callable[[int], None]]]:
+    """(get, set) thread-count functions of each OpenBLAS bundled with numpy
+    and scipy (in ``<package>.libs``); empty when there is none."""
+    found = []
+    for package in (np, scipy):
+        libs = Path(package.__file__).resolve().parent.parent / f"{package.__name__}.libs"
+        for lib in sorted(libs.glob("*openblas*")):
+            try:
+                handle = ctypes.CDLL(str(lib))
+            except OSError:
+                continue
+            for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+                get, put = getattr(handle, get_name, None), getattr(handle, set_name, None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    found.append((get, put))
+                    break
+    return found
+
+
+@contextlib.contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """Run the body with the bundled OpenBLAS copies at one thread each;
+    every driver runs in this scope.
+
+    Every kernel of a toy-model sweep is small (570 state rows, at most a
+    few hundred columns), so a second BLAS thread costs more in
+    synchronization than it computes: on a 2-core machine the benchmark's
+    twin, bootstrap, covgrid and measure workloads each ran 2.7-3.8 times
+    faster with one thread than with two. The previous counts are put back
+    on exit. Nothing changes when the user chose a count through the
+    environment.
+    """
+    if os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS"):
+        yield
+        return
+    pools = _bundled_openblas()
+    previous = [get() for get, _ in pools]
+    for _, put in pools:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), count in zip(pools, previous):
+            put(count)
 
 
 _unit: Callable[[Any], Any] | None = None  # a worker's fn, set by _adopt after fork
@@ -515,8 +613,6 @@ def _map(fn: Callable[[Any], Any], items: Sequence) -> list:
     exception raised by ``fn`` is re-raised here, and a worker that dies
     raises ``BrokenProcessPool``. With one worker, ``fn`` runs in this process.
     """
-    from .cli import _bundled_openblas  # the BLAS probe of the CLI's one-thread scope
-
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     blas_threads = max([get() for get, _ in _bundled_openblas()], default=1)
     workers = min(cpus // blas_threads, len(items))
@@ -533,6 +629,7 @@ def _map(fn: Callable[[Any], Any], items: Sequence) -> list:
 # Drivers --------------------------------------------------------------------------
 
 
+@_one_blas_thread()
 def run_twin(config: TwinConfig) -> ExperimentReport:
     """Noise x training-size x mode sweep against a drawn synthetic truth."""
     if config.evr_threshold is None:
@@ -561,6 +658,7 @@ def run_twin(config: TwinConfig) -> ExperimentReport:
     )
 
 
+@_one_blas_thread()
 def run_covariance_grid(config: TwinConfig) -> ExperimentReport:
     """One assimilation per (alpha_B, alpha_R) pair on the alpha grid."""
     n = max(config.training_sizes)
@@ -587,6 +685,7 @@ def run_covariance_grid(config: TwinConfig) -> ExperimentReport:
     )
 
 
+@_one_blas_thread()
 def run_bootstrap(config: TwinConfig) -> ExperimentReport:
     """Fresh training ensembles per replicate at a fixed size; RMSE spread per
     mode count and solver."""
@@ -630,14 +729,7 @@ def run_bootstrap(config: TwinConfig) -> ExperimentReport:
     )
 
 
-def measurement_noise_diag(y_o: np.ndarray, assumed_noise: float) -> np.ndarray:
-    """R diagonal for a measured state: variance from each observed series."""
-    cube = toymodel.unflatten(np.asarray(y_o, dtype=float))
-    series_std = np.maximum(cube.std(axis=2), 1e-12)
-    sigma = (assumed_noise * series_std)[:, :, None] * np.ones(cube.shape[2])
-    return sigma.reshape(-1) ** 2
-
-
+@_one_blas_thread()
 def run_measurement(config: MeasurementConfig, y_o: np.ndarray) -> ExperimentReport:
     """Surrogate solvers confronted with the classical reference on a
     measured (external) observation vector."""

@@ -337,6 +337,21 @@ def test_measure_command_rejects_bad_config_naming_the_field(tmp_path, capsys) -
         ("covgrid", "grid_modes", 400),
         ("measure", "mode_numbers", [2, 400]),
         ("bootstrap", "mode_numbers", [800]),
+        # Counts are integers: no fraction, no bool.
+        ("twin", "training_sizes", [16.5]),
+        ("measure", "training_sizes", [True, 400]),
+        ("twin", "pce_degree", 1.5),
+        ("measure", "pce_degree", True),
+        ("twin", "mode_numbers", [2.5]),
+        ("twin", "mode_numbers", [True]),
+        ("covgrid", "grid_modes", 2.0),
+        ("bootstrap", "bootstrap_replicates", 1.5),
+        ("bootstrap", "bootstrap_size", True),
+        # A given truth is 4 finite parameters inside the box.
+        ("twin", "x_t", [70.0, 4.6]),
+        ("twin", "x_t", [70.0, 4.6, 1.2, float("nan")]),
+        ("covgrid", "x_t", ["K2", 4.6, 1.2, 2.2]),
+        ("bootstrap", "x_t", [70.0, 4.6, 1.2, 99.0]),
     ],
 )
 def test_sweep_config_fails_before_sampling_naming_the_field(
@@ -394,6 +409,13 @@ def test_readme_command_block_lists_every_subcommand() -> None:
 
 def test_every_exported_name_resolves() -> None:
     assert [name for name in romda.__all__ if not hasattr(romda, name)] == []
+
+
+def test_importing_the_drivers_loads_no_cli() -> None:
+    code = "import sys, romda.experiments; print('romda.cli' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(romda.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_import_loads_no_process_pool() -> None:
@@ -485,7 +507,7 @@ def test_cli_builds_split_members_with_the_driver_seed_rule(chain, tmp_path) -> 
 def blas_pools(monkeypatch):
     """The bundled OpenBLAS thread controls, each set to 2 threads for the
     test and put back afterwards; no thread count chosen in the environment."""
-    pools = cli._bundled_openblas()
+    pools = experiments._bundled_openblas()
     if not pools:
         pytest.skip("numpy and scipy bundle no OpenBLAS here")
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
@@ -512,6 +534,40 @@ def recording_command(pools, seen, error=None):
     return command
 
 
+def record_driver_threads(monkeypatch, pools, seen, error=None) -> None:
+    """Record the thread counts inside each driver, where it draws its
+    training ensemble; then raise ``error``, or draw the ensemble."""
+    make_context = experiments._make_context
+
+    def recording(*args):
+        seen.append(threads(pools))
+        if error is not None:
+            raise error
+        return make_context(*args)
+
+    monkeypatch.setattr(experiments, "_make_context", recording)
+
+
+# The smallest sweep of each command: 16 members, one mode, one unit.
+TINY_SWEEPS = {
+    "twin": {"training_sizes": [16], "mode_numbers": [1], "noise_levels": [0.1], "surrogates": ["poden"]},
+    "covgrid": {"training_sizes": [16], "grid_modes": 1, "alpha_grid": [1.0], "pce_degree": 1},
+    "bootstrap": {"bootstrap_replicates": 1, "bootstrap_size": 16, "mode_numbers": [1],
+                  "surrogates": ["poden"]},
+    "measure": {"training_sizes": [16], "mode_numbers": [1], "surrogates": ["poden"],
+                "covariance_kinds": ["r"]},
+}
+
+
+def tiny_sweep(tmp_path, command: str) -> list[str]:
+    """Arguments of ``command`` run on its TINY_SWEEPS config."""
+    cfg = dict(TINY_SWEEPS[command])
+    if command == "measure":
+        write_observation(tmp_path / "obs.csv", toymodel.simulate([70.0, 4.6, 1.2, 2.2]))
+        cfg["observations_csv"] = str(tmp_path / "obs.csv")
+    return [command, "--config", write_config(tmp_path, "tiny.json", cfg), "--out", str(tmp_path / "out")]
+
+
 @pytest.mark.parametrize(
     "error, code",
     [(None, EXIT_OK), (ValueError("bad field"), EXIT_VALIDATION), (RuntimeError("nan"), EXIT_NUMERICAL)],
@@ -520,12 +576,22 @@ def recording_command(pools, seen, error=None):
 def test_sweep_runs_on_one_blas_thread_and_restores_count(
     blas_pools, monkeypatch, tmp_path, command, error, code
 ) -> None:
+    # The driver, not the CLI, enters the one-thread scope.
     previous = threads(blas_pools)
     seen = []
-    monkeypatch.setitem(cli._COMMANDS, command, recording_command(blas_pools, seen, error))
-    assert main([command, "--out", str(tmp_path)]) == code
+    record_driver_threads(monkeypatch, blas_pools, seen, error)
+    assert main(tiny_sweep(tmp_path, command)) == code
     assert seen == [[1] * len(blas_pools)]
     assert threads(blas_pools) == previous
+
+
+def test_library_twin_call_runs_on_one_blas_thread(blas_pools, monkeypatch) -> None:
+    seen = []
+    record_driver_threads(monkeypatch, blas_pools, seen)
+    config = experiments.TwinConfig(seed=3, **{k: tuple(v) for k, v in TINY_SWEEPS["twin"].items()})
+    assert len(experiments.run_twin(config).rows) == 1
+    assert seen == [[1] * len(blas_pools)]
+    assert threads(blas_pools) == [2] * len(blas_pools)
 
 
 @pytest.mark.parametrize("command", ["sample", "fit-pod", "build-surrogate", "assimilate"])
@@ -545,17 +611,17 @@ def test_blas_threads_left_alone_when_chosen_in_environment(
     monkeypatch.setenv(variable, "2")
     previous = threads(blas_pools)
     seen = []
-    monkeypatch.setitem(cli._COMMANDS, "twin", recording_command(blas_pools, seen))
-    assert main(["twin", "--out", str(tmp_path)]) == EXIT_OK
+    record_driver_threads(monkeypatch, blas_pools, seen)
+    assert main(tiny_sweep(tmp_path, "twin")) == EXIT_OK
     assert seen == [previous]
     assert threads(blas_pools) == previous
 
 
 def test_sweep_runs_without_a_bundled_openblas(monkeypatch, tmp_path) -> None:
-    monkeypatch.setattr(cli, "_bundled_openblas", lambda: [])
+    monkeypatch.setattr(experiments, "_bundled_openblas", lambda: [])
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     seen = []
-    monkeypatch.setitem(cli._COMMANDS, "twin", recording_command([], seen))
-    assert main(["twin", "--out", str(tmp_path)]) == EXIT_OK
+    record_driver_threads(monkeypatch, [], seen)
+    assert main(tiny_sweep(tmp_path, "twin")) == EXIT_OK
     assert seen == [[]]

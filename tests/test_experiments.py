@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import multiprocessing
 import os
 import signal
@@ -8,11 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from romda import assimilate, cli, experiments, io, surrogate, toymodel
+from romda import assimilate, experiments, io, surrogate, toymodel
 from romda.experiments import (
     MeasurementConfig,
     TwinConfig,
     inject_noise,
+    measurement_noise_diag,
     parameter_standardizer,
     run_bootstrap,
     run_covariance_grid,
@@ -73,6 +75,24 @@ def test_inject_noise_empirical_std_matches_sigma() -> None:
     ratio = draws.std(axis=0) / sigma
     # Averaged over components the empirical spread matches sigma within 3%.
     assert abs(ratio.mean() - 1.0) <= 0.03
+
+
+def test_a_constant_series_gets_one_floored_variance_from_both_callers(caplog) -> None:
+    _, y_t = truth_state()
+    y = y_t.copy()
+    toymodel.unflatten(y)[2, 0] = 1.5  # eta at P1 held constant
+    with caplog.at_level(logging.WARNING, logger="romda.experiments"):
+        _, r_injected = inject_noise(y, 0.10, seed=0)
+        r_measured = measurement_noise_diag(y, 0.10)
+    assert [r.getMessage() for r in caplog.records] == ["flooring 1 zero-variance observation series"] * 2
+    np.testing.assert_array_equal(r_injected, r_measured)
+    cube = toymodel.unflatten(r_measured)
+    assert np.all(cube[2, 0] == (0.10 * (1e-6 * 1.5 + 1e-12 / 0.10)) ** 2)
+    # The series that vary keep 0.1 times their spread, bit for bit.
+    spread = (0.10 * toymodel.unflatten(y).std(axis=2))[:, :, None] * np.ones(cube.shape[2])
+    varying = np.ones(cube.shape[:2], dtype=bool)
+    varying[2, 0] = False
+    np.testing.assert_array_equal(cube[varying], spread[varying] ** 2)
 
 
 def test_inject_noise_rejects_bad_level() -> None:
@@ -359,9 +379,9 @@ def _cpus(monkeypatch, count: int) -> None:
 
 @pytest.fixture
 def two_cpus(monkeypatch):
-    """Two CPUs and one BLAS thread, as a sweep runs from the command line:
-    a driver with two or more units runs them on two workers. Yields the
-    number of cell groups run outside this process, shared across fork."""
+    """Two CPUs: a driver, on its one BLAS thread, runs two or more units
+    on two workers. Yields the number of cell groups run outside this
+    process, shared across fork."""
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     _cpus(monkeypatch, 2)
@@ -375,8 +395,7 @@ def two_cpus(monkeypatch):
         return run_cells(*args)
 
     monkeypatch.setattr(experiments, "_run_cells", counted)
-    with cli._one_blas_thread():
-        yield in_workers
+    yield in_workers
 
 
 # Several units per driver, so two CPUs give two workers.
@@ -451,13 +470,14 @@ def test_a_killed_worker_raises_instead_of_hanging(two_cpus) -> None:
             os.kill(os.getpid(), signal.SIGKILL)
         return item
 
-    with pytest.raises(BrokenProcessPool):
+    with pytest.raises(BrokenProcessPool), experiments._one_blas_thread():
         experiments._map(die_at_one, [0, 1, 2])
     assert multiprocessing.active_children() == []
 
 
+@experiments._one_blas_thread()
 def test_workers_do_not_oversubscribe_the_blas_threads(monkeypatch, two_cpus) -> None:
-    pools = cli._bundled_openblas()
+    pools = experiments._bundled_openblas()
     if not pools:
         pytest.skip("numpy and scipy bundle no OpenBLAS here")
     parent = os.getpid()
