@@ -127,11 +127,6 @@ class PceBasis:
         """Row j masks the inputs other than j, shape (m_x, m_x)."""
         return self.inputs[:, None] != self.inputs[None, :]
 
-    @cached_property
-    def constant(self) -> np.ndarray:
-        """Where a term is constant in an input (exponent 0), shape (n_terms, m_x)."""
-        return self.exponents == 0
-
     def standardize(self, samples: np.ndarray) -> np.ndarray:
         """t = (x - offset) / scale; an input outside its box is rejected."""
         samples = np.atleast_2d(np.asarray(samples, dtype=float))
@@ -507,7 +502,6 @@ def pce_jacobian(model: PceModel, x: np.ndarray | _Point) -> np.ndarray:
     point = x if isinstance(x, _Point) else _Point.of(basis, np.asarray(x, dtype=float))
     dz = _orthonormal(_derivatives(point.table), basis.norms)[basis.exponents, basis.inputs]
     dz /= basis.scales  # d zeta / d x
-    for j in range(basis.input_dim):
-        dz[:, basis.others[j]] *= point.factors[:, j, None]  # degree-0 factors are exactly 1.0
-    dz[basis.constant] = 0.0  # a constant factor in x_i
+    for j, others in enumerate(basis.others):  # degree 0: factor 1.0, derivative 0.0, exactly
+        np.multiply(dz, point.factors[:, j, None], out=dz, where=others)
     return model.coefficients @ dz

@@ -3,31 +3,30 @@
 A snapshot matrix U (rows: state components, columns: ensemble members) is
 centered by its column mean and factored as U = mean + Phi * Sigma * N^T with
 orthonormal Phi (modes) and N (expansion coefficients), singular values
-Sigma sorted descending. One factorization gives Phi and Sigma: the thin SVD
-of the centered matrix, or, for an ensemble well wider than the state, the
-SVD of the triangle of its transpose's QR (see :func:`fit_pod`). A basis
-ends at the numerical rank r of the centered matrix: only the modes with a
-nonzero singular value are kept, so every mode can be inverted against.
-Rows stacked on top of a factored matrix (PODEn's parameters over its
-states) are added by a low-rank update of its basis (see
-:func:`fit_stacked_pod`), not by a second factorization. Truncation at
-rank d <= r keeps the leading d modes as the retained block; the other
-r - d modes stay in the basis.
+Sigma sorted descending. A column-pivoted QR finds the rank of the centered
+matrix and the SVD of the rows it keeps gives Phi and Sigma, one route for
+every shape (see :func:`fit_pod`). A basis ends at the numerical rank r of
+the centered matrix: only the modes with a nonzero singular value are kept,
+so every mode can be inverted against. Rows stacked on top of a factored
+matrix (PODEn's parameters over its states) are added by a low-rank update
+of its basis (see :func:`fit_stacked_pod`), not by a second factorization.
+Truncation at rank d <= r keeps the leading d modes as the retained block;
+the other r - d modes stay in the basis.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import svd
+from scipy.linalg import qr
 
 # Singular values at or below this fraction of the largest are treated as
 # zero; their modes are not kept (see numerical_rank).
 ZERO_SV_RTOL = 1e-12
 
-# Member-to-row ratio from which fit_pod factors QR-first (the measured
-# crossover with the thin SVD; see fit_pod).
-WIDE_RATIO = 1.25
+# Pivoted-QR rows with |R_kk| <= PIVOT_RTOL * |R_11| are cut before the SVD;
+# sqrt(m) * PIVOT_RTOL stays far below ZERO_SV_RTOL (see fit_pod).
+PIVOT_RTOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -90,19 +89,16 @@ def fit_pod(snapshots: np.ndarray) -> PodBasis:
     """Decompose a snapshot matrix at its numerical rank r; all r modes
     retained initially.
 
-    Modes and singular values come from one factorization of the centered
-    (m, n) matrix X. When n >= WIDE_RATIO * m it takes the R-only QR of X^T,
-    X^T = Q R, then the SVD of the m-by-m triangle R^T = U S W^T, so
-    X = U S (Q W)^T; otherwise the thin SVD of X. On one BLAS thread the
-    QR-first route is the faster one from that ratio on: at m = 570 it takes
-    0.15 s instead of 0.19 s at n = 800 but 0.080 s instead of 0.072 s at
-    n = 400, and the two meet near n = 1.25 m at m = 400 and 570. A matrix
-    whose every row is constant across the members is rejected before it is
-    factored (its centered entries are roundoff, not variance); otherwise the
-    modes whose singular value is at or below ZERO_SV_RTOL * sigma_1 are
-    dropped, which leaves at least one. Mode signs are
-    fixed so each mode's largest-magnitude entry is positive; coefficients
-    are the projections X^T Phi / Sigma.
+    One rank-revealing route for every shape (Businger & Golub 1965; Chan
+    1987): the R-only column-pivoted QR X^T P = Q R of the centered (m, n)
+    matrix X, a cut of the rows with |R_kk| <= PIVOT_RTOL * |R_11|, and the
+    thin SVD of the kept rows with the pivot undone, (R_k P^T)^T = U S W^T,
+    so X = U S (Q_k W)^T up to a block of norm <= sqrt(m) PIVOT_RTOL sigma_1.
+    A matrix whose every row is constant is rejected before it is factored
+    (its centered entries are roundoff, not variance); otherwise the modes
+    whose singular value is at or below ZERO_SV_RTOL * sigma_1 are dropped,
+    which leaves at least one. Mode signs are fixed so each mode's
+    largest-magnitude entry is positive; coefficients are X^T Phi / Sigma.
     """
     data = np.asarray(snapshots, dtype=float)
     if data.ndim != 2:
@@ -117,17 +113,15 @@ def fit_pod(snapshots: np.ndarray) -> PodBasis:
         raise ValueError("snapshot matrix has no variance: every member equals the mean")
 
     mean = data.mean(axis=1)
-    centered = data - mean[:, None]
-
-    if n >= WIDE_RATIO * m:
-        # R^T is factored in place: a copy of it would raise peak memory
-        # above the thin SVD's.
-        r = np.linalg.qr(centered.T, mode="r")
-        modes, svals, _ = svd(r.T, overwrite_a=True, check_finite=False)
-        modes = np.ascontiguousarray(modes)
-    else:
-        modes, svals, _ = np.linalg.svd(centered, full_matrices=False)
-    return _at_rank(mean, centered, modes, svals)
+    # X^T (Fortran-ordered, as LAPACK wants it) is factored in place and X
+    # formed again for the projections: a kept copy would raise peak memory.
+    (_, _), r, pivot = qr((data - mean[:, None]).T, mode="raw", pivoting=True,
+                          overwrite_a=True, check_finite=False)
+    diag = np.abs(np.diagonal(r))
+    block = np.empty((m, np.count_nonzero(diag > PIVOT_RTOL * diag[0])))
+    block[pivot] = r[: block.shape[1]].T  # R_k P^T, transposed
+    modes, svals, _ = np.linalg.svd(block, full_matrices=False)
+    return _at_rank(mean, data - mean[:, None], modes, svals)
 
 
 def fit_stacked_pod(rows: np.ndarray, snapshots: np.ndarray, basis: PodBasis) -> PodBasis:

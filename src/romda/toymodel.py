@@ -150,13 +150,14 @@ def unflatten(state: np.ndarray) -> np.ndarray:
 
 
 def check_bounds(values: np.ndarray) -> None:
-    values = np.asarray(values, dtype=float)
-    low, high = PARAMETER_BOUNDS[:, 0], PARAMETER_BOUNDS[:, 1]
-    for i, name in enumerate(PARAMETER_NAMES):
-        if not low[i] <= values[i] <= high[i]:
-            raise ValueError(
-                f"parameter {name}={values[i]:.6g} outside bounds [{low[i]}, {high[i]}]"
-            )
+    """Reject float parameters outside the box, one set (4,) or a batch
+    (n, 4), naming the parameter and, in a batch, the first offending member."""
+    low, high = PARAMETER_BOUNDS.T
+    outside = np.argwhere(~((low <= values) & (values <= high)))  # NaN is outside
+    if outside.size:
+        *member, i = outside[0]
+        raise ValueError("".join(f"member {j}: " for j in member) + f"parameter {PARAMETER_NAMES[i]}="
+                         f"{values[tuple(outside[0])]:.6g} outside bounds [{low[i]}, {high[i]}]")
 
 
 def simulate(params: np.ndarray) -> np.ndarray:
@@ -197,13 +198,24 @@ def sample_parameters(n: int, seed: int) -> np.ndarray:
 def propagate(params: np.ndarray) -> np.ndarray:
     """States for a batch of parameter rows, one state per column (m_y, n).
 
-    One :func:`simulate` call per member, so every column has the bits of a
-    lone run: a single broadcast over all members does not, because numpy's
-    vectorized ``power`` rounds ``depth ** (4/3)`` differently depending on
-    an element's position in the array.
+    One broadcast over the members, box-checked once. Every column keeps the
+    bits of a lone :func:`simulate`: numpy squares a scalar differently from
+    an array, so K2 is squared member by member, as simulate squares it.
     """
-    params = np.atleast_2d(np.asarray(params, dtype=float))
-    out = np.empty((_GRID.n_state, params.shape[0]))
-    for j, row in enumerate(params):
-        out[:, j] = simulate(row)
-    return out
+    values = np.atleast_2d(np.asarray(params, dtype=float))
+    if values.shape[1:] != (4,):
+        raise ValueError(f"expected rows of 4 parameters {PARAMETER_NAMES}, got shape {values.shape}")
+    check_bounds(values)
+    k2_squared = np.array([k2**2 for k2 in values[:, 0]])
+    mtl, ctl, ctv = values[:, 1:].T
+    out = np.empty((len(VARIABLES), N_STATIONS, _GRID.n_times, len(values)))  # member axis last
+    u, v, eta = out
+    depth = ctl * _ETA_RAW[..., None]  # the scaled level, then the depth, in place
+    np.add(depth, mtl, out=eta)
+    np.add(mtl + _GRID.station_depth_offsets[:, None, None], depth, out=depth)
+    np.maximum(depth, _GRID.min_depth, out=depth)
+    friction = _GRID.gravity * _GRID.drag_timescale / (k2_squared * depth ** (4.0 / 3.0))
+    for speed, raw, scale in ((u, _ALONG_RAW, 1.0), (v, _ACROSS_RAW, _GRID.transverse_fraction)):
+        np.multiply(ctv, raw[..., None], out=speed)
+        np.divide(speed * scale, 1.0 + friction * np.abs(speed), out=speed)
+    return out.reshape(_GRID.n_state, len(values))

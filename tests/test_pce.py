@@ -18,7 +18,9 @@ from romda.pce import (
     pce_jacobian,
     select_degree,
     _Point,
+    _derivatives,
     _lars_path,
+    _orthonormal,
     _prefix_scores,
 )
 
@@ -675,3 +677,47 @@ def test_evaluated_point_gives_the_array_bits(seed, m_x, max_degree, places) -> 
                   lambda: pce_jacobian(model, outside)):
         with pytest.raises(ValueError, match=re.escape(str(expected.value))):
             route()
+
+
+def mask_loop_pce_jacobian(model, point):
+    """pce_jacobian with boolean-mask products, one copy per get and set."""
+    basis = model.basis
+    dz = _orthonormal(_derivatives(point.table), basis.norms)[basis.exponents, basis.inputs]
+    dz /= basis.scales
+    for j in range(basis.input_dim):
+        dz[:, basis.others[j]] *= point.factors[:, j, None]
+    dz[basis.exponents == 0] = 0.0
+    return model.coefficients @ dz
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m_x=st.integers(1, 6),
+    max_degree=st.integers(0, 6),
+    places=st.lists(st.sampled_from(PLACES), min_size=6, max_size=6),
+)
+def test_jacobian_masked_products_keep_the_mask_loop_bits(seed, m_x, max_degree, places) -> None:
+    # The in-place masked multiply forms each entry's product in the order
+    # the mask-copy loop does, so the Jacobians agree bit for bit, box faces
+    # and the tolerance band around them included.
+    rng = np.random.default_rng(seed)
+    bounds = np.column_stack([rng.uniform(-2.0, 0.0, m_x), rng.uniform(0.5, 3.0, m_x)])
+    basis = make_basis(bounds, max_degree)
+    model = PceModel(
+        basis=basis,
+        coefficients=rng.standard_normal((3, basis.n_terms)),
+        empirical_errors=np.zeros(3),
+        selected_degrees=(max_degree,) * 3,
+        validation_bias=np.zeros(3),
+    )
+    slack = basis.scales * 0.5 * BOUNDS_RTOL * rng.uniform(0.01, 1.0, m_x)
+    at = {
+        "inside": basis.offsets + basis.scales * rng.uniform(-1.0, 1.0, m_x),
+        "low": bounds[:, 0],
+        "high": bounds[:, 1],
+        "below": bounds[:, 0] - slack,
+        "above": bounds[:, 1] + slack,
+    }
+    point = _Point.of(basis, np.array([at[place][i] for i, place in enumerate(places[:m_x])]))
+    assert np.array_equal(pce_jacobian(model, point), mask_loop_pce_jacobian(model, point))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from romda import toymodel
 from romda.io import load_surrogate, save_surrogate
 from romda.pod import (
     ZERO_SV_RTOL,
@@ -10,6 +11,7 @@ from romda.pod import (
     evr,
     fit_pod,
     fit_stacked_pod,
+    numerical_rank,
     reconstruct,
     truncate,
 )
@@ -282,19 +284,19 @@ def test_snapshot_matrix_wrapper() -> None:
 @given(
     seed=st.integers(0, 2**32 - 1),
     m=st.integers(1, 40),
-    extra=st.floats(0.01, 2.0),
+    ratio=st.floats(0.05, 3.0),
     rank=st.integers(1, 12),
     noise=st.sampled_from([0.0, 1e-13]),
     data=st.data(),
 )
-def test_wide_snapshot_matrices_match_a_plain_svd(seed, m, extra, rank, noise, data) -> None:
-    # n > m: below and above the ratio where fit_pod switches to QR-first.
-    # A planted spectrum 1, 1/2, 1/4, ... keeps the retained subspaces
-    # separated; the optional noise has spectral norm 1e-13 sigma_1, below
-    # the zero threshold, so the basis ends at the planted rank.
+def test_snapshot_matrices_match_a_plain_svd(seed, m, ratio, rank, noise, data) -> None:
+    # Tall (n <= m) and wide (n > m) matrices. A planted spectrum 1, 1/2,
+    # 1/4, ... keeps the retained subspaces separated; the optional noise has
+    # spectral norm 1e-13 sigma_1, below the zero threshold, so the basis
+    # ends at the planted rank.
     rng = np.random.default_rng(seed)
-    n = m + 1 + int(extra * m)
-    rank = min(rank, m)
+    n = max(2, round(ratio * m))
+    rank = min(rank, m, n - 1)
     phi = random_orthonormal(rng, m, rank)
     coeff = rng.standard_normal((n, rank))
     coeff, _ = np.linalg.qr(coeff - coeff.mean(axis=0))  # zero-mean columns
@@ -321,6 +323,20 @@ def test_wide_snapshot_matrices_match_a_plain_svd(seed, m, extra, rank, noise, d
     assert np.linalg.norm(recon - centered) <= 1e-12 * np.linalg.norm(centered)
 
 
+@pytest.mark.parametrize("n", [16, 100, 400, 800])
+def test_toy_ensembles_keep_the_thin_svd_rank(n) -> None:
+    # The pivoted-QR cut keeps more rows than the rank rule needs (216 and
+    # 221 of 570 at n = 800 against ranks 111 and 113), so it never reaches
+    # a mode that rule keeps.
+    for seed in (0, 7):
+        states = toymodel.propagate(toymodel.sample_parameters(n, seed=seed))
+        basis = fit_pod(states)
+        svals = np.linalg.svd(states - states.mean(axis=1, keepdims=True), compute_uv=False)
+        r = numerical_rank(svals)
+        assert basis.n_modes == r
+        assert np.all(np.abs(basis.singular_values - svals[:r]) <= 1e-13 * svals[0])
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -330,9 +346,8 @@ def test_wide_snapshot_matrices_match_a_plain_svd(seed, m, extra, rank, noise, d
     data=st.data(),
 )
 def test_stacked_update_matches_a_fit_of_the_stack(seed, shape, m_x, rows_in_span, data) -> None:
-    # The update's joint basis against fit_pod of the stacked matrix: tall
-    # (thin-SVD state fit), wide (QR-first state fit) and rank-deficient
-    # states, with the extra rows independent of the states or, when
+    # The update's joint basis against fit_pod of the stacked matrix: tall,
+    # wide and rank-deficient states, with the extra rows independent of the states or, when
     # rows_in_span, linear in them (then the stack has the states' rank and
     # the rows add nothing outside their span).
     rng = np.random.default_rng(seed)

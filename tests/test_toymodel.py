@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from romda import toymodel
 from romda.toymodel import (
@@ -125,12 +126,32 @@ def test_sample_parameters_nested_in_n() -> None:
     assert np.array_equal(small, large[:100])
 
 
-def test_propagate_matches_loop() -> None:
-    # The second input is one where a single broadcast over all members
-    # differs from the per-member loop in the last bit (vectorized ``power``).
-    for n, seed in ((3, 9), (800, substream_seed(7, "bootstrap/0"))):
-        params = sample_parameters(n, seed=seed)
-        states = propagate(params)
-        assert states.shape == (570, n)
-        for j in range(n):
-            assert np.array_equal(states[:, j], simulate(params[j]))
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 900),
+    on_faces=st.floats(0.0, 1.0),
+)
+@example(seed=substream_seed(7, "bootstrap/0"), n=800, on_faces=0.0)
+def test_propagate_matches_loop(seed, n, on_faces) -> None:
+    # The batch against one simulate call per member, bit for bit. A share
+    # of the entries is moved onto a face of the box, where the check is
+    # inclusive and friction is extreme.
+    rng = np.random.default_rng(seed)
+    params = sample_parameters(n, seed=seed)
+    rows, cols = np.nonzero(rng.random(params.shape) < on_faces)
+    params[rows, cols] = PARAMETER_BOUNDS[cols, rng.integers(0, 2, cols.size)]
+    states = propagate(params)
+    assert states.shape == (570, n) and states.flags.c_contiguous
+    for j in range(n):
+        assert np.array_equal(states[:, j], simulate(params[j]))
+
+
+def test_propagate_names_the_out_of_box_member() -> None:
+    params = sample_parameters(6, seed=3)
+    params[4, 2] = PARAMETER_BOUNDS[2, 1] + 0.01
+    params[5, 0] = np.nan
+    with pytest.raises(ValueError, match=r"^member 4: parameter CTL=1\.31 outside bounds"):
+        propagate(params)
+    with pytest.raises(ValueError, match="expected rows of 4 parameters"):
+        propagate(params[:, :3])
