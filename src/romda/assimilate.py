@@ -14,7 +14,8 @@ L_R^-1 Phi = Q0 R0 (r the number of modes carrying variance), which
 depends on R and the mode block alone: alpha only scales R's own factor
 and the weights W only enter an r x r Cholesky. The cells of one surrogate
 build and one R share that QR through a :class:`ModeWhitening`, whatever
-their mode count, R~ kind or alpha. Solvers:
+their mode count, R~ kind or alpha, and the cells that also share the
+weights share the Cholesky. Solvers:
 
 * closed-form analysis for the linear joint-decomposition surrogate
   (cancelling the gradient of the reduced quadratic cost);
@@ -158,20 +159,25 @@ class _LowRankFactor:
 
 
 class ModeWhitening:
-    """The thin QR L_R^-1 Phi = Q0 R0 of one R against one mode block.
+    """The thin QR L_R^-1 Phi = Q0 R0 of one R against one mode block, and
+    the r-space factor C = chol(I + R0 W R0^T) of one set of weights.
 
-    It is the part of R~ = R + Phi W Phi^T's whitening that neither alpha
-    nor the weights W touch, so every R~ posed on the modes of one
+    The QR is the part of R~ = R + Phi W Phi^T's whitening that neither
+    alpha nor the weights W touch, so every R~ posed on the modes of one
     surrogate build against one R can share it: each mode count, both R~
-    kinds and every alpha. An instance keeps the last QR it computed and
-    computes a new one only when a problem brings a different R or mode
-    block; whoever loops over the cells of one build and one R owns it, and
-    the QR goes when the instance does.
+    kinds and every alpha. C does not depend on alpha either, so the cells
+    that differ only in alpha (a covariance grid) share it too. An instance
+    keeps the last QR and the last C it computed and computes new ones only
+    when a problem brings a different R, mode block or weights; whoever
+    loops over the cells of one build and one R owns it, and both go when
+    the instance does.
     """
 
     def __init__(self) -> None:
         self._key: tuple[np.ndarray, np.ndarray] | None = None  # (R, modes)
         self._qr: tuple[np.ndarray, np.ndarray] | None = None  # (Q0, R0)
+        self._weights: np.ndarray | None = None  # of the kept C
+        self._c: np.ndarray | None = None
 
     def qr(self, cov: ErrorCovariance, name: str) -> tuple[np.ndarray, np.ndarray]:
         """(Q0, R0) for ``cov``'s R and modes, reused while they stay the same."""
@@ -181,7 +187,16 @@ class ModeWhitening:
         ):
             self._qr = _whitened_modes_qr(cov, name)
             self._key = (cov.r, cov.modes)
+            self._c = None
         return self._qr
+
+    def factor(self, cov: ErrorCovariance, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """(Q0, C) for ``cov``, each reused while what it depends on stays the same."""
+        q, r0 = self.qr(cov, name)
+        if self._c is None or not np.array_equal(self._weights, cov.weights):
+            self._c = _rspace_factor(r0, cov.weights)
+            self._weights = cov.weights
+        return q, self._c
 
     def share(self, problem: AssimilationProblem) -> AssimilationProblem:
         """``problem``, set to take its R~ QR from this instance."""
@@ -194,6 +209,12 @@ def _whitened_modes_qr(cov: ErrorCovariance, name: str) -> tuple[np.ndarray, np.
     return np.linalg.qr(_whiten(_whitening_factor(cov.r, 1.0, name), cov.modes))
 
 
+def _rspace_factor(r0: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """C with C C^T = I + R0 W R0^T, in its lower triangle."""
+    g = r0 * np.sqrt(weights)  # R0 W^1/2
+    return cho_factor(np.eye(g.shape[0]) + g @ g.T, lower=True)[0]
+
+
 def _whitening_factor(
     cov: np.ndarray | ErrorCovariance, alpha: float, name: str,
     shared: ModeWhitening | None = None,
@@ -201,14 +222,12 @@ def _whitening_factor(
     """L with L L^T = alpha * cov: the standard deviations (1-D) when cov is
     diagonal, the lower Cholesky factor (2-D) when it is dense, alpha R's
     factor plus the r-space correction when it is an
-    :class:`ErrorCovariance`, whose Q0 R0 comes from ``shared`` if given."""
+    :class:`ErrorCovariance`, whose Q0 and C come from ``shared`` if given."""
     if isinstance(cov, ErrorCovariance):
         base = _whitening_factor(cov.r, alpha, name)
         if not (np.all(np.isfinite(cov.weights)) and np.all(cov.weights >= 0.0)):
             raise ValueError(f"{name} covariance weights must be finite and nonnegative")
-        q, r0 = shared.qr(cov, name) if shared is not None else _whitened_modes_qr(cov, name)
-        g = r0 * np.sqrt(cov.weights)  # R0 W^1/2
-        c, _ = cho_factor(np.eye(g.shape[0]) + g @ g.T, lower=True)
+        q, c = (shared or ModeWhitening()).factor(cov, name)
         return _LowRankFactor(base=base, q=q, c=c)
     if cov.ndim == 2 and np.count_nonzero(cov) == np.count_nonzero(np.diagonal(cov)):
         cov = np.diagonal(cov)  # every nonzero entry sits on the diagonal

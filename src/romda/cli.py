@@ -6,7 +6,8 @@ echoed into the output directory and its hash stamped into every output
 file. Exit codes: 0 success, 1 validation/configuration error, 2 numerical
 failure, 3 a worker process of a pooled sweep was lost. The toy-model
 sweeps (twin, covgrid, bootstrap, measure) call the drivers of
-:mod:`romda.experiments`, which own their BLAS thread count.
+:mod:`romda.experiments`, which own their BLAS thread count; fit-pod,
+fit-pce and build-surrogate enter the same one-thread scope.
 
 ``build-surrogate`` standardizes like the drivers (the same
 ``build_surrogates``; parameters by the midpoint and half-range of the
@@ -33,6 +34,8 @@ from .experiments import (
     SURROGATE_KINDS,
     MeasurementConfig,
     TwinConfig,
+    _check_counts,
+    _one_blas_thread,
     build_surrogates,
     measurement_noise_diag,
     run_bootstrap,
@@ -83,6 +86,14 @@ def _require(cfg: dict, key: str, command: str):
     return cfg[key]
 
 
+def _count(cfg: dict, key: str, low: int, rule: str, default: int | None = None) -> int:
+    """``cfg[key]`` (or ``default``), checked by the sweeps' count rule: an
+    integer, not a bool, at least ``low``; the message names ``key``."""
+    value = cfg.get(key, default)
+    _check_counts(key, (value,), low, rule)
+    return value
+
+
 def _tuplify(cfg: dict, cls) -> dict:
     """JSON lists become tuples where the config dataclass holds tuples."""
     out = dict(cfg)
@@ -115,7 +126,8 @@ def _summary(line: str) -> None:
 
 def _cmd_sample(args, cfg: dict) -> int:
     _check_keys(cfg, {"n"}, "sample")
-    n = int(_require(cfg, "n", "sample"))
+    _require(cfg, "n", "sample")
+    n = _count(cfg, "n", 1, "sample at least one member")
     out = _outdir(args)
     cfg_hash = _echo_config(out, "sample", cfg, args.seed)
     draws = toymodel.sample_parameters(n, args.seed)
@@ -154,16 +166,20 @@ def _truncation(cfg: dict) -> dict:
     if (modes is None) == (threshold is None):
         raise ConfigError("specify exactly one of 'modes' or 'evr_threshold'")
     if modes is not None:
-        return {"modes": int(modes)}
+        return {"modes": _count(cfg, "modes", 1, "mode counts start at 1")}
     return {"evr_threshold": float(threshold)}
 
 
+# The commands that fit run on one BLAS thread, as the sweeps do
+# (:func:`~romda.experiments._one_blas_thread`).
+@_one_blas_thread()
 def _cmd_fit_pod(args, cfg: dict) -> int:
     _check_keys(cfg, {"states_csv", "modes", "evr_threshold"}, "fit-pod")
+    truncation = _truncation(cfg)
     out = _outdir(args)
     cfg_hash = _echo_config(out, "fit-pod", cfg, args.seed)
     snap = io.read_snapshot_csv(_require(cfg, "states_csv", "fit-pod"))
-    basis = truncate(fit_pod(snap.data), **_truncation(cfg))
+    basis = truncate(fit_pod(snap.data), **truncation)
     io.save_pod_basis(out / "pod_basis.json", basis, seed=args.seed, cfg_hash=cfg_hash)
     _summary(
         f"fit-pod: retained d={basis.retained} (EVR {evr(basis, basis.retained):.6f}) "
@@ -172,8 +188,10 @@ def _cmd_fit_pod(args, cfg: dict) -> int:
     return EXIT_OK
 
 
+@_one_blas_thread()
 def _cmd_fit_pce(args, cfg: dict) -> int:
     _check_keys(cfg, {"parameters_csv", "targets_csv", "bounds", "max_degree"}, "fit-pce")
+    max_degree = _count(cfg, "max_degree", 0, "degree must be >= 0", 3)
     out = _outdir(args)
     cfg_hash = _echo_config(out, "fit-pce", cfg, args.seed)
     params = io.read_snapshot_csv(_require(cfg, "parameters_csv", "fit-pce")).data.T  # (n, m_x)
@@ -185,7 +203,7 @@ def _cmd_fit_pce(args, cfg: dict) -> int:
     train, val = split_members(n, split_seed(args.seed, n))
     model = select_degree(
         params[train], targets[train], params[val], targets[val],
-        PceConfig(bounds, int(cfg.get("max_degree", 3))),
+        PceConfig(bounds, max_degree),
     )
     io.save_pce_model(out / "pce_model.json", model, seed=args.seed, cfg_hash=cfg_hash)
     _summary(
@@ -194,6 +212,7 @@ def _cmd_fit_pce(args, cfg: dict) -> int:
     return EXIT_OK
 
 
+@_one_blas_thread()
 def _cmd_build_surrogate(args, cfg: dict) -> int:
     allowed = {"kind", "parameters_csv", "states_csv", "modes", "evr_threshold",
                "max_degree", "bounds"}
@@ -204,13 +223,15 @@ def _cmd_build_surrogate(args, cfg: dict) -> int:
     if kind == "poden" and "max_degree" in cfg:
         raise ConfigError("max_degree applies to podpce only: a poden surrogate has no polynomial degree")
     bounds = _require(cfg, "bounds", "build-surrogate")
+    max_degree = _count(cfg, "max_degree", 0, "degree must be >= 0", 3)
+    truncation = _truncation(cfg)
     out = _outdir(args)
     cfg_hash = _echo_config(out, "build-surrogate", cfg, args.seed)
     params = io.read_snapshot_csv(_require(cfg, "parameters_csv", "build-surrogate")).data
     states = io.read_snapshot_csv(_require(cfg, "states_csv", "build-surrogate")).data
     built, scaling = build_surrogates(
-        params, states, bounds, (kind,), pce_degree=int(cfg.get("max_degree", 3)),
-        split_seed=split_seed(args.seed, params.shape[1]), **_truncation(cfg),
+        params, states, bounds, (kind,), pce_degree=max_degree,
+        split_seed=split_seed(args.seed, params.shape[1]), **truncation,
     )
     surrogate = built[kind]
     io.save_surrogate(out / "surrogate.json", surrogate, scaling, seed=args.seed, cfg_hash=cfg_hash)

@@ -5,9 +5,17 @@ clipped to the box along an Armijo backtracking search, and components
 pressed against an active bound see their gradient projected out. Falls
 back to projected steepest descent when the quasi-Newton direction is not
 a descent direction.
+
+The iteration's own vector work (the two-loop recursion, the clipped trial
+point, the Armijo test, the curvature pair and the projected gradient) runs
+on lists of Python floats: the solvers' parameter vectors have a handful of
+entries, where a numpy call costs more than its arithmetic. ``f`` and
+``grad`` still receive numpy arrays.
 """
 from __future__ import annotations
 
+import math
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
@@ -38,46 +46,41 @@ class OptimizeResult:
     grad_norms: list[float] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class _Box:
-    """Which bounds are finite and the edges within which a point counts as
-    pressed against them; built once per descent."""
-
-    has_lower: np.ndarray
-    lower_edge: np.ndarray
-    has_upper: np.ndarray
-    upper_edge: np.ndarray
-
-    @classmethod
-    def of(cls, lower: np.ndarray, upper: np.ndarray) -> "_Box":
-        span = np.where(np.isfinite(upper - lower), upper - lower, 1.0)
-        edge = 1e-12 * np.maximum(span, 1.0)
-        return cls(np.isfinite(lower), lower + edge, np.isfinite(upper), upper - edge)
-
-    def project(self, x: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        """Gradient with components into an active bound zeroed out."""
-        pg = grad.copy()
-        at_lower = self.has_lower & (x <= self.lower_edge)
-        at_upper = self.has_upper & (x >= self.upper_edge)
-        pg[at_lower] = np.minimum(pg[at_lower], 0.0)
-        pg[at_upper] = np.maximum(pg[at_upper], 0.0)
-        return pg
+def _dot(u: list[float], v: list[float]) -> float:
+    return sum(map(operator.mul, u, v))
 
 
-def _two_loop(grad: np.ndarray, pairs: deque) -> np.ndarray:
-    """L-BFGS two-loop recursion for -H * grad (search direction)."""
-    q = grad.copy()
+def _two_loop(grad: list[float], pairs: deque) -> list[float]:
+    """L-BFGS two-loop recursion for -H * grad (search direction); each
+    pair holds (s, y, 1 / s.y, s.y / y.y)."""
+    q = grad
     alphas = []
-    for s, y, rho in reversed(pairs):
-        a = rho * (s @ q)
+    for s, y, rho, _ in reversed(pairs):
+        a = rho * _dot(s, q)
         alphas.append(a)
-        q -= a * y
-    s_last, y_last, _ = pairs[-1]
-    q *= (s_last @ y_last) / (y_last @ y_last)
-    for (s, y, rho), a in zip(pairs, reversed(alphas)):
-        b = rho * (y @ q)
-        q += (a - b) * s
-    return -q
+        q = [qi - a * yi for qi, yi in zip(q, y)]
+    scale = pairs[-1][3]
+    q = [scale * qi for qi in q]
+    for (s, y, rho, _), a in zip(pairs, reversed(alphas)):
+        b = a - rho * _dot(y, q)
+        q = [qi + b * si for qi, si in zip(q, s)]
+    return [-qi for qi in q]
+
+
+def _edges(low: list[float], high: list[float]) -> tuple[list[float], list[float]]:
+    """Per coordinate, the values at or beyond which a point is pressed
+    against its lower and its upper bound: 1e-12 max(span, 1) inside a
+    finite bound. An infinite bound is its own edge, which no finite point
+    reaches."""
+    gaps = [1e-12 * max(h - l, 1.0) if math.isfinite(h - l) else 1e-12 for l, h in zip(low, high)]
+    return [l + e for l, e in zip(low, gaps)], [h - e for h, e in zip(high, gaps)]
+
+
+def _project(x: list[float], grad: list[float], edges: tuple[list[float], list[float]]) -> list[float]:
+    """Gradient with components into an active bound zeroed out."""
+    low_edge, high_edge = edges
+    pg = [min(g, 0.0) if xi <= edge else g for xi, g, edge in zip(x, grad, low_edge)]
+    return [max(g, 0.0) if xi >= edge else g for xi, g, edge in zip(x, pg, high_edge)]
 
 
 def bounded_quasi_newton(
@@ -106,17 +109,19 @@ def bounded_quasi_newton(
     if np.any(x0 < lower - 1e-12) or np.any(x0 > upper + 1e-12):
         raise ValueError("starting point is outside the bounds")
 
-    x = np.clip(x0, lower, upper)
-    fx = float(f(x))
-    gx = np.asarray(grad(x), dtype=float)
-    if not np.isfinite(fx) or not np.all(np.isfinite(gx)):
+    x_arr = np.clip(x0, lower, upper)
+    fx = float(f(x_arr))
+    g_arr = np.asarray(grad(x_arr), dtype=float)
+    if not np.isfinite(fx) or not np.all(np.isfinite(g_arr)):
         raise ValueError("objective or gradient is not finite at the starting point")
 
-    box = _Box.of(lower, upper)
+    x, gx = x_arr.tolist(), g_arr.tolist()
+    low, high = lower.tolist(), upper.tolist()
+    edges = _edges(low, high)
     pairs: deque = deque(maxlen=LBFGS_MEMORY)
     f_trace = [fx]
-    pg = box.project(x, gx)  # at the current point, reused until it moves
-    grad_norms = [float(np.max(np.abs(pg)))]
+    pg = _project(x, gx, edges)  # at the current point, reused until it moves
+    grad_norms = [max(map(abs, pg))]
     converged = False
     reason = "max_iter"
     iterations = 0
@@ -127,41 +132,48 @@ def bounded_quasi_newton(
             iterations -= 1
             break
 
-        direction = _two_loop(gx, pairs) if pairs else -gx
-        if not np.all(np.isfinite(direction)) or float(direction @ gx) >= 0.0:
-            direction = -pg
+        steepest = [-gi for gi in pg]
+        direction = _two_loop(gx, pairs) if pairs else [-gi for gi in gx]
+        if not all(map(math.isfinite, direction)) or _dot(direction, gx) >= 0.0:
+            direction = steepest
 
         accepted = False
-        for trial_direction in (direction, -pg):
+        for trial_direction in (direction, steepest):
             step = 1.0
             for _ in range(MAX_BACKTRACKS):
-                x_new = np.clip(x + step * trial_direction, lower, upper)
-                move = x_new - x
-                if not np.any(move):
+                x_new = [
+                    min(max(xi + step * di, l), h)
+                    for xi, di, l, h in zip(x, trial_direction, low, high)
+                ]
+                move = [xn - xi for xn, xi in zip(x_new, x)]
+                if not any(move):
                     break  # fully blocked by the bounds
-                predicted = float(gx @ move)
+                predicted = _dot(gx, move)
                 if predicted >= 0.0:
                     step *= 0.5
                     continue
-                f_new = float(f(x_new))
-                if np.isfinite(f_new) and f_new <= fx + ARMIJO_C1 * predicted:
+                trial = np.array(x_new)
+                f_new = float(f(trial))
+                if math.isfinite(f_new) and f_new <= fx + ARMIJO_C1 * predicted:
                     accepted = True
                     break
                 step *= 0.5
             if accepted:
                 break
-            if trial_direction is direction and np.array_equal(direction, -pg):
+            if trial_direction is direction and direction == steepest:
                 break  # already tried the fallback
         if not accepted:
             converged, reason = False, "line_search_failure"
             break
 
-        g_new = np.asarray(grad(x_new), dtype=float)
-        s = x_new - x
-        y = g_new - gx
-        sy = float(s @ y)
-        if sy > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
-            pairs.append((s, y, 1.0 / sy))
+        x_arr = trial
+        g_arr = np.asarray(grad(x_arr), dtype=float)
+        g_new = g_arr.tolist()
+        y = [gn - gi for gn, gi in zip(g_new, gx)]
+        sy = _dot(move, y)
+        yy = _dot(y, y)
+        if sy > 1e-10 * math.sqrt(_dot(move, move)) * math.sqrt(yy):
+            pairs.append((move, y, 1.0 / sy, sy / yy))
         else:
             # Negative/zero curvature along the step: the stored model is
             # stale and Armijo-only searches can loop on it. Restart.
@@ -170,16 +182,16 @@ def bounded_quasi_newton(
         decrease = fx - f_new
         x, fx, gx = x_new, f_new, g_new
         f_trace.append(fx)
-        pg = box.project(x, gx)
-        grad_norms.append(float(np.max(np.abs(pg))))
+        pg = _project(x, gx, edges)
+        grad_norms.append(max(map(abs, pg)))
         if decrease <= config.f_rel_tol * max(abs(fx), 1.0):
             converged, reason = True, "f_decrease"
             break
 
     return OptimizeResult(
-        x=x,
+        x=x_arr,
         f=fx,
-        grad=gx,
+        grad=g_arr,
         iterations=iterations,
         converged=converged,
         reason=reason,

@@ -5,7 +5,9 @@ family that matches inputs uniform on a box (Xiu & Karniadakis 2002),
 truncated by total degree. One three-term recurrence per evaluation gives
 the polynomial values, and the derivatives come from the same table.
 Coefficients are fitted by least angle regression over standardized
-regressors (Efron et al. 2004).
+regressors (Efron et al. 2004), run in P-space: a training design is
+standardized and its Gram matrix formed once, every mode and degree reads
+leading blocks of them, and a step of the path touches no n-sized array.
 The path only adds regressors, so its models are nested prefixes of one
 design: a single QR of the longest model scores every prefix by its
 hat-matrix leave-one-out error times the small-sample correction factor
@@ -177,7 +179,11 @@ def design_matrix(samples: np.ndarray, basis: PceBasis) -> np.ndarray:
     return psi
 
 
-# LARS with corrected leave-one-out --------------------------------------------
+# LARS in P-space with corrected leave-one-out ---------------------------------
+
+# A regressor whose squared distance from the span of the active ones is at
+# most this (all unit norm: a sine to that span below 1e-5) is barred.
+COLLINEAR_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -185,6 +191,47 @@ class LarsFit:
     coefficients: np.ndarray  # (n_terms,), exact zeros off the active set
     loo_error: float  # corrected leave-one-out of the selected model
     active: tuple[int, ...]  # selected columns, intercept excluded
+
+
+@dataclass(frozen=True)
+class _Design:
+    """A design matrix prepared for LARS: its candidate regressors (every
+    column but the constant, centered and scaled to unit norm; a column of
+    centered norm <= 1e-13 sqrt(n) is dropped) and their Gram matrix.
+
+    Standardizing goes column by column, so the design of the first columns
+    is made of leading blocks of this one (:meth:`prefix`): in graded-lex
+    order the degree-p basis is a prefix of the degree cap's, and
+    :func:`select_degree` prepares the cap's training design once for every
+    mode and degree.
+    """
+
+    psi: np.ndarray  # (n, n_terms), column 0 the constant term
+    x: np.ndarray  # (n, k) the standardized candidates
+    candidates: np.ndarray  # (k,) increasing: the psi column of each x column
+    gram: np.ndarray  # (k, k) x^T x
+
+    @classmethod
+    def of(cls, psi: np.ndarray) -> "_Design":
+        psi = np.asarray(psi, dtype=float)
+        if psi.ndim != 2:
+            raise ValueError(f"design matrix must be 2D, got shape {psi.shape}")
+        n = psi.shape[0]
+        if n < 2:
+            raise ValueError(f"need more than one sample, got {n}")
+        if not np.allclose(psi[:, 0], 1.0, atol=1e-12):
+            raise ValueError("first design column must be the constant term")
+        centered = psi[:, 1:] - psi[:, 1:].mean(axis=0)
+        norms = np.sqrt(np.einsum("ij,ij->j", centered, centered))
+        keep = np.flatnonzero(norms > 1e-13 * np.sqrt(n))
+        x = centered[:, keep] / norms[keep]
+        return cls(psi, x, keep + 1, x.T @ x)
+
+    def prefix(self, n_terms: int) -> "_Design":
+        """The design of the first ``n_terms`` columns."""
+        k = int(np.searchsorted(self.candidates, n_terms))
+        return _Design(self.psi[:, :n_terms], self.x[:, :k], self.candidates[:k],
+                       self.gram[:k, :k])
 
 
 def _prefix_scores(q: np.ndarray, r: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -234,117 +281,102 @@ def _corrected_loo(q: np.ndarray, r: np.ndarray, resid: np.ndarray) -> float:
     return loo * ((n / (n - p)) * (1.0 + trace_inv))
 
 
-def fit_lars(psi: np.ndarray, targets: np.ndarray) -> LarsFit:
+def fit_lars(psi: np.ndarray | _Design, targets: np.ndarray) -> LarsFit:
     """Sparse coefficients for ``targets ~ psi`` by LARS + corrected LOO.
 
-    The path is computed on centered, unit-norm regressors (intercept held
-    out). It never drops a regressor, so its models are nested: model k uses
-    the intercept and the first k path columns. One QR of the longest model's
-    design scores every prefix (:func:`_prefix_scores`); the prefix with
-    minimal corrected leave-one-out error wins, ties going to the sparser
-    model. Only the winner is refitted, by least squares on its own columns,
-    so its coefficients, and the leave-one-out error reported with them, do
-    not depend on the path that scored it.
+    ``psi`` may be a prepared :class:`_Design`. The path (:func:`_lars_path`)
+    runs on the standardized regressors (intercept held out). It never drops
+    a regressor, so its models are nested: model k uses the intercept and
+    the first k path columns. One QR of the longest model's design scores
+    every prefix (:func:`_prefix_scores`); the prefix with minimal corrected
+    leave-one-out error wins, ties going to the sparser model. Only the
+    winner is refitted, by least squares on its own columns, so its
+    coefficients, and the leave-one-out error reported with them, do not
+    depend on the path that scored it.
     """
-    psi = np.asarray(psi, dtype=float)
+    design = psi if isinstance(psi, _Design) else _Design.of(psi)
+    psi = design.psi
     targets = np.asarray(targets, dtype=float)
-    if psi.ndim != 2:
-        raise ValueError(f"design matrix must be 2D, got shape {psi.shape}")
     n, n_terms = psi.shape
     if targets.shape != (n,):
         raise ValueError(f"targets must have shape ({n},), got {targets.shape}")
-    if n < 2:
-        raise ValueError(f"need more than one sample, got {n}")
-    if not np.allclose(psi[:, 0], 1.0, atol=1e-12):
-        raise ValueError("first design column must be the constant term")
 
-    # Standardize the candidate regressors; drop degenerate columns.
-    y_mean = targets.mean()
-    y_c = targets - y_mean
-    candidates = []
-    columns = []
-    for j in range(1, n_terms):
-        col = psi[:, j] - psi[:, j].mean()
-        norm = np.linalg.norm(col)
-        if norm > 1e-13 * np.sqrt(n):
-            candidates.append(j)
-            columns.append(col / norm)
-    x = np.column_stack(columns) if columns else np.zeros((n, 0))
-
-    prefixes = _lars_path(x, y_c, max_active=min(len(candidates), n - 1))
-    path = (0,) + tuple(candidates[j] for j in (prefixes[-1] if prefixes else ()))
+    y_c = targets - targets.mean()
+    order = _lars_path(
+        design.gram, design.x.T @ y_c, min(design.candidates.size, n - 1),
+        1e-10 * max(float(np.linalg.norm(y_c)), 1.0),
+    )
+    path = [0, *design.candidates[order].tolist()]
     q, r = np.linalg.qr(psi[:, path])
     # The intercept-only prefix is never rank deficient, so a winner exists.
-    scores = _prefix_scores(q, r, targets)
-    p = int(np.argmin(scores)) + 1
+    p = int(np.argmin(_prefix_scores(q, r, targets))) + 1
     if p < len(path):
         q, r = np.linalg.qr(psi[:, path[:p]])
     fitted = solve_triangular(r, q.T @ targets)
     coef = np.zeros(n_terms)
-    coef[list(path[:p])] = fitted
+    coef[path[:p]] = fitted
     loo_error = _corrected_loo(q, r, targets - psi[:, path[:p]] @ fitted)
-    return LarsFit(coefficients=coef, loo_error=loo_error, active=path[1:p])
+    return LarsFit(coefficients=coef, loo_error=loo_error, active=tuple(path[1:p]))
 
 
-def _lars_path(x: np.ndarray, y: np.ndarray, max_active: int) -> list[tuple[int, ...]]:
-    """Least angle regression path on standardized regressors.
+def _lars_path(gram: np.ndarray, xty: np.ndarray, max_active: int, floor: float) -> list[int]:
+    """Least angle regression on standardized regressors, in P-space
+    (Efron et al. 2004, section 7): the columns in the order they enter.
 
-    Returns the nested active sets, one per added regressor, in path order.
-    Columns that make the active Gram matrix singular are skipped.
+    Only the Gram matrix G = X^T X and X^T y are read. The correlations
+    c = X^T (y - mu) move by -gamma G_A u_A per step, and the equiangular
+    direction u_A = G_AA^-1 s / sqrt(s^T G_AA^-1 s) (s the signs the
+    active columns entered with) comes from L^-1, the inverse Cholesky
+    factor of G_AA, grown by one row per entering column. The path stops
+    at ``max_active`` columns or when no free |c| exceeds ``floor``.
+
+    * Ties: of equal |c|, the lowest column enters.
+    * Collinearity: a column whose squared distance from the span of the
+      active ones, G_jj - |L^-1 G_Aj|^2, is at most ``COLLINEAR_TOL`` is
+      barred; it neither enters nor bounds a step.
     """
-    n, n_cols = x.shape
-    if n_cols == 0 or max_active <= 0:
-        return []
-    mu = np.zeros(n)
+    k = xty.size
+    c = xty.copy()
+    free = np.ones(k, dtype=bool)  # neither active nor barred
     active: list[int] = []
-    barred: set[int] = set()
-    prefixes: list[tuple[int, ...]] = []
-    corr_floor = 1e-10 * max(float(np.linalg.norm(y)), 1.0)
-
-    while len(active) < max_active:
-        c = x.T @ (y - mu)
-        c_abs = np.abs(c)
-        c_abs[list(active) + list(barred)] = -np.inf
-        j_new = int(np.argmax(c_abs))
-        if not np.isfinite(c_abs[j_new]) or c_abs[j_new] <= corr_floor:
-            break
-
-        trial = active + [j_new]
-        signs = np.sign(c[trial])
-        signs[signs == 0.0] = 1.0
-        xa = x[:, trial] * signs[None, :]
-        gram = xa.T @ xa
-        try:
-            ginv_ones = np.linalg.solve(gram, np.ones(len(trial)))
-        except np.linalg.LinAlgError:
-            barred.add(j_new)
-            continue
-        total = float(ginv_ones.sum())
-        if total <= 1e-12:
-            barred.add(j_new)
-            continue
-
-        active = trial
-        prefixes.append(tuple(active))
-        if len(active) >= max_active:
-            break
-
-        a_norm = 1.0 / np.sqrt(total)
-        u = xa @ (a_norm * ginv_ones)  # unit equiangular direction
-        corr_max = float(np.max(np.abs(c[active])))
-        a = x.T @ u
-        gamma = corr_max / a_norm  # full least-squares step by default
-        free = np.ones(n_cols, dtype=bool)
-        free[active + list(barred)] = False
-        with np.errstate(divide="ignore", invalid="ignore"):
+    signs = np.empty(max_active)
+    g_active = np.empty((k, max_active))  # G[:, active]
+    l_inv = np.zeros((max_active, max_active))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while len(active) < max_active:
+            c_abs = np.where(free, np.abs(c), -np.inf)
+            j = int(np.argmax(c_abs))
+            if not c_abs[j] > floor:
+                break
+            free[j] = False
+            m = len(active)
+            ell = l_inv[:m, :m] @ g_active[j, :m]
+            gap = gram[j, j] - ell @ ell
+            if gap <= COLLINEAR_TOL:
+                continue
+            root = np.sqrt(gap)
+            l_inv[m, :m] = (ell @ l_inv[:m, :m]) / -root
+            l_inv[m, m] = 1.0 / root
+            g_active[:, m] = gram[:, j]
+            signs[m] = -1.0 if c[j] < 0.0 else 1.0
+            active.append(j)
+            m += 1
+            if m == max_active:
+                break
+            z = l_inv[:m, :m] @ signs[:m]
+            a_norm = 1.0 / np.sqrt(z @ z)
+            a = g_active[:, :m] @ ((a_norm * z) @ l_inv[:m, :m])
+            corr_max = np.abs(c[active]).max()
+            gamma = corr_max / a_norm  # the full least-squares step
+            c_free, a_free = c[free], a[free]
             steps = np.concatenate(
-                ((corr_max - c[free]) / (a_norm - a[free]), (corr_max + c[free]) / (a_norm + a[free]))
+                ((corr_max - c_free) / (a_norm - a_free), (corr_max + c_free) / (a_norm + a_free))
             )
-        steps = steps[np.isfinite(steps) & (steps > 1e-15) & (steps < gamma)]
-        if steps.size:
-            gamma = float(steps.min())
-        mu = mu + gamma * u
-    return prefixes
+            steps = steps[(steps > 1e-15) & (steps < gamma)]
+            if steps.size:
+                gamma = steps.min()
+            c -= gamma * a
+    return active
 
 
 # Degree selection and the fitted model ----------------------------------------
@@ -395,9 +427,11 @@ def select_degree(
     """Fit one sparse expansion per target component, choosing its degree.
 
     For every component, LARS models of degree 0..max_degree are fitted on
-    the training set; the degree with the smallest validation mean squared
-    error wins, ties broken toward the smaller degree. Training-set
-    coefficients are kept (the validation set only scores).
+    the training set, all on leading blocks of one prepared :class:`_Design`
+    (one standardization and one Gram matrix per call); the degree with the
+    smallest validation mean squared error wins, ties broken toward the
+    smaller degree. Training-set coefficients are kept (the validation set
+    only scores).
     """
     train_inputs = np.atleast_2d(np.asarray(train_inputs, dtype=float))
     val_inputs = np.atleast_2d(np.asarray(val_inputs, dtype=float))
@@ -414,11 +448,12 @@ def select_degree(
 
     d_out = train_targets.shape[1]
     full = make_basis(config.bounds, config.max_degree)
-    psi_train = design_matrix(train_inputs, full)
+    train = _Design.of(design_matrix(train_inputs, full))
     psi_val = design_matrix(val_inputs, full)
-    m_x = full.input_dim
-    # Graded-lex columns: degree-p block is a prefix of the degree-p_max matrix.
-    n_terms_per_degree = [len(multi_index_set(m_x, p)) for p in range(config.max_degree + 1)]
+    # Graded-lex columns: the degree-p design is a prefix of the degree cap's.
+    designs = [
+        train.prefix(len(multi_index_set(full.input_dim, p))) for p in range(config.max_degree + 1)
+    ]
 
     rows = np.zeros((d_out, full.n_terms))
     errors = np.empty(d_out)
@@ -429,9 +464,9 @@ def select_degree(
         # must not be decided by which exact fit rounds lower.
         floor = 1e-24 * float(np.mean(val_targets[:, k] ** 2))
         best: tuple[float, int, np.ndarray, np.ndarray] | None = None
-        for p, n_cols in enumerate(n_terms_per_degree):
-            fit = fit_lars(psi_train[:, :n_cols], train_targets[:, k])
-            predicted = psi_val[:, :n_cols] @ fit.coefficients
+        for p, design in enumerate(designs):
+            fit = fit_lars(design, train_targets[:, k])
+            predicted = psi_val[:, : fit.coefficients.size] @ fit.coefficients
             residual = val_targets[:, k] - predicted
             delta = float(np.mean(residual**2))
             if delta <= floor:

@@ -191,6 +191,36 @@ def test_poden_build_rejects_max_degree(chain, capsys) -> None:
     assert max(io.load_surrogate(out / "surrogate.json")[0].pce.selected_degrees) <= 1
 
 
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("sample", "n", 40.9),
+        ("sample", "n", True),
+        ("fit-pod", "modes", 2.5),
+        ("build-surrogate", "modes", 3.9),
+        ("build-surrogate", "max_degree", 2.7),
+        ("build-surrogate", "max_degree", True),
+        ("fit-pce", "max_degree", 1.5),
+    ],
+)
+def test_non_sweep_commands_reject_non_integer_counts(chain, capsys, command, key, value) -> None:
+    # Each count is checked by the sweeps' rule before anything is read or
+    # written, instead of being truncated (40.9 members to 40, True to 1).
+    out = chain.ensemble(12, 3)
+    inputs = {
+        "sample": {},
+        "fit-pod": {"states_csv": str(out / "states.csv")},
+        "build-surrogate": {"kind": "podpce", "parameters_csv": str(out / "parameters.csv"),
+                            "states_csv": str(out / "states.csv"),
+                            "bounds": toymodel.PARAMETER_BOUNDS.tolist(), "modes": 2},
+        "fit-pce": {"parameters_csv": str(out / "parameters.csv"), "targets_csv": str(out / "parameters.csv"),
+                    "bounds": toymodel.PARAMETER_BOUNDS.tolist()},
+    }[command]
+    capsys.readouterr()
+    assert chain.run(command, {**inputs, key: value}, 3) == EXIT_VALIDATION
+    assert f"error: {key}: counts must be integers, got {value!r}" in capsys.readouterr().err
+
+
 def test_v1_documents_assimilate_with_identity_scaling(tmp_path) -> None:
     """A podpce-surrogate/1 document gives the analysis the previous schema's
     program wrote for the same config, bit for bit; a poden-surrogate/1
@@ -594,12 +624,61 @@ def test_library_twin_call_runs_on_one_blas_thread(blas_pools, monkeypatch) -> N
     assert threads(blas_pools) == [2] * len(blas_pools)
 
 
-@pytest.mark.parametrize("command", ["sample", "fit-pod", "build-surrogate", "assimilate"])
+@pytest.mark.parametrize("command", ["sample", "assimilate"])
 def test_other_commands_leave_blas_threads_alone(blas_pools, monkeypatch, tmp_path, command) -> None:
     previous = threads(blas_pools)
     seen = []
     monkeypatch.setitem(cli._COMMANDS, command, recording_command(blas_pools, seen))
     assert main([command, "--out", str(tmp_path)]) == EXIT_OK
+    assert seen == [previous]
+    assert threads(blas_pools) == previous
+
+
+def run_fitting_command(chain, monkeypatch, pools, seen, command) -> int:
+    """Run ``command`` on a 16-member toy ensemble, recording the thread
+    counts inside its fit: ``fit_pod`` for fit-pod and build-surrogate,
+    ``select_degree`` for fit-pce."""
+    previous = threads(pools)
+    out = chain.ensemble(16, 4)
+    assert threads(pools) == previous
+
+    def recorded(fit):
+        def fit_recording(*args, **kwargs):
+            seen.append(threads(pools))
+            return fit(*args, **kwargs)
+        return fit_recording
+
+    monkeypatch.setattr(cli, "fit_pod", recorded(fit_pod))
+    monkeypatch.setattr(experiments, "fit_pod", recorded(fit_pod))
+    monkeypatch.setattr(cli, "select_degree", recorded(select_degree))
+    if command == "fit-pod":
+        return chain.run("fit-pod", {"states_csv": str(out / "states.csv"), "modes": 2}, 4)
+    if command == "build-surrogate":
+        return chain.build(4, modes=2, max_degree=1)
+    params = io.read_snapshot_csv(out / "parameters.csv")
+    io.write_snapshot_csv(out / "targets.csv", SnapshotMatrix(params.data[:2], ("k1", "k2"), params.member_ids))
+    cfg = {"parameters_csv": str(out / "parameters.csv"), "targets_csv": str(out / "targets.csv"),
+           "bounds": toymodel.PARAMETER_BOUNDS.tolist(), "max_degree": 1}
+    return chain.run("fit-pce", cfg, 4)
+
+
+@pytest.mark.parametrize("command", ["fit-pod", "fit-pce", "build-surrogate"])
+def test_fitting_commands_run_on_one_blas_thread(blas_pools, monkeypatch, chain, command) -> None:
+    previous = threads(blas_pools)
+    seen = []
+    assert run_fitting_command(chain, monkeypatch, blas_pools, seen, command) == EXIT_OK
+    assert seen == [[1] * len(blas_pools)]
+    assert threads(blas_pools) == previous
+
+
+@pytest.mark.parametrize("command", ["fit-pod", "fit-pce", "build-surrogate"])
+def test_fitting_commands_leave_blas_threads_chosen_in_environment(
+    blas_pools, monkeypatch, chain, command
+) -> None:
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    previous = threads(blas_pools)
+    seen = []
+    assert run_fitting_command(chain, monkeypatch, blas_pools, seen, command) == EXIT_OK
     assert seen == [previous]
     assert threads(blas_pools) == previous
 

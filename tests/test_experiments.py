@@ -260,6 +260,32 @@ def test_sweeps_whiten_rtilde_modes_once_per_build_and_observation(monkeypatch) 
     assert qrs.value == 4  # one per (n, noise)
 
 
+def test_covgrid_factors_the_rspace_cholesky_once_per_weights(monkeypatch, tmp_path) -> None:
+    # Every cell of a grid has one build, one R and one set of weights, so
+    # its r x r Cholesky C = chol(I + R0 W R0^T) is factored once; the
+    # report keeps the bits of a sweep that factors it per cell.
+    grid = small_config(alpha_grid=(0.1, 1.0, 10.0), grid_modes=3)
+    factors = []
+    factor = assimilate._rspace_factor
+    monkeypatch.setattr(assimilate, "_rspace_factor", lambda r0, w: factors.append(1) or factor(r0, w))
+    cho_factor = assimilate.cho_factor
+    cho_calls = []
+    monkeypatch.setattr(assimilate, "cho_factor", lambda *a, **k: cho_calls.append(1) or cho_factor(*a, **k))
+    shared = run_covariance_grid(grid)
+    assert len(shared.rows) == 9
+    assert len(factors) == len(cho_calls) == 1
+
+    def unshared(self, cov, name):  # a fresh C for every cell
+        q, r0 = self.qr(cov, name)
+        return q, factor(r0, cov.weights)
+
+    monkeypatch.setattr(assimilate.ModeWhitening, "factor", unshared)
+    per_cell = run_covariance_grid(grid)
+    for name, report in (("shared.csv", shared), ("per_cell.csv", per_cell)):
+        io.write_report_csv(tmp_path / name, report, seed=grid.seed, cfg_hash="0")
+    assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "per_cell.csv").read_bytes()
+
+
 def test_run_twin_rmse_obs_nondecreasing_in_noise() -> None:
     report = run_twin(small_config(noise_levels=(0.01, 0.10, 0.40), mode_numbers=(3,)))
     by_noise = {row.noise: row.rmse_obs for row in report.rows}

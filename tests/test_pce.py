@@ -6,8 +6,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import solve_triangular
 
+from romda import toymodel
 from romda.pce import (
     BOUNDS_RTOL,
+    COLLINEAR_TOL,
     PceConfig,
     PceModel,
     design_matrix,
@@ -17,6 +19,7 @@ from romda.pce import (
     pce_eval,
     pce_jacobian,
     select_degree,
+    _Design,
     _Point,
     _derivatives,
     _lars_path,
@@ -194,13 +197,16 @@ def test_lars_path_is_monotone_nested() -> None:
         + 0.8 * psi[:, 5]
         + 0.05 * rng.standard_normal(120)
     )
-    x = psi[:, 1:] - psi[:, 1:].mean(axis=0)
-    x /= np.linalg.norm(x, axis=0)
-    prefixes = _lars_path(x, y - y.mean(), max_active=10)
-    sizes = [len(p) for p in prefixes]
-    assert sizes == sorted(sizes)
-    for smaller, larger in zip(prefixes, prefixes[1:]):
-        assert set(smaller).issubset(set(larger))
+    design = _Design.of(psi)
+    order = _lars_path(design.gram, design.x.T @ (y - y.mean()), 10, 1e-10)
+    # One column per step, never twice, planted columns first.
+    assert len(order) == len(set(order)) == 10
+    assert set(design.candidates[order[:2]]) == {2, 5}
+    # Each prefix of the path is a model of its own: adding a column never
+    # raises the training residual.
+    residuals = [np.linalg.lstsq(psi[:, [0, *design.candidates[order[:p]]]], y, rcond=None)[1][0]
+                 for p in range(1, 11)]
+    assert np.all(np.diff(residuals) <= 1e-12)
 
 
 def test_select_degree_linear_target() -> None:
@@ -476,7 +482,10 @@ def test_vectorized_basis_matches_loop_reference_bitwise(seed, m_x, max_degree) 
 
 
 # Per-prefix LARS scoring and a column-by-column step search: the references
-# for fit_lars's one QR per path and _lars_path's vectorized step.
+# for fit_lars's one QR per path and _lars_path's vectorized step. The step
+# search reads the same Gram arithmetic; the n-row path, which forms
+# x^T (y - mu) from the samples at every step, is the reference for that
+# arithmetic on designs without ties or collinear columns.
 
 
 def ols_with_loo(design, y):
@@ -505,18 +514,64 @@ def ols_with_loo(design, y):
     return coef, loo, loo * correction
 
 
-def loop_lars_path(x, y, max_active):
+def loop_lars_path(gram, xty, max_active, floor):
     """_lars_path with the step length searched one column at a time."""
+    k = xty.size
+    c = xty.copy()
+    active, barred = [], set()
+    signs = np.empty(max_active)
+    g_active = np.empty((k, max_active))
+    l_inv = np.zeros((max_active, max_active))
+    while len(active) < max_active:
+        c_abs = np.abs(c)
+        c_abs[active + sorted(barred)] = -np.inf
+        j = int(np.argmax(c_abs))
+        if not c_abs[j] > floor:
+            break
+        m = len(active)
+        ell = l_inv[:m, :m] @ g_active[j, :m]
+        gap = gram[j, j] - ell @ ell
+        if gap <= COLLINEAR_TOL:
+            barred.add(j)
+            continue
+        root = np.sqrt(gap)
+        l_inv[m, :m] = (ell @ l_inv[:m, :m]) / -root
+        l_inv[m, m] = 1.0 / root
+        g_active[:, m] = gram[:, j]
+        signs[m] = -1.0 if c[j] < 0.0 else 1.0
+        active.append(j)
+        m += 1
+        if m == max_active:
+            break
+        z = l_inv[:m, :m] @ signs[:m]
+        a_norm = 1.0 / np.sqrt(z @ z)
+        a = g_active[:, :m] @ ((a_norm * z) @ l_inv[:m, :m])
+        corr_max = np.abs(c[active]).max()
+        gamma = corr_max / a_norm
+        for i in range(k):
+            if i in active or i in barred:
+                continue
+            with np.errstate(divide="ignore", invalid="ignore"):
+                candidates = ((corr_max - c[i]) / (a_norm - a[i]), (corr_max + c[i]) / (a_norm + a[i]))
+            for candidate in candidates:
+                if np.isfinite(candidate) and 1e-15 < candidate < gamma:
+                    gamma = candidate
+        c -= gamma * a
+    return active
+
+
+def nrow_lars_path(x, y, max_active):
+    """LARS path of the standardized n-row design ``x``: every step forms
+    c = x^T (y - mu) and solves the signed active Gram afresh. The columns
+    in the order they enter."""
     n, n_cols = x.shape
-    if n_cols == 0 or max_active <= 0:
-        return []
     mu = np.zeros(n)
-    active, barred, prefixes = [], set(), []
+    active, barred = [], set()
     corr_floor = 1e-10 * max(float(np.linalg.norm(y)), 1.0)
     while len(active) < max_active:
         c = x.T @ (y - mu)
         c_abs = np.abs(c)
-        c_abs[list(active) + list(barred)] = -np.inf
+        c_abs[active + sorted(barred)] = -np.inf
         j_new = int(np.argmax(c_abs))
         if not np.isfinite(c_abs[j_new]) or c_abs[j_new] <= corr_floor:
             break
@@ -534,7 +589,6 @@ def loop_lars_path(x, y, max_active):
             barred.add(j_new)
             continue
         active = trial
-        prefixes.append(tuple(active))
         if len(active) >= max_active:
             break
         a_norm = 1.0 / np.sqrt(total)
@@ -542,16 +596,17 @@ def loop_lars_path(x, y, max_active):
         corr_max = float(np.max(np.abs(c[active])))
         a = x.T @ u
         gamma = corr_max / a_norm
-        for j in range(n_cols):
-            if j in active or j in barred:
-                continue
-            with np.errstate(divide="ignore", invalid="ignore"):
-                candidates = ((corr_max - c[j]) / (a_norm - a[j]), (corr_max + c[j]) / (a_norm + a[j]))
-            for candidate in candidates:
-                if np.isfinite(candidate) and 1e-15 < candidate < gamma:
-                    gamma = float(candidate)
+        free = np.ones(n_cols, dtype=bool)
+        free[active + sorted(barred)] = False
+        with np.errstate(divide="ignore", invalid="ignore"):
+            steps = np.concatenate(
+                ((corr_max - c[free]) / (a_norm - a[free]), (corr_max + c[free]) / (a_norm + a[free]))
+            )
+        steps = steps[np.isfinite(steps) & (steps > 1e-15) & (steps < gamma)]
+        if steps.size:
+            gamma = float(steps.min())
         mu = mu + gamma * u
-    return prefixes
+    return active
 
 
 def per_prefix_fit(psi, targets):
@@ -564,15 +619,16 @@ def per_prefix_fit(psi, targets):
     n, n_terms = psi.shape
     centered = {j: psi[:, j] - psi[:, j].mean() for j in range(1, n_terms)}
     keep = [j for j, col in centered.items() if np.linalg.norm(col) > 1e-13 * np.sqrt(n)]
-    columns = [centered[j] / np.linalg.norm(centered[j]) for j in keep]
-    x = np.column_stack(columns) if keep else np.zeros((n, 0))
+    design = _Design.of(psi)
+    assert design.candidates.tolist() == keep
     y_c = targets - targets.mean()
-    max_active = min(len(keep), n - 1)
-    prefixes = loop_lars_path(x, y_c, max_active)
-    assert _lars_path(x, y_c, max_active) == prefixes
+    path_args = (design.gram, design.x.T @ y_c, min(len(keep), n - 1),
+                 1e-10 * max(float(np.linalg.norm(y_c)), 1.0))
+    order = loop_lars_path(*path_args)
+    assert _lars_path(*path_args) == order
     best, scores = None, []
-    for prefix in [()] + prefixes:
-        active = tuple(keep[j] for j in prefix)
+    for p in range(len(order) + 1):
+        active = tuple(keep[j] for j in order[:p])
         fitted = ols_with_loo(psi[:, (0,) + active], targets)
         scores.append(None if fitted is None else fitted[2])
         if fitted is not None and (best is None or fitted[2] < best[0]):
@@ -593,6 +649,9 @@ def per_prefix_fit(psi, targets):
 # The winner's LOO scored from the longest path's QR differed from its own
 # refit's by 2.9e-10 relative here; it is now scored from the refit.
 @example(seed=185806, n=9, m_x=3, max_degree=2, duplicate=True)
+# The n-row path takes both copies here, (3, 2, 0, 1, 4), the second through
+# a nearly singular solve; the Gram path bars the second copy.
+@example(seed=0, n=9, m_x=2, max_degree=2, duplicate=True)
 def test_one_factor_lars_matches_per_prefix_oracle(seed, n, m_x, max_degree, duplicate) -> None:
     rng = np.random.default_rng(seed)
     basis = unit_basis(max_degree, m_x=m_x)
@@ -626,6 +685,29 @@ def test_one_factor_lars_matches_per_prefix_oracle(seed, n, m_x, max_degree, dup
     slack = 1.0 - np.max(np.cumsum(q * q, axis=1), axis=0)[: scores.size]
     ours, oracle, slack = scores[finite], valid[finite], slack[finite]
     assert np.all(np.abs(ours - oracle) <= 1e-10 * oracle / slack)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_gram_path_matches_the_nrow_path_on_toy_designs(seed) -> None:
+    # Well-posed designs: the toy model's standardized POD coefficients on
+    # Legendre designs of its four inputs. The two arithmetics can part only
+    # at ties and near-collinear columns (a duplicated regressor), which
+    # these designs do not have.
+    for n in (100, 400, 800):
+        draws = toymodel.sample_parameters(n, seed)
+        states = toymodel.propagate(draws)
+        states = (states - states.mean(axis=1, keepdims=True)) / states.std(axis=1, keepdims=True)
+        u, sigma, _ = np.linalg.svd(states - states.mean(axis=1, keepdims=True), full_matrices=False)
+        targets = (u[:, :3].T @ states).T  # (n, 3): three leading mode coefficients
+        psi = design_matrix(draws, make_basis(toymodel.PARAMETER_BOUNDS, 4))
+        for degree in range(1, 5):
+            design = _Design.of(psi).prefix(len(multi_index_set(4, degree)))
+            for y in targets.T:
+                y_c = y - y.mean()
+                max_active = min(design.candidates.size, n - 1)
+                floor = 1e-10 * max(float(np.linalg.norm(y_c)), 1.0)
+                assert _lars_path(design.gram, design.x.T @ y_c, max_active, floor) == \
+                    nrow_lars_path(design.x, y_c, max_active)
 
 
 # Where each input of an evaluated point sits: strictly inside its box, on a
