@@ -508,7 +508,7 @@ def solve_podpce3dvar(
     Starts from the background; the analysis respects the bounds by
     construction.
     """
-    _reduced_cost(surrogate, problem)  # the one m_y-sized setup of the solve
+    reduced = _reduced_cost(surrogate, problem)  # the one m_y-sized setup of the solve
     calls = 0
 
     def cost(x: np.ndarray) -> float:
@@ -525,7 +525,7 @@ def solve_podpce3dvar(
     return AnalysisResult(
         x_a=res.x,
         y_a=podpce_predict(surrogate, res.x),
-        nu_a=pce_eval(surrogate.pce, res.x),
+        nu_a=reduced.at(res.x)[1],  # kept from the gradient at the accepted point
         cost_trace=res.f_trace,
         evaluations=calls,
         converged=res.converged,

@@ -3,7 +3,9 @@
 Every run takes a JSON config (strict keys), an integer seed, and an output
 directory; flags override config values. The effective configuration is
 echoed into the output directory and its hash stamped into every output
-file. Exit codes: 0 success, 1 validation/configuration error, 2 numerical
+file. Fields and the input files that config keys name are checked and
+read before any output is written, and a rejection starts with the key.
+Exit codes: 0 success, 1 validation/configuration error, 2 numerical
 failure, 3 a worker process of a pooled sweep was lost. The toy-model
 sweeps (twin, covgrid, bootstrap, measure) call the drivers of
 :mod:`romda.experiments`, which own their BLAS thread count; fit-pod,
@@ -31,11 +33,15 @@ import numpy as np
 from . import __version__, io, toymodel
 from .assimilate import pose_problem, solve_poden3dvar, solve_podpce3dvar
 from .experiments import (
+    _EVR,
+    _NOISE,
     SURROGATE_KINDS,
     MeasurementConfig,
     TwinConfig,
     _check_counts,
+    _check_reals,
     _one_blas_thread,
+    _physical,
     build_surrogates,
     measurement_noise_diag,
     run_bootstrap,
@@ -94,6 +100,40 @@ def _count(cfg: dict, key: str, low: int, rule: str, default: int | None = None)
     return value
 
 
+def _real(cfg: dict, key: str, ok: Callable, rule: str, default: float | None = None) -> float:
+    """``cfg[key]`` (or ``default``), a finite number that passes ``ok``;
+    the message names ``key``."""
+    value = cfg.get(key, default)
+    _check_reals(key, (value,), ok, rule)
+    return float(value)
+
+
+def _reals(cfg: dict, key: str, size: int, ok: Callable = lambda v: True, rule: str = "") -> np.ndarray:
+    """``cfg[key]``, a list of ``size`` finite numbers each passing ``ok``,
+    as an array; the message names ``key``."""
+    values = cfg[key]
+    if not isinstance(values, list) or len(values) != size:
+        got = f"{len(values)} entries" if isinstance(values, list) else repr(values)
+        raise ConfigError(f"{key}: need a list of {size} numbers, got {got}")
+    _check_reals(key, tuple(values), ok, rule)
+    return np.array(values, dtype=float)
+
+
+def _read(cfg: dict, key: str, command: str, read: Callable = io.read_snapshot_csv):
+    """``read`` of the file that config key ``key`` names. A file that cannot
+    be read, or a document that lacks a field, fails naming the key and the
+    path; a malformed one, naming the key."""
+    path = _require(cfg, key, command)
+    try:
+        return read(path)
+    except OSError as exc:
+        raise ConfigError(f"{key}: cannot read {path}: {exc.strerror or exc}") from None
+    except KeyError as exc:
+        raise ConfigError(f"{key}: {path} has no field {exc.args[0]!r}") from None
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+
+
 def _tuplify(cfg: dict, cls) -> dict:
     """JSON lists become tuples where the config dataclass holds tuples."""
     out = dict(cfg)
@@ -143,9 +183,9 @@ def _cmd_sample(args, cfg: dict) -> int:
 
 def _cmd_simulate(args, cfg: dict) -> int:
     _check_keys(cfg, {"parameters_csv"}, "simulate")
+    params = _read(cfg, "parameters_csv", "simulate")
     out = _outdir(args)
     cfg_hash = _echo_config(out, "simulate", cfg, args.seed)
-    params = io.read_snapshot_csv(_require(cfg, "parameters_csv", "simulate"))
     states = toymodel.propagate(params.data.T)
     grid = toymodel.default_grid()
     labels = tuple(
@@ -167,7 +207,7 @@ def _truncation(cfg: dict) -> dict:
         raise ConfigError("specify exactly one of 'modes' or 'evr_threshold'")
     if modes is not None:
         return {"modes": _count(cfg, "modes", 1, "mode counts start at 1")}
-    return {"evr_threshold": float(threshold)}
+    return {"evr_threshold": _real(cfg, "evr_threshold", *_EVR)}
 
 
 # The commands that fit run on one BLAS thread, as the sweeps do
@@ -176,9 +216,9 @@ def _truncation(cfg: dict) -> dict:
 def _cmd_fit_pod(args, cfg: dict) -> int:
     _check_keys(cfg, {"states_csv", "modes", "evr_threshold"}, "fit-pod")
     truncation = _truncation(cfg)
+    snap = _read(cfg, "states_csv", "fit-pod")
     out = _outdir(args)
     cfg_hash = _echo_config(out, "fit-pod", cfg, args.seed)
-    snap = io.read_snapshot_csv(_require(cfg, "states_csv", "fit-pod"))
     basis = truncate(fit_pod(snap.data), **truncation)
     io.save_pod_basis(out / "pod_basis.json", basis, seed=args.seed, cfg_hash=cfg_hash)
     _summary(
@@ -192,14 +232,14 @@ def _cmd_fit_pod(args, cfg: dict) -> int:
 def _cmd_fit_pce(args, cfg: dict) -> int:
     _check_keys(cfg, {"parameters_csv", "targets_csv", "bounds", "max_degree"}, "fit-pce")
     max_degree = _count(cfg, "max_degree", 0, "degree must be >= 0", 3)
-    out = _outdir(args)
-    cfg_hash = _echo_config(out, "fit-pce", cfg, args.seed)
-    params = io.read_snapshot_csv(_require(cfg, "parameters_csv", "fit-pce")).data.T  # (n, m_x)
-    targets = io.read_snapshot_csv(_require(cfg, "targets_csv", "fit-pce")).data.T  # (n, d)
+    params = _read(cfg, "parameters_csv", "fit-pce").data.T  # (n, m_x)
+    targets = _read(cfg, "targets_csv", "fit-pce").data.T  # (n, d)
     bounds = np.asarray(_require(cfg, "bounds", "fit-pce"), dtype=float)
     n = params.shape[0]
     if targets.shape[0] != n:
         raise ConfigError("parameters and targets must have the same member count")
+    out = _outdir(args)
+    cfg_hash = _echo_config(out, "fit-pce", cfg, args.seed)
     train, val = split_members(n, split_seed(args.seed, n))
     model = select_degree(
         params[train], targets[train], params[val], targets[val],
@@ -225,10 +265,10 @@ def _cmd_build_surrogate(args, cfg: dict) -> int:
     bounds = _require(cfg, "bounds", "build-surrogate")
     max_degree = _count(cfg, "max_degree", 0, "degree must be >= 0", 3)
     truncation = _truncation(cfg)
+    params = _read(cfg, "parameters_csv", "build-surrogate").data
+    states = _read(cfg, "states_csv", "build-surrogate").data
     out = _outdir(args)
     cfg_hash = _echo_config(out, "build-surrogate", cfg, args.seed)
-    params = io.read_snapshot_csv(_require(cfg, "parameters_csv", "build-surrogate")).data
-    states = io.read_snapshot_csv(_require(cfg, "states_csv", "build-surrogate")).data
     built, scaling = build_surrogates(
         params, states, bounds, (kind,), pce_degree=max_degree,
         split_seed=split_seed(args.seed, params.shape[1]), **truncation,
@@ -243,25 +283,18 @@ def _cmd_build_surrogate(args, cfg: dict) -> int:
 
 
 def _read_observation(cfg: dict, command: str) -> np.ndarray:
-    obs = io.read_snapshot_csv(_require(cfg, "observations_csv", command))
+    obs = _read(cfg, "observations_csv", command)
     if obs.data.shape[1] != 1:
-        raise ConfigError("observations CSV must hold exactly one member column")
+        raise ConfigError("observations_csv: the CSV must hold exactly one member column")
     return obs.data[:, 0]
 
 
 def _observation_diag(y_o: np.ndarray, cfg: dict) -> np.ndarray:
     if "r_diag" in cfg:
-        diag = np.asarray(cfg["r_diag"], dtype=float)
-        if diag.shape != y_o.shape:
-            raise ConfigError("r_diag length must match the observation vector")
-        if np.any(diag <= 0.0):
-            raise ConfigError("observation covariance must be positive definite")
-        return diag
-    noise = float(cfg.get("noise_level", 0.0))
-    if noise <= 0.0:
-        raise ConfigError(
-            "observation covariance must be positive definite: set noise_level > 0 or r_diag"
-        )
+        return _reals(cfg, "r_diag", y_o.size, lambda v: v > 0.0, "observation variances must be positive")
+    if "noise_level" not in cfg:
+        raise ConfigError("noise_level: the observation covariance needs noise_level or r_diag")
+    noise = _real(cfg, "noise_level", *_NOISE)
     if y_o.shape == (toymodel.default_grid().n_state,):
         return measurement_noise_diag(y_o, noise)
     scale = float(np.std(y_o))
@@ -272,22 +305,33 @@ def _cmd_assimilate(args, cfg: dict) -> int:
     allowed = {"surrogate", "observations_csv", "noise_level", "r_diag", "covariance",
                "alpha_b", "alpha_r", "x_b", "background_diag"}
     _check_keys(cfg, allowed, "assimilate")
-    out = _outdir(args)
-    cfg_hash = _echo_config(out, "assimilate", cfg, args.seed)
-    surrogate, scaling = io.load_surrogate(_require(cfg, "surrogate", "assimilate"))
+    surrogate, scaling = _read(cfg, "surrogate", "assimilate", io.load_surrogate)
     y_o = _read_observation(cfg, "assimilate")
     # Physical background settings, mapped like everything else the solver sees.
-    x_b = scaling.params.transform(cfg["x_b"]) if "x_b" in cfg else None
-    b_diag = cfg.get("background_diag")
-    if b_diag is not None and np.any(np.asarray(b_diag, dtype=float) <= 0.0):
-        raise ConfigError("background covariance must be positive definite")
-    background_cov = None if b_diag is None else np.diag(scaling.params.variance_diag(b_diag))
+    low, high = scaling.bounds.T
+    x_b = None
+    if "x_b" in cfg:
+        x_b = _reals(cfg, "x_b", low.size)
+        outside = np.flatnonzero(~((low <= x_b) & (x_b <= high)))
+        if outside.size:
+            i = outside[0]
+            raise ConfigError(f"x_b: entry {i} ({x_b[i]:.6g}) lies outside the parameter bounds "
+                              f"[{low[i]:.6g}, {high[i]:.6g}]")
+        x_b = scaling.params.transform(x_b)
+    background_cov = None
+    if "background_diag" in cfg:
+        b_diag = _reals(cfg, "background_diag", low.size, lambda v: v > 0.0,
+                        "background variances must be positive")
+        background_cov = np.diag(scaling.params.variance_diag(b_diag))
+    alphas = {key: _real(cfg, key, lambda a: a > 0.0, "alpha scalings must be positive", 1.0)
+              for key in ("alpha_b", "alpha_r")}
     covariance = cfg.get("covariance", "r")
     problem = pose_problem(
         surrogate, scaling, y_o, _observation_diag(y_o, cfg), covariance,
-        x_b=x_b, background_cov=background_cov,
-        alpha_b=float(cfg.get("alpha_b", 1.0)), alpha_r=float(cfg.get("alpha_r", 1.0)),
+        x_b=x_b, background_cov=background_cov, **alphas,
     )
+    out = _outdir(args)
+    cfg_hash = _echo_config(out, "assimilate", cfg, args.seed)
     if isinstance(surrogate, PodPceSurrogate):
         kind, analysis = "podpce", solve_podpce3dvar(surrogate, problem)
     else:
@@ -296,7 +340,7 @@ def _cmd_assimilate(args, cfg: dict) -> int:
         out / "analysis.json",
         "analysis",
         {
-            "x_a": scaling.params.inverse(analysis.x_a).tolist(),
+            "x_a": _physical(scaling, analysis.x_a)[0].tolist(),
             "y_a": scaling.states.inverse(analysis.y_a).tolist(),
             "nu_a": None if analysis.nu_a is None else analysis.nu_a.tolist(),
             "j_final": analysis.j_final,

@@ -155,9 +155,10 @@ def _check_each(field: str, values: tuple, ok: Callable, rule: str) -> None:
             raise ValueError(f"{field}: {rule}, got {value!r}")
 
 
-# (ok, rule) of an observation noise level.
+# (ok, rule) of an observation noise level and of an EVR threshold.
 _NOISE = (lambda level: 0.0 < level < 1.0,
           "noise levels lie strictly in (0, 1), so the observation covariance is positive definite")
+_EVR = (lambda tau: 0.0 < tau <= 1.0, "EVR threshold must be in (0, 1]")
 
 
 def _check_counts(field: str, values: tuple, low: int, rule: str) -> None:
@@ -166,6 +167,14 @@ def _check_counts(field: str, values: tuple, low: int, rule: str) -> None:
     _check_each(field, values, lambda k: isinstance(k, (int, np.integer)) and not isinstance(k, bool),
                 "counts must be integers")
     _check_each(field, values, lambda k: k >= low, rule)
+
+
+def _check_reals(field: str, values: tuple, ok: Callable, rule: str) -> None:
+    """Reject an entry of a float field that is no finite number (a bool is
+    none) or, by ``rule``, fails ``ok``."""
+    _check_each(field, values, lambda v: isinstance(v, (int, float, np.integer, np.floating))
+                and not isinstance(v, bool) and np.isfinite(v), "values must be finite numbers")
+    _check_each(field, values, ok, rule)
 
 
 def _check_sweep(config: "TwinConfig | MeasurementConfig") -> None:
@@ -182,8 +191,7 @@ def _check_sweep(config: "TwinConfig | MeasurementConfig") -> None:
     if config.mode_numbers:
         _check_counts("mode_numbers", config.mode_numbers, 1, "mode counts start at 1")
     if config.evr_threshold is not None:
-        _check_each("evr_threshold", (config.evr_threshold,), lambda tau: 0.0 < tau <= 1.0,
-                    "EVR threshold must be in (0, 1]")
+        _check_reals("evr_threshold", (config.evr_threshold,), *_EVR)
     _check_counts("pce_degree", (config.pce_degree,), 0, "degree must be >= 0")
 
 
@@ -232,13 +240,13 @@ class TwinConfig:
 
     def __post_init__(self) -> None:
         _check_truth(self.x_t)
-        _check_each("noise_levels", self.noise_levels, *_NOISE)
-        _check_each("grid_noise", (self.grid_noise,), *_NOISE)
-        _check_each("bootstrap_noise", (self.bootstrap_noise,), *_NOISE)
+        _check_reals("noise_levels", self.noise_levels, *_NOISE)
+        _check_reals("grid_noise", (self.grid_noise,), *_NOISE)
+        _check_reals("bootstrap_noise", (self.bootstrap_noise,), *_NOISE)
         _check_sweep(self)
         _check_each("covariance_kind", (self.covariance_kind,), COVARIANCE_KINDS.__contains__,
                     f"covariance kind must be one of {COVARIANCE_KINDS}")
-        _check_each("alpha_grid", self.alpha_grid, lambda a: a > 0, "alpha factors must be positive")
+        _check_reals("alpha_grid", self.alpha_grid, lambda a: a > 0, "alpha factors must be positive")
         _check_counts("grid_modes", (self.grid_modes,), 1, "mode counts start at 1")
         _check_counts("bootstrap_replicates", (self.bootstrap_replicates,), 1,
                       "need at least one replicate")
@@ -258,7 +266,7 @@ class MeasurementConfig:
     pce_degree: int = 3
 
     def __post_init__(self) -> None:
-        _check_each("assumed_noise", (self.assumed_noise,), *_NOISE)
+        _check_reals("assumed_noise", (self.assumed_noise,), *_NOISE)
         _check_sweep(self)
         _check_each("covariance_kinds", self.covariance_kinds, COVARIANCE_KINDS.__contains__,
                     f"covariance kind must be one of {COVARIANCE_KINDS}")

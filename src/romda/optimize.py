@@ -38,12 +38,10 @@ class OptimizerConfig:
 class OptimizeResult:
     x: np.ndarray
     f: float
-    grad: np.ndarray
     iterations: int
     converged: bool
     reason: str
     f_trace: list[float] = field(default_factory=list)
-    grad_norms: list[float] = field(default_factory=list)
 
 
 def _dot(u: list[float], v: list[float]) -> float:
@@ -121,13 +119,13 @@ def bounded_quasi_newton(
     pairs: deque = deque(maxlen=LBFGS_MEMORY)
     f_trace = [fx]
     pg = _project(x, gx, edges)  # at the current point, reused until it moves
-    grad_norms = [max(map(abs, pg))]
+    pg_norm = max(map(abs, pg))
     converged = False
     reason = "max_iter"
     iterations = 0
 
     for iterations in range(1, config.max_iter + 1):
-        if grad_norms[-1] <= config.tol:
+        if pg_norm <= config.tol:
             converged, reason = True, "projected_gradient"
             iterations -= 1
             break
@@ -167,8 +165,7 @@ def bounded_quasi_newton(
             break
 
         x_arr = trial
-        g_arr = np.asarray(grad(x_arr), dtype=float)
-        g_new = g_arr.tolist()
+        g_new = np.asarray(grad(x_arr), dtype=float).tolist()
         y = [gn - gi for gn, gi in zip(g_new, gx)]
         sy = _dot(move, y)
         yy = _dot(y, y)
@@ -183,7 +180,7 @@ def bounded_quasi_newton(
         x, fx, gx = x_new, f_new, g_new
         f_trace.append(fx)
         pg = _project(x, gx, edges)
-        grad_norms.append(max(map(abs, pg)))
+        pg_norm = max(map(abs, pg))
         if decrease <= config.f_rel_tol * max(abs(fx), 1.0):
             converged, reason = True, "f_decrease"
             break
@@ -191,10 +188,8 @@ def bounded_quasi_newton(
     return OptimizeResult(
         x=x_arr,
         f=fx,
-        grad=g_arr,
         iterations=iterations,
         converged=converged,
         reason=reason,
         f_trace=f_trace,
-        grad_norms=grad_norms,
     )

@@ -3,7 +3,8 @@
 Multivariate basis: products of orthonormal Legendre polynomials, the
 family that matches inputs uniform on a box (Xiu & Karniadakis 2002),
 truncated by total degree. One three-term recurrence per evaluation gives
-the polynomial values, and the derivatives come from the same table.
+the polynomial values, and the derivatives come from the same table. A
+batch (:func:`design_matrix`) and one point (:class:`_Point`) read it alike.
 Coefficients are fitted by least angle regression over standardized
 regressors (Efron et al. 2004), run in P-space: a training design is
 standardized and its Gram matrix formed once, every mode and degree reads
@@ -168,14 +169,12 @@ def make_basis(bounds: np.ndarray, max_degree: int) -> PceBasis:
 
 
 def design_matrix(samples: np.ndarray, basis: PceBasis) -> np.ndarray:
-    """Evaluation of every basis term at every sample, shape (n, n_terms)."""
+    """Evaluation of every basis term at every sample, shape (n, n_terms):
+    row j has the bits of :func:`pce_eval`'s terms at sample j."""
     t = basis.standardize(samples)
-    values = _orthonormal(_legendre(basis.degree, t.T), basis.norms)  # (degree + 1, m_x, n)
-    psi = np.ones((t.shape[0], basis.n_terms))
-    # Degree-0 factors are exactly 1.0, so multiplying every column by every
-    # input's factor gives the same bits as skipping the zero exponents.
-    for i in range(basis.input_dim):
-        psi *= values[:, i].T[:, basis.exponents[:, i]]
+    factors = _orthonormal(_legendre(basis.degree, t.T), basis.norms)[basis.exponents, basis.inputs]
+    psi = np.empty((t.shape[0], basis.n_terms))  # C order, as LARS reads it
+    np.multiply.reduce(factors, axis=1, out=psi.T)  # (n_terms, m_x, n) over the inputs
     return psi
 
 
@@ -514,16 +513,11 @@ class _Point:
 
 
 def pce_eval(model: PceModel, x: np.ndarray | _Point) -> np.ndarray:
-    """Expansion value(s) at physical input(s): C zeta(T(x)). ``x`` may be
-    an evaluated :class:`_Point`, whose factors are reused."""
-    if isinstance(x, _Point):
-        # Term alpha's factors multiply in input order, as in design_matrix.
-        return np.multiply.reduce(x.factors, axis=1) @ model.coefficients.T
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    psi = design_matrix(np.atleast_2d(x), model.basis)
-    values = psi @ model.coefficients.T  # (n, d)
-    return values[0] if single else values
+    """Expansion value at one physical input, C zeta(T(x)), shape (d,).
+    ``x`` may be an evaluated :class:`_Point`, whose factors are reused."""
+    point = x if isinstance(x, _Point) else _Point.of(model.basis, np.asarray(x, dtype=float))
+    # Term alpha's factors multiply in input order, as in design_matrix.
+    return np.multiply.reduce(point.factors, axis=1) @ model.coefficients.T
 
 
 def pce_jacobian(model: PceModel, x: np.ndarray | _Point) -> np.ndarray:

@@ -155,12 +155,12 @@ class ErrorCovariance:
 
     Kept as its parts: the base R as given, all r orthonormal modes of the
     state basis (which ends at its numerical rank), and their weights. The
-    first ``n_retained`` columns are retained modes (learning error,
-    ``pce_term``), the rest truncated ones (ensemble variance, ``pod_term``).
+    first ``n_retained`` columns are retained modes (weights: learning
+    error), the rest truncated ones (weights: ensemble variance).
     A mode whose weight is zero (a floored corrected variance, say) is kept
     with weight 0, so every R~ of one surrogate build has the same mode
-    block whatever its mode count and kind. The dense properties are for
-    audit and tests.
+    block whatever its mode count and kind. The dense matrix is for audit
+    and tests.
     """
 
     r: np.ndarray  # (m_y,) variances or (m_y, m_y) symmetric, as given
@@ -175,25 +175,11 @@ class ErrorCovariance:
         m_y = self.r.shape[0]
         return (m_y, m_y)
 
-    def _term(self, cols: slice) -> np.ndarray:
-        phi = self.modes[:, cols]
-        return (phi * self.weights[cols]) @ phi.T
-
-    @property
-    def pod_term(self) -> np.ndarray:
-        """Truncated-mode ensemble variance, dense (m_y, m_y)."""
-        return self._term(slice(self.n_retained, None))
-
-    @property
-    def pce_term(self) -> np.ndarray:
-        """Per-mode learning variance in state space, dense (m_y, m_y)."""
-        return self._term(slice(None, self.n_retained))
-
     @property
     def matrix(self) -> np.ndarray:
-        """R + pod_term + pce_term, symmetrized, dense (m_y, m_y)."""
+        """R + Phi W Phi^T, symmetrized, dense (m_y, m_y)."""
         r = np.diag(self.r) if self.r.ndim == 1 else self.r
-        matrix = r + self.pod_term + self.pce_term
+        matrix = r + (self.modes * self.weights) @ self.modes.T
         return 0.5 * (matrix + matrix.T)
 
 
@@ -294,8 +280,7 @@ def build_podpce(
 
 def podpce_predict(surrogate: PodPceSurrogate, x: np.ndarray) -> np.ndarray:
     """State prediction: mean + Phi_d Sigma_d nu_hat(x)."""
-    nu = pce_eval(surrogate.pce, np.asarray(x, dtype=float))
-    return reconstruct(surrogate.state_basis, nu)
+    return reconstruct(surrogate.state_basis, pce_eval(surrogate.pce, x))
 
 
 def _check_observation_cov(r: np.ndarray, m_y: int) -> np.ndarray:

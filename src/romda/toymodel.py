@@ -11,7 +11,8 @@ same parameters always give the bit-identical state vector.
 There is one configuration, the packaged grid ``toy-grid/1``. It is loaded
 once at import, and the three parameter-free harmonic sums (raw level, raw
 along- and across-channel current) are computed from it once; a run only
-scales them and applies the drag.
+scales them and applies the drag. One implementation, :func:`propagate`,
+runs every member; :func:`simulate` is its one-member case.
 """
 from __future__ import annotations
 
@@ -162,23 +163,11 @@ def check_bounds(values: np.ndarray) -> None:
 
 def simulate(params: np.ndarray) -> np.ndarray:
     """State vector for one parameter set (K2, MTL, CTL, CTV) inside the
-    declared parameter box."""
+    declared parameter box: the one column of :func:`propagate`."""
     values = np.asarray(params, dtype=float)
     if values.shape != (4,):
         raise ValueError(f"expected 4 parameters {PARAMETER_NAMES}, got shape {values.shape}")
-    check_bounds(values)
-    k2, mtl, ctl, ctv = values
-
-    eta = ctl * _ETA_RAW + mtl
-    depth = np.maximum(mtl + _GRID.station_depth_offsets[:, None] + ctl * _ETA_RAW, _GRID.min_depth)
-    s_along = ctv * _ALONG_RAW
-    s_across = ctv * _ACROSS_RAW
-
-    friction = _GRID.gravity * _GRID.drag_timescale / (k2**2 * depth ** (4.0 / 3.0))
-    u = s_along / (1.0 + friction * np.abs(s_along))
-    v = _GRID.transverse_fraction * s_across / (1.0 + friction * np.abs(s_across))
-
-    return np.concatenate([u.ravel(), v.ravel(), eta.ravel()])
+    return propagate(values)[:, 0]
 
 
 def sample_parameters(n: int, seed: int) -> np.ndarray:
@@ -196,16 +185,18 @@ def sample_parameters(n: int, seed: int) -> np.ndarray:
 
 
 def propagate(params: np.ndarray) -> np.ndarray:
-    """States for a batch of parameter rows, one state per column (m_y, n).
+    """States for one parameter set (4,) or a batch of rows (n, 4), one
+    state per column (m_y, n).
 
     One broadcast over the members, box-checked once. Every column keeps the
-    bits of a lone :func:`simulate`: numpy squares a scalar differently from
-    an array, so K2 is squared member by member, as simulate squares it.
+    bits of that member run alone: numpy squares a scalar differently from
+    an array, so K2 is squared member by member, as a numpy scalar.
     """
-    values = np.atleast_2d(np.asarray(params, dtype=float))
-    if values.shape[1:] != (4,):
+    values = np.asarray(params, dtype=float)
+    if values.ndim not in (1, 2) or values.shape[-1] != 4:
         raise ValueError(f"expected rows of 4 parameters {PARAMETER_NAMES}, got shape {values.shape}")
-    check_bounds(values)
+    check_bounds(values)  # before the batch axis, so a lone set is named without one
+    values = np.atleast_2d(values)
     k2_squared = np.array([k2**2 for k2 in values[:, 0]])
     mtl, ctl, ctv = values[:, 1:].T
     out = np.empty((len(VARIABLES), N_STATIONS, _GRID.n_times, len(values)))  # member axis last

@@ -339,14 +339,22 @@ def test_classical_linear_gaussian_closed_form() -> None:
         observation_cov=r_cov,
         bounds=wide_bounds(m_x),
     )
-    res = solve_classical_3dvar(lambda x: g_mat @ x, problem, optimizer_config=OptimizerConfig(tol=1e-10))
+    runs = []
+
+    def model(x):
+        runs.append(x.copy())
+        return g_mat @ x
+
+    res = solve_classical_3dvar(model, problem, optimizer_config=OptimizerConfig(tol=1e-10))
     b_inv = np.linalg.inv(b_cov)
     r_inv = np.linalg.inv(r_cov)
     gain = np.linalg.inv(b_inv + g_mat.T @ r_inv @ g_mat) @ g_mat.T @ r_inv
     oracle = x_b + gain @ (y_o - g_mat @ x_b)
     assert np.allclose(res.x_a, oracle, atol=1e-6)
-    # One gradient costs 2 m_x model runs.
-    assert res.evaluations >= res.iterations_lower_bound if hasattr(res, "iterations_lower_bound") else True
+    # Every model run is counted but the last, the reporting run at x_a; one
+    # gradient costs 2 m_x of them.
+    assert res.evaluations == len(runs) - 1
+    assert np.array_equal(runs[-1], res.x_a)
     assert res.evaluations >= 2 * m_x
 
 

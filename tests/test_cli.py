@@ -126,7 +126,8 @@ def test_assimilate_command_and_noise_zero_validation(chain, capsys) -> None:
     assert len(doc["x_a"]) == 4
 
     assert chain.run("assimilate", {**base, "noise_level": 0.0}, 1) == EXIT_VALIDATION
-    assert "observation covariance must be positive definite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: noise_level: ") and "observation covariance is positive definite" in err
 
 
 @pytest.mark.parametrize(
@@ -219,6 +220,90 @@ def test_non_sweep_commands_reject_non_integer_counts(chain, capsys, command, ke
     capsys.readouterr()
     assert chain.run(command, {**inputs, key: value}, 3) == EXIT_VALIDATION
     assert f"error: {key}: counts must be integers, got {value!r}" in capsys.readouterr().err
+
+
+def assimilate_v1(**keys) -> dict:
+    """An assimilate config on the stored podpce-surrogate/1 document
+    (inputs in [0, 1] x [2, 3]) and its 4-entry observation, plus ``keys``."""
+    return {"surrogate": str(DATA / "podpce_v1.json"), "observations_csv": str(DATA / "obs_v1.csv"),
+            "noise_level": 0.05, "x_b": [0.5, 2.5], **keys}
+
+
+def without_n_members(tmp_path) -> str:
+    doc = json.loads((DATA / "podpce_v1.json").read_text())
+    del doc["n_members"]
+    path = tmp_path / "no_n_members.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("command, key", [
+    ("simulate", "parameters_csv"),
+    ("fit-pod", "states_csv"),
+    ("fit-pce", "targets_csv"),
+    ("build-surrogate", "parameters_csv"),
+    ("assimilate", "surrogate"),
+    ("assimilate", "observations_csv"),
+    ("measure", "observations_csv"),
+])
+def test_a_missing_input_file_fails_by_its_config_key(tmp_path, capsys, command, key) -> None:
+    csv = str(DATA / "obs_v1.csv")  # a readable snapshot CSV for the keys read first
+    cfg = {
+        "simulate": {},
+        "fit-pod": {"modes": 1},
+        "fit-pce": {"parameters_csv": csv, "bounds": [[0.0, 1.0]]},
+        "build-surrogate": {"kind": "podpce", "states_csv": csv, "bounds": [[0.0, 1.0]], "modes": 1},
+        "assimilate": assimilate_v1(),
+        "measure": {},
+    }[command]
+    missing = str(tmp_path / "missing.csv")
+    path = write_config(tmp_path, "cfg.json", {**cfg, key: missing})
+    out = tmp_path / "out"
+    assert main([command, "--config", path, "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err == f"error: {key}: cannot read {missing}: No such file or directory\n"
+    assert not out.exists()
+
+
+def test_a_surrogate_document_without_its_member_count_fails_by_the_key(tmp_path, capsys) -> None:
+    surrogate = without_n_members(tmp_path)
+    path = write_config(tmp_path, "cfg.json", assimilate_v1(surrogate=surrogate))
+    out = tmp_path / "out"
+    assert main(["assimilate", "--config", path, "--out", str(out)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: surrogate: {surrogate} has no field 'n_members'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, field, value", [
+    ("assimilate", "alpha_r", "x"),
+    ("assimilate", "alpha_b", -1),
+    ("assimilate", "alpha_b", True),
+    ("assimilate", "x_b", [0.5]),
+    ("assimilate", "background_diag", [1.0, 1.0, 1.0]),
+    ("assimilate", "background_diag", [1.0, 0.0]),
+    ("assimilate", "x_b", [0.5, 3.5]),
+    ("assimilate", "noise_level", True),
+    ("assimilate", "noise_level", 1.5),
+    ("assimilate", "r_diag", [0.1, float("nan"), 0.1, 0.1]),
+    ("assimilate", "r_diag", [0.1, 0.1]),
+    ("fit-pod", "evr_threshold", True),
+    ("fit-pod", "evr_threshold", "abc"),
+    ("build-surrogate", "evr_threshold", True),
+    ("build-surrogate", "evr_threshold", 1.5),
+])
+def test_non_sweep_commands_name_the_field_they_reject(tmp_path, capsys, command, field, value) -> None:
+    csv = str(DATA / "obs_v1.csv")
+    cfg = {
+        "assimilate": assimilate_v1(),
+        "fit-pod": {"states_csv": csv},
+        "build-surrogate": {"kind": "podpce", "parameters_csv": csv, "states_csv": csv,
+                            "bounds": [[0.0, 1.0]]},
+    }[command]
+    path = write_config(tmp_path, "cfg.json", {**cfg, field: value})
+    out = tmp_path / "out"
+    assert main([command, "--config", path, "--out", str(out)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+    assert not out.exists()
 
 
 def test_v1_documents_assimilate_with_identity_scaling(tmp_path) -> None:
@@ -382,6 +467,14 @@ def test_measure_command_rejects_bad_config_naming_the_field(tmp_path, capsys) -
         ("twin", "x_t", [70.0, 4.6, 1.2, float("nan")]),
         ("covgrid", "x_t", ["K2", 4.6, 1.2, 2.2]),
         ("bootstrap", "x_t", [70.0, 4.6, 1.2, 99.0]),
+        # Float fields take finite numbers: no bool, no infinity, no text.
+        ("measure", "assumed_noise", True),
+        ("covgrid", "alpha_grid", [1.0, float("inf")]),
+        ("covgrid", "alpha_grid", [True]),
+        ("covgrid", "alpha_grid", ["1.0"]),
+        ("twin", "evr_threshold", True),
+        ("measure", "evr_threshold", float("nan")),
+        ("twin", "noise_levels", [True]),
     ],
 )
 def test_sweep_config_fails_before_sampling_naming_the_field(

@@ -291,7 +291,7 @@ def test_exact_polynomial_reproduction() -> None:
     model = select_degree(x_train, y_train[:, None], x_val, y_val[:, None], config)
     assert np.max(np.abs(model.coefficients[0] - truth)) <= 1e-8
     x_fresh = rng.uniform(bounds[:, 0], bounds[:, 1], size=(50, 4))
-    predicted = pce_eval(model, x_fresh)[:, 0]
+    predicted = np.array([pce_eval(model, x)[0] for x in x_fresh])
     expected = design_matrix(x_fresh, basis) @ truth
     assert np.allclose(predicted, expected, atol=1e-8)
 
@@ -744,7 +744,9 @@ def test_evaluated_point_gives_the_array_bits(seed, m_x, max_degree, places) -> 
     x = np.array([at[place][i] for i, place in enumerate(places[:m_x])])
     point = _Point.of(basis, x)
     assert np.array_equal(point.x, x) and point.x is not x
-    assert np.array_equal(pce_eval(model, point), pce_eval(model, x))  # through design_matrix
+    # A design_matrix row is the product of the point's factors, bit for bit.
+    assert np.array_equal(design_matrix(x[None], basis)[0], np.multiply.reduce(point.factors, axis=1))
+    assert np.array_equal(pce_eval(model, point), pce_eval(model, x))
     assert np.array_equal(pce_jacobian(model, point), loop_pce_jacobian(model, x))
     assert np.array_equal(pce_jacobian(model, point), pce_jacobian(model, x))
 
@@ -756,7 +758,7 @@ def test_evaluated_point_gives_the_array_bits(seed, m_x, max_degree, places) -> 
         loop_standardize(basis, outside[None, :])
     assert f"input {i} " in str(expected.value)
     for route in (lambda: _Point.of(basis, outside), lambda: pce_eval(model, outside),
-                  lambda: pce_jacobian(model, outside)):
+                  lambda: pce_jacobian(model, outside), lambda: design_matrix(outside[None], basis)):
         with pytest.raises(ValueError, match=re.escape(str(expected.value))):
             route()
 

@@ -189,8 +189,9 @@ def test_metamodel_covariance_hand_case() -> None:
     cov = metamodel_error_covariance(s, np.zeros((2, 2)))
     assert np.allclose(cov.matrix, np.diag([0.04, 0.25]), atol=1e-14)
     assert cov.kind == "r_tilde"
-    assert np.allclose(cov.pod_term, np.diag([0.0, 0.25]))
-    assert np.allclose(cov.pce_term, np.diag([0.04, 0.0]))
+    assert cov.n_retained == 1
+    assert np.allclose(cov.weights[:1], [0.04])  # retained: lambda_1 delta_1
+    assert np.allclose(cov.weights[1:], [0.25])  # truncated: lambda_2 / (n - 1)
 
 
 def test_metamodel_covariance_reduces_to_r_without_truncation() -> None:
@@ -267,7 +268,7 @@ def test_corrected_covariance_bias_zero_matches_plain() -> None:
 def test_corrected_covariance_full_bias_removes_pce_term() -> None:
     s = hand_surrogate(delta=[0.01], bias=[0.1])  # bias^2 == delta
     corrected = corrected_error_covariance(s, np.zeros((2, 2)))
-    assert np.allclose(corrected.pce_term, 0.0, atol=1e-15)
+    assert np.allclose(corrected.weights[: corrected.n_retained], 0.0, atol=1e-15)
     assert np.allclose(corrected.matrix, np.diag([0.0, 0.25]))
 
 
@@ -275,7 +276,7 @@ def test_corrected_covariance_floors_and_flags() -> None:
     s = hand_surrogate(delta=[0.01], bias=[0.2])  # bias^2 > delta
     corrected = corrected_error_covariance(s, np.zeros((2, 2)))
     assert corrected.floored_modes == (0,)
-    assert np.allclose(corrected.pce_term, 0.0)
+    assert np.allclose(corrected.weights[: corrected.n_retained], 0.0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -285,8 +286,9 @@ def test_corrected_covariance_floors_and_flags() -> None:
     r_form=st.sampled_from(["variances", "diagonal", "dense"]),
 )
 def test_augmented_covariance_parts_over_random_ensembles(seed, corrected, r_form) -> None:
-    # R~ - R is PSD, the dense matrix is the sum of its parts, and the trace
-    # gain is the sum of the weights, i.e. the paper's
+    # R~ - R is PSD, the retained modes weigh lambda_k var_k and the
+    # truncated ones lambda_k / (n - 1), the dense matrix is the sum of its
+    # parts, and the trace gain is the sum of the weights, i.e. the paper's
     # sum_{k>d} lambda_k / (n - 1) + sum_{k<=d} lambda_k var_k.
     rng = np.random.default_rng(seed)
     m_y, n = int(rng.integers(3, 16)), int(rng.integers(8, 40))
@@ -313,9 +315,13 @@ def test_augmented_covariance_parts_over_random_ensembles(seed, corrected, r_for
     diff = cov.matrix - r_dense
     scale = max(float(np.abs(cov.matrix).max()), 1e-300)
     assert np.linalg.eigvalsh(diff).min() >= -1e-12 * scale
-    np.testing.assert_allclose(
-        cov.matrix, r_dense + cov.pod_term + cov.pce_term, rtol=0.0, atol=1e-14 * scale
-    )
+    w = cov.weights
+    assert cov.n_retained == d and cov.modes is basis.modes
+    np.testing.assert_allclose(w[:d], lam[:d] * var, rtol=1e-12)
+    np.testing.assert_allclose(w[d:], lam[d:] / (n - 1), rtol=1e-12)
+    pce_part, pod_part = ((cov.modes[:, k] * w[k]) @ cov.modes[:, k].T
+                          for k in (slice(None, d), slice(d, None)))
+    np.testing.assert_allclose(cov.matrix, r_dense + pod_part + pce_part, rtol=0.0, atol=1e-14 * scale)
     assert np.trace(diff) == pytest.approx(cov.weights.sum(), rel=1e-10)
     assert cov.weights.sum() == pytest.approx(gain, rel=1e-10)
     floored = list(cov.floored_modes)  # kept with weight 0

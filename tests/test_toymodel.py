@@ -134,9 +134,10 @@ def test_sample_parameters_nested_in_n() -> None:
 )
 @example(seed=substream_seed(7, "bootstrap/0"), n=800, on_faces=0.0)
 def test_propagate_matches_loop(seed, n, on_faces) -> None:
-    # The batch against one simulate call per member, bit for bit. A share
-    # of the entries is moved onto a face of the box, where the check is
-    # inclusive and friction is extreme.
+    # Each batch column against that member run alone (simulate, a batch of
+    # one), bit for bit: reports do not depend on how members are batched. A
+    # share of the entries is moved onto a face of the box, where the check
+    # is inclusive and friction is extreme.
     rng = np.random.default_rng(seed)
     params = sample_parameters(n, seed=seed)
     rows, cols = np.nonzero(rng.random(params.shape) < on_faces)
@@ -153,5 +154,7 @@ def test_propagate_names_the_out_of_box_member() -> None:
     params[5, 0] = np.nan
     with pytest.raises(ValueError, match=r"^member 4: parameter CTL=1\.31 outside bounds"):
         propagate(params)
+    with pytest.raises(ValueError, match=r"^parameter CTL=1\.31 outside bounds"):
+        simulate(params[4])  # a lone set has no member index
     with pytest.raises(ValueError, match="expected rows of 4 parameters"):
         propagate(params[:, :3])
