@@ -106,10 +106,15 @@ class AssimilationProblem:
             raise ValueError(f"observation covariance must be ({m_y}, {m_y}) or ({m_y},)")
         if self.bounds.shape != (m_x, 2):
             raise ValueError(f"bounds must be ({m_x}, 2)")
-        if self.alpha_b <= 0.0 or self.alpha_r <= 0.0:
-            raise ValueError("alpha scalings must be positive")
-        if np.any(self.x_b < self.bounds[:, 0]) or np.any(self.x_b > self.bounds[:, 1]):
-            raise ValueError("background must lie within the parameter bounds")
+        for name in ("alpha_b", "alpha_r"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name}: alpha scalings must be positive, got {getattr(self, name)!r}")
+        low, high = self.bounds.T
+        outside = np.flatnonzero(~((low <= self.x_b) & (self.x_b <= high)))
+        if outside.size:
+            i = outside[0]
+            raise ValueError(f"x_b: entry {i} ({self.x_b[i]:.6g}) lies outside the parameter bounds "
+                             f"[{low[i]:.6g}, {high[i]:.6g}]")
 
     @property
     def m_x(self) -> int:

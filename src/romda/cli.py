@@ -100,7 +100,8 @@ def _count(cfg: dict, key: str, low: int, rule: str, default: int | None = None)
     return value
 
 
-def _real(cfg: dict, key: str, ok: Callable, rule: str, default: float | None = None) -> float:
+def _real(cfg: dict, key: str, ok: Callable = lambda v: True, rule: str = "",
+          default: float | None = None) -> float:
     """``cfg[key]`` (or ``default``), a finite number that passes ``ok``;
     the message names ``key``."""
     value = cfg.get(key, default)
@@ -121,13 +122,16 @@ def _reals(cfg: dict, key: str, size: int, ok: Callable = lambda v: True, rule: 
 
 def _read(cfg: dict, key: str, command: str, read: Callable = io.read_snapshot_csv):
     """``read`` of the file that config key ``key`` names. A file that cannot
-    be read, or a document that lacks a field, fails naming the key and the
-    path; a malformed one, naming the key."""
+    be read, or a document that lacks a field (the readers look up nothing
+    but document fields), fails naming the key and the path; a malformed
+    one, naming the key. A numerical failure stays one."""
     path = _require(cfg, key, command)
     try:
         return read(path)
     except OSError as exc:
         raise ConfigError(f"{key}: cannot read {path}: {exc.strerror or exc}") from None
+    except np.linalg.LinAlgError:
+        raise  # a numerical failure, which main reports as one
     except KeyError as exc:
         raise ConfigError(f"{key}: {path} has no field {exc.args[0]!r}") from None
     except ValueError as exc:
@@ -307,24 +311,18 @@ def _cmd_assimilate(args, cfg: dict) -> int:
     _check_keys(cfg, allowed, "assimilate")
     surrogate, scaling = _read(cfg, "surrogate", "assimilate", io.load_surrogate)
     y_o = _read_observation(cfg, "assimilate")
-    # Physical background settings, mapped like everything else the solver sees.
-    low, high = scaling.bounds.T
+    # Physical background settings, mapped like everything else the solver
+    # sees; the problem checks the box and the alpha signs.
+    m_x = len(scaling.bounds)
     x_b = None
     if "x_b" in cfg:
-        x_b = _reals(cfg, "x_b", low.size)
-        outside = np.flatnonzero(~((low <= x_b) & (x_b <= high)))
-        if outside.size:
-            i = outside[0]
-            raise ConfigError(f"x_b: entry {i} ({x_b[i]:.6g}) lies outside the parameter bounds "
-                              f"[{low[i]:.6g}, {high[i]:.6g}]")
-        x_b = scaling.params.transform(x_b)
+        x_b = scaling.params.transform(_reals(cfg, "x_b", m_x))
     background_cov = None
     if "background_diag" in cfg:
-        b_diag = _reals(cfg, "background_diag", low.size, lambda v: v > 0.0,
+        b_diag = _reals(cfg, "background_diag", m_x, lambda v: v > 0.0,
                         "background variances must be positive")
         background_cov = np.diag(scaling.params.variance_diag(b_diag))
-    alphas = {key: _real(cfg, key, lambda a: a > 0.0, "alpha scalings must be positive", 1.0)
-              for key in ("alpha_b", "alpha_r")}
+    alphas = {key: _real(cfg, key, default=1.0) for key in ("alpha_b", "alpha_r")}
     covariance = cfg.get("covariance", "r")
     problem = pose_problem(
         surrogate, scaling, y_o, _observation_diag(y_o, cfg), covariance,

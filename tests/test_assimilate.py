@@ -398,9 +398,19 @@ def test_classical_propagates_model_failure_with_probe() -> None:
 
 
 def test_alpha_scalings_must_be_positive() -> None:
-    for scaling in ({"alpha_b": 0.0}, {"alpha_r": -2.0}):
-        with pytest.raises(ValueError, match="alpha scalings must be positive"):
+    for scaling in ({"alpha_b": 0.0}, {"alpha_r": -2.0}, {"alpha_r": np.nan}):
+        (name,) = scaling
+        with pytest.raises(ValueError, match=f"^{name}: alpha scalings must be positive"):
             make_problem(np.random.default_rng(10), **scaling)
+
+
+def test_background_outside_the_box_is_named_by_its_entry() -> None:
+    bounds = np.array([[0.0, 1.0], [-1.0, 1.0]])
+    for x_b, entry in (([0.5, 1.5], r"entry 1 \(1\.5\) lies outside the parameter bounds \[-1, 1\]"),
+                       ([np.nan, 0.0], r"entry 0 \(nan\)")):
+        with pytest.raises(ValueError, match=f"^x_b: {entry}"):
+            AssimilationProblem(x_b=np.array(x_b), background_cov=np.eye(2), y_o=np.zeros(3),
+                                observation_cov=np.ones(3), bounds=bounds)
 
 
 def test_uniform_scaling_leaves_argmin_unchanged() -> None:

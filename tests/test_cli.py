@@ -274,6 +274,16 @@ def test_a_surrogate_document_without_its_member_count_fails_by_the_key(tmp_path
     assert not out.exists()
 
 
+def test_a_numerical_failure_while_reading_stays_one(tmp_path, capsys, monkeypatch) -> None:
+    def singular(path):
+        raise np.linalg.LinAlgError("injected numerical failure")
+
+    monkeypatch.setattr(io, "load_surrogate", singular)
+    path = write_config(tmp_path, "cfg.json", assimilate_v1())
+    assert main(["assimilate", "--config", path, "--out", str(tmp_path / "out")]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == "numerical failure: injected numerical failure\n"
+
+
 @pytest.mark.parametrize("command, field, value", [
     ("assimilate", "alpha_r", "x"),
     ("assimilate", "alpha_b", -1),

@@ -21,6 +21,22 @@ def mid_params():
     return PARAMETER_MEANS.copy()
 
 
+def loop_simulate(params: np.ndarray) -> np.ndarray:
+    """The model for one in-box parameter set, written out on its own: the
+    reference the batched propagate is checked against. K2 is a numpy
+    scalar here, so it is squared as one."""
+    grid = toymodel._GRID
+    k2, mtl, ctl, ctv = params
+    eta = ctl * toymodel._ETA_RAW + mtl
+    depth = np.maximum(mtl + grid.station_depth_offsets[:, None] + ctl * toymodel._ETA_RAW, grid.min_depth)
+    s_along = ctv * toymodel._ALONG_RAW
+    s_across = ctv * toymodel._ACROSS_RAW
+    friction = grid.gravity * grid.drag_timescale / (k2**2 * depth ** (4.0 / 3.0))
+    u = s_along / (1.0 + friction * np.abs(s_along))
+    v = grid.transverse_fraction * s_across / (1.0 + friction * np.abs(s_across))
+    return np.concatenate([u.ravel(), v.ravel(), eta.ravel()])
+
+
 def test_state_vector_size_and_layout() -> None:
     grid = default_grid()
     assert grid.n_times == 38
@@ -134,10 +150,11 @@ def test_sample_parameters_nested_in_n() -> None:
 )
 @example(seed=substream_seed(7, "bootstrap/0"), n=800, on_faces=0.0)
 def test_propagate_matches_loop(seed, n, on_faces) -> None:
-    # Each batch column against that member run alone (simulate, a batch of
-    # one), bit for bit: reports do not depend on how members are batched. A
-    # share of the entries is moved onto a face of the box, where the check
-    # is inclusive and friction is extreme.
+    # Each batch column against the model written out for one member
+    # (loop_simulate) and against that member run alone (simulate, a batch
+    # of one), bit for bit: reports do not depend on how members are
+    # batched. A share of the entries is moved onto a face of the box, where
+    # the check is inclusive and friction is extreme.
     rng = np.random.default_rng(seed)
     params = sample_parameters(n, seed=seed)
     rows, cols = np.nonzero(rng.random(params.shape) < on_faces)
@@ -145,6 +162,7 @@ def test_propagate_matches_loop(seed, n, on_faces) -> None:
     states = propagate(params)
     assert states.shape == (570, n) and states.flags.c_contiguous
     for j in range(n):
+        assert np.array_equal(states[:, j], loop_simulate(params[j]))
         assert np.array_equal(states[:, j], simulate(params[j]))
 
 
