@@ -4,8 +4,8 @@ The two-term quadratic-form cost J(x) = 1/2 ||x - x_b||^2_{B^-1}
 + 1/2 ||G(x) - y_o||^2_{R^-1} is evaluated in whitened coordinates,
 1/2 ||L_B^-1 (x - x_b)||^2 + 1/2 ||L_R^-1 (G(x) - y_o)||^2 with L L^T the
 scaled covariance, never by inverting a covariance. Each problem holds
-one whitening factor per covariance, computed on first use: the standard
-deviations of a diagonal covariance (which is never factored densely), the
+one whitening factor per covariance, computed when it is built: the
+standard deviations of a diagonal covariance (never factored densely), the
 lower Cholesky factor of a dense one, or, for the augmented covariance
 R~ = R + Phi W Phi^T of a POD-PCE surrogate, R's factor plus an r-space
 correction (the low-rank update algebra of Hager 1989), so no m_y x m_y
@@ -13,9 +13,9 @@ matrix is built or factored. The correction rests on the thin QR
 L_R^-1 Phi = Q0 R0 (r the number of modes carrying variance), which
 depends on R and the mode block alone: alpha only scales R's own factor
 and the weights W only enter an r x r Cholesky. The cells of one surrogate
-build and one R share that QR through a :class:`ModeWhitening`, whatever
-their mode count, R~ kind or alpha, and the cells that also share the
-weights share the Cholesky. Solvers:
+build and one R share that QR through a :class:`ModeWhitening` handed to
+each problem as it is posed, whatever their mode count, R~ kind or alpha,
+and the cells that also share the weights share the Cholesky. Solvers:
 
 * closed-form analysis for the linear joint-decomposition surrogate
   (cancelling the gradient of the reduced quadratic cost);
@@ -36,7 +36,7 @@ in, and convert analyses back to physical units.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -67,9 +67,10 @@ class AssimilationProblem:
     alpha_r * observation_cov. The observation covariance may be given as
     its (m_y,) variances when it is diagonal; a 2-D covariance whose
     off-diagonal entries are all zero is treated the same way. It may also
-    be a structured :class:`~romda.surrogate.ErrorCovariance`. Whitening
-    factors are cached on first use; instances should be treated as
-    immutable once handed to a solver.
+    be a structured :class:`~romda.surrogate.ErrorCovariance`, whose mode QR
+    comes from ``shared`` if given. Both whitening factors are computed at
+    construction, so a covariance that cannot be whitened fails here; only
+    ``_reduced`` is filled later (by :func:`podpce_cost`). Treat as immutable.
     """
 
     x_b: np.ndarray  # (m_x,)
@@ -80,18 +81,10 @@ class AssimilationProblem:
     bounds: np.ndarray  # (m_x, 2)
     alpha_b: float = 1.0
     alpha_r: float = 1.0
-    _b_factor: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    _r_factor: "np.ndarray | _LowRankFactor | None" = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    # Shared Q0 R0 of R~'s modes, set by a caller that poses many R~ problems
-    # on one surrogate build and one R.
-    _mode_whitening: "ModeWhitening | None" = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    shared: InitVar[ModeWhitening | None] = None
     _reduced: "_ReducedCost | None" = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, shared: ModeWhitening | None) -> None:
         self.x_b = np.asarray(self.x_b, dtype=float)
         self.background_cov = np.asarray(self.background_cov, dtype=float)
         self.y_o = np.asarray(self.y_o, dtype=float)
@@ -115,6 +108,8 @@ class AssimilationProblem:
             i = outside[0]
             raise ValueError(f"x_b: entry {i} ({self.x_b[i]:.6g}) lies outside the parameter bounds "
                              f"[{low[i]:.6g}, {high[i]:.6g}]")
+        self._b_factor = _whitening_factor(self.background_cov, self.alpha_b, "background")
+        self._r_factor = _whitening_factor(self.observation_cov, self.alpha_r, "observation", shared)
 
     @property
     def m_x(self) -> int:
@@ -124,25 +119,13 @@ class AssimilationProblem:
     def m_y(self) -> int:
         return self.y_o.shape[0]
 
-    def _background_factor(self) -> np.ndarray:
-        if self._b_factor is None:
-            self._b_factor = _whitening_factor(self.background_cov, self.alpha_b, "background")
-        return self._b_factor
-
-    def _observation_factor(self) -> "np.ndarray | _LowRankFactor":
-        if self._r_factor is None:
-            self._r_factor = _whitening_factor(
-                self.observation_cov, self.alpha_r, "observation", self._mode_whitening
-            )
-        return self._r_factor
-
     def whiten_background(self, v: np.ndarray) -> np.ndarray:
         """L_B^-1 v for a vector or for the columns of a matrix."""
-        return _whiten(self._background_factor(), v)
+        return _whiten(self._b_factor, v)
 
     def whiten_observation(self, v: np.ndarray) -> np.ndarray:
         """L_R^-1 v for a vector or for the columns of a matrix."""
-        return _whiten(self._observation_factor(), v)
+        return _whiten(self._r_factor, v)
 
 
 @dataclass(frozen=True)
@@ -174,8 +157,8 @@ class ModeWhitening:
     that differ only in alpha (a covariance grid) share it too. An instance
     keeps the last QR and the last C it computed and computes new ones only
     when a problem brings a different R, mode block or weights; whoever
-    loops over the cells of one build and one R owns it, and both go when
-    the instance does.
+    loops over the cells of one build and one R owns it, hands it to each
+    problem it poses (``shared=``), and both go when the instance does.
     """
 
     def __init__(self) -> None:
@@ -184,8 +167,8 @@ class ModeWhitening:
         self._weights: np.ndarray | None = None  # of the kept C
         self._c: np.ndarray | None = None
 
-    def qr(self, cov: ErrorCovariance, name: str) -> tuple[np.ndarray, np.ndarray]:
-        """(Q0, R0) for ``cov``'s R and modes, reused while they stay the same."""
+    def factor(self, cov: ErrorCovariance, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """(Q0, C) for ``cov``, each reused while what it depends on stays the same."""
         key = self._key
         if key is None or not (
             np.array_equal(key[0], cov.r) and np.array_equal(key[1], cov.modes)
@@ -193,20 +176,11 @@ class ModeWhitening:
             self._qr = _whitened_modes_qr(cov, name)
             self._key = (cov.r, cov.modes)
             self._c = None
-        return self._qr
-
-    def factor(self, cov: ErrorCovariance, name: str) -> tuple[np.ndarray, np.ndarray]:
-        """(Q0, C) for ``cov``, each reused while what it depends on stays the same."""
-        q, r0 = self.qr(cov, name)
+        q, r0 = self._qr
         if self._c is None or not np.array_equal(self._weights, cov.weights):
             self._c = _rspace_factor(r0, cov.weights)
             self._weights = cov.weights
         return q, self._c
-
-    def share(self, problem: AssimilationProblem) -> AssimilationProblem:
-        """``problem``, set to take its R~ QR from this instance."""
-        problem._mode_whitening = self
-        return problem
 
 
 def _whitened_modes_qr(cov: ErrorCovariance, name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -279,6 +253,7 @@ def pose_problem(
     surrogate: PodPceSurrogate | PodEnSurrogate | None, scaling: Scaling, y_o: np.ndarray,
     r_diag: np.ndarray, covariance: str = "r", *, x_b: np.ndarray | None = None,
     background_cov: np.ndarray | None = None, alpha_b: float = 1.0, alpha_r: float = 1.0,
+    shared: ModeWhitening | None = None,
 ) -> AssimilationProblem:
     """The problem in the standardized coordinates of ``scaling``.
 
@@ -300,6 +275,7 @@ def pose_problem(
         bounds=scaling.box,
         alpha_b=alpha_b,
         alpha_r=alpha_r,
+        shared=shared,
     )
 
 

@@ -185,9 +185,16 @@ def _cmd_sample(args, cfg: dict) -> int:
     return EXIT_OK
 
 
+def _read_parameters(path: str) -> SnapshotMatrix:
+    """The toy-model parameter CSV at ``path``, its members checked against the box."""
+    params = io.read_snapshot_csv(path)
+    toymodel.check_bounds(params.data.T)
+    return params
+
+
 def _cmd_simulate(args, cfg: dict) -> int:
     _check_keys(cfg, {"parameters_csv"}, "simulate")
-    params = _read(cfg, "parameters_csv", "simulate")
+    params = _read(cfg, "parameters_csv", "simulate", _read_parameters)
     out = _outdir(args)
     cfg_hash = _echo_config(out, "simulate", cfg, args.seed)
     states = toymodel.propagate(params.data.T)

@@ -520,10 +520,11 @@ def _run_cell(
     start = time.perf_counter()
     try:
         surrogate = builds.surrogates[cell.solver][cell.d]
-        problem = whitening.share(pose_problem(
+        problem = pose_problem(
             surrogate, builds.scaling, observed.y_o, observed.r_diag, cell.covariance,
             background_cov=observed.b_cov, alpha_b=cell.alpha_b, alpha_r=cell.alpha_r,
-        ))
+            shared=whitening,
+        )
         solve = solve_podpce3dvar if cell.solver == "podpce" else solve_poden3dvar
         analysis = solve(surrogate, problem)
         x_a, clipped = _physical(builds.scaling, analysis.x_a)

@@ -361,10 +361,10 @@ def observation_covariance(
     augmented covariance of a POD-PCE surrogate.
     """
     if kind not in COVARIANCE_KINDS:
-        raise ValueError(f"covariance kind must be one of {COVARIANCE_KINDS}, got {kind!r}")
+        raise ValueError(f"covariance: kind must be one of {COVARIANCE_KINDS}, got {kind!r}")
     if kind == "r":
         return r
     if not isinstance(surrogate, PodPceSurrogate):
-        raise ValueError(f"covariance {kind!r} needs a POD-PCE surrogate; PODEn runs with 'r'")
+        raise ValueError(f"covariance: {kind!r} needs a POD-PCE surrogate; PODEn runs with 'r'")
     assemble = metamodel_error_covariance if kind == "r_tilde" else corrected_error_covariance
     return assemble(surrogate, r)

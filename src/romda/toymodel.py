@@ -151,8 +151,11 @@ def unflatten(state: np.ndarray) -> np.ndarray:
 
 
 def check_bounds(values: np.ndarray) -> None:
-    """Reject float parameters outside the box, one set (4,) or a batch
-    (n, 4), naming the parameter and, in a batch, the first offending member."""
+    """Reject float parameters that are not one set (4,) or a batch (n, 4),
+    or that lie outside the box, naming the parameter and, in a batch, the
+    first offending member."""
+    if values.ndim not in (1, 2) or values.shape[-1] != 4:
+        raise ValueError(f"expected rows of 4 parameters {PARAMETER_NAMES}, got shape {values.shape}")
     low, high = PARAMETER_BOUNDS.T
     outside = np.argwhere(~((low <= values) & (values <= high)))  # NaN is outside
     if outside.size:
@@ -193,8 +196,6 @@ def propagate(params: np.ndarray) -> np.ndarray:
     an array, so K2 is squared member by member, as a numpy scalar.
     """
     values = np.asarray(params, dtype=float)
-    if values.ndim not in (1, 2) or values.shape[-1] != 4:
-        raise ValueError(f"expected rows of 4 parameters {PARAMETER_NAMES}, got shape {values.shape}")
     check_bounds(values)  # before the batch axis, so a lone set is named without one
     values = np.atleast_2d(values)
     k2_squared = np.array([k2**2 for k2 in values[:, 0]])

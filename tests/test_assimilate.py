@@ -97,15 +97,14 @@ def test_cost_matches_explicit_inverse_oracle() -> None:
 def test_cost_rejects_non_pd_covariance() -> None:
     rng = np.random.default_rng(3)
     bad = np.diag([1.0, -0.5, 2.0])
-    problem = AssimilationProblem(
-        x_b=np.zeros(3),
-        background_cov=bad,
-        y_o=np.zeros(4),
-        observation_cov=np.eye(4),
-        bounds=wide_bounds(3),
-    )
-    with pytest.raises(ValueError, match="positive definite"):
-        cost(problem, np.zeros(3), np.zeros(4))
+    with pytest.raises(ValueError, match="positive definite"):  # when the problem is built
+        AssimilationProblem(
+            x_b=np.zeros(3),
+            background_cov=bad,
+            y_o=np.zeros(4),
+            observation_cov=np.eye(4),
+            bounds=wide_bounds(3),
+        )
 
 
 def linear_ensemble(rng, m_x=3, m_y=8, n=40, noise=0.0):
@@ -635,18 +634,22 @@ def test_structured_rtilde_whitening_equals_dense_oracle(
 @given(seed=st.integers(0, 2**32 - 1), r_form=st.sampled_from(["variances", "diagonal", "dense"]))
 def test_one_mode_whitening_serves_every_rtilde_cell_of_a_build(seed, r_form) -> None:
     # One ensemble and one R: every mode count, both R~ kinds, a floored
-    # mode and several alpha_r whiten with the QR of the first cell.
+    # mode and several alpha_r whiten with the QR of the first cell. The
+    # problems are built (each whitening itself) before the QRs are counted.
+    problems = [
+        random_rtilde_problem(seed, d, kind, r_form, 1.0, floored)
+        for d in range(1, 5)
+        for kind in ("r_tilde", "r_tilde_corrected")
+        for floored in (False, True)
+    ]
     shared = assimilate.ModeWhitening()
     with mock.patch.object(
         assimilate, "_whitened_modes_qr", wraps=assimilate._whitened_modes_qr
     ) as qr:
-        for d in range(1, 5):
-            for kind in ("r_tilde", "r_tilde_corrected"):
-                for floored in (False, True):
-                    s, problem, rng = random_rtilde_problem(seed, d, kind, r_form, 1.0, floored)
-                    for alpha_r in (0.01, 1.0, 37.0):
-                        posed = shared.share(dataclasses.replace(problem, alpha_r=alpha_r))
-                        assert_rtilde_matches_dense_oracle(s, posed, rng)
+        for s, problem, rng in problems:
+            for alpha_r in (0.01, 1.0, 37.0):
+                posed = dataclasses.replace(problem, alpha_r=alpha_r, shared=shared)
+                assert_rtilde_matches_dense_oracle(s, posed, rng)
     assert qr.call_count == 1
 
 
@@ -661,9 +664,8 @@ def test_rtilde_rejects_negative_or_nonfinite_weights(where, bad) -> None:
         errors = np.r_[bad, s.pce.empirical_errors[1:]]
         s = dataclasses.replace(s, pce=dataclasses.replace(s.pce, empirical_errors=errors))
         cov = observation_covariance("r_tilde", s, cov.r)
-    problem = dataclasses.replace(problem, observation_cov=cov)
     with pytest.raises(ValueError, match="observation covariance weights must be finite"):
-        podpce_cost(s, problem, np.array([0.5, 0.3]))
+        dataclasses.replace(problem, observation_cov=cov)
 
 
 def assert_rtilde_matches_dense_oracle(s, problem, rng) -> None:
@@ -705,9 +707,8 @@ def test_structured_rtilde_rejects_nonpositive_base_variance(r_form, bad) -> Non
         r[3] = bad
     else:
         r[3, 3] = bad
-    problem = dataclasses.replace(problem, observation_cov=observation_covariance("r_tilde", s, r))
     with pytest.raises(ValueError, match="observation covariance is not positive definite"):
-        podpce_cost(s, problem, np.array([0.5, 0.3]))
+        dataclasses.replace(problem, observation_cov=observation_covariance("r_tilde", s, r))
 
 
 def test_dense_r_symmetry_is_judged_the_same_for_every_covariance_kind() -> None:

@@ -316,6 +316,55 @@ def test_non_sweep_commands_name_the_field_they_reject(tmp_path, capsys, command
     assert not out.exists()
 
 
+@pytest.mark.parametrize("surrogate, covariance, message", [
+    ("podpce_v1.json", "q", "kind must be one of"),
+    ("poden_v1.json", "r_tilde", "'r_tilde' needs a POD-PCE surrogate"),
+])
+def test_assimilate_names_the_covariance_it_cannot_pose(tmp_path, capsys, surrogate, covariance,
+                                                        message) -> None:
+    cfg = {"surrogate": str(DATA / surrogate), "observations_csv": str(DATA / "obs_v1.csv"),
+           "noise_level": 0.05, "covariance": covariance}
+    out = tmp_path / "out"
+    assert main(["assimilate", "--config", write_config(tmp_path, "cfg.json", cfg),
+                 "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: covariance: ") and message in err
+    assert not out.exists()
+
+
+def test_an_rtilde_that_cannot_be_whitened_fails_before_any_output(chain, tmp_path, capsys) -> None:
+    out = chain.ensemble(40, 1)
+    assert chain.build(1, modes=2, max_degree=2) == EXIT_OK
+    doc = json.loads((out / "surrogate.json").read_text())
+    doc["pce"]["empirical_errors"][0] = -1.0  # a tampered learning error
+    (tmp_path / "tampered.json").write_text(json.dumps(doc))
+    write_observation(out / "obs.csv", toymodel.simulate(np.array([60.0, 5.2, 1.0, 2.0])))
+    cfg = {"surrogate": str(tmp_path / "tampered.json"), "observations_csv": str(out / "obs.csv"),
+           "noise_level": 0.05, "covariance": "r_tilde"}
+    run = tmp_path / "run"
+    assert main(["assimilate", "--config", write_config(tmp_path, "cfg.json", cfg),
+                 "--out", str(run)]) == EXIT_VALIDATION
+    assert "observation covariance weights must be finite and nonnegative" in capsys.readouterr().err
+    assert not (run / "config_used.json").exists()
+
+
+@pytest.mark.parametrize("rows, message", [
+    (4, "member 0: parameter K2=5 outside bounds"),
+    (3, "expected rows of 4 parameters"),
+])
+def test_simulate_checks_the_box_before_it_writes(tmp_path, capsys, rows, message) -> None:
+    params = toymodel.PARAMETER_MEANS.copy()
+    params[0] = 5.0  # K2 below its bound
+    csv = tmp_path / "parameters.csv"
+    labels = toymodel.PARAMETER_NAMES[:rows]
+    io.write_snapshot_csv(csv, SnapshotMatrix(params[:rows, None], labels, ("m0",)))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", write_config(tmp_path, "cfg.json", {"parameters_csv": str(csv)}),
+                 "--out", str(out)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith(f"error: parameters_csv: {message}")
+    assert not out.exists()
+
+
 def test_v1_documents_assimilate_with_identity_scaling(tmp_path) -> None:
     """A podpce-surrogate/1 document gives the analysis the previous schema's
     program wrote for the same config, bit for bit; a poden-surrogate/1

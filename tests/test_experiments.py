@@ -275,8 +275,8 @@ def test_covgrid_factors_the_rspace_cholesky_once_per_weights(monkeypatch, tmp_p
     assert len(shared.rows) == 9
     assert len(factors) == len(cho_calls) == 1
 
-    def unshared(self, cov, name):  # a fresh C for every cell
-        q, r0 = self.qr(cov, name)
+    def unshared(self, cov, name):  # a fresh QR and C for every cell
+        q, r0 = assimilate._whitened_modes_qr(cov, name)
         return q, factor(r0, cov.weights)
 
     monkeypatch.setattr(assimilate.ModeWhitening, "factor", unshared)
