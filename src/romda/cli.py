@@ -8,15 +8,16 @@ read before any output is written, and a rejection starts with the key.
 Exit codes: 0 success, 1 validation/configuration error, 2 numerical
 failure, 3 a worker process of a pooled sweep was lost. The toy-model
 sweeps (twin, covgrid, bootstrap, measure) call the drivers of
-:mod:`romda.experiments`, which own their BLAS thread count; fit-pod,
-fit-pce and build-surrogate enter the same one-thread scope.
+:mod:`romda.experiments`, which own their BLAS thread count;
+build-surrogate enters the same one-thread scope.
 
-``build-surrogate`` standardizes like the drivers (the same
-``build_surrogates``; parameters by the midpoint and half-range of the
-required ``bounds``) and stores that scaling and the box in the surrogate
-document. ``assimilate`` takes the kind, the box and the default background
-from the document, poses the problem with ``pose_problem`` like the
-drivers, and reports ``x_a`` and ``y_a`` in physical units.
+``build-surrogate`` is the one command that fits. It standardizes like the
+drivers (the same ``build_surrogates``; parameters by the midpoint and
+half-range of the required ``bounds``) and stores that scaling and the box
+with the POD basis (and, for POD-PCE, the PCE) in the surrogate document.
+``assimilate`` takes the kind, the box and the default background from the
+document, poses the problem with ``pose_problem`` like the drivers, and
+reports ``x_a`` and ``y_a`` in physical units.
 """
 from __future__ import annotations
 
@@ -49,8 +50,7 @@ from .experiments import (
     run_measurement,
     run_twin,
 )
-from .pce import PceConfig, select_degree, split_members
-from .pod import SnapshotMatrix, evr, fit_pod, truncate
+from .pod import ModeCountError, SnapshotMatrix, evr
 from .rng import split_seed
 from .surrogate import PodPceSurrogate
 
@@ -126,6 +126,8 @@ def _read(cfg: dict, key: str, command: str, read: Callable = io.read_snapshot_c
     but document fields), fails naming the key and the path; a malformed
     one, naming the key. A numerical failure stays one."""
     path = _require(cfg, key, command)
+    if not isinstance(path, str):
+        raise ConfigError(f"{key}: need a file path, got {path!r}")
     try:
         return read(path)
     except OSError as exc:
@@ -221,48 +223,8 @@ def _truncation(cfg: dict) -> dict:
     return {"evr_threshold": _real(cfg, "evr_threshold", *_EVR)}
 
 
-# The commands that fit run on one BLAS thread, as the sweeps do
+# build-surrogate runs on one BLAS thread, as the sweeps do
 # (:func:`~romda.experiments._one_blas_thread`).
-@_one_blas_thread()
-def _cmd_fit_pod(args, cfg: dict) -> int:
-    _check_keys(cfg, {"states_csv", "modes", "evr_threshold"}, "fit-pod")
-    truncation = _truncation(cfg)
-    snap = _read(cfg, "states_csv", "fit-pod")
-    out = _outdir(args)
-    cfg_hash = _echo_config(out, "fit-pod", cfg, args.seed)
-    basis = truncate(fit_pod(snap.data), **truncation)
-    io.save_pod_basis(out / "pod_basis.json", basis, seed=args.seed, cfg_hash=cfg_hash)
-    _summary(
-        f"fit-pod: retained d={basis.retained} (EVR {evr(basis, basis.retained):.6f}) "
-        f"-> {out / 'pod_basis.json'}"
-    )
-    return EXIT_OK
-
-
-@_one_blas_thread()
-def _cmd_fit_pce(args, cfg: dict) -> int:
-    _check_keys(cfg, {"parameters_csv", "targets_csv", "bounds", "max_degree"}, "fit-pce")
-    max_degree = _count(cfg, "max_degree", 0, "degree must be >= 0", 3)
-    params = _read(cfg, "parameters_csv", "fit-pce").data.T  # (n, m_x)
-    targets = _read(cfg, "targets_csv", "fit-pce").data.T  # (n, d)
-    bounds = np.asarray(_require(cfg, "bounds", "fit-pce"), dtype=float)
-    n = params.shape[0]
-    if targets.shape[0] != n:
-        raise ConfigError("parameters and targets must have the same member count")
-    out = _outdir(args)
-    cfg_hash = _echo_config(out, "fit-pce", cfg, args.seed)
-    train, val = split_members(n, split_seed(args.seed, n))
-    model = select_degree(
-        params[train], targets[train], params[val], targets[val],
-        PceConfig(bounds, max_degree),
-    )
-    io.save_pce_model(out / "pce_model.json", model, seed=args.seed, cfg_hash=cfg_hash)
-    _summary(
-        f"fit-pce: degrees {model.selected_degrees} -> {out / 'pce_model.json'}"
-    )
-    return EXIT_OK
-
-
 @_one_blas_thread()
 def _cmd_build_surrogate(args, cfg: dict) -> int:
     allowed = {"kind", "parameters_csv", "states_csv", "modes", "evr_threshold",
@@ -270,23 +232,31 @@ def _cmd_build_surrogate(args, cfg: dict) -> int:
     _check_keys(cfg, allowed, "build-surrogate")
     kind = _require(cfg, "kind", "build-surrogate")
     if kind not in SURROGATE_KINDS:
-        raise ConfigError(f"unknown surrogate kind {kind!r}, expected podpce or poden")
+        raise ConfigError(f"kind: unknown surrogate kind {kind!r}, expected podpce or poden")
     if kind == "poden" and "max_degree" in cfg:
         raise ConfigError("max_degree applies to podpce only: a poden surrogate has no polynomial degree")
     bounds = _require(cfg, "bounds", "build-surrogate")
+    try:
+        bounds = np.array(bounds, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"bounds: need (low, high) rows of numbers, got {bounds!r}") from None
     max_degree = _count(cfg, "max_degree", 0, "degree must be >= 0", 3)
     truncation = _truncation(cfg)
     params = _read(cfg, "parameters_csv", "build-surrogate").data
     states = _read(cfg, "states_csv", "build-surrogate").data
+    try:
+        built, scaling = build_surrogates(
+            params, states, bounds, (kind,), pce_degree=max_degree,
+            split_seed=split_seed(args.seed, params.shape[1]), **truncation,
+        )
+    except ModeCountError as exc:
+        raise ConfigError(f"modes: {exc}") from None
+    surrogate = built[kind]
+    basis = surrogate.state_basis if kind == "podpce" else surrogate.basis
     out = _outdir(args)
     cfg_hash = _echo_config(out, "build-surrogate", cfg, args.seed)
-    built, scaling = build_surrogates(
-        params, states, bounds, (kind,), pce_degree=max_degree,
-        split_seed=split_seed(args.seed, params.shape[1]), **truncation,
-    )
-    surrogate = built[kind]
     io.save_surrogate(out / "surrogate.json", surrogate, scaling, seed=args.seed, cfg_hash=cfg_hash)
-    detail = f"d={surrogate.d}"
+    detail = f"d={surrogate.d} (EVR {evr(basis, surrogate.d):.6f})"
     if kind == "podpce":
         detail += f", degrees {surrogate.pce.selected_degrees}"
     _summary(f"build-surrogate[{kind}]: {detail} -> {out / 'surrogate.json'}")
@@ -444,8 +414,6 @@ def _cmd_sweep(args, cfg: dict) -> int:
 _COMMANDS = {
     "sample": _cmd_sample,
     "simulate": _cmd_simulate,
-    "fit-pod": _cmd_fit_pod,
-    "fit-pce": _cmd_fit_pce,
     "build-surrogate": _cmd_build_surrogate,
     "assimilate": _cmd_assimilate,
     **dict.fromkeys(_SWEEPS, _cmd_sweep),

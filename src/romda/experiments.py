@@ -79,8 +79,10 @@ def build_surrogates(
     by their per-component ensemble statistics.
     """
     bounds = np.asarray(bounds, dtype=float)
-    if bounds.shape != (np.shape(params)[0], 2) or not np.all(bounds[:, 1] > bounds[:, 0]):
-        raise ValueError(f"bounds must be one (low, high) row per parameter, low < high: {bounds}")
+    if (bounds.shape != (np.shape(params)[0], 2) or not np.all(np.isfinite(bounds))
+            or not np.all(bounds[:, 1] > bounds[:, 0])):
+        raise ValueError(f"bounds: need one finite (low, high) row per parameter, low < high, "
+                         f"got {bounds.tolist()}")
     if param_std is None:
         param_std = Standardizer(bounds.mean(axis=1), (bounds[:, 1] - bounds[:, 0]) / 2.0)
     scaling = Scaling(params=param_std, states=Standardizer.fit(states), bounds=bounds)

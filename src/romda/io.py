@@ -1,4 +1,4 @@
-"""Schema-versioned persistence for ensembles, bases, models and reports.
+"""Schema-versioned persistence for ensembles, surrogates and reports.
 
 JSON documents carry a ``schema`` tag (checked on load) and a ``_meta``
 block with tool version, config hash and seed as their first key. CSV files
@@ -23,8 +23,6 @@ from .surrogate import PodEnSurrogate, PodPceSurrogate, Scaling, Standardizer
 
 SCHEMAS = {
     "snapshot": "snapshot/1",
-    "pod_basis": "pod-basis/1",
-    "pce_model": "pce-model/1",
     "podpce": "podpce-surrogate/2",
     "poden": "poden-surrogate/2",
     "analysis": "analysis/1",
@@ -146,16 +144,10 @@ def _pod_from_body(doc: dict) -> PodBasis:
     )
 
 
-# fit-pod and fit-pce write pod_basis and pce_model documents for inspection;
-# no command reads them back.
-def save_pod_basis(path: str | Path, basis: PodBasis, **meta: Any) -> None:
-    save_json(path, "pod_basis", _pod_body(basis), **meta)
-
-
 def _pce_body(model: PceModel) -> dict:
     basis = model.basis
     return {
-        # Written for readers of pce-model/1 documents; every input is Legendre.
+        # Every input is Legendre; the reader rejects any other family.
         "families": ["legendre"] * basis.input_dim,
         "offsets": basis.offsets.tolist(),
         "scales": basis.scales.tolist(),
@@ -186,10 +178,6 @@ def _pce_from_body(doc: dict) -> PceModel:
     )
 
 
-def save_pce_model(path: str | Path, model: PceModel, **meta: Any) -> None:
-    save_json(path, "pce_model", _pce_body(model), **meta)
-
-
 def save_surrogate(
     path: str | Path, surrogate: PodPceSurrogate | PodEnSurrogate, scaling: Scaling, **meta: Any
 ) -> None:
@@ -212,15 +200,11 @@ def save_surrogate(
 
 def load_surrogate(path: str | Path) -> tuple[PodPceSurrogate | PodEnSurrogate, Scaling]:
     """Read a surrogate document of either kind (by its schema tag) with its
-    scaling. A ``/1`` document holds none: it is read with identity maps and
-    the declared bounds of a POD-PCE surrogate (its ``parameter_bounds``), or
-    an unbounded PODEn box. ``/2`` documents take the box from the scaling
-    record only; the duplicate ``parameter_bounds`` that early ``/2`` POD-PCE
-    documents carry is ignored.
+    scaling. The box comes from the scaling record only; the duplicate
+    ``parameter_bounds`` that early POD-PCE documents carry is ignored.
     """
     doc = json.loads(Path(path).read_text())
-    kinds = {SCHEMAS["podpce"]: "podpce", SCHEMAS["poden"]: "poden",
-             "podpce-surrogate/1": "podpce", "poden-surrogate/1": "poden"}
+    kinds = {SCHEMAS["podpce"]: "podpce", SCHEMAS["poden"]: "poden"}
     if doc.get("schema") not in kinds:
         raise SchemaError(
             f"schema mismatch in {path}: found {doc.get('schema')!r}, expected one of {sorted(kinds)}"
@@ -233,13 +217,6 @@ def load_surrogate(path: str | Path) -> tuple[PodPceSurrogate | PodEnSurrogate, 
         )
     else:
         surrogate = PodEnSurrogate(basis=_pod_from_body(doc["basis"]), m_x=int(doc["m_x"]))
-    if doc["schema"].endswith("/1"):  # written before the scaling was stored
-        if isinstance(surrogate, PodPceSurrogate):
-            box = np.array(doc["parameter_bounds"], dtype=float)
-        else:
-            box = np.tile([-np.inf, np.inf], (surrogate.m_x, 1))
-        params, states = (Standardizer(np.zeros(m), np.ones(m)) for m in (len(box), surrogate.m_y))
-        return surrogate, Scaling(params, states, box)
     scaling = doc["scaling"]
 
     def standardizer(key: str) -> Standardizer:

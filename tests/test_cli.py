@@ -1,4 +1,3 @@
-import argparse
 import json
 import logging
 import multiprocessing
@@ -16,13 +15,9 @@ from romda import cli, experiments, io, toymodel
 from romda.assimilate import pose_problem, solve_poden3dvar, solve_podpce3dvar
 from romda.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, EXIT_WORKER_LOST, main
 from romda.experiments import build_surrogates, measurement_noise_diag
-from romda.pce import PceConfig, select_degree, split_members
-from romda.pod import ModeCountError, PodBasis, SnapshotMatrix, fit_pod, truncate
+from romda.pod import ModeCountError, PodBasis, SnapshotMatrix, evr, fit_pod, truncate
 from romda.rng import split_seed, substream_seed
 from romda.surrogate import PodEnSurrogate, Scaling, Standardizer
-
-DATA = Path(__file__).parent / "data"
-
 
 def write_config(tmp_path, name, payload):
     path = tmp_path / name
@@ -90,23 +85,23 @@ def test_unknown_config_key_rejected(tmp_path, capsys) -> None:
     assert "banana" in capsys.readouterr().err
 
 
-def test_fit_pod_and_surrogate_pipeline(chain, tmp_path) -> None:
+def test_fit_pod_and_surrogate_pipeline(chain, capsys) -> None:
     out = chain.ensemble(40, 7)
-    pod_cfg = write_config(
-        tmp_path, "pod.json", {"states_csv": str(out / "states.csv"), "evr_threshold": 0.95}
-    )
-    assert main(["fit-pod", "--config", pod_cfg, "--seed", "7", "--out", str(out)]) == EXIT_OK
-    # The document holds the POD of the CSV's snapshot data, field for field.
-    doc = io.load_json(out / "pod_basis.json", "pod_basis")
-    expected = truncate(fit_pod(io.read_snapshot_csv(out / "states.csv").data), evr_threshold=0.95)
-    assert doc["retained"] == expected.retained >= 1
-    for name in ("mean", "modes", "singular_values", "coefficients"):
-        assert np.array_equal(np.array(doc[name]), getattr(expected, name))
-
-    assert chain.build(7, modes=2, max_degree=2) == EXIT_OK
+    capsys.readouterr()
+    assert chain.build(7, evr_threshold=0.95, max_degree=2) == EXIT_OK
+    # The document holds the POD of the CSV's standardized states, field for
+    # field, and the summary line prints d, its EVR and the PCE degrees.
     surrogate, scaling = io.load_surrogate(out / "surrogate.json")
-    assert surrogate.d == 2
+    states = io.read_snapshot_csv(out / "states.csv").data
+    expected = truncate(fit_pod(scaling.states.transform(states)), evr_threshold=0.95)
+    assert surrogate.d == expected.retained >= 1
+    for name in ("mean", "modes", "singular_values", "coefficients"):
+        assert np.array_equal(getattr(surrogate.state_basis, name), getattr(expected, name))
     assert np.array_equal(scaling.bounds, toymodel.PARAMETER_BOUNDS)
+    assert capsys.readouterr().out == (
+        f"build-surrogate[podpce]: d={expected.retained} (EVR {evr(expected, expected.retained):.6f}), "
+        f"degrees {surrogate.pce.selected_degrees} -> {out / 'surrogate.json'}\n"
+    )
 
 
 def test_assimilate_command_and_noise_zero_validation(chain, capsys) -> None:
@@ -197,11 +192,9 @@ def test_poden_build_rejects_max_degree(chain, capsys) -> None:
     [
         ("sample", "n", 40.9),
         ("sample", "n", True),
-        ("fit-pod", "modes", 2.5),
         ("build-surrogate", "modes", 3.9),
         ("build-surrogate", "max_degree", 2.7),
         ("build-surrogate", "max_degree", True),
-        ("fit-pce", "max_degree", 1.5),
     ],
 )
 def test_non_sweep_commands_reject_non_integer_counts(chain, capsys, command, key, value) -> None:
@@ -210,52 +203,76 @@ def test_non_sweep_commands_reject_non_integer_counts(chain, capsys, command, ke
     out = chain.ensemble(12, 3)
     inputs = {
         "sample": {},
-        "fit-pod": {"states_csv": str(out / "states.csv")},
         "build-surrogate": {"kind": "podpce", "parameters_csv": str(out / "parameters.csv"),
                             "states_csv": str(out / "states.csv"),
                             "bounds": toymodel.PARAMETER_BOUNDS.tolist(), "modes": 2},
-        "fit-pce": {"parameters_csv": str(out / "parameters.csv"), "targets_csv": str(out / "parameters.csv"),
-                    "bounds": toymodel.PARAMETER_BOUNDS.tolist()},
     }[command]
     capsys.readouterr()
     assert chain.run(command, {**inputs, key: value}, 3) == EXIT_VALIDATION
     assert f"error: {key}: counts must be integers, got {value!r}" in capsys.readouterr().err
 
 
-def assimilate_v1(**keys) -> dict:
-    """An assimilate config on the stored podpce-surrogate/1 document
-    (inputs in [0, 1] x [2, 3]) and its 4-entry observation, plus ``keys``."""
-    return {"surrogate": str(DATA / "podpce_v1.json"), "observations_csv": str(DATA / "obs_v1.csv"),
-            "noise_level": 0.05, "x_b": [0.5, 2.5], **keys}
+class SmallDocs:
+    """podpce-surrogate/2 and poden-surrogate/2 documents fitted on 24
+    members of a 2-parameter, 4-component model in the box [0, 1] x [2, 3],
+    and one 4-entry observation of it, all written to ``tmp_path``."""
+
+    def __init__(self, tmp_path):
+        rng = np.random.default_rng(0)
+        bounds = np.array([[0.0, 1.0], [2.0, 3.0]])
+        params = rng.uniform(bounds[:, 0], bounds[:, 1], size=(24, 2)).T
+        built, scaling = build_surrogates(params, self.model(params), bounds, ("podpce", "poden"),
+                                          pce_degree=2, split_seed=1, modes=2)
+        self.paths = {kind: tmp_path / f"{kind}.json" for kind in built}
+        for kind, surrogate in built.items():
+            io.save_surrogate(self.paths[kind], surrogate, scaling)
+        self.obs = tmp_path / "obs.csv"
+        write_observation(self.obs, self.model(np.array([[0.5], [2.5]]))[:, 0])
+
+    @staticmethod
+    def model(params):
+        return np.vstack([np.sin(params[0]), params[1] ** 2, params[0] * params[1], params[0] + params[1]])
+
+    def doc(self, kind: str) -> dict:
+        return json.loads(self.paths[kind].read_text())
+
+    def assimilate(self, kind: str = "podpce", **keys) -> dict:
+        """An assimilate config on the ``kind`` document and the observation, plus ``keys``."""
+        return {"surrogate": str(self.paths[kind]), "observations_csv": str(self.obs),
+                "noise_level": 0.05, "x_b": [0.5, 2.5], **keys}
 
 
-def without_n_members(tmp_path) -> str:
-    doc = json.loads((DATA / "podpce_v1.json").read_text())
-    del doc["n_members"]
-    path = tmp_path / "no_n_members.json"
-    path.write_text(json.dumps(doc))
-    return str(path)
+@pytest.fixture
+def docs(tmp_path):
+    return SmallDocs(tmp_path)
 
 
-@pytest.mark.parametrize("command, key", [
+def input_configs(docs) -> dict:
+    """A valid config of each command that reads a file, up to the file keys
+    that a test sets; the keys read first name readable files."""
+    csv = str(docs.obs)
+    return {
+        "simulate": {},
+        "build-surrogate": {"kind": "podpce", "parameters_csv": csv, "states_csv": csv,
+                            "bounds": [[0.0, 1.0]], "evr_threshold": 0.9},
+        "assimilate": docs.assimilate(),
+        "measure": {},
+    }
+
+
+FILE_KEYS = [
     ("simulate", "parameters_csv"),
-    ("fit-pod", "states_csv"),
-    ("fit-pce", "targets_csv"),
     ("build-surrogate", "parameters_csv"),
+    ("build-surrogate", "states_csv"),
     ("assimilate", "surrogate"),
     ("assimilate", "observations_csv"),
     ("measure", "observations_csv"),
-])
-def test_a_missing_input_file_fails_by_its_config_key(tmp_path, capsys, command, key) -> None:
-    csv = str(DATA / "obs_v1.csv")  # a readable snapshot CSV for the keys read first
-    cfg = {
-        "simulate": {},
-        "fit-pod": {"modes": 1},
-        "fit-pce": {"parameters_csv": csv, "bounds": [[0.0, 1.0]]},
-        "build-surrogate": {"kind": "podpce", "states_csv": csv, "bounds": [[0.0, 1.0]], "modes": 1},
-        "assimilate": assimilate_v1(),
-        "measure": {},
-    }[command]
+]
+
+
+@pytest.mark.parametrize("command, key", FILE_KEYS)
+def test_a_missing_input_file_fails_by_its_config_key(docs, tmp_path, capsys, command, key) -> None:
+    cfg = input_configs(docs)[command]
     missing = str(tmp_path / "missing.csv")
     path = write_config(tmp_path, "cfg.json", {**cfg, key: missing})
     out = tmp_path / "out"
@@ -265,21 +282,34 @@ def test_a_missing_input_file_fails_by_its_config_key(tmp_path, capsys, command,
     assert not out.exists()
 
 
-def test_a_surrogate_document_without_its_member_count_fails_by_the_key(tmp_path, capsys) -> None:
-    surrogate = without_n_members(tmp_path)
-    path = write_config(tmp_path, "cfg.json", assimilate_v1(surrogate=surrogate))
+@pytest.mark.parametrize("value", [None, True, 2.5, []], ids=["null", "true", "2.5", "empty-list"])
+@pytest.mark.parametrize("command, key", FILE_KEYS)
+def test_a_file_key_that_is_no_path_fails_by_its_config_key(docs, tmp_path, capsys, command, key,
+                                                            value) -> None:
+    path = write_config(tmp_path, "cfg.json", {**input_configs(docs)[command], key: value})
+    out = tmp_path / "out"
+    assert main([command, "--config", path, "--out", str(out)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {key}: need a file path, got {value!r}\n"
+    assert not out.exists()
+
+
+def test_a_surrogate_document_without_its_member_count_fails_by_the_key(docs, tmp_path, capsys) -> None:
+    doc = docs.doc("podpce")
+    del doc["n_members"]
+    surrogate = write_config(tmp_path, "no_n_members.json", doc)
+    path = write_config(tmp_path, "cfg.json", docs.assimilate(surrogate=surrogate))
     out = tmp_path / "out"
     assert main(["assimilate", "--config", path, "--out", str(out)]) == EXIT_VALIDATION
     assert capsys.readouterr().err == f"error: surrogate: {surrogate} has no field 'n_members'\n"
     assert not out.exists()
 
 
-def test_a_numerical_failure_while_reading_stays_one(tmp_path, capsys, monkeypatch) -> None:
+def test_a_numerical_failure_while_reading_stays_one(docs, tmp_path, capsys, monkeypatch) -> None:
     def singular(path):
         raise np.linalg.LinAlgError("injected numerical failure")
 
     monkeypatch.setattr(io, "load_surrogate", singular)
-    path = write_config(tmp_path, "cfg.json", assimilate_v1())
+    path = write_config(tmp_path, "cfg.json", docs.assimilate())
     assert main(["assimilate", "--config", path, "--out", str(tmp_path / "out")]) == EXIT_NUMERICAL
     assert capsys.readouterr().err == "numerical failure: injected numerical failure\n"
 
@@ -296,34 +326,26 @@ def test_a_numerical_failure_while_reading_stays_one(tmp_path, capsys, monkeypat
     ("assimilate", "noise_level", 1.5),
     ("assimilate", "r_diag", [0.1, float("nan"), 0.1, 0.1]),
     ("assimilate", "r_diag", [0.1, 0.1]),
-    ("fit-pod", "evr_threshold", True),
-    ("fit-pod", "evr_threshold", "abc"),
     ("build-surrogate", "evr_threshold", True),
     ("build-surrogate", "evr_threshold", 1.5),
+    ("build-surrogate", "evr_threshold", "abc"),
+    ("build-surrogate", "kind", None),
 ])
-def test_non_sweep_commands_name_the_field_they_reject(tmp_path, capsys, command, field, value) -> None:
-    csv = str(DATA / "obs_v1.csv")
-    cfg = {
-        "assimilate": assimilate_v1(),
-        "fit-pod": {"states_csv": csv},
-        "build-surrogate": {"kind": "podpce", "parameters_csv": csv, "states_csv": csv,
-                            "bounds": [[0.0, 1.0]]},
-    }[command]
-    path = write_config(tmp_path, "cfg.json", {**cfg, field: value})
+def test_non_sweep_commands_name_the_field_they_reject(docs, tmp_path, capsys, command, field, value) -> None:
+    path = write_config(tmp_path, "cfg.json", {**input_configs(docs)[command], field: value})
     out = tmp_path / "out"
     assert main([command, "--config", path, "--out", str(out)]) == EXIT_VALIDATION
     assert capsys.readouterr().err.startswith(f"error: {field}: ")
     assert not out.exists()
 
 
-@pytest.mark.parametrize("surrogate, covariance, message", [
-    ("podpce_v1.json", "q", "kind must be one of"),
-    ("poden_v1.json", "r_tilde", "'r_tilde' needs a POD-PCE surrogate"),
-])
-def test_assimilate_names_the_covariance_it_cannot_pose(tmp_path, capsys, surrogate, covariance,
+@pytest.mark.parametrize("kind, covariance, message", [
+    ("podpce", "q", "kind must be one of"),
+    ("poden", "r_tilde", "'r_tilde' needs a POD-PCE surrogate"),
+], ids=["podpce-q", "poden-r_tilde"])
+def test_assimilate_names_the_covariance_it_cannot_pose(docs, tmp_path, capsys, kind, covariance,
                                                         message) -> None:
-    cfg = {"surrogate": str(DATA / surrogate), "observations_csv": str(DATA / "obs_v1.csv"),
-           "noise_level": 0.05, "covariance": covariance}
+    cfg = docs.assimilate(kind, covariance=covariance)
     out = tmp_path / "out"
     assert main(["assimilate", "--config", write_config(tmp_path, "cfg.json", cfg),
                  "--out", str(out)]) == EXIT_VALIDATION
@@ -365,26 +387,20 @@ def test_simulate_checks_the_box_before_it_writes(tmp_path, capsys, rows, messag
     assert not out.exists()
 
 
-def test_v1_documents_assimilate_with_identity_scaling(tmp_path) -> None:
-    """A podpce-surrogate/1 document gives the analysis the previous schema's
-    program wrote for the same config, bit for bit; a poden-surrogate/1
-    document assimilates in an unbounded box."""
-    base = {"observations_csv": str(DATA / "obs_v1.csv"), "noise_level": 0.05}
-    cfg = {**base, "surrogate": str(DATA / "podpce_v1.json"), "x_b": [0.5, 2.5]}
-    out = tmp_path / "podpce"
-    assert main(["assimilate", "--config", write_config(tmp_path, "a.json", cfg),
-                 "--seed", "4", "--out", str(out)]) == EXIT_OK
-    doc = io.load_json(out / "analysis.json", "analysis")
-    expected = io.load_json(DATA / "podpce_v1_analysis.json", "analysis")
-    for key in ("x_a", "y_a", "nu_a", "j_final", "cost_trace", "evaluations", "converged",
-                "reason", "in_bounds"):
-        assert doc[key] == expected[key], key
-
-    cfg = {**base, "surrogate": str(DATA / "poden_v1.json")}
-    out = tmp_path / "poden"
-    assert main(["assimilate", "--config", write_config(tmp_path, "e.json", cfg),
-                 "--out", str(out)]) == EXIT_OK
-    assert io.load_json(out / "analysis.json", "analysis")["reason"] == "closed_form"
+def test_assimilate_refuses_a_v1_surrogate_document(docs, tmp_path, capsys) -> None:
+    # A /1 document stores no scaling; only /2 documents are read.
+    doc = docs.doc("podpce")
+    doc["schema"] = "podpce-surrogate/1"
+    doc["parameter_bounds"] = doc.pop("scaling")["bounds"]
+    surrogate = write_config(tmp_path, "podpce_v1.json", doc)
+    out = tmp_path / "out"
+    assert main(["assimilate", "--config", write_config(tmp_path, "a.json", docs.assimilate(surrogate=surrogate)),
+                 "--out", str(out)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        f"error: surrogate: schema mismatch in {surrogate}: found 'podpce-surrogate/1', "
+        "expected one of ['poden-surrogate/2', 'podpce-surrogate/2']\n"
+    )
+    assert not out.exists()
 
 
 def test_twin_command_writes_reports(tmp_path) -> None:
@@ -449,9 +465,33 @@ def test_build_asking_for_more_modes_than_the_rank_fails_validation(chain, capsy
     out = chain.ensemble(12, 3)
     assert chain.build(3, kind=kind, modes=12) == EXIT_VALIDATION
     err = capsys.readouterr().err
+    assert err.startswith("error: modes: ")
     assert "[1, 11]" in err and "numerical rank" in err and "got 12" in err
     assert not (out / "surrogate.json").exists()
     assert chain.build(3, kind=kind, modes=11) == EXIT_OK
+
+
+@pytest.mark.parametrize("members, keys, message", [
+    (20, {"bounds": [[1.0, 0.0]]}, "error: bounds: "),
+    (20, {"bounds": [[21.02, 90.66], [4.0, 6.0], [1.3, 0.8], [0.8, 3.0]]}, "error: bounds: "),
+    (20, {"bounds": [[21.02, 90.66], [4.0, 6.0], [0.8, 1.3], [0.8, float("inf")]]}, "error: bounds: "),
+    (20, {"bounds": {}}, "error: bounds: "),
+    (20, {"bounds": "x"}, "error: bounds: "),
+    (20, {"modes": 500}, "error: modes: "),
+    (3, {}, "error: need at least 4 members"),
+], ids=["one-row", "reversed-row", "infinite", "object", "text", "modes-above-rank", "three-members"])
+def test_build_surrogate_computes_before_it_writes(chain, tmp_path, capsys, members, keys, message) -> None:
+    # The ensemble lives in chain.out; the build writes into a fresh directory.
+    chain.ensemble(members, 3)
+    cfg = {"kind": "podpce", "parameters_csv": str(chain.out / "parameters.csv"),
+           "states_csv": str(chain.out / "states.csv"), "bounds": toymodel.PARAMETER_BOUNDS.tolist(),
+           "modes": 2, **keys}
+    out = tmp_path / "build"
+    capsys.readouterr()
+    assert main(["build-surrogate", "--config", write_config(tmp_path, "b.json", cfg),
+                 "--out", str(out)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
 
 
 def test_covgrid_command_cell_count(tmp_path) -> None:
@@ -568,25 +608,22 @@ def test_mode_count_above_the_ensemble_rank_fails_naming_the_field(
     assert "numerical rank" in err
 
 
-def test_stored_pce_family_other_than_legendre_fails_validation(tmp_path, capsys) -> None:
-    doc = json.loads((DATA / "podpce_v1.json").read_text())
+def test_stored_pce_family_other_than_legendre_fails_validation(docs, tmp_path, capsys) -> None:
+    doc = docs.doc("podpce")
     doc["pce"]["families"] = ["legendre", "chebyshev"]
-    surrogate = tmp_path / "podpce.json"
-    surrogate.write_text(json.dumps(doc))
-    cfg = {"surrogate": str(surrogate), "observations_csv": str(DATA / "obs_v1.csv"), "noise_level": 0.05}
+    cfg = docs.assimilate(surrogate=write_config(tmp_path, "chebyshev.json", doc))
     assert main(["assimilate", "--config", write_config(tmp_path, "a.json", cfg),
                  "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
     assert "families" in capsys.readouterr().err
 
 
 def test_readme_command_block_lists_every_subcommand() -> None:
+    # The README's command block names each command of the CLI's table once,
+    # in its order, and nothing else.
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     listed = [line.split()[1] for line in block.splitlines() if line.startswith("romda ")]
-    parser = cli._parser()
-    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    assert sorted(listed) == sorted(subcommands.choices)
-    assert len(listed) == len(set(listed))
+    assert listed == list(cli._COMMANDS)
 
 
 def test_every_exported_name_resolves() -> None:
@@ -653,7 +690,7 @@ def test_workers_option_and_key_are_rejected(tmp_path, capsys) -> None:
     assert "workers" in capsys.readouterr().err
 
 
-def test_cli_builds_split_members_with_the_driver_seed_rule(chain, tmp_path) -> None:
+def test_cli_builds_split_members_with_the_driver_seed_rule(chain) -> None:
     n, seed = 40, 5
     out = chain.ensemble(n, 1)
     params = io.read_snapshot_csv(out / "parameters.csv").data
@@ -667,22 +704,6 @@ def test_cli_builds_split_members_with_the_driver_seed_rule(chain, tmp_path) -> 
     direct = built["podpce"]
     cli_built = io.load_surrogate(out / "surrogate.json")[0]
     assert np.array_equal(cli_built.pce.coefficients, direct.pce.coefficients)
-
-    # fit-pce splits its members the same way.
-    targets = direct.state_basis.coefficients[:, :2]  # (n, 2)
-    io.write_snapshot_csv(
-        out / "targets.csv",
-        SnapshotMatrix(targets.T, ("k1", "k2"), tuple(f"member{j}" for j in range(n))),
-    )
-    pce = {"parameters_csv": str(out / "parameters.csv"), "targets_csv": str(out / "targets.csv"),
-           "bounds": bounds.tolist(), "max_degree": 2}
-    argv = ["--seed", str(seed), "--out", str(out)]
-    assert main(["fit-pce", "--config", write_config(tmp_path, "p.json", pce), *argv]) == EXIT_OK
-    train, val = split_members(n, substream_seed(seed, f"split/{n}"))
-    x = params.T
-    expected = select_degree(x[train], targets[train], x[val], targets[val], PceConfig(bounds, 2))
-    doc = io.load_json(out / "pce_model.json", "pce_model")
-    assert np.array_equal(np.array(doc["coefficients"]), expected.coefficients)
 
 
 @pytest.fixture
@@ -786,51 +807,34 @@ def test_other_commands_leave_blas_threads_alone(blas_pools, monkeypatch, tmp_pa
     assert threads(blas_pools) == previous
 
 
-def run_fitting_command(chain, monkeypatch, pools, seen, command) -> int:
-    """Run ``command`` on a 16-member toy ensemble, recording the thread
-    counts inside its fit: ``fit_pod`` for fit-pod and build-surrogate,
-    ``select_degree`` for fit-pce."""
+def run_build_surrogate(chain, monkeypatch, pools, seen) -> int:
+    """Run build-surrogate on a 16-member toy ensemble, recording the thread
+    counts inside its fit, at ``fit_pod``."""
     previous = threads(pools)
-    out = chain.ensemble(16, 4)
+    chain.ensemble(16, 4)
     assert threads(pools) == previous
 
-    def recorded(fit):
-        def fit_recording(*args, **kwargs):
-            seen.append(threads(pools))
-            return fit(*args, **kwargs)
-        return fit_recording
+    def fit_recording(*args, **kwargs):
+        seen.append(threads(pools))
+        return fit_pod(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "fit_pod", recorded(fit_pod))
-    monkeypatch.setattr(experiments, "fit_pod", recorded(fit_pod))
-    monkeypatch.setattr(cli, "select_degree", recorded(select_degree))
-    if command == "fit-pod":
-        return chain.run("fit-pod", {"states_csv": str(out / "states.csv"), "modes": 2}, 4)
-    if command == "build-surrogate":
-        return chain.build(4, modes=2, max_degree=1)
-    params = io.read_snapshot_csv(out / "parameters.csv")
-    io.write_snapshot_csv(out / "targets.csv", SnapshotMatrix(params.data[:2], ("k1", "k2"), params.member_ids))
-    cfg = {"parameters_csv": str(out / "parameters.csv"), "targets_csv": str(out / "targets.csv"),
-           "bounds": toymodel.PARAMETER_BOUNDS.tolist(), "max_degree": 1}
-    return chain.run("fit-pce", cfg, 4)
+    monkeypatch.setattr(experiments, "fit_pod", fit_recording)
+    return chain.build(4, modes=2, max_degree=1)
 
 
-@pytest.mark.parametrize("command", ["fit-pod", "fit-pce", "build-surrogate"])
-def test_fitting_commands_run_on_one_blas_thread(blas_pools, monkeypatch, chain, command) -> None:
+def test_build_surrogate_runs_on_one_blas_thread(blas_pools, monkeypatch, chain) -> None:
     previous = threads(blas_pools)
     seen = []
-    assert run_fitting_command(chain, monkeypatch, blas_pools, seen, command) == EXIT_OK
+    assert run_build_surrogate(chain, monkeypatch, blas_pools, seen) == EXIT_OK
     assert seen == [[1] * len(blas_pools)]
     assert threads(blas_pools) == previous
 
 
-@pytest.mark.parametrize("command", ["fit-pod", "fit-pce", "build-surrogate"])
-def test_fitting_commands_leave_blas_threads_chosen_in_environment(
-    blas_pools, monkeypatch, chain, command
-) -> None:
+def test_build_surrogate_leaves_blas_threads_chosen_in_environment(blas_pools, monkeypatch, chain) -> None:
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
     previous = threads(blas_pools)
     seen = []
-    assert run_fitting_command(chain, monkeypatch, blas_pools, seen, command) == EXIT_OK
+    assert run_build_surrogate(chain, monkeypatch, blas_pools, seen) == EXIT_OK
     assert seen == [previous]
     assert threads(blas_pools) == previous
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -27,9 +28,6 @@ from romda.surrogate import (
     podpce_predict,
     poden_predict,
 )
-
-DATA = Path(__file__).parent / "data"
-
 
 def project(basis, y):
     """Reduced coordinates of a state, Sigma_d^-1 Phi_d^T (y - mean): the
@@ -67,18 +65,11 @@ def test_pod_basis_round_trip(tmp_path) -> None:
     rng = np.random.default_rng(1)
     data = rng.standard_normal((6, 10))
     basis = truncate(fit_pod(data), modes=3)
-    # fit-pod's document stores every field exactly.
-    path = tmp_path / "basis.json"
-    io.save_pod_basis(path, basis, seed=1)
-    doc = io.load_json(path, "pod_basis")
-    for name in ("mean", "modes", "singular_values", "coefficients"):
-        assert np.array_equal(np.array(doc[name]), getattr(basis, name))
-    assert doc["retained"] == 3
-    # The same body in a surrogate document loads back to the same basis.
+    # A surrogate document stores every field of its basis exactly.
     path = tmp_path / "poden.json"
     io.save_surrogate(path, PodEnSurrogate(basis, m_x=1), identity_scaling(np.array([[-1.0, 1.0]]), 5))
     loaded = io.load_surrogate(path)[0].basis
-    assert np.array_equal(loaded.modes, basis.modes)
+    assert_identical(loaded, basis)
     assert loaded.retained == 3
     y = data[:, 4]
     assert np.array_equal(
@@ -92,18 +83,13 @@ def test_pce_model_round_trip_predictions(tmp_path) -> None:
     params = rng.uniform(bounds[:, 0], bounds[:, 1], size=(50, 2)).T
     states = np.vstack([params[0] ** 2, params[1], params[0] * params[1]])
     s = build_podpce(params, states, PceConfig(bounds, 2), split_seed=5, modes=2)
-    # fit-pce's document stores the coefficients and degrees exactly.
-    path = tmp_path / "pce.json"
-    io.save_pce_model(path, s.pce, seed=2)
-    doc = io.load_json(path, "pce_model")
-    assert np.array_equal(np.array(doc["coefficients"]), s.pce.coefficients)
-    assert tuple(doc["selected_degrees"]) == s.pce.selected_degrees
-    # The same body in a surrogate document predicts with the same bits.
+    # A surrogate document stores the PCE exactly and predicts with the same bits.
     path = tmp_path / "podpce.json"
     io.save_surrogate(path, s, identity_scaling(bounds, 3), seed=2)
-    # Both documents still name each input's family, as earlier readers expect.
-    assert doc["families"] == io.load_json(path, "podpce")["pce"]["families"] == ["legendre"] * 2
+    # It names each input's family.
+    assert io.load_json(path, "podpce")["pce"]["families"] == ["legendre"] * 2
     loaded = io.load_surrogate(path)[0].pce
+    assert_identical(loaded, s.pce)
     x = rng.uniform(bounds[:, 0], bounds[:, 1], size=(100, 2))
     assert np.array_equal(design_matrix(x, loaded.basis) @ loaded.coefficients.T,
                           design_matrix(x, s.pce.basis) @ s.pce.coefficients.T)
@@ -193,31 +179,55 @@ def test_v2_podpce_documents_ignore_a_stored_parameter_bounds(tmp_path) -> None:
     assert_identical(loaded_scaling, scaling)
 
 
-def test_v1_surrogate_documents_load_with_identity_scaling() -> None:
-    podpce, scaling = io.load_surrogate(DATA / "podpce_v1.json")
-    assert isinstance(podpce, PodPceSurrogate) and podpce.d == 2
-    declared = np.array(json.loads((DATA / "podpce_v1.json").read_text())["parameter_bounds"])
-    assert np.array_equal(scaling.bounds, declared)
-    assert np.array_equal(scaling.box, declared)
-    for standardizer, m in ((scaling.params, 2), (scaling.states, 4)):
-        assert np.array_equal(standardizer.mean, np.zeros(m))
-        assert np.array_equal(standardizer.std, np.ones(m))
-    poden, scaling = io.load_surrogate(DATA / "poden_v1.json")
-    assert isinstance(poden, PodEnSurrogate) and (poden.d, poden.m_x, poden.m_y) == (2, 2, 4)
-    # Six stored modes; the sixth (sigma = 6.5e-16) is below the zero threshold.
-    assert_at_rank(poden.basis)
-    assert poden.basis.modes.shape == (6, 5) and poden.basis.coefficients.shape == (24, 5)
-    assert np.array_equal(scaling.box, np.tile([-np.inf, np.inf], (2, 1)))
-    assert np.array_equal(scaling.states.std, np.ones(4))
+def surrogate_document(tmp_path, kind: str) -> tuple[PodPceSurrogate | PodEnSurrogate, dict]:
+    """A surrogate of ``kind`` (2 parameters, 4 state components, 24 members;
+    a PODEn basis has rank 5) and its ``/2`` document."""
+    rng = np.random.default_rng(6)
+    bounds = np.array([[0.0, 1.0], [2.0, 3.0]])
+    params = rng.uniform(bounds[:, 0], bounds[:, 1], size=(24, 2)).T
+    states = np.vstack([np.sin(params[0]), params[1] ** 2, params[0] * params[1], params[0] + params[1]])
+    built, scaling = build_surrogates(params, states, bounds, (kind,), pce_degree=2, split_seed=1, modes=2)
+    path = tmp_path / f"{kind}.json"
+    io.save_surrogate(path, built[kind], scaling)
+    return built[kind], json.loads(path.read_text())
+
+
+def load_document(tmp_path, doc: dict):
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    return io.load_surrogate(path)[0]
+
+
+def test_a_stored_mode_below_the_zero_threshold_is_dropped(tmp_path) -> None:
+    # Documents written before bases ended at their numerical rank carry
+    # more columns; one with sigma below ZERO_SV_RTOL * sigma_1 loads without it.
+    poden, doc = surrogate_document(tmp_path, "poden")
+    assert poden.basis.n_modes == 5
+    body = doc["basis"]
+    body["singular_values"].append(0.5 * ZERO_SV_RTOL * body["singular_values"][0])
+    body["modes"] = [row + [0.0] for row in body["modes"]]
+    body["coefficients"] = [row + [0.0] for row in body["coefficients"]]
+    loaded = load_document(tmp_path, doc)
+    assert_at_rank(loaded.basis)
+    assert_identical(loaded, poden)
 
 
 def test_stored_retained_above_the_rank_is_rejected(tmp_path) -> None:
-    doc = json.loads((DATA / "poden_v1.json").read_text())
+    _, doc = surrogate_document(tmp_path, "poden")
     doc["basis"]["retained"] = 6
-    path = tmp_path / "poden.json"
-    path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="retained mode count 6 exceeds the numerical rank 5"):
-        io.load_surrogate(path)
+        load_document(tmp_path, doc)
+
+
+@pytest.mark.parametrize("kind", ["podpce", "poden"])
+def test_v1_surrogate_documents_are_refused(tmp_path, kind) -> None:
+    # A /1 document stores no scaling; the reader names the schemas it accepts.
+    _, doc = surrogate_document(tmp_path, kind)
+    doc["schema"] = f"{kind}-surrogate/1"
+    del doc["scaling"]
+    accepted = "['poden-surrogate/2', 'podpce-surrogate/2']"
+    with pytest.raises(io.SchemaError, match=re.escape(f"found '{kind}-surrogate/1', expected one of {accepted}")):
+        load_document(tmp_path, doc)
 
 
 def test_tampered_schema_rejected(tmp_path) -> None:
