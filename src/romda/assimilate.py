@@ -402,12 +402,15 @@ class _ReducedCost:
     c = Q^T z and const = 1/2 ||z - Q c||^2, the part of z outside the
     span of A. The m_y-sized work is done once, here.
 
-    Each x is evaluated once: the last x's :class:`~romda.pce._Point` (its
-    box check and Legendre table) and nu(x) are kept. The optimizer scores
+    Each x is evaluated once. For the last x, keyed by its shape and bytes, the
+    :class:`~romda.pce._Point` (its box check and Legendre table), nu(x),
+    w = L_B^-1 (x - x_b) and r = T nu(x) - c are kept. The optimizer scores
     a point and then asks for the gradient at the point it accepted, so that
-    gradient calls :func:`~romda.pce.pce_jacobian` on the kept point and
-    builds no second table. Both ``pce_eval`` and ``pce_jacobian`` are
-    called by name, so a traced run still times them.
+    gradient reads w and r, calls :func:`~romda.pce.pce_jacobian` on the kept
+    point and builds no second table. A point is reused only for the same
+    bits, so the kept values are the ones a fresh evaluation would give.
+    Both ``pce_eval`` and ``pce_jacobian`` are called by name, so a traced
+    run still times them.
     """
 
     def __init__(self, surrogate: PodPceSurrogate, problem: AssimilationProblem) -> None:
@@ -426,27 +429,25 @@ class _ReducedCost:
         self.w_b = problem.whiten_background(np.eye(problem.m_x))  # L_B^-1
         self.x_b = problem.x_b
         self.surrogate = surrogate
-        self._last: tuple[_Point, np.ndarray] | None = None  # (point at x, nu(x))
+        self._key: tuple | None = None  # (shape, bytes) of the kept x
+        self._last: tuple[_Point, np.ndarray, np.ndarray, np.ndarray] | None = None
 
-    def at(self, x: np.ndarray) -> tuple[_Point, np.ndarray]:
-        """The evaluated point at x and nu(x). The last pair is kept, so the
-        gradient at the point the optimizer has just scored reuses its box
-        check and Legendre table."""
-        last = self._last
-        if last is None or not np.array_equal(last[0].x, x):
+    def at(self, x: np.ndarray) -> tuple[_Point, np.ndarray, np.ndarray, np.ndarray]:
+        """(point, nu, w, r) at x, computed once for the last x."""
+        key = (x.shape, x.tobytes())
+        if key != self._key:
             point = _Point.of(self.surrogate.pce.basis, x)
-            last = self._last = (point, pce_eval(self.surrogate.pce, point))
-        return last
+            nu = pce_eval(self.surrogate.pce, point)
+            self._last = (point, nu, self.w_b @ (x - self.x_b), self.t @ nu - self.c)
+            self._key = key
+        return self._last
 
     def cost(self, x: np.ndarray) -> float:
-        w = self.w_b @ (x - self.x_b)
-        r = self.t @ self.at(x)[1] - self.c
+        _, _, w, r = self.at(x)
         return 0.5 * float(w @ w) + 0.5 * float(r @ r) + self.const
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        point, nu = self.at(x)
-        w = self.w_b @ (x - self.x_b)
-        r = self.t @ nu - self.c
+        point, _, w, r = self.at(x)
         return self.w_b.T @ w + pce_jacobian(self.surrogate.pce, point).T @ (self.t.T @ r)
 
 

@@ -50,6 +50,7 @@ from .experiments import (
     run_measurement,
     run_twin,
 )
+from .pce import SPLIT_MIN_MEMBERS
 from .pod import ModeCountError, SnapshotMatrix, evr
 from .rng import split_seed
 from .surrogate import PodPceSurrogate
@@ -141,11 +142,18 @@ def _read(cfg: dict, key: str, command: str, read: Callable = io.read_snapshot_c
 
 
 def _tuplify(cfg: dict, cls) -> dict:
-    """JSON lists become tuples where the config dataclass holds tuples."""
+    """JSON lists become tuples where the config dataclass holds tuples; any
+    other value there but a null where the field may be None is rejected,
+    naming the field."""
     out = dict(cfg)
     for field in dataclasses.fields(cls):
-        if field.name in out and isinstance(out[field.name], list):
-            out[field.name] = tuple(out[field.name])
+        if field.name not in out or not str(field.type).startswith("tuple"):
+            continue
+        value = out[field.name]
+        if isinstance(value, list):
+            out[field.name] = tuple(value)
+        elif not (value is None and str(field.type).endswith("| None")):
+            raise ConfigError(f"{field.name}: need a list, got {value!r}")
     return out
 
 
@@ -244,6 +252,9 @@ def _cmd_build_surrogate(args, cfg: dict) -> int:
     truncation = _truncation(cfg)
     params = _read(cfg, "parameters_csv", "build-surrogate").data
     states = _read(cfg, "states_csv", "build-surrogate").data
+    if kind == "podpce" and params.shape[1] < SPLIT_MIN_MEMBERS:
+        raise ConfigError(f"parameters_csv: need at least {SPLIT_MIN_MEMBERS} members for the "
+                          f"75/25 split, got {params.shape[1]}")
     try:
         built, scaling = build_surrogates(
             params, states, bounds, (kind,), pce_degree=max_degree,

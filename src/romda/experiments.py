@@ -36,7 +36,7 @@ from .assimilate import (
     solve_poden3dvar,
     solve_podpce3dvar,
 )
-from .pce import PceConfig
+from .pce import MAX_TERMS, PceConfig, degree_cap
 from .pod import ModeCountError, fit_pod, truncate
 from .rng import split_seed, substream, substream_seed
 from .surrogate import (
@@ -195,6 +195,10 @@ def _check_sweep(config: "TwinConfig | MeasurementConfig") -> None:
     if config.evr_threshold is not None:
         _check_reals("evr_threshold", (config.evr_threshold,), *_EVR)
     _check_counts("pce_degree", (config.pce_degree,), 0, "degree must be >= 0")
+    m_x = len(toymodel.PARAMETER_NAMES)
+    cap = degree_cap(m_x)
+    _check_each("pce_degree", (config.pce_degree,), lambda p: p <= cap,
+                f"degree must be at most {cap} for {m_x} inputs (a basis of at most {MAX_TERMS} terms)")
 
 
 def _check_truth(x_t: tuple | None) -> None:

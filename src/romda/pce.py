@@ -18,6 +18,7 @@ least squares on its own columns. Degree selection minimizes the empirical
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -27,6 +28,13 @@ from scipy.linalg import solve_triangular
 # Tolerance for "sample inside declared bounds" checks, relative to the
 # standardized support.
 BOUNDS_RTOL = 1e-9
+
+# The most terms a fitted basis may have: LARS forms the P x P Gram matrix
+# of the training design, which then stays at or below 32 MB.
+MAX_TERMS = 2000
+
+# The fewest ensemble members the 75/25 training/validation split takes.
+SPLIT_MIN_MEMBERS = 4
 
 
 # Univariate Legendre tables ---------------------------------------------------
@@ -85,6 +93,15 @@ def multi_index_set(input_dim: int, max_degree: int) -> tuple[tuple[int, ...], .
     return tuple(indices)
 
 
+def degree_cap(input_dim: int) -> int:
+    """The largest total degree whose basis over ``input_dim`` inputs,
+    C(input_dim + degree, degree) terms, has at most :data:`MAX_TERMS`."""
+    degree = 0
+    while degree < MAX_TERMS and math.comb(input_dim + degree + 1, degree + 1) <= MAX_TERMS:
+        degree += 1
+    return degree
+
+
 @dataclass(frozen=True)
 class PceBasis:
     """Basis skeleton: per-input affine standardization and the index set.
@@ -126,9 +143,20 @@ class PceBasis:
         return np.arange(self.input_dim)
 
     @cached_property
-    def others(self) -> np.ndarray:
-        """Row j masks the inputs other than j, shape (m_x, m_x)."""
-        return self.inputs[:, None] != self.inputs[None, :]
+    def flat_terms(self) -> np.ndarray:
+        """exponents * m_x + inputs: where entry (alpha, i) of a term's
+        factors sits in a flattened (degree + 1, m_x) table."""
+        return self.exponents * self.input_dim + self.inputs
+
+    @cached_property
+    def flat_others(self) -> np.ndarray:
+        """Slice k, entry (alpha, i): where factor (alpha, j) sits in a
+        flattened (n_terms, m_x) array, j the k-th input other than i in
+        increasing order; shape (m_x - 1, n_terms, m_x)."""
+        m_x = self.input_dim
+        others = np.array([[j for j in range(m_x) if j != i] for i in range(m_x)],
+                          dtype=np.intp).reshape(m_x, m_x - 1)
+        return np.arange(self.n_terms)[None, :, None] * m_x + others.T[:, None, :]
 
     def standardize(self, samples: np.ndarray) -> np.ndarray:
         """t = (x - offset) / scale; an input outside its box is rejected."""
@@ -409,8 +437,8 @@ class PceModel:
 def split_members(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Shuffle ``n`` members by ``seed`` and split them 75/25 into training
     and validation indices."""
-    if n < 4:
-        raise ValueError(f"need at least 4 members for the 75/25 split, got {n}")
+    if n < SPLIT_MIN_MEMBERS:
+        raise ValueError(f"need at least {SPLIT_MIN_MEMBERS} members for the 75/25 split, got {n}")
     order = np.random.default_rng(seed).permutation(n)
     n_train = (3 * n) // 4
     return order[:n_train], order[n_train:]
@@ -444,6 +472,10 @@ def select_degree(
         raise ValueError("validation targets/inputs row mismatch")
     if config.max_degree < 0:
         raise ValueError("max_degree must be >= 0")
+    cap = degree_cap(train_inputs.shape[1])
+    if config.max_degree > cap:
+        raise ValueError(f"max_degree: degree must be at most {cap} for {train_inputs.shape[1]} "
+                         f"inputs (a basis of at most {MAX_TERMS} terms), got {config.max_degree}")
 
     d_out = train_targets.shape[1]
     full = make_basis(config.bounds, config.max_degree)
@@ -492,9 +524,16 @@ class _Point:
     """One physical input evaluated once for a basis: its Legendre table and
     each term's orthonormal factor per input, which :func:`pce_eval` and
     :func:`pce_jacobian` at this x both read (an optimizer asks for the
-    value and the gradient at the same point)."""
+    value and the gradient at the same point).
 
-    x: np.ndarray  # (m_x,) a copy of the input
+    Built for 4-vectors, where a numpy call costs more than its arithmetic:
+    the box check reads the largest |t| off t's list of floats, and only a
+    t with an entry beyond [-1, 1] is checked entry by entry and clipped
+    (clipping changes no entry inside). The factors are one ``take``
+    through :attr:`PceBasis.flat_terms`. The table and factors keep the
+    bits of :func:`design_matrix`'s row for x.
+    """
+
     table: np.ndarray  # (degree + 1, m_x) P_b at the clipped standardized x
     factors: np.ndarray  # (n_terms, m_x) entry (alpha, i): sqrt(2a + 1) P_a(t_i), a = alpha_i
 
@@ -505,11 +544,15 @@ class _Point:
         if x.shape != (basis.input_dim,):
             raise ValueError(f"x must have shape ({basis.input_dim},), got {x.shape}")
         t = (x - basis.offsets) / basis.scales
-        if np.any(np.abs(t) - 1.0 > BOUNDS_RTOL):
-            basis.standardize(x)  # raises, naming the input
-        table = _legendre(basis.degree, np.clip(t, -1.0, 1.0, out=t))
-        factors = _orthonormal(table, basis.norms)[basis.exponents, basis.inputs]
-        return cls(np.array(x, dtype=float), table, factors)
+        # A NaN compares false: unless every other entry is inside [-1, 1],
+        # the max is NaN or above 1 and the entries are checked one by one.
+        if not max(map(abs, t.tolist())) <= 1.0:
+            if np.any(np.abs(t) - 1.0 > BOUNDS_RTOL):
+                basis.standardize(x)  # raises, naming the input
+            np.minimum(np.maximum(t, -1.0, out=t), 1.0, out=t)
+        table = _legendre(basis.degree, t)
+        factors = _orthonormal(table, basis.norms).take(basis.flat_terms)
+        return cls(table, factors)
 
 
 def pce_eval(model: PceModel, x: np.ndarray | _Point) -> np.ndarray:
@@ -526,11 +569,17 @@ def pce_jacobian(model: PceModel, x: np.ndarray | _Point) -> np.ndarray:
     Entry (k, i) sums c^k_alpha over terms, each term differentiated in
     input i through the affine standardization (chain-rule factor 1/scale_i).
     ``x`` may be an evaluated :class:`_Point`, whose table is reused.
+
+    Column i of a term's derivative is its derivative factor in input i
+    times its factors in the other inputs, in increasing input order: m_x - 1
+    whole-array multiplies, each reading one slice of one ``take`` through
+    :attr:`PceBasis.flat_others`. A degree-0 factor has derivative 0.0 and
+    value 1.0 exactly, so no term needs masking.
     """
     basis = model.basis
     point = x if isinstance(x, _Point) else _Point.of(basis, np.asarray(x, dtype=float))
-    dz = _orthonormal(_derivatives(point.table), basis.norms)[basis.exponents, basis.inputs]
+    dz = _orthonormal(_derivatives(point.table), basis.norms).take(basis.flat_terms)
     dz /= basis.scales  # d zeta / d x
-    for j, others in enumerate(basis.others):  # degree 0: factor 1.0, derivative 0.0, exactly
-        np.multiply(dz, point.factors[:, j, None], out=dz, where=others)
+    for others in point.factors.take(basis.flat_others):
+        dz *= others
     return model.coefficients @ dz

@@ -573,6 +573,42 @@ def test_one_legendre_table_per_distinct_optimizer_point(monkeypatch) -> None:
     assert tables[0] == len(points)
 
 
+@settings(max_examples=24, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["r", "r_tilde", "r_tilde_corrected"]),
+    r_form=st.sampled_from(["variances", "diagonal", "dense"]),
+    d=st.integers(1, 4),
+)
+def test_kept_evaluations_change_no_bit_along_a_descent(seed, kind, r_form, d) -> None:
+    # Every cost and gradient a seeded descent is handed has the bits of a
+    # fresh reduced cost's, which keeps no point, w or r.
+    if kind == "r":
+        s, problem, _ = random_podpce_problem(seed, r_form)
+    else:
+        s, problem, _ = random_rtilde_problem(seed, d, kind, r_form, 1.0, False)
+    seen = []
+
+    def record(route):
+        def call(surrogate, problem, x):
+            value = route(surrogate, problem, x)
+            seen.append((route, np.array(x), value))
+            return value
+        return call
+
+    with mock.patch.object(assimilate, "podpce_cost", record(podpce_cost)), \
+            mock.patch.object(assimilate, "podpce_gradient", record(podpce_gradient)):
+        result = solve_podpce3dvar(s, problem)
+    assert len(seen) == result.evaluations
+    # The gradient at the accepted point is where the kept values are read.
+    assert any(route is podpce_gradient and np.array_equal(x, seen[k - 1][1])
+               for k, (route, x, _) in enumerate(seen) if k)
+    for route, x, value in seen:
+        fresh = assimilate._ReducedCost(s, problem)
+        expected = fresh.cost(x) if route is podpce_cost else fresh.gradient(x)
+        assert np.asarray(value).tobytes() == np.asarray(expected).tobytes()
+
+
 def random_rtilde_problem(seed, d, kind, r_form, alpha_r, floored):
     """A POD-PCE surrogate with d retained modes of a noisy 2-input map (so
     every truncated mode carries variance) and a problem against its R~ of

@@ -478,8 +478,10 @@ def test_build_asking_for_more_modes_than_the_rank_fails_validation(chain, capsy
     (20, {"bounds": {}}, "error: bounds: "),
     (20, {"bounds": "x"}, "error: bounds: "),
     (20, {"modes": 500}, "error: modes: "),
-    (3, {}, "error: need at least 4 members"),
-], ids=["one-row", "reversed-row", "infinite", "object", "text", "modes-above-rank", "three-members"])
+    (3, {}, "error: parameters_csv: need at least 4 members"),
+    (20, {"max_degree": 13}, "error: max_degree: degree must be at most 12 for 4 inputs"),
+], ids=["one-row", "reversed-row", "infinite", "object", "text", "modes-above-rank", "three-members",
+        "degree-above-cap"])
 def test_build_surrogate_computes_before_it_writes(chain, tmp_path, capsys, members, keys, message) -> None:
     # The ensemble lives in chain.out; the build writes into a fresh directory.
     chain.ensemble(members, 3)
@@ -591,6 +593,41 @@ def test_sweep_config_fails_before_sampling_naming_the_field(
     path = write_config(tmp_path, "cfg.json", cfg)
     assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
     assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+
+@pytest.mark.parametrize(
+    "command, field, value, message",
+    [
+        # A list field takes a list: no bool, number or text (whose characters
+        # would be read as entries), and null only where the field may be None.
+        ("twin", "noise_levels", True, "need a list, got True"),
+        ("covgrid", "alpha_grid", 1.0, "need a list, got 1.0"),
+        ("twin", "surrogates", "podpce", "need a list, got 'podpce'"),
+        ("measure", "covariance_kinds", "r", "need a list, got 'r'"),
+        ("twin", "mode_numbers", None, "need a list, got None"),
+        ("bootstrap", "training_sizes", {}, "need a list, got {}"),
+        ("twin", "x_t", 70.0, "need a list, got 70.0"),
+        # The degree cap bounds the basis at 2000 terms: degree 12 for 4 inputs.
+        ("twin", "pce_degree", 13, "degree must be at most 12 for 4 inputs"),
+        ("measure", "pce_degree", 14, "degree must be at most 12 for 4 inputs"),
+    ],
+)
+def test_sweep_field_of_the_wrong_form_fails_before_any_output(
+    tmp_path, capsys, command, field, value, message
+) -> None:
+    observations = tmp_path / "obs.csv"
+    write_observation(observations, np.zeros(toymodel.default_grid().n_state))
+    cfg = {field: value, **({"observations_csv": str(observations)} if command == "measure" else {})}
+    path = write_config(tmp_path, "cfg.json", cfg)
+    assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith(f"error: {field}: {message}")
+    assert not (tmp_path / "out").exists()
+
+
+def test_null_truth_passes_the_list_rule() -> None:
+    # x_t may be None (a truth drawn from the seed), so a null passes.
+    assert cli._tuplify({"x_t": None, "alpha_grid": [1.0]}, experiments.TwinConfig) == {
+        "x_t": None, "alpha_grid": (1.0,)}
 
 
 @pytest.mark.parametrize("command, field, value", [("twin", "mode_numbers", [150]),

@@ -10,6 +10,7 @@ from romda import toymodel
 from romda.pce import (
     BOUNDS_RTOL,
     COLLINEAR_TOL,
+    MAX_TERMS,
     PceConfig,
     PceModel,
     design_matrix,
@@ -21,6 +22,7 @@ from romda.pce import (
     select_degree,
     _Design,
     _Point,
+    degree_cap,
     _derivatives,
     _lars_path,
     _orthonormal,
@@ -255,6 +257,20 @@ def test_select_degree_rejects_empty_validation() -> None:
         select_degree(
             np.zeros((10, 1)), np.zeros((10, 1)), np.zeros((0, 1)), np.zeros((0, 1)), PceConfig(bounds)
         )
+
+
+@pytest.mark.parametrize("m_x, cap", [(1, 1999), (2, 61), (4, 12), (10, 4)])
+def test_degree_cap_is_the_largest_degree_within_the_term_budget(m_x, cap) -> None:
+    assert degree_cap(m_x) == cap
+    assert len(multi_index_set(m_x, cap)) <= MAX_TERMS < math.comb(m_x + cap + 1, cap + 1)
+
+
+def test_select_degree_rejects_a_degree_above_the_cap() -> None:
+    rng = np.random.default_rng(5)
+    bounds = np.tile([[-1.0, 1.0]], (4, 1))
+    x, y = rng.uniform(-1.0, 1.0, (12, 4)), rng.standard_normal((12, 1))
+    with pytest.raises(ValueError, match=re.escape("max_degree: degree must be at most 12 for 4 inputs")):
+        select_degree(x[:8], y[:8], x[8:], y[8:], PceConfig(bounds, 13))
 
 
 def test_pce_eval_intercept_model() -> None:
@@ -743,7 +759,6 @@ def test_evaluated_point_gives_the_array_bits(seed, m_x, max_degree, places) -> 
     }
     x = np.array([at[place][i] for i, place in enumerate(places[:m_x])])
     point = _Point.of(basis, x)
-    assert np.array_equal(point.x, x) and point.x is not x
     # A design_matrix row is the product of the point's factors, bit for bit.
     assert np.array_equal(design_matrix(x[None], basis)[0], np.multiply.reduce(point.factors, axis=1))
     assert np.array_equal(pce_eval(model, point), pce_eval(model, x))
@@ -766,10 +781,12 @@ def test_evaluated_point_gives_the_array_bits(seed, m_x, max_degree, places) -> 
 def mask_loop_pce_jacobian(model, point):
     """pce_jacobian with boolean-mask products, one copy per get and set."""
     basis = model.basis
-    dz = _orthonormal(_derivatives(point.table), basis.norms)[basis.exponents, basis.inputs]
+    inputs = np.arange(basis.input_dim)
+    others = inputs[:, None] != inputs[None, :]  # row j masks the inputs other than j
+    dz = _orthonormal(_derivatives(point.table), basis.norms)[basis.exponents, inputs]
     dz /= basis.scales
-    for j in range(basis.input_dim):
-        dz[:, basis.others[j]] *= point.factors[:, j, None]
+    for j in inputs:
+        dz[:, others[j]] *= point.factors[:, j, None]
     dz[basis.exponents == 0] = 0.0
     return model.coefficients @ dz
 
