@@ -1,15 +1,15 @@
 """Batch command-line entry points.
 
-Every run takes a JSON config (strict keys), an integer seed, and an output
-directory; flags override config values. The effective configuration is
-echoed into the output directory and its hash stamped into every output
-file. Fields and the input files that config keys name are checked and
-read before any output is written, and a rejection starts with the key.
-Exit codes: 0 success, 1 validation/configuration error, 2 numerical
-failure, 3 a worker process of a pooled sweep was lost. The toy-model
-sweeps (twin, covgrid, bootstrap, measure) call the drivers of
-:mod:`romda.experiments`, which own their BLAS thread count;
-build-surrogate enters the same one-thread scope.
+Every run takes a JSON config (strict keys), an integer seed (``--seed``,
+the only seed) and an output directory. A command computes everything
+first; only on success does ``main`` create ``--out``, echo the effective
+configuration into it and write the files stamped with its hash, so output
+appears only on exit 0. A rejected field or input file starts its message
+with the key. Exit codes: 0 success, 1 validation or configuration error
+(a bad ``--out`` included), 2 numerical failure, 3 a worker process of a
+pooled sweep was lost. The toy-model sweeps (twin, covgrid, bootstrap,
+measure) call the drivers of :mod:`romda.experiments`, which own their BLAS
+thread count; build-surrogate enters the same one-thread scope.
 
 ``build-surrogate`` is the one command that fits. It standardizes like the
 drivers (the same ``build_surrogates``; parameters by the midpoint and
@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from concurrent.futures import BrokenExecutor
 from pathlib import Path
@@ -50,7 +51,7 @@ from .experiments import (
     run_measurement,
     run_twin,
 )
-from .pce import SPLIT_MIN_MEMBERS
+from .pce import SPLIT_MIN_MEMBERS, OutsideBoxError
 from .pod import ModeCountError, SnapshotMatrix, evr
 from .rng import split_seed
 from .surrogate import PodPceSurrogate
@@ -157,42 +158,55 @@ def _tuplify(cfg: dict, cls) -> dict:
     return out
 
 
-def _outdir(args) -> Path:
+class _Output(NamedTuple):
+    """What a command writes once it has computed everything."""
+    writers: tuple[Callable, ...]  # each called in order as write(out, seed=, cfg_hash=)
+    summary: Callable[[Path], str]  # summary(out), the line printed after them
+
+
+def _check_out(path: str) -> None:
+    """Reject an ``--out`` whose nearest existing path (itself or an ancestor) is no directory."""
+    existing = next((p for p in (Path(path), *Path(path).parents) if os.path.exists(p)), None)
+    if existing is not None and not os.path.isdir(existing):
+        raise ConfigError(f"--out: {existing} exists and is not a directory")
+
+
+def _write(args, cfg: dict, output: _Output) -> None:
+    """The one output step: create ``--out``, echo the effective config into
+    ``config_used.json``, call the writers and print the summary."""
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _echo_config(out: Path, command: str, cfg: dict, seed: int) -> str:
-    effective = {"command": command, "seed": seed, **cfg}
-    cfg_hash = io.config_hash(effective)
-    io.save_json(out / "config_used.json", "config", {"effective": effective},
-                 seed=seed, cfg_hash=cfg_hash)
-    return cfg_hash
-
-
-def _summary(line: str) -> None:
-    print(line)
+    effective = {"command": args.command, "seed": args.seed, **cfg}
+    stamp = {"seed": args.seed, "cfg_hash": io.config_hash(effective)}
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        io.save_json(out / "config_used.json", "config", {"effective": effective}, **stamp)
+        for write in output.writers:
+            write(out, **stamp)
+    except OSError as exc:
+        raise ConfigError(f"--out: {exc}") from None
+    print(output.summary(out))
 
 
 # Command handlers ------------------------------------------------------------------
+# Each checks its config, computes, and returns the _Output it writes. The
+# writers look the io functions up by module name when they are called, so
+# wrapping those names (as a tracer does) works.
 
 
-def _cmd_sample(args, cfg: dict) -> int:
+def _cmd_sample(args, cfg: dict) -> _Output:
     _check_keys(cfg, {"n"}, "sample")
     _require(cfg, "n", "sample")
     n = _count(cfg, "n", 1, "sample at least one member")
-    out = _outdir(args)
-    cfg_hash = _echo_config(out, "sample", cfg, args.seed)
     draws = toymodel.sample_parameters(n, args.seed)
     snap = SnapshotMatrix(
         data=draws.T,
         row_labels=toymodel.PARAMETER_NAMES,
         member_ids=tuple(f"member{j}" for j in range(n)),
     )
-    io.write_snapshot_csv(out / "parameters.csv", snap, seed=args.seed, cfg_hash=cfg_hash)
-    _summary(f"sample: {n} members -> {out / 'parameters.csv'}")
-    return EXIT_OK
+    return _Output(
+        (lambda out, **stamp: io.write_snapshot_csv(out / "parameters.csv", snap, **stamp),),
+        lambda out: f"sample: {n} members -> {out / 'parameters.csv'}",
+    )
 
 
 def _read_parameters(path: str) -> SnapshotMatrix:
@@ -202,11 +216,9 @@ def _read_parameters(path: str) -> SnapshotMatrix:
     return params
 
 
-def _cmd_simulate(args, cfg: dict) -> int:
+def _cmd_simulate(args, cfg: dict) -> _Output:
     _check_keys(cfg, {"parameters_csv"}, "simulate")
     params = _read(cfg, "parameters_csv", "simulate", _read_parameters)
-    out = _outdir(args)
-    cfg_hash = _echo_config(out, "simulate", cfg, args.seed)
     states = toymodel.propagate(params.data.T)
     grid = toymodel.default_grid()
     labels = tuple(
@@ -216,16 +228,17 @@ def _cmd_simulate(args, cfg: dict) -> int:
         for t in range(grid.n_times)
     )
     snap = SnapshotMatrix(data=states, row_labels=labels, member_ids=params.member_ids)
-    io.write_snapshot_csv(out / "states.csv", snap, seed=args.seed, cfg_hash=cfg_hash)
-    _summary(f"simulate: {states.shape[1]} members -> {out / 'states.csv'}")
-    return EXIT_OK
+    return _Output(
+        (lambda out, **stamp: io.write_snapshot_csv(out / "states.csv", snap, **stamp),),
+        lambda out: f"simulate: {states.shape[1]} members -> {out / 'states.csv'}",
+    )
 
 
 def _truncation(cfg: dict) -> dict:
     modes = cfg.get("modes")
     threshold = cfg.get("evr_threshold")
     if (modes is None) == (threshold is None):
-        raise ConfigError("specify exactly one of 'modes' or 'evr_threshold'")
+        raise ConfigError("modes: specify exactly one of 'modes' or 'evr_threshold'")
     if modes is not None:
         return {"modes": _count(cfg, "modes", 1, "mode counts start at 1")}
     return {"evr_threshold": _real(cfg, "evr_threshold", *_EVR)}
@@ -234,7 +247,7 @@ def _truncation(cfg: dict) -> dict:
 # build-surrogate runs on one BLAS thread, as the sweeps do
 # (:func:`~romda.experiments._one_blas_thread`).
 @_one_blas_thread()
-def _cmd_build_surrogate(args, cfg: dict) -> int:
+def _cmd_build_surrogate(args, cfg: dict) -> _Output:
     allowed = {"kind", "parameters_csv", "states_csv", "modes", "evr_threshold",
                "max_degree", "bounds"}
     _check_keys(cfg, allowed, "build-surrogate")
@@ -252,9 +265,13 @@ def _cmd_build_surrogate(args, cfg: dict) -> int:
     truncation = _truncation(cfg)
     params = _read(cfg, "parameters_csv", "build-surrogate").data
     states = _read(cfg, "states_csv", "build-surrogate").data
-    if kind == "podpce" and params.shape[1] < SPLIT_MIN_MEMBERS:
-        raise ConfigError(f"parameters_csv: need at least {SPLIT_MIN_MEMBERS} members for the "
-                          f"75/25 split, got {params.shape[1]}")
+    # POD-PCE splits its members 75/25; the state standardizer needs two.
+    fewest = SPLIT_MIN_MEMBERS if kind == "podpce" else 2
+    if params.shape[1] < fewest:
+        raise ConfigError(f"parameters_csv: need at least {fewest} members for a {kind} "
+                          f"surrogate, got {params.shape[1]}")
+    if states.shape[1] != params.shape[1]:
+        raise ConfigError(f"states_csv: {states.shape[1]} members, parameters_csv has {params.shape[1]}")
     try:
         built, scaling = build_surrogates(
             params, states, bounds, (kind,), pce_degree=max_degree,
@@ -262,16 +279,17 @@ def _cmd_build_surrogate(args, cfg: dict) -> int:
         )
     except ModeCountError as exc:
         raise ConfigError(f"modes: {exc}") from None
+    except OutsideBoxError as exc:
+        raise ConfigError(f"parameters_csv: {exc}") from None
     surrogate = built[kind]
     basis = surrogate.state_basis if kind == "podpce" else surrogate.basis
-    out = _outdir(args)
-    cfg_hash = _echo_config(out, "build-surrogate", cfg, args.seed)
-    io.save_surrogate(out / "surrogate.json", surrogate, scaling, seed=args.seed, cfg_hash=cfg_hash)
     detail = f"d={surrogate.d} (EVR {evr(basis, surrogate.d):.6f})"
     if kind == "podpce":
         detail += f", degrees {surrogate.pce.selected_degrees}"
-    _summary(f"build-surrogate[{kind}]: {detail} -> {out / 'surrogate.json'}")
-    return EXIT_OK
+    return _Output(
+        (lambda out, **stamp: io.save_surrogate(out / "surrogate.json", surrogate, scaling, **stamp),),
+        lambda out: f"build-surrogate[{kind}]: {detail} -> {out / 'surrogate.json'}",
+    )
 
 
 def _read_observation(cfg: dict, command: str) -> np.ndarray:
@@ -293,7 +311,7 @@ def _observation_diag(y_o: np.ndarray, cfg: dict) -> np.ndarray:
     return np.full(y_o.shape, (noise * max(scale, 1e-12)) ** 2)
 
 
-def _cmd_assimilate(args, cfg: dict) -> int:
+def _cmd_assimilate(args, cfg: dict) -> _Output:
     allowed = {"surrogate", "observations_csv", "noise_level", "r_diag", "covariance",
                "alpha_b", "alpha_r", "x_b", "background_diag"}
     _check_keys(cfg, allowed, "assimilate")
@@ -316,65 +334,35 @@ def _cmd_assimilate(args, cfg: dict) -> int:
         surrogate, scaling, y_o, _observation_diag(y_o, cfg), covariance,
         x_b=x_b, background_cov=background_cov, **alphas,
     )
-    out = _outdir(args)
-    cfg_hash = _echo_config(out, "assimilate", cfg, args.seed)
     if isinstance(surrogate, PodPceSurrogate):
         kind, analysis = "podpce", solve_podpce3dvar(surrogate, problem)
     else:
         kind, analysis = "poden", solve_poden3dvar(surrogate, problem)
-    io.save_json(
-        out / "analysis.json",
-        "analysis",
-        {
-            "x_a": _physical(scaling, analysis.x_a)[0].tolist(),
-            "y_a": scaling.states.inverse(analysis.y_a).tolist(),
-            "nu_a": None if analysis.nu_a is None else analysis.nu_a.tolist(),
-            "j_final": analysis.j_final,
-            "cost_trace": analysis.cost_trace,
-            "evaluations": analysis.evaluations,
-            "converged": analysis.converged,
-            "reason": analysis.reason,
-            "in_bounds": analysis.in_bounds,
-        },
-        seed=args.seed,
-        cfg_hash=cfg_hash,
+    document = {
+        "x_a": _physical(scaling, analysis.x_a)[0].tolist(),
+        "y_a": scaling.states.inverse(analysis.y_a).tolist(),
+        "nu_a": None if analysis.nu_a is None else analysis.nu_a.tolist(),
+        **{key: getattr(analysis, key)
+           for key in ("j_final", "cost_trace", "evaluations", "converged", "reason", "in_bounds")},
+    }
+    return _Output(
+        (lambda out, **stamp: io.save_json(out / "analysis.json", "analysis", document, **stamp),),
+        lambda out: f"assimilate[{kind}/{covariance}]: J={analysis.j_final:.6g} "
+        f"converged={analysis.converged} -> {out / 'analysis.json'}",
     )
-    _summary(
-        f"assimilate[{kind}/{covariance}]: J={analysis.j_final:.6g} "
-        f"converged={analysis.converged} -> {out / 'analysis.json'}"
-    )
-    return EXIT_OK
 
 
 def _sweep_config(args, cfg: dict, cls, command: str, extra: frozenset = frozenset()):
     """Sweep configuration of type ``cls`` from the config keys (minus the
-    ``extra`` keys the command reads itself) and the run seed."""
-    _check_keys(cfg, {f.name for f in dataclasses.fields(cls)} | extra, command)
+    ``extra`` keys the command reads itself) and the run seed, which only
+    ``--seed`` sets."""
+    _check_keys(cfg, {f.name for f in dataclasses.fields(cls)} - {"seed"} | extra, command)
     merged = _tuplify({k: v for k, v in cfg.items() if k not in extra}, cls)
     merged["seed"] = args.seed
     try:
         return cls(**merged)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
-
-
-def _write_experiment_outputs(out: Path, report, seed: int, cfg_hash: str) -> None:
-    io.write_report_csv(out / "report.csv", report, seed=seed, cfg_hash=cfg_hash)
-    io.write_timings_csv(out / "timings.csv", report, seed=seed, cfg_hash=cfg_hash)
-    io.write_plot_csvs(out, report, seed=seed, cfg_hash=cfg_hash)
-    failures = sum(1 for row in report.rows if row.error)
-    io.save_json(
-        out / "summary.json",
-        "report",
-        {
-            "experiment": report.experiment,
-            "cells": len(report.rows),
-            "failures": failures,
-            "extras": report.extras,
-        },
-        seed=seed,
-        cfg_hash=cfg_hash,
-    )
 
 
 class _Sweep(NamedTuple):
@@ -409,17 +397,24 @@ _SWEEPS = {
 }
 
 
-def _cmd_sweep(args, cfg: dict) -> int:
+def _cmd_sweep(args, cfg: dict) -> _Output:
     sweep = _SWEEPS[args.command]
     extra = frozenset({"observations_csv"} if sweep.observed else ())
     config = _sweep_config(args, cfg, sweep.config_type, args.command, extra)
     inputs = [_read_observation(cfg, args.command)] if sweep.observed else []
-    out = _outdir(args)
-    cfg_hash = _echo_config(out, args.command, cfg, args.seed)
     report = sweep.driver(config, *inputs)
-    _write_experiment_outputs(out, report, args.seed, cfg_hash)
-    _summary(sweep.summary(config, report, out / "report.csv"))
-    return EXIT_OK
+    failures = sum(1 for row in report.rows if row.error)
+    summary = {"experiment": report.experiment, "cells": len(report.rows), "failures": failures,
+               "extras": report.extras}
+    return _Output(
+        (
+            lambda out, **stamp: io.write_report_csv(out / "report.csv", report, **stamp),
+            lambda out, **stamp: io.write_timings_csv(out / "timings.csv", report, **stamp),
+            lambda out, **stamp: io.write_plot_csvs(out, report, **stamp),
+            lambda out, **stamp: io.save_json(out / "summary.json", "report", summary, **stamp),
+        ),
+        lambda out: sweep.summary(config, report, out / "report.csv"),
+    )
 
 
 _COMMANDS = {
@@ -454,7 +449,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
     try:
         cfg = _load_config(args.config)
-        return _COMMANDS[args.command](args, cfg)
+        _check_out(args.out)
+        _write(args, cfg, _COMMANDS[args.command](args, cfg))
+        return EXIT_OK
     # A pool whose worker died raises BrokenProcessPool, a BrokenExecutor
     # and so a RuntimeError: it is no numerical failure of the inputs.
     # The base class is caught so that importing the CLI loads no pool.

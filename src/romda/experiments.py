@@ -242,7 +242,6 @@ class TwinConfig:
     bootstrap_size: int = 800
     bootstrap_noise: float = 0.10
     pce_degree: int = 3
-    b_from_truth: bool = False
 
     def __post_init__(self) -> None:
         _check_truth(self.x_t)
@@ -416,7 +415,6 @@ class _Observed:
 
     y_o: np.ndarray
     r_diag: np.ndarray
-    b_cov: np.ndarray  # standardized background covariance
     y_t: np.ndarray | None = None
     y_b: np.ndarray | None = None
 
@@ -429,13 +427,10 @@ def _observe_truth(
     x_t = _draw_truth(config)
     y_t = toymodel.simulate(x_t)
     y_b = toymodel.simulate(toymodel.PARAMETER_MEANS)
-    b_cov = np.eye(4)  # standardized; from the truth's deviation from the prior mean if asked
-    if config.b_from_truth:
-        b_cov = np.diag(np.maximum(parameter_standardizer().transform(x_t) ** 2, 1e-12))
     observed = {}
     for level in noise_levels:
         y_o, r_diag = inject_noise(y_t, level, substream_seed(config.seed, f"noise/{level!r}"))
-        observed[level] = _Observed(y_o, r_diag, b_cov, y_t, y_b)
+        observed[level] = _Observed(y_o, r_diag, y_t, y_b)
     return x_t, observed
 
 
@@ -528,8 +523,7 @@ def _run_cell(
         surrogate = builds.surrogates[cell.solver][cell.d]
         problem = pose_problem(
             surrogate, builds.scaling, observed.y_o, observed.r_diag, cell.covariance,
-            background_cov=observed.b_cov, alpha_b=cell.alpha_b, alpha_r=cell.alpha_r,
-            shared=whitening,
+            alpha_b=cell.alpha_b, alpha_r=cell.alpha_r, shared=whitening,
         )
         solve = solve_podpce3dvar if cell.solver == "podpce" else solve_poden3dvar
         analysis = solve(surrogate, problem)
@@ -775,7 +769,7 @@ def run_measurement(config: MeasurementConfig, y_o: np.ndarray) -> ExperimentRep
     classical = solve_classical_3dvar(model_std, pose_problem(None, scaling, y_o, r_diag))
     classical_time = time.perf_counter() - start
     x_a_classical, clipped = _physical(scaling, classical.x_a)
-    observed = _Observed(y_o, r_diag, np.eye(4))
+    observed = _Observed(y_o, r_diag)
     classical_row = _Scorer(scaling.states, observed).row(
         _Cell("measure", "classical", "r", 0, 0, config.assumed_noise), classical, x_a_classical,
         clipped=clipped, model_runs=classical.evaluations, wall_time=classical_time,

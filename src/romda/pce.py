@@ -37,6 +37,10 @@ MAX_TERMS = 2000
 SPLIT_MIN_MEMBERS = 4
 
 
+class OutsideBoxError(ValueError):
+    """A sample lies outside the declared box of a basis."""
+
+
 # Univariate Legendre tables ---------------------------------------------------
 
 
@@ -172,7 +176,7 @@ class PceBasis:
         if np.any(outside):
             i = int(np.argmax(outside))
             row = int(worst[i])
-            raise ValueError(
+            raise OutsideBoxError(
                 f"sample {row} is outside the declared bounds of input {i} "
                 f"(standardized coordinate {t[row, i]:.12g})"
             )

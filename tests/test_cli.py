@@ -480,8 +480,11 @@ def test_build_asking_for_more_modes_than_the_rank_fails_validation(chain, capsy
     (20, {"modes": 500}, "error: modes: "),
     (3, {}, "error: parameters_csv: need at least 4 members"),
     (20, {"max_degree": 13}, "error: max_degree: degree must be at most 12 for 4 inputs"),
+    (1, {"kind": "poden", "modes": 1}, "error: parameters_csv: need at least 2 members for a poden"),
+    (20, {"bounds": [[50.0, 90.66], [4.0, 6.0], [0.8, 1.3], [0.8, 3.0]]},
+     "error: parameters_csv: sample "),
 ], ids=["one-row", "reversed-row", "infinite", "object", "text", "modes-above-rank", "three-members",
-        "degree-above-cap"])
+        "degree-above-cap", "one-poden-member", "member-outside-box"])
 def test_build_surrogate_computes_before_it_writes(chain, tmp_path, capsys, members, keys, message) -> None:
     # The ensemble lives in chain.out; the build writes into a fresh directory.
     chain.ensemble(members, 3)
@@ -493,6 +496,21 @@ def test_build_surrogate_computes_before_it_writes(chain, tmp_path, capsys, memb
     assert main(["build-surrogate", "--config", write_config(tmp_path, "b.json", cfg),
                  "--out", str(out)]) == EXIT_VALIDATION
     assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
+
+
+def test_build_surrogate_names_states_of_another_member_count(chain, tmp_path, capsys) -> None:
+    chain.ensemble(12, 3)
+    params = str(chain.out / "parameters.csv")
+    chain.out = tmp_path / "other"
+    chain.ensemble(20, 3)
+    cfg = {"kind": "poden", "parameters_csv": params, "states_csv": str(chain.out / "states.csv"),
+           "bounds": toymodel.PARAMETER_BOUNDS.tolist(), "modes": 2}
+    out = tmp_path / "build"
+    capsys.readouterr()
+    assert main(["build-surrogate", "--config", write_config(tmp_path, "b.json", cfg),
+                 "--out", str(out)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: states_csv: 20 members, parameters_csv has 12\n"
     assert not out.exists()
 
 
@@ -630,19 +648,31 @@ def test_null_truth_passes_the_list_rule() -> None:
         "x_t": None, "alpha_grid": (1.0,)}
 
 
-@pytest.mark.parametrize("command, field, value", [("twin", "mode_numbers", [150]),
-                                                   ("covgrid", "grid_modes", 150)])
-def test_mode_count_above_the_ensemble_rank_fails_naming_the_field(
-    tmp_path, capsys, command, field, value
-) -> None:
+@pytest.mark.parametrize("command, field, value, sizes, message", [
     # 200 toy members pass the n - 1 check but span only 99 state modes; the
     # rank is known once they are fitted, so the ensemble is propagated.
-    cfg = {"training_sizes": [200], field: value, "surrogates": ["podpce"], "noise_levels": [0.1]}
+    pytest.param("twin", "mode_numbers", [150], {"training_sizes": [200]}, "numerical rank",
+                 id="twin-mode_numbers-value0"),
+    pytest.param("covgrid", "grid_modes", 150, {"training_sizes": [200]}, "numerical rank",
+                 id="covgrid-grid_modes-150"),
+    # n members hold at most n - 1 modes, which each driver checks first.
+    pytest.param("twin", "mode_numbers", [100], {"training_sizes": [100]},
+                 "100 members hold at most 99 modes", id="twin-n"),
+    pytest.param("covgrid", "grid_modes", 40, {"training_sizes": [40]},
+                 "40 members hold at most 39 modes", id="covgrid-n"),
+    pytest.param("bootstrap", "mode_numbers", [16], {"bootstrap_size": 16, "bootstrap_replicates": 1},
+                 "16 members hold at most 15 modes", id="bootstrap-n"),
+])
+def test_mode_count_above_the_ensemble_rank_fails_naming_the_field(
+    tmp_path, capsys, command, field, value, sizes, message
+) -> None:
+    cfg = {**sizes, field: value, "surrogates": ["podpce"], "noise_levels": [0.1]}
     path = write_config(tmp_path, "cfg.json", cfg)
     assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field}: ")
-    assert "numerical rank" in err
+    assert message in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_stored_pce_family_other_than_legendre_fails_validation(docs, tmp_path, capsys) -> None:
@@ -714,7 +744,7 @@ def test_bootstrap_in_workers_exits_by_its_replicates_and_leaves_no_process(
     assert main(["bootstrap", "--config", path, "--seed", "5", "--out", str(tmp_path / "out")]) == code
     assert capsys.readouterr().err.startswith(message)
     assert multiprocessing.active_children() == []
-    assert (tmp_path / "out" / "report.csv").exists() == (error is None)
+    assert (tmp_path / "out").exists() == (error is None)
 
 
 def test_workers_option_and_key_are_rejected(tmp_path, capsys) -> None:
@@ -769,7 +799,7 @@ def recording_command(pools, seen, error=None):
         seen.append(threads(pools))
         if error is not None:
             raise error
-        return EXIT_OK
+        return cli._Output((), lambda out: f"recorded -> {out}")
 
     return command
 
@@ -897,3 +927,111 @@ def test_sweep_runs_without_a_bundled_openblas(monkeypatch, tmp_path) -> None:
     record_driver_threads(monkeypatch, [], seen)
     assert main(tiny_sweep(tmp_path, "twin")) == EXIT_OK
     assert seen == [[]]
+
+
+@pytest.mark.parametrize("command", ["twin", "covgrid", "bootstrap", "measure"])
+def test_sweeps_take_the_seed_from_the_option_only(tmp_path, capsys, command) -> None:
+    # A config seed would be replaced by --seed while config_used.json echoed it.
+    path = write_config(tmp_path, "cfg.json", {"seed": 5})
+    assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: unknown config keys for {command}: ['seed']\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+def test_an_out_that_cannot_be_a_directory_fails_before_any_compute(
+    tmp_path, capsys, monkeypatch, out
+) -> None:
+    (tmp_path / "file").write_text("kept\n")
+
+    def never(*args, **kwargs):
+        raise AssertionError("a member was drawn")
+
+    monkeypatch.setattr(toymodel, "sample_parameters", never)
+    path = write_config(tmp_path, "sample.json", {"n": 2})
+    assert main(["sample", "--config", path, "--out", str(tmp_path / out)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: --out: {tmp_path / 'file'} exists and is not a directory\n"
+    assert (tmp_path / "file").read_text() == "kept\n"
+
+
+def test_a_file_that_cannot_be_written_fails_naming_out(tmp_path, capsys, monkeypatch) -> None:
+    def full(path, *args, **kwargs):
+        raise OSError(28, "No space left on device", str(path))
+
+    monkeypatch.setattr(io, "write_snapshot_csv", full)
+    path = write_config(tmp_path, "sample.json", {"n": 2})
+    out = tmp_path / "out"
+    assert main(["sample", "--config", path, "--out", str(out)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        f"error: --out: [Errno 28] No space left on device: '{out / 'parameters.csv'}'\n")
+
+
+# One-key fuzz of the config rules: a valid tiny config per command, each key
+# set in turn to each value the test lists. A run exits 1 with a first stderr
+# line that names the key and leaves no --out, or, for the (command, key,
+# value) triples in FUZZ_VALID, exits 0 and writes --out.
+SWEEP_KEYS = {"training_sizes": [16], "mode_numbers": [1], "evr_threshold": None, "pce_degree": 1,
+              "surrogates": ["poden"]}
+TWIN_KEYS = {**SWEEP_KEYS, "x_t": [70.0, 4.6, 1.2, 2.2], "noise_levels": [0.1], "covariance_kind": "r_tilde",
+             "alpha_grid": [1.0], "grid_noise": 0.1, "grid_modes": 1, "bootstrap_replicates": 1,
+             "bootstrap_size": 16, "bootstrap_noise": 0.1}
+FUZZ_VALID = {
+    ("build-surrogate", "max_degree", "zero"),
+    ("assimilate", "alpha_b", "2.5"),
+    ("assimilate", "alpha_r", "2.5"),
+    *((command, "pce_degree", "zero") for command in cli._SWEEPS),
+    *((command, "evr_threshold", "null") for command in cli._SWEEPS),  # the default
+    *((command, "x_t", "null") for command in ("twin", "covgrid", "bootstrap")),  # drawn from the seed
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory) -> dict:
+    """The valid tiny config of each command, on a 16-member toy ensemble,
+    a POD-PCE surrogate of it and one toy observation."""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    chain = ToyChain(tmp)
+    chain.ensemble(16, 1)
+    files = {"parameters_csv": str(tmp / "out" / "parameters.csv"),
+             "states_csv": str(tmp / "out" / "states.csv")}
+    assert chain.build(1, modes=1, max_degree=1) == EXIT_OK
+    observations = tmp / "obs.csv"
+    write_observation(observations, toymodel.simulate([70.0, 4.6, 1.2, 2.2]))
+    return {
+        "sample": {"n": 2},
+        "simulate": {"parameters_csv": files["parameters_csv"]},
+        "build-surrogate": {"kind": "podpce", **files, "bounds": toymodel.PARAMETER_BOUNDS.tolist(),
+                            "modes": 1, "max_degree": 1},
+        "assimilate": {"surrogate": str(tmp / "out" / "surrogate.json"),
+                       "observations_csv": str(observations), "noise_level": 0.1, "covariance": "r",
+                       "alpha_b": 1.0, "alpha_r": 1.0, "x_b": toymodel.PARAMETER_MEANS.tolist(),
+                       "background_diag": [1.0, 1.0, 1.0, 1.0]},
+        "twin": TWIN_KEYS,
+        "covgrid": TWIN_KEYS,
+        "bootstrap": TWIN_KEYS,
+        "measure": {**SWEEP_KEYS, "observations_csv": str(observations), "assumed_noise": 0.1,
+                    "covariance_kinds": ["r"]},
+    }
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_one_bad_key_fails_naming_it_and_leaves_no_output(fuzz_inputs, tmp_path, capsys, command) -> None:
+    valid = fuzz_inputs[command]
+    values = {"null": None, "true": True, "text": "x", "minus-one": -1, "zero": 0, "2.5": 2.5,
+              "nan": float("nan"), "infinity": float("inf"), "empty-list": [], "empty-object": {},
+              "reversed-box": toymodel.PARAMETER_BOUNDS[:, ::-1].tolist(),
+              "missing-file": str(tmp_path / "missing.csv")}
+    broken = []
+    for key in valid:
+        for name, value in values.items():
+            out = tmp_path / f"out-{key}-{name}"
+            path = write_config(tmp_path, "cfg.json", {**valid, key: value})
+            code = main([command, "--config", path, "--out", str(out)])
+            err = capsys.readouterr().err
+            if (command, key, name) in FUZZ_VALID:
+                ok = code == EXIT_OK and out.is_dir()
+            else:
+                ok = code == EXIT_VALIDATION and err.startswith(f"error: {key}: ") and not out.exists()
+            if not ok:
+                broken.append((key, name, code, err.splitlines()[:1]))
+    assert broken == []

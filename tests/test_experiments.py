@@ -104,7 +104,7 @@ def test_inject_noise_rejects_bad_level() -> None:
 
 def _scorer(y_ref: np.ndarray, stdzr: Standardizer) -> experiments._Scorer:
     """A scorer against the truth ``y_ref``, observed without noise."""
-    return experiments._Scorer(stdzr, experiments._Observed(y_ref, np.ones(570), np.eye(4), y_ref))
+    return experiments._Scorer(stdzr, experiments._Observed(y_ref, np.ones(570), y_ref))
 
 
 def test_rmse_global_basics() -> None:
@@ -191,23 +191,20 @@ def test_sweep_configs_reject_bad_fields(field, value) -> None:
     MeasurementConfig(mode_numbers=(), evr_threshold=0.95)
 
 
-@pytest.mark.parametrize("b_from_truth", [False, True])
-def test_background_covariance_from_the_truth(monkeypatch, b_from_truth) -> None:
-    # K2 sits on its prior mean, so its variance takes the 1e-12 floor.
+def test_background_covariance_is_the_identity(monkeypatch) -> None:
+    # Standardized B = I, whatever the truth.
     x_t = (toymodel.PARAMETER_MEANS[0], 4.5, 1.2, 2.5)
-    z_t = (np.array(x_t) - toymodel.PARAMETER_MEANS) / toymodel.PARAMETER_STDS
-    expected = np.diag(np.maximum(z_t**2, 1e-12)) if b_from_truth else np.eye(4)
     posed = []
 
     def pose(*args, **kwargs):
-        posed.append(kwargs["background_cov"])
-        return assimilate.pose_problem(*args, **kwargs)
+        problem = assimilate.pose_problem(*args, **kwargs)
+        posed.append(problem.background_cov)
+        return problem
 
     monkeypatch.setattr(experiments, "pose_problem", pose)
-    report = run_twin(small_config(x_t=x_t, b_from_truth=b_from_truth))
+    report = run_twin(small_config(x_t=x_t))
     assert [row.error for row in report.rows] == ["", ""]
-    assert len(posed) == 2 and all(np.array_equal(b, expected) for b in posed)
-    assert expected[0, 0] == (1e-12 if b_from_truth else 1.0)
+    assert len(posed) == 2 and all(np.array_equal(b, np.eye(4)) for b in posed)
 
 
 def test_run_twin_rows_and_improvement() -> None:
