@@ -102,12 +102,7 @@ class AssimilationProblem:
         for name in ("alpha_b", "alpha_r"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name}: alpha scalings must be positive, got {getattr(self, name)!r}")
-        low, high = self.bounds.T
-        outside = np.flatnonzero(~((low <= self.x_b) & (self.x_b <= high)))
-        if outside.size:
-            i = outside[0]
-            raise ValueError(f"x_b: entry {i} ({self.x_b[i]:.6g}) lies outside the parameter bounds "
-                             f"[{low[i]:.6g}, {high[i]:.6g}]")
+        _check_background(self.x_b, self.bounds)
         self._b_factor = _whitening_factor(self.background_cov, self.alpha_b, "background")
         self._r_factor = _whitening_factor(self.observation_cov, self.alpha_r, "observation", shared)
 
@@ -126,6 +121,17 @@ class AssimilationProblem:
     def whiten_observation(self, v: np.ndarray) -> np.ndarray:
         """L_R^-1 v for a vector or for the columns of a matrix."""
         return _whiten(self._r_factor, v)
+
+
+def _check_background(x_b: np.ndarray, bounds: np.ndarray) -> None:
+    """Reject a background with an entry outside ``bounds`` (rows (low,
+    high)), naming ``x_b``, the entry, its value and its bounds."""
+    low, high = bounds.T
+    outside = np.flatnonzero(~((low <= x_b) & (x_b <= high)))
+    if outside.size:
+        i = outside[0]
+        raise ValueError(f"x_b: entry {i} ({x_b[i]:.6g}) lies outside the parameter bounds "
+                         f"[{low[i]:.6g}, {high[i]:.6g}]")
 
 
 @dataclass(frozen=True)
@@ -337,9 +343,11 @@ def solve_poden3dvar(
         problem.whiten_observation(problem.y_o - mean_y)
     )
 
-    def reduced_cost(nu: np.ndarray) -> float:
-        x, y = poden_predict(surrogate, nu)
+    def misfit(x: np.ndarray, y: np.ndarray) -> float:
         return _background_misfit(problem, x) + _observation_misfit(problem, y)
+
+    def reduced_cost(nu: np.ndarray) -> float:
+        return misfit(*poden_predict(surrogate, nu))
 
     def reduced_grad(nu: np.ndarray) -> np.ndarray:
         x, y = poden_predict(surrogate, nu)
@@ -357,9 +365,9 @@ def solve_poden3dvar(
                 "reduced normal matrix is numerically singular; retain fewer modes (smaller d)"
             )
         nu_a = cho_solve((low, True), rhs)
-        j_final = reduced_cost(nu_a)
+        x_a, y_a = poden_predict(surrogate, nu_a)
+        j_final = misfit(x_a, y_a)
         cost_trace = [j_final]
-        evaluations = 0
         converged, reason = True, "closed_form"
     elif method == "descent":
         free = np.column_stack(
@@ -369,14 +377,13 @@ def solve_poden3dvar(
             reduced_cost, reduced_grad, np.zeros(surrogate.d), free, optimizer_config
         )
         nu_a = res.x
+        x_a, y_a = poden_predict(surrogate, nu_a)
         j_final = res.f
         cost_trace = res.f_trace
-        evaluations = 0
         converged, reason = res.converged, res.reason
     else:
         raise ValueError(f"unknown method {method!r}, expected 'closed_form' or 'descent'")
 
-    x_a, y_a = poden_predict(surrogate, nu_a)
     in_bounds = bool(
         np.all(x_a >= problem.bounds[:, 0] - 1e-12) and np.all(x_a <= problem.bounds[:, 1] + 1e-12)
     )
@@ -385,7 +392,7 @@ def solve_poden3dvar(
         y_a=y_a,
         nu_a=nu_a,
         cost_trace=cost_trace,
-        evaluations=evaluations,
+        evaluations=0,
         converged=converged,
         reason=reason,
         j_final=j_final,

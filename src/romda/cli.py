@@ -11,10 +11,11 @@ pooled sweep was lost. The toy-model sweeps (twin, covgrid, bootstrap,
 measure) call the drivers of :mod:`romda.experiments`, which own their BLAS
 thread count; build-surrogate enters the same one-thread scope.
 
-``build-surrogate`` is the one command that fits. It standardizes like the
-drivers (the same ``build_surrogates``; parameters by the midpoint and
-half-range of the required ``bounds``) and stores that scaling and the box
-with the POD basis (and, for POD-PCE, the PCE) in the surrogate document.
+``build-surrogate`` is the one command that fits. It builds through the
+drivers' ``build_surrogates``, standardizing parameters by the midpoint and
+half-range of the required ``bounds`` (the drivers use the prior table), and
+stores that scaling and the box with the POD basis (and, for POD-PCE, the
+PCE) in the surrogate document.
 ``assimilate`` takes the kind, the box and the default background from the
 document, poses the problem with ``pose_problem`` like the drivers, and
 reports ``x_a`` and ``y_a`` in physical units.
@@ -33,7 +34,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__, io, toymodel
-from .assimilate import pose_problem, solve_poden3dvar, solve_podpce3dvar
+from .assimilate import _check_background, pose_problem, solve_poden3dvar, solve_podpce3dvar
 from .experiments import (
     _EVR,
     _NOISE,
@@ -292,16 +293,23 @@ def _cmd_build_surrogate(args, cfg: dict) -> _Output:
     )
 
 
-def _read_observation(cfg: dict, command: str) -> np.ndarray:
+def _read_observation(cfg: dict, command: str, m_y: int) -> np.ndarray:
+    """The one observation column of ``observations_csv``, of ``m_y`` entries."""
     obs = _read(cfg, "observations_csv", command)
     if obs.data.shape[1] != 1:
         raise ConfigError("observations_csv: the CSV must hold exactly one member column")
+    if obs.data.shape[0] != m_y:
+        raise ConfigError(f"observations_csv: need {m_y} entries, one per state component, "
+                          f"got {obs.data.shape[0]}")
     return obs.data[:, 0]
 
 
 def _observation_diag(y_o: np.ndarray, cfg: dict) -> np.ndarray:
     if "r_diag" in cfg:
-        return _reals(cfg, "r_diag", y_o.size, lambda v: v > 0.0, "observation variances must be positive")
+        r_diag = _reals(cfg, "r_diag", y_o.size, lambda v: v > 0.0, "observation variances must be positive")
+        if "noise_level" in cfg:
+            raise ConfigError("noise_level: the observation covariance takes noise_level or r_diag, not both")
+        return r_diag
     if "noise_level" not in cfg:
         raise ConfigError("noise_level: the observation covariance needs noise_level or r_diag")
     noise = _real(cfg, "noise_level", *_NOISE)
@@ -316,13 +324,15 @@ def _cmd_assimilate(args, cfg: dict) -> _Output:
                "alpha_b", "alpha_r", "x_b", "background_diag"}
     _check_keys(cfg, allowed, "assimilate")
     surrogate, scaling = _read(cfg, "surrogate", "assimilate", io.load_surrogate)
-    y_o = _read_observation(cfg, "assimilate")
-    # Physical background settings, mapped like everything else the solver
-    # sees; the problem checks the box and the alpha signs.
+    y_o = _read_observation(cfg, "assimilate", scaling.states.mean.size)
+    # Physical background settings, checked against the box and then mapped
+    # like everything else the solver sees; the problem checks the alpha signs.
     m_x = len(scaling.bounds)
     x_b = None
     if "x_b" in cfg:
-        x_b = scaling.params.transform(_reals(cfg, "x_b", m_x))
+        x_b = _reals(cfg, "x_b", m_x)
+        _check_background(x_b, scaling.bounds)
+        x_b = scaling.params.transform(x_b)
     background_cov = None
     if "background_diag" in cfg:
         b_diag = _reals(cfg, "background_diag", m_x, lambda v: v > 0.0,
@@ -401,7 +411,8 @@ def _cmd_sweep(args, cfg: dict) -> _Output:
     sweep = _SWEEPS[args.command]
     extra = frozenset({"observations_csv"} if sweep.observed else ())
     config = _sweep_config(args, cfg, sweep.config_type, args.command, extra)
-    inputs = [_read_observation(cfg, args.command)] if sweep.observed else []
+    m_y = toymodel.default_grid().n_state
+    inputs = [_read_observation(cfg, args.command, m_y)] if sweep.observed else []
     report = sweep.driver(config, *inputs)
     failures = sum(1 for row in report.rows if row.error)
     summary = {"experiment": report.experiment, "cells": len(report.rows), "failures": failures,

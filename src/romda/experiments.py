@@ -219,12 +219,6 @@ def _check_truth(x_t: tuple | None) -> None:
         raise ValueError(f"x_t: {exc}") from None
 
 
-def _check_modes(field: str, counts: tuple[int, ...], n: int) -> None:
-    """Reject a mode count above n - 1, the rank of n centered members;
-    each driver checks its own counts before it draws an ensemble."""
-    _check_each(field, counts, lambda d: d <= n - 1, f"{n} members hold at most {n - 1} modes")
-
-
 @dataclass(frozen=True)
 class TwinConfig:
     seed: int = 0
@@ -321,22 +315,6 @@ class ExperimentReport:
 # Shared experiment machinery ------------------------------------------------------
 
 
-@dataclass
-class _Context:
-    """The sampled training pool of one run, in physical units; a training
-    size n uses its first n members."""
-
-    seed: int
-    params_pool: np.ndarray  # (n_max, 4)
-    states_pool: np.ndarray  # (m_y, n_max)
-    pce_degree: int
-
-
-def _make_context(seed: int, n_max: int, pce_degree: int) -> _Context:
-    params_pool = toymodel.sample_parameters(n_max, seed)
-    return _Context(seed, params_pool, toymodel.propagate(params_pool), pce_degree)
-
-
 def _draw_truth(config: TwinConfig) -> np.ndarray:
     if config.x_t is not None:
         return np.asarray(config.x_t, dtype=float)
@@ -368,30 +346,43 @@ def _shrink(s: PodPceSurrogate | PodEnSurrogate, d: int) -> PodPceSurrogate | Po
     return dataclasses.replace(s, state_basis=truncate(s.state_basis, modes=d), pce=pce)
 
 
-def _build_surrogates(
-    ctx: _Context,
-    n: int,
+def _fit(
+    seed: int,
+    sizes: tuple[int, ...],
     kinds: Collection[str],
     mode_numbers: tuple[int, ...],
     evr_threshold: float | None,
+    pce_degree: int,
     field: str = "mode_numbers",
-) -> _Builds:
-    """Surrogates of the first ``n`` members: one per mode number, or the
-    single rank that ``evr_threshold`` selects when it is set. A count above
-    the members' rank, known once they are fitted, fails naming ``field``."""
-    try:
-        full, scaling = build_surrogates(
-            ctx.params_pool[:n].T, ctx.states_pool[:, :n], toymodel.PARAMETER_BOUNDS, kinds,
-            pce_degree=ctx.pce_degree, split_seed=split_seed(ctx.seed, n),
-            param_std=parameter_standardizer(),
-            modes=max(mode_numbers) if evr_threshold is None else None, evr_threshold=evr_threshold,
-        )
-    except ModeCountError as exc:
-        raise ModeCountError(f"{field}: {exc}") from None
-    return _Builds({
-        kind: {d: _shrink(s, d) for d in (mode_numbers if evr_threshold is None else (s.d,))}
-        for kind, s in full.items()
-    }, scaling)
+) -> dict[int, _Builds]:
+    """The surrogates of each training size n in ``sizes``, fitted on the
+    first n members of one pool drawn under ``seed`` and propagated once:
+    one per mode number, or the single rank that ``evr_threshold`` selects
+    when it is set. A count above n - 1, the rank of n centered members,
+    fails naming ``field``: before the pool is drawn when the counts are
+    given, once the members are fitted otherwise."""
+    if evr_threshold is None:
+        fewest = min(sizes)
+        _check_each(field, mode_numbers, lambda d: d <= fewest - 1,
+                    f"{fewest} members hold at most {fewest - 1} modes")
+    params_pool = toymodel.sample_parameters(max(sizes), seed)  # (n_max, 4)
+    states_pool = toymodel.propagate(params_pool)  # (m_y, n_max)
+    builds = {}
+    for n in sizes:
+        try:
+            full, scaling = build_surrogates(
+                params_pool[:n].T, states_pool[:, :n], toymodel.PARAMETER_BOUNDS, kinds,
+                pce_degree=pce_degree, split_seed=split_seed(seed, n),
+                param_std=parameter_standardizer(),
+                modes=max(mode_numbers) if evr_threshold is None else None, evr_threshold=evr_threshold,
+            )
+        except ModeCountError as exc:
+            raise ModeCountError(f"{field}: {exc}") from None
+        builds[n] = _Builds({
+            kind: {d: _shrink(s, d) for d in (mode_numbers if evr_threshold is None else (s.d,))}
+            for kind, s in full.items()
+        }, scaling)
+    return builds
 
 
 @dataclass(frozen=True)
@@ -641,15 +632,9 @@ def _map(fn: Callable[[Any], Any], items: Sequence) -> list:
 @_one_blas_thread()
 def run_twin(config: TwinConfig) -> ExperimentReport:
     """Noise x training-size x mode sweep against a drawn synthetic truth."""
-    if config.evr_threshold is None:
-        _check_modes("mode_numbers", config.mode_numbers, min(config.training_sizes))
-    n_max = max(config.training_sizes)
-    ctx = _make_context(config.seed, n_max, config.pce_degree)
+    builds = _fit(config.seed, config.training_sizes, config.surrogates, config.mode_numbers,
+                  config.evr_threshold, config.pce_degree)
     x_t, observed = _observe_truth(config, config.noise_levels)
-    builds = {
-        n: _build_surrogates(ctx, n, config.surrogates, config.mode_numbers, config.evr_threshold)
-        for n in config.training_sizes
-    }
 
     def group_rows(group: tuple[float, int]) -> list[ReportRow]:
         noise, n = group
@@ -671,10 +656,9 @@ def run_twin(config: TwinConfig) -> ExperimentReport:
 def run_covariance_grid(config: TwinConfig) -> ExperimentReport:
     """One assimilation per (alpha_B, alpha_R) pair on the alpha grid."""
     n = max(config.training_sizes)
-    _check_modes("grid_modes", (config.grid_modes,), n)
-    ctx = _make_context(config.seed, n, config.pce_degree)
+    builds = _fit(config.seed, (n,), ("podpce",), (config.grid_modes,), None, config.pce_degree,
+                  "grid_modes")[n]
     x_t, observed = _observe_truth(config, (config.grid_noise,))
-    builds = _build_surrogates(ctx, n, ("podpce",), (config.grid_modes,), None, "grid_modes")
     cells = (
         cell
         for alpha_b in map(float, config.alpha_grid)  # a JSON config may hold ints
@@ -697,21 +681,18 @@ def run_covariance_grid(config: TwinConfig) -> ExperimentReport:
 @_one_blas_thread()
 def run_bootstrap(config: TwinConfig) -> ExperimentReport:
     """Fresh training ensembles per replicate at a fixed size; RMSE spread per
-    mode count and solver."""
-    if config.evr_threshold is None:
-        _check_modes("mode_numbers", config.mode_numbers, config.bootstrap_size)
-    x_t, observed = _observe_truth(config, (config.bootstrap_noise,))
+    mode count and solver. A replicate fits before it observes the truth, so
+    a bad mode count fails before any model run."""
+    n = config.bootstrap_size
 
     def replicate_rows(replicate: int) -> list[ReportRow]:
         member_seed = substream_seed(config.seed, f"bootstrap/{replicate}")
-        ctx = _make_context(member_seed, config.bootstrap_size, config.pce_degree)
-        builds = _build_surrogates(
-            ctx, config.bootstrap_size, config.surrogates, config.mode_numbers, config.evr_threshold
-        )
+        builds = _fit(member_seed, (n,), config.surrogates, config.mode_numbers,
+                      config.evr_threshold, config.pce_degree)[n]
+        _, observed = _observe_truth(config, (config.bootstrap_noise,))
         return _run_cells(builds, observed[config.bootstrap_noise], _cells(
             builds, config.surrogates, (config.covariance_kind,),
-            experiment=f"bootstrap/{replicate}", n=config.bootstrap_size,
-            noise=config.bootstrap_noise,
+            experiment=f"bootstrap/{replicate}", n=n, noise=config.bootstrap_noise,
         ))
 
     replicates = _map(replicate_rows, range(config.bootstrap_replicates))
@@ -734,7 +715,7 @@ def run_bootstrap(config: TwinConfig) -> ExperimentReport:
     return ExperimentReport(
         rows=rows,
         experiment="bootstrap",
-        extras={"x_t": x_t.tolist(), "summary": summary},
+        extras={"x_t": _draw_truth(config).tolist(), "summary": summary},
     )
 
 
@@ -742,25 +723,18 @@ def run_bootstrap(config: TwinConfig) -> ExperimentReport:
 def run_measurement(config: MeasurementConfig, y_o: np.ndarray) -> ExperimentReport:
     """Surrogate solvers confronted with the classical reference on a
     measured (external) observation vector."""
-    if config.evr_threshold is None:
-        _check_modes("mode_numbers", config.mode_numbers, min(config.training_sizes))
     y_o = np.asarray(y_o, dtype=float)
     m_y = toymodel.default_grid().n_state
     if y_o.shape != (m_y,):
         raise ValueError(f"observation vector must match the state layout ({m_y},), got {y_o.shape}")
-    n_max = max(config.training_sizes)
-    ctx = _make_context(config.seed, n_max, config.pce_degree)
+    builds = _fit(config.seed, config.training_sizes, config.surrogates, config.mode_numbers,
+                  config.evr_threshold, config.pce_degree)
     r_diag = measurement_noise_diag(y_o, config.assumed_noise)
-
-    builds = {
-        n: _build_surrogates(ctx, n, config.surrogates, config.mode_numbers, config.evr_threshold)
-        for n in config.training_sizes
-    }
 
     # Classical reference in the same standardized coordinates as the
     # largest training ensemble. Probes can sit on a bound, so the model
     # sees them snapped into the box, as the analysis is reported.
-    scaling = builds[n_max].scaling
+    scaling = builds[max(config.training_sizes)].scaling
 
     def model_std(x_std: np.ndarray) -> np.ndarray:
         return scaling.states.transform(toymodel.simulate(_physical(scaling, x_std)[0]))

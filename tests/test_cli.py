@@ -339,6 +339,36 @@ def test_non_sweep_commands_name_the_field_they_reject(docs, tmp_path, capsys, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("keys, message", [
+    ({"r_diag": [0.1] * 4}, "noise_level: the observation covariance takes noise_level or r_diag, not both"),
+    ({"r_diag": [0.1] * 4, "noise_level": "x"},
+     "noise_level: the observation covariance takes noise_level or r_diag, not both"),
+    # The box is [0, 1] x [2, 3] in physical units, [-1, 1] x [-1, 1] standardized.
+    ({"x_b": [0.5, 3.5]}, "x_b: entry 1 (3.5) lies outside the parameter bounds [2, 3]"),
+], ids=["r_diag-and-noise_level", "r_diag-and-bad-noise_level", "x_b-outside-the-box"])
+def test_assimilate_rejects_its_background_and_noise_keys_in_physical_terms(
+    docs, tmp_path, capsys, keys, message
+) -> None:
+    path = write_config(tmp_path, "cfg.json", docs.assimilate(**keys))
+    out = tmp_path / "out"
+    assert main(["assimilate", "--config", path, "--out", str(out)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, m_y", [("assimilate", 4), ("measure", toymodel.default_grid().n_state)])
+def test_observations_of_the_wrong_length_fail_naming_the_key(docs, tmp_path, capsys, command, m_y) -> None:
+    # The surrogate's state count for assimilate, the toy layout for measure.
+    short = tmp_path / "short.csv"
+    write_observation(short, np.zeros(5))
+    path = write_config(tmp_path, "cfg.json", {**input_configs(docs)[command], "observations_csv": str(short)})
+    out = tmp_path / "out"
+    assert main([command, "--config", path, "--out", str(out)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        f"error: observations_csv: need {m_y} entries, one per state component, got 5\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind, covariance, message", [
     ("podpce", "q", "kind must be one of"),
     ("poden", "r_tilde", "'r_tilde' needs a POD-PCE surrogate"),
@@ -805,17 +835,17 @@ def recording_command(pools, seen, error=None):
 
 
 def record_driver_threads(monkeypatch, pools, seen, error=None) -> None:
-    """Record the thread counts inside each driver, where it draws its
-    training ensemble; then raise ``error``, or draw the ensemble."""
-    make_context = experiments._make_context
+    """Record the thread counts inside each driver, where it fits its
+    surrogates; then raise ``error``, or fit them."""
+    fit = experiments._fit
 
     def recording(*args):
         seen.append(threads(pools))
         if error is not None:
             raise error
-        return make_context(*args)
+        return fit(*args)
 
-    monkeypatch.setattr(experiments, "_make_context", recording)
+    monkeypatch.setattr(experiments, "_fit", recording)
 
 
 # The smallest sweep of each command: 16 members, one mode, one unit.
