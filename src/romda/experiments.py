@@ -348,41 +348,36 @@ def _shrink(s: PodPceSurrogate | PodEnSurrogate, d: int) -> PodPceSurrogate | Po
 
 def _fit(
     seed: int,
-    sizes: tuple[int, ...],
+    n: int,
     kinds: Collection[str],
     mode_numbers: tuple[int, ...],
     evr_threshold: float | None,
     pce_degree: int,
     field: str = "mode_numbers",
-) -> dict[int, _Builds]:
-    """The surrogates of each training size n in ``sizes``, fitted on the
-    first n members of one pool drawn under ``seed`` and propagated once:
-    one per mode number, or the single rank that ``evr_threshold`` selects
-    when it is set. A count above n - 1, the rank of n centered members,
-    fails naming ``field``: before the pool is drawn when the counts are
-    given, once the members are fitted otherwise."""
+) -> _Builds:
+    """The surrogates of one training ensemble, the first n members drawn
+    under ``seed``, propagated and fitted: one per mode number, or the single
+    rank that ``evr_threshold`` selects when it is set. Draws are nested in n
+    and every column of a propagation keeps its bits, so the sizes of a sweep
+    share their members. A count above n - 1, the rank of n centered members,
+    fails naming ``field``: before the draw when the counts are given, once
+    the members are fitted otherwise."""
     if evr_threshold is None:
-        fewest = min(sizes)
-        _check_each(field, mode_numbers, lambda d: d <= fewest - 1,
-                    f"{fewest} members hold at most {fewest - 1} modes")
-    params_pool = toymodel.sample_parameters(max(sizes), seed)  # (n_max, 4)
-    states_pool = toymodel.propagate(params_pool)  # (m_y, n_max)
-    builds = {}
-    for n in sizes:
-        try:
-            full, scaling = build_surrogates(
-                params_pool[:n].T, states_pool[:, :n], toymodel.PARAMETER_BOUNDS, kinds,
-                pce_degree=pce_degree, split_seed=split_seed(seed, n),
-                param_std=parameter_standardizer(),
-                modes=max(mode_numbers) if evr_threshold is None else None, evr_threshold=evr_threshold,
-            )
-        except ModeCountError as exc:
-            raise ModeCountError(f"{field}: {exc}") from None
-        builds[n] = _Builds({
-            kind: {d: _shrink(s, d) for d in (mode_numbers if evr_threshold is None else (s.d,))}
-            for kind, s in full.items()
-        }, scaling)
-    return builds
+        _check_each(field, mode_numbers, lambda d: d <= n - 1, f"{n} members hold at most {n - 1} modes")
+    params = toymodel.sample_parameters(n, seed)  # (n, 4)
+    try:
+        full, scaling = build_surrogates(
+            params.T, toymodel.propagate(params), toymodel.PARAMETER_BOUNDS, kinds,
+            pce_degree=pce_degree, split_seed=split_seed(seed, n),
+            param_std=parameter_standardizer(),
+            modes=max(mode_numbers) if evr_threshold is None else None, evr_threshold=evr_threshold,
+        )
+    except ModeCountError as exc:
+        raise ModeCountError(f"{field}: {exc}") from None
+    return _Builds({
+        kind: {d: _shrink(s, d) for d in (mode_numbers if evr_threshold is None else (s.d,))}
+        for kind, s in full.items()
+    }, scaling)
 
 
 @dataclass(frozen=True)
@@ -632,8 +627,8 @@ def _map(fn: Callable[[Any], Any], items: Sequence) -> list:
 @_one_blas_thread()
 def run_twin(config: TwinConfig) -> ExperimentReport:
     """Noise x training-size x mode sweep against a drawn synthetic truth."""
-    builds = _fit(config.seed, config.training_sizes, config.surrogates, config.mode_numbers,
-                  config.evr_threshold, config.pce_degree)
+    builds = {n: _fit(config.seed, n, config.surrogates, config.mode_numbers, config.evr_threshold,
+                      config.pce_degree) for n in config.training_sizes}  # smallest n first
     x_t, observed = _observe_truth(config, config.noise_levels)
 
     def group_rows(group: tuple[float, int]) -> list[ReportRow]:
@@ -656,8 +651,8 @@ def run_twin(config: TwinConfig) -> ExperimentReport:
 def run_covariance_grid(config: TwinConfig) -> ExperimentReport:
     """One assimilation per (alpha_B, alpha_R) pair on the alpha grid."""
     n = max(config.training_sizes)
-    builds = _fit(config.seed, (n,), ("podpce",), (config.grid_modes,), None, config.pce_degree,
-                  "grid_modes")[n]
+    builds = _fit(config.seed, n, ("podpce",), (config.grid_modes,), None, config.pce_degree,
+                  "grid_modes")
     x_t, observed = _observe_truth(config, (config.grid_noise,))
     cells = (
         cell
@@ -687,8 +682,8 @@ def run_bootstrap(config: TwinConfig) -> ExperimentReport:
 
     def replicate_rows(replicate: int) -> list[ReportRow]:
         member_seed = substream_seed(config.seed, f"bootstrap/{replicate}")
-        builds = _fit(member_seed, (n,), config.surrogates, config.mode_numbers,
-                      config.evr_threshold, config.pce_degree)[n]
+        builds = _fit(member_seed, n, config.surrogates, config.mode_numbers,
+                      config.evr_threshold, config.pce_degree)
         _, observed = _observe_truth(config, (config.bootstrap_noise,))
         return _run_cells(builds, observed[config.bootstrap_noise], _cells(
             builds, config.surrogates, (config.covariance_kind,),
@@ -727,8 +722,8 @@ def run_measurement(config: MeasurementConfig, y_o: np.ndarray) -> ExperimentRep
     m_y = toymodel.default_grid().n_state
     if y_o.shape != (m_y,):
         raise ValueError(f"observation vector must match the state layout ({m_y},), got {y_o.shape}")
-    builds = _fit(config.seed, config.training_sizes, config.surrogates, config.mode_numbers,
-                  config.evr_threshold, config.pce_degree)
+    builds = {n: _fit(config.seed, n, config.surrogates, config.mode_numbers, config.evr_threshold,
+                      config.pce_degree) for n in config.training_sizes}  # smallest n first
     r_diag = measurement_noise_diag(y_o, config.assumed_noise)
 
     # Classical reference in the same standardized coordinates as the

@@ -8,17 +8,16 @@ the raw current by CTV, and a Strickler-style quadratic drag (friction
 coefficient ~ 1/K2^2 h^(4/3)) damps the velocities. The model is pure: the
 same parameters always give the bit-identical state vector.
 
-There is one configuration, the packaged grid ``toy-grid/1``. It is loaded
-once at import, and the three parameter-free harmonic sums (raw level, raw
-along- and across-channel current) are computed from it once; a run only
+There is one configuration, the grid of :func:`default_grid`, and this
+module is the one statement of its constants and of the parameter box. The
+three parameter-free harmonic sums (raw level, raw along- and
+across-channel current) are computed from it once, at import; a run only
 scales them and applies the drag. One implementation, :func:`propagate`,
 runs every member; :func:`simulate` is its one-member case.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from importlib import resources
 
 import numpy as np
 
@@ -43,12 +42,10 @@ PARAMETER_STDS = np.array([34.82, 1.0, 0.25, 1.1])
 VARIABLES = ("u", "v", "eta")
 N_STATIONS = 5
 
-GRID_SCHEMA = "toy-grid/1"
-
 
 @dataclass(frozen=True)
 class ToyGrid:
-    """Stations, record times and harmonic constants (versioned, frozen)."""
+    """Stations, record times and harmonic constants (frozen)."""
 
     periods_hours: np.ndarray  # (3,)
     level_amplitudes: np.ndarray  # (3,) [m]
@@ -80,40 +77,24 @@ class ToyGrid:
     def station_phases(self) -> np.ndarray:
         return self.station_phase_step * np.arange(N_STATIONS)
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ToyGrid":
-        if raw.get("schema") != GRID_SCHEMA:
-            raise ValueError(
-                f"unsupported grid schema {raw.get('schema')!r}, expected {GRID_SCHEMA!r}"
-            )
-        grid = cls(
-            periods_hours=np.asarray(raw["periods_hours"], dtype=float),
-            level_amplitudes=np.asarray(raw["level_amplitudes_m"], dtype=float),
-            level_phases=np.asarray(raw["level_phases_rad"], dtype=float),
-            velocity_amplitudes=np.asarray(raw["velocity_amplitudes_ms"], dtype=float),
-            velocity_phase_offset=float(raw["velocity_phase_offset_rad"]),
-            station_phase_step=float(raw["station_phase_step_rad"]),
-            station_depth_offsets=np.asarray(raw["station_depth_offsets_m"], dtype=float),
-            time_step_minutes=float(raw["time_step_minutes"]),
-            n_times=int(raw["n_times"]),
-            gravity=float(raw["gravity_ms2"]),
-            drag_timescale=float(raw["drag_timescale_s"]),
-            min_depth=float(raw["min_depth_m"]),
-            transverse_fraction=float(raw["transverse_fraction"]),
-        )
-        if grid.station_depth_offsets.shape != (N_STATIONS,):
-            raise ValueError(f"expected {N_STATIONS} station depth offsets")
-        if np.any(np.diff(grid.times_hours) <= 0.0):
-            raise ValueError("record times must be strictly increasing")
-        if np.any(grid.station_depth_offsets <= 0.0):
-            raise ValueError("station depth offsets must be positive")
-        return grid
-
 
 def default_grid() -> ToyGrid:
-    """Grid shipped with the package (constants file toy_grid_v1.json)."""
-    raw = json.loads(resources.files("romda.data").joinpath("toy_grid_v1.json").read_text())
-    return ToyGrid.from_dict(raw)
+    """The toy model's one grid, a fresh copy per call."""
+    return ToyGrid(
+        periods_hours=np.array([12.42, 12.0, 12.66]),
+        level_amplitudes=np.array([2.5, 0.8, 0.5]),
+        level_phases=np.array([0.0, 0.5, 1.0]),
+        velocity_amplitudes=np.array([0.8, 0.25, 0.15]),
+        velocity_phase_offset=0.3,
+        station_phase_step=0.05,
+        station_depth_offsets=np.array([8.0, 10.0, 12.0, 9.0, 11.0]),
+        time_step_minutes=20.0,
+        n_times=38,
+        gravity=9.81,
+        drag_timescale=1000.0,
+        min_depth=0.1,
+        transverse_fraction=0.4,
+    )
 
 
 _GRID = default_grid()  # the model's own copy; callers of default_grid() get a fresh one

@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -15,6 +18,11 @@ from romda.toymodel import (
     unflatten,
 )
 from romda.rng import substream_seed
+
+
+# sha256 of the states of the box's 16 corners and its midpoint, one column
+# per point, as little-endian float64 in C order (numpy 2.4, x86-64).
+PINNED_STATES_SHA256 = "16e4edfd58ac98d36c269c164fc969f2a5b30ca186ed1c2d0ebe3a7fdbd034d4"
 
 
 def mid_params():
@@ -53,6 +61,14 @@ def test_state_vector_size_and_layout() -> None:
             assert np.array_equal(y[start : start + 38], cube[v, p])
     with pytest.raises(ValueError, match="shape"):
         unflatten(y[:-1])
+
+
+def test_propagate_keeps_the_pinned_bits() -> None:
+    # The grid constants and the box are literals in toymodel.py; a change to
+    # one of them, or to the arithmetic, changes these bits.
+    points = np.array([*itertools.product(*PARAMETER_BOUNDS), PARAMETER_BOUNDS.mean(axis=1)])
+    states = np.ascontiguousarray(propagate(points), dtype="<f8")
+    assert hashlib.sha256(states.tobytes()).hexdigest() == PINNED_STATES_SHA256
 
 
 def test_simulate_is_pure() -> None:
