@@ -13,7 +13,7 @@ thread count; build-surrogate enters the same one-thread scope.
 
 ``build-surrogate`` is the one command that fits. It builds through the
 drivers' ``build_surrogates``, standardizing parameters by the midpoint and
-half-range of the required ``bounds`` (the drivers use the prior table), and
+half-range of the required ``bounds`` as the drivers do with the toy box, and
 stores that scaling and the box with the POD basis (and, for POD-PCE, the
 PCE) in the surrogate document.
 ``assimilate`` takes the kind, the box and the default background from the

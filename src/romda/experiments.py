@@ -1,7 +1,7 @@
 """Twin and measurement experiment drivers over the synthetic tidal model.
 
-Everything the solvers see is standardized: parameters are centered/reduced
-by the prior table statistics (so the default background covariance is the
+Everything the solvers see is standardized: parameters by the box's
+midpoint and half-range (so the default background covariance is the
 identity), states by per-component training-ensemble statistics; the
 drivers and the ``build-surrogate`` command both build through
 :func:`build_surrogates`. Analyses are reported back in physical units. All
@@ -59,15 +59,9 @@ DEFAULT_ALPHA_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
 # Standardized builds -------------------------------------------------------------
 
 
-def parameter_standardizer() -> Standardizer:
-    """Fixed parameter standardization from the prior table statistics."""
-    return Standardizer(mean=toymodel.PARAMETER_MEANS.copy(), std=toymodel.PARAMETER_STDS.copy())
-
-
 def build_surrogates(
     params: np.ndarray, states: np.ndarray, bounds: np.ndarray, kinds: Collection[str], *,
-    pce_degree: int, split_seed: int, param_std: Standardizer | None = None,
-    modes: int | None = None, evr_threshold: float | None = None,
+    pce_degree: int, split_seed: int, modes: int | None = None, evr_threshold: float | None = None,
 ) -> tuple[dict[str, PodPceSurrogate | PodEnSurrogate], Scaling]:
     """Fit each surrogate kind in ``kinds`` ("podpce", "poden") on one
     standardized ensemble, and return them with the :class:`Scaling` used.
@@ -75,17 +69,15 @@ def build_surrogates(
 
     ``params`` (m_x, n) and ``states`` (m_y, n) are physical, paired by
     column, and ``bounds`` is the physical box. Parameters are standardized
-    by ``param_std``, by default the box's midpoint and half-range; states
-    by their per-component ensemble statistics.
+    by the box's midpoint and half-range, states by their per-component
+    ensemble statistics.
     """
     bounds = np.asarray(bounds, dtype=float)
     if (bounds.shape != (np.shape(params)[0], 2) or not np.all(np.isfinite(bounds))
             or not np.all(bounds[:, 1] > bounds[:, 0])):
         raise ValueError(f"bounds: need one finite (low, high) row per parameter, low < high, "
                          f"got {bounds.tolist()}")
-    if param_std is None:
-        param_std = Standardizer(bounds.mean(axis=1), (bounds[:, 1] - bounds[:, 0]) / 2.0)
-    scaling = Scaling(params=param_std, states=Standardizer.fit(states), bounds=bounds)
+    scaling = Scaling(params=Standardizer.of_box(bounds), states=Standardizer.fit(states), bounds=bounds)
     z_params = scaling.params.transform(params)
     z_states = scaling.states.transform(states)
     shared = {"modes": modes, "evr_threshold": evr_threshold, "state_basis": fit_pod(z_states)}
@@ -369,7 +361,6 @@ def _fit(
         full, scaling = build_surrogates(
             params.T, toymodel.propagate(params), toymodel.PARAMETER_BOUNDS, kinds,
             pce_degree=pce_degree, split_seed=split_seed(seed, n),
-            param_std=parameter_standardizer(),
             modes=max(mode_numbers) if evr_threshold is None else None, evr_threshold=evr_threshold,
         )
     except ModeCountError as exc:

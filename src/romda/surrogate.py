@@ -54,6 +54,12 @@ class Standardizer:
             log.warning("flooring %d zero-variance components", int(np.sum(std < floor)))
         return cls(mean=mean, std=np.maximum(std, floor))
 
+    @classmethod
+    def of_box(cls, bounds: np.ndarray) -> "Standardizer":
+        """The map of a parameter box (rows (low, high)) onto [-1, 1]: its
+        midpoint and half-range."""
+        return cls(mean=bounds.mean(axis=1), std=(bounds[:, 1] - bounds[:, 0]) / 2.0)
+
     def transform(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values, dtype=float)
         if values.ndim == 1:

@@ -25,9 +25,8 @@ from .rng import substream
 
 PARAMETER_NAMES = ("K2", "MTL", "CTL", "CTV")
 
-# Uncertain-parameter box, prior means and prior standard deviations
-# (half-range) used to standardize parameters and build the background
-# covariance.
+# Uncertain-parameter box. Its midpoint is the prior mean and the background;
+# every build standardizes parameters by the midpoint and half-range.
 PARAMETER_BOUNDS = np.array(
     [
         [21.02, 90.66],  # K2, Strickler friction coefficient [m^(1/3)/s]
@@ -36,8 +35,7 @@ PARAMETER_BOUNDS = np.array(
         [0.8, 3.0],  # CTV, tidal velocity coefficient [-]
     ]
 )
-PARAMETER_MEANS = np.array([55.84, 5.0, 1.05, 1.9])
-PARAMETER_STDS = np.array([34.82, 1.0, 0.25, 1.1])
+PARAMETER_MEANS = PARAMETER_BOUNDS.mean(axis=1)
 
 VARIABLES = ("u", "v", "eta")
 N_STATIONS = 5

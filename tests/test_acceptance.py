@@ -19,7 +19,6 @@ from romda.experiments import (
     MeasurementConfig,
     TwinConfig,
     inject_noise,
-    parameter_standardizer,
     run_covariance_grid,
     run_measurement,
     run_twin,
@@ -50,7 +49,7 @@ def _standardized_twin_pieces(seed, n, modes=None, evr_threshold=None, noise=0.1
     params = toymodel.sample_parameters(n, seed)
     states = toymodel.propagate(params)
     state_std = Standardizer.fit(states)
-    param_std = parameter_standardizer()
+    param_std = Standardizer.of_box(toymodel.PARAMETER_BOUNDS)
     z_states = state_std.transform(states)
     z_params = param_std.transform(params.T)
     bounds_std = np.column_stack(
@@ -343,7 +342,7 @@ def test_criterion_8_classical_confrontation() -> None:
     )
     report = run_measurement(config, y_o)
     classical = report.rows[0]
-    pstd = parameter_standardizer()
+    pstd = Standardizer.of_box(toymodel.PARAMETER_BOUNDS)
     recovery = float(
         np.max(np.abs(pstd.transform(classical.x_a) - pstd.transform(x_hidden)))
     )

@@ -15,7 +15,6 @@ from romda.experiments import (
     TwinConfig,
     inject_noise,
     measurement_noise_diag,
-    parameter_standardizer,
     run_bootstrap,
     run_covariance_grid,
     run_measurement,
@@ -36,13 +35,6 @@ def test_standardizer_round_trip() -> None:
     assert np.allclose(stdzr.inverse(z), ensemble, atol=1e-10)
     var = rng.uniform(0.1, 2.0, 12)
     assert np.allclose(stdzr.variance_diag(var), var / stdzr.std**2)
-
-
-def test_parameter_standardizer_uses_table_statistics() -> None:
-    stdzr = parameter_standardizer()
-    z = stdzr.transform(toymodel.PARAMETER_MEANS)
-    assert np.allclose(z, 0.0)
-    assert np.allclose(stdzr.std, toymodel.PARAMETER_STDS)
 
 
 def truth_state(seed=3):
@@ -134,15 +126,16 @@ def test_rmse_groups_recombine_to_global() -> None:
 
 def test_physical_snaps_an_analysis_one_ulp_outside_the_box() -> None:
     bounds = toymodel.PARAMETER_BOUNDS
-    scaling = surrogate.Scaling(parameter_standardizer(), Standardizer(np.zeros(1), np.ones(1)), bounds)
+    scaling = surrogate.Scaling(Standardizer.of_box(bounds), Standardizer(np.zeros(1), np.ones(1)), bounds)
     inside = scaling.params.transform(toymodel.PARAMETER_MEANS)
     x_a, clipped = experiments._physical(scaling, inside)
     assert not clipped
     assert np.array_equal(x_a, scaling.params.inverse(inside))
 
-    # One ulp below K2's standardized lower bound maps below its physical one.
+    # Two ulps below K2's standardized lower bound map below its physical
+    # one (one ulp below rounds back onto it).
     outside = inside.copy()
-    outside[0] = np.nextafter(scaling.box[0, 0], -np.inf)
+    outside[0] = np.nextafter(np.nextafter(scaling.box[0, 0], -np.inf), -np.inf)
     assert scaling.params.inverse(outside)[0] < bounds[0, 0]
     x_a, clipped = experiments._physical(scaling, outside)
     assert clipped
@@ -332,7 +325,7 @@ def test_run_bootstrap_builds_the_evr_selected_rank() -> None:
     params = toymodel.sample_parameters(40, substream_seed(7, "bootstrap/0"))
     states = toymodel.propagate(params)
     z_states = Standardizer.fit(states).transform(states)
-    z_params = parameter_standardizer().transform(params.T)
+    z_params = Standardizer.of_box(toymodel.PARAMETER_BOUNDS).transform(params.T)
     expected = {
         "podpce": truncate(fit_pod(z_states), evr_threshold=0.95).retained,
         "poden": build_poden(z_params, z_states, evr_threshold=0.95).d,
@@ -559,7 +552,7 @@ def test_run_measurement_with_planted_truth() -> None:
     report = run_measurement(config, y_o)
     classical = report.rows[0]
     assert classical.solver == "classical"
-    param_std = parameter_standardizer()
+    param_std = Standardizer.of_box(toymodel.PARAMETER_BOUNDS)
     recovered = param_std.transform(classical.x_a) - param_std.transform(x_hidden)
     assert np.max(np.abs(recovered)) <= 1e-3
     assert classical.model_runs >= 2 * 4  # at least one central-difference gradient
@@ -591,7 +584,7 @@ def test_twin_parameter_recovery_at_95_evr() -> None:
     report = run_twin(config)
     row = report.rows[0]
     x_t = np.array(report.extras["x_t"])
-    pstd = parameter_standardizer()
+    pstd = Standardizer.of_box(toymodel.PARAMETER_BOUNDS)
     err = np.abs(pstd.transform(row.x_a) - pstd.transform(x_t))
     assert np.all(err <= 0.15)
 
@@ -599,7 +592,7 @@ def test_twin_parameter_recovery_at_95_evr() -> None:
 def test_inflated_observation_error_pulls_toward_background() -> None:
     config = small_config(training_sizes=(80,), alpha_grid=(1.0, 100.0), grid_modes=3)
     report = run_covariance_grid(config)
-    pstd = parameter_standardizer()
+    pstd = Standardizer.of_box(toymodel.PARAMETER_BOUNDS)
 
     def distance_to_background(row):
         return float(np.linalg.norm(pstd.transform(row.x_a)))  # x_b is the prior mean
