@@ -365,8 +365,11 @@ def _cmd_assimilate(args, cfg: dict) -> _Output:
 def _sweep_config(args, cfg: dict, cls, command: str, extra: frozenset = frozenset()):
     """Sweep configuration of type ``cls`` from the config keys (minus the
     ``extra`` keys the command reads itself) and the run seed, which only
-    ``--seed`` sets."""
+    ``--seed`` sets. It takes ``mode_numbers`` or a non-null
+    ``evr_threshold``, not both."""
     _check_keys(cfg, {f.name for f in dataclasses.fields(cls)} - {"seed"} | extra, command)
+    if "mode_numbers" in cfg and cfg.get("evr_threshold") is not None:
+        raise ConfigError("evr_threshold: set evr_threshold or mode_numbers, not both")
     merged = _tuplify({k: v for k, v in cfg.items() if k not in extra}, cls)
     merged["seed"] = args.seed
     try:

@@ -155,6 +155,13 @@ _NOISE = (lambda level: 0.0 < level < 1.0,
 _EVR = (lambda tau: 0.0 < tau <= 1.0, "EVR threshold must be in (0, 1]")
 
 
+def _check_distinct(field: str, values: tuple) -> None:
+    """Reject an entry of a list field that repeats an earlier one."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ValueError(f"{field}: entries must be distinct, got {value!r} twice")
+
+
 def _check_counts(field: str, values: tuple, low: int, rule: str) -> None:
     """Reject an entry of a count field that is no integer (a bool is
     none) or, by ``rule``, is below ``low``."""
@@ -180,10 +187,12 @@ def _check_sweep(config: "TwinConfig | MeasurementConfig") -> None:
         raise ValueError("training_sizes: training sizes must be strictly increasing")
     _check_each("surrogates", config.surrogates, SURROGATE_KINDS.__contains__,
                 f"surrogate kind must be one of {SURROGATE_KINDS}")
+    _check_distinct("surrogates", config.surrogates)
     if config.evr_threshold is None and not config.mode_numbers:
         raise ValueError("mode_numbers: need mode_numbers or evr_threshold")
     if config.mode_numbers:
         _check_counts("mode_numbers", config.mode_numbers, 1, "mode counts start at 1")
+        _check_distinct("mode_numbers", config.mode_numbers)
     if config.evr_threshold is not None:
         _check_reals("evr_threshold", (config.evr_threshold,), *_EVR)
     _check_counts("pce_degree", (config.pce_degree,), 0, "degree must be >= 0")
@@ -232,12 +241,14 @@ class TwinConfig:
     def __post_init__(self) -> None:
         _check_truth(self.x_t)
         _check_reals("noise_levels", self.noise_levels, *_NOISE)
+        _check_distinct("noise_levels", self.noise_levels)
         _check_reals("grid_noise", (self.grid_noise,), *_NOISE)
         _check_reals("bootstrap_noise", (self.bootstrap_noise,), *_NOISE)
         _check_sweep(self)
         _check_each("covariance_kind", (self.covariance_kind,), COVARIANCE_KINDS.__contains__,
                     f"covariance kind must be one of {COVARIANCE_KINDS}")
         _check_reals("alpha_grid", self.alpha_grid, lambda a: a > 0, "alpha factors must be positive")
+        _check_distinct("alpha_grid", self.alpha_grid)
         _check_counts("grid_modes", (self.grid_modes,), 1, "mode counts start at 1")
         _check_counts("bootstrap_replicates", (self.bootstrap_replicates,), 1,
                       "need at least one replicate")
@@ -261,6 +272,7 @@ class MeasurementConfig:
         _check_sweep(self)
         _check_each("covariance_kinds", self.covariance_kinds, COVARIANCE_KINDS.__contains__,
                     f"covariance kind must be one of {COVARIANCE_KINDS}")
+        _check_distinct("covariance_kinds", self.covariance_kinds)
 
 
 @dataclass

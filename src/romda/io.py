@@ -1,10 +1,10 @@
 """Schema-versioned persistence for ensembles, surrogates and reports.
 
-JSON documents carry a ``schema`` tag (checked on load) and a ``_meta``
-block with tool version, config hash and seed as their first key. CSV files
-begin with one comment line carrying the same metadata. Numeric round trips
-are exact: floats are serialized with their shortest round-trip
-representation.
+JSON documents carry a ``schema`` tag (a surrogate's is checked on load)
+and a ``_meta`` block with tool version, config hash and seed as their
+first key. CSV files begin with one comment line carrying the same
+metadata. Numeric round trips are exact: floats are serialized with their
+shortest round-trip representation.
 """
 from __future__ import annotations
 
@@ -62,15 +62,6 @@ def save_json(path: str | Path, schema_key: str, body: dict,
     doc = {"_meta": _meta(seed, cfg_hash), "schema": SCHEMAS[schema_key]}
     doc.update(body)
     Path(path).write_text(json.dumps(doc, indent=1) + "\n")
-
-
-def load_json(path: str | Path, schema_key: str) -> dict:
-    doc = json.loads(Path(path).read_text())
-    expected = SCHEMAS[schema_key]
-    found = doc.get("schema")
-    if found != expected:
-        raise SchemaError(f"schema mismatch in {path}: found {found!r}, expected {expected!r}")
-    return doc
 
 
 def _fmt(value: float) -> str:

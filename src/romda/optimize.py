@@ -29,6 +29,11 @@ LBFGS_MEMORY = 10  # correction pairs
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """Stopping rules of :func:`bounded_quasi_newton`. ``tol`` must be
+    positive. ``f_rel_tol`` must be nonnegative; 0 turns the decrease stop
+    off, so a descent ends only on ``tol``, a failed line search or
+    ``max_iter``."""
+
     tol: float = 1e-8  # projected-gradient infinity norm
     max_iter: int = 500
     f_rel_tol: float = 1e-12  # relative decrease per accepted step
@@ -93,12 +98,14 @@ def bounded_quasi_newton(
     ``bounds`` has shape (n, 2); entries may be infinite. Terminates when
     the projected-gradient infinity norm falls below ``config.tol``, the
     relative objective decrease of an accepted step falls below
-    ``config.f_rel_tol``, or ``config.max_iter`` is reached. The trace of
-    accepted objective values is nonincreasing by construction.
+    ``config.f_rel_tol`` (never, at 0), or ``config.max_iter`` is reached.
+    The trace of accepted objective values is nonincreasing by construction.
     """
     config = config or OptimizerConfig()
     if config.tol <= 0:
         raise ValueError(f"tol must be positive, got {config.tol}")
+    if config.f_rel_tol < 0:
+        raise ValueError(f"f_rel_tol must be nonnegative, got {config.f_rel_tol}")
     x0 = np.asarray(x0, dtype=float)
     bounds = np.asarray(bounds, dtype=float)
     if bounds.shape != (x0.size, 2):
@@ -181,7 +188,7 @@ def bounded_quasi_newton(
         f_trace.append(fx)
         pg = _project(x, gx, edges)
         pg_norm = max(map(abs, pg))
-        if decrease <= config.f_rel_tol * max(abs(fx), 1.0):
+        if config.f_rel_tol and decrease <= config.f_rel_tol * max(abs(fx), 1.0):
             converged, reason = True, "f_decrease"
             break
 

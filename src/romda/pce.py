@@ -220,7 +220,6 @@ COLLINEAR_TOL = 1e-10
 @dataclass(frozen=True)
 class LarsFit:
     coefficients: np.ndarray  # (n_terms,), exact zeros off the active set
-    loo_error: float  # corrected leave-one-out of the selected model
     active: tuple[int, ...]  # selected columns, intercept excluded
 
 
@@ -298,20 +297,6 @@ def _prefix_scores(q: np.ndarray, r: np.ndarray, y: np.ndarray) -> np.ndarray:
     return corrected
 
 
-def _corrected_loo(q: np.ndarray, r: np.ndarray, resid: np.ndarray) -> float:
-    """Corrected leave-one-out error of a least-squares fit with thin QR
-    ``q, r`` and residual ``resid``: the hat-matrix LOO error times
-    n / (n - p) (1 + tr((Psi^T Psi)^-1)), infinite where a leverage reaches
-    1 or p >= n."""
-    n, p = q.shape
-    denom = 1.0 - np.einsum("ij,ij->i", q, q)
-    if p >= n or np.any(denom <= 1e-12):
-        return np.inf
-    loo = float(np.mean((resid / denom) ** 2))
-    trace_inv = float(np.sum(solve_triangular(r, np.eye(p)) ** 2))
-    return loo * ((n / (n - p)) * (1.0 + trace_inv))
-
-
 def fit_lars(psi: np.ndarray | _Design, targets: np.ndarray) -> LarsFit:
     """Sparse coefficients for ``targets ~ psi`` by LARS + corrected LOO.
 
@@ -322,8 +307,7 @@ def fit_lars(psi: np.ndarray | _Design, targets: np.ndarray) -> LarsFit:
     every prefix (:func:`_prefix_scores`); the prefix with minimal corrected
     leave-one-out error wins, ties going to the sparser model. Only the
     winner is refitted, by least squares on its own columns, so its
-    coefficients, and the leave-one-out error reported with them, do not
-    depend on the path that scored it.
+    coefficients do not depend on the path that scored it.
     """
     design = psi if isinstance(psi, _Design) else _Design.of(psi)
     psi = design.psi
@@ -346,8 +330,7 @@ def fit_lars(psi: np.ndarray | _Design, targets: np.ndarray) -> LarsFit:
     fitted = solve_triangular(r, q.T @ targets)
     coef = np.zeros(n_terms)
     coef[path[:p]] = fitted
-    loo_error = _corrected_loo(q, r, targets - psi[:, path[:p]] @ fitted)
-    return LarsFit(coefficients=coef, loo_error=loo_error, active=tuple(path[1:p]))
+    return LarsFit(coefficients=coef, active=tuple(path[1:p]))
 
 
 def _lars_path(gram: np.ndarray, xty: np.ndarray, max_active: int, floor: float) -> list[int]:

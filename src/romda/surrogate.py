@@ -110,10 +110,6 @@ class PodEnSurrogate:
         return self.basis.mean.shape[0] - self.m_x
 
     @property
-    def n_members(self) -> int:
-        return self.basis.n_members
-
-    @property
     def joint_mean(self) -> np.ndarray:
         return self.basis.mean
 
@@ -173,7 +169,6 @@ class ErrorCovariance:
     modes: np.ndarray  # (m_y, r) the state basis's modes
     weights: np.ndarray  # (r,) >= 0
     n_retained: int  # leading columns of ``modes`` that are retained modes
-    kind: str  # one of COVARIANCE_KINDS
     floored_modes: tuple[int, ...] = ()  # modes whose corrected variance hit 0
 
     @property
@@ -303,7 +298,6 @@ def _augmented_covariance(
     surrogate: PodPceSurrogate,
     r: np.ndarray,
     variances: np.ndarray,
-    kind: str,
     floored_modes: tuple[int, ...] = (),
 ) -> ErrorCovariance:
     """R plus the per-mode learning ``variances`` (weights lambda_k var_k on
@@ -319,7 +313,6 @@ def _augmented_covariance(
         modes=basis.modes,  # the same block for every d and kind
         weights=weights,
         n_retained=d,
-        kind=kind,
         floored_modes=floored_modes,
     )
 
@@ -334,7 +327,7 @@ def metamodel_error_covariance(surrogate: PodPceSurrogate, r: np.ndarray) -> Err
     semidefinite low-rank term.
     """
     r = _check_observation_cov(r, surrogate.m_y)
-    return _augmented_covariance(surrogate, r, surrogate.empirical_errors, "r_tilde")
+    return _augmented_covariance(surrogate, r, surrogate.empirical_errors)
 
 
 def corrected_error_covariance(surrogate: PodPceSurrogate, r: np.ndarray) -> ErrorCovariance:
@@ -352,9 +345,7 @@ def corrected_error_covariance(surrogate: PodPceSurrogate, r: np.ndarray) -> Err
     variances = delta - bias**2
     floored = np.nonzero(variances < -1e-12 * np.maximum(delta, 1e-300))[0]
     variances = np.maximum(variances, 0.0)
-    return _augmented_covariance(
-        surrogate, r, variances, "r_tilde_corrected", tuple(int(k) for k in floored)
-    )
+    return _augmented_covariance(surrogate, r, variances, tuple(int(k) for k in floored))
 
 
 def observation_covariance(

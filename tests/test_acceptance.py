@@ -188,10 +188,10 @@ def test_criterion_3_gradient_fidelity() -> None:
     )
 
 
-def test_criterion_4_closed_form_equivalence() -> None:
-    start = time.perf_counter()
+def _criterion_4_instances():
+    """Criterion 4's ten PODEn problems (seed 1004, d in 2..5), each with
+    its surrogate."""
     rng = np.random.default_rng(1004)
-    worst = 0.0
     for trial in range(10):
         m_x, m_y, n = 3, 8, 30
         params = rng.standard_normal((m_x, n))
@@ -210,15 +210,20 @@ def test_criterion_4_closed_form_equivalence() -> None:
             observation_cov=r_cov,
             bounds=np.column_stack([np.full(m_x, -1e6), np.full(m_x, 1e6)]),
         )
+        yield s, problem
+
+
+# The iterative oracle runs to float-noise convergence; the default
+# relative-decrease stop would quit ~1e-7 early on these quadratics.
+_ORACLE = OptimizerConfig(tol=1e-13, f_rel_tol=0.0, max_iter=2000)
+
+
+def test_criterion_4_closed_form_equivalence() -> None:
+    start = time.perf_counter()
+    worst = 0.0
+    for s, problem in _criterion_4_instances():
         closed = solve_poden3dvar(s, problem)
-        # The iterative oracle runs to float-noise convergence; the default
-        # relative-decrease stop would quit ~1e-7 early on these quadratics.
-        descent = solve_poden3dvar(
-            s,
-            problem,
-            method="descent",
-            optimizer_config=OptimizerConfig(tol=1e-13, f_rel_tol=0.0, max_iter=2000),
-        )
+        descent = solve_poden3dvar(s, problem, method="descent", optimizer_config=_ORACLE)
         worst = max(worst, float(np.max(np.abs(closed.nu_a - descent.nu_a))))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-8 and elapsed < 5.0
@@ -227,6 +232,16 @@ def test_criterion_4_closed_form_equivalence() -> None:
         ok,
         f"max |nu_closed - nu_descent| {worst:.2e} over 10 instances (d<=5); {elapsed:.1f}s",
     )
+
+
+def test_criterion_4_oracle_never_stops_on_a_decrease() -> None:
+    # At f_rel_tol = 0 the decrease stop is off: no oracle descent may end
+    # on a step that merely failed to lower the cost.
+    reasons = [
+        solve_poden3dvar(s, problem, method="descent", optimizer_config=_ORACLE).reason
+        for s, problem in _criterion_4_instances()
+    ]
+    assert "f_decrease" not in reasons, reasons
 
 
 def test_criterion_5_error_covariance_assembly() -> None:

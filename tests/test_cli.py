@@ -117,7 +117,8 @@ def test_assimilate_command_and_noise_zero_validation(chain, capsys) -> None:
         "x_b": list(toymodel.PARAMETER_MEANS),
     }
     assert chain.run("assimilate", {**base, "noise_level": 0.05}, 1) == EXIT_OK
-    doc = io.load_json(out / "analysis.json", "analysis")
+    doc = json.loads((out / "analysis.json").read_text())
+    assert doc["schema"] == io.SCHEMAS["analysis"]
     assert len(doc["x_a"]) == 4
 
     assert chain.run("assimilate", {**base, "noise_level": 0.0}, 1) == EXIT_VALIDATION
@@ -140,7 +141,9 @@ def test_readme_chain_runs_with_only_the_required_keys(chain, kind, solve) -> No
         "noise_level": 0.05,
     }
     assert chain.run("assimilate", assim, seed) == EXIT_OK
-    x_a = np.array(io.load_json(out / "analysis.json", "analysis")["x_a"])
+    doc = json.loads((out / "analysis.json").read_text())
+    assert doc["schema"] == io.SCHEMAS["analysis"]
+    x_a = np.array(doc["x_a"])
     low, high = toymodel.PARAMETER_BOUNDS.T
     assert np.all(x_a >= low) and np.all(x_a <= high)
 
@@ -624,6 +627,12 @@ def test_measure_command_rejects_bad_config_naming_the_field(tmp_path, capsys) -
         ("twin", "evr_threshold", True),
         ("measure", "evr_threshold", float("nan")),
         ("twin", "noise_levels", [True]),
+        # List fields take distinct entries.
+        ("twin", "noise_levels", [0.1, 0.1]),
+        ("covgrid", "alpha_grid", [1.0, 10.0, 1.0]),
+        ("bootstrap", "surrogates", ["podpce", "podpce"]),
+        ("measure", "mode_numbers", [2, 2, 1]),
+        ("measure", "covariance_kinds", ["r", "r"]),
     ],
 )
 def test_sweep_config_fails_before_sampling_naming_the_field(
@@ -641,6 +650,26 @@ def test_sweep_config_fails_before_sampling_naming_the_field(
     path = write_config(tmp_path, "cfg.json", cfg)
     assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
     assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+
+@pytest.mark.parametrize("command", list(cli._SWEEPS))
+def test_sweep_takes_mode_numbers_or_evr_threshold_not_both(tmp_path, capsys, monkeypatch, command) -> None:
+    # As build-surrogate takes one of modes and evr_threshold: with both, the
+    # mode numbers would be ignored for the EVR rank.
+    def never(*args, **kwargs):
+        raise AssertionError("an ensemble was drawn or fitted")
+
+    monkeypatch.setattr("romda.toymodel.sample_parameters", never)
+    observations = tmp_path / "obs.csv"
+    write_observation(observations, np.zeros(toymodel.default_grid().n_state))
+    cfg = {"training_sizes": [16], "mode_numbers": [5], "evr_threshold": 0.9, "pce_degree": 2,
+           "surrogates": ["podpce"],
+           **({"observations_csv": str(observations)} if command == "measure" else {"noise_levels": [0.1]})}
+    out = tmp_path / "out"
+    path = write_config(tmp_path, "cfg.json", cfg)
+    assert main([command, "--config", path, "--out", str(out)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: evr_threshold: set evr_threshold or mode_numbers, not both\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

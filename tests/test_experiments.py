@@ -184,6 +184,23 @@ def test_sweep_configs_reject_bad_fields(field, value) -> None:
     MeasurementConfig(mode_numbers=(), evr_threshold=0.95)
 
 
+@pytest.mark.parametrize(
+    "config_type, field, value, repeated",
+    [
+        (TwinConfig, "noise_levels", (0.1, 0.2, 0.1), 0.1),
+        (TwinConfig, "surrogates", ("podpce", "podpce"), "podpce"),
+        (TwinConfig, "mode_numbers", (2, 2, 1), 2),
+        (TwinConfig, "alpha_grid", (1.0, 10.0, 1), 1),
+        (MeasurementConfig, "surrogates", ("poden", "podpce", "poden"), "poden"),
+        (MeasurementConfig, "mode_numbers", (3, 1, 3), 3),
+        (MeasurementConfig, "covariance_kinds", ("r", "r"), "r"),
+    ],
+)
+def test_sweep_configs_reject_repeated_entries(config_type, field, value, repeated) -> None:
+    with pytest.raises(ValueError, match=f"^{field}: entries must be distinct, got {repeated!r} twice$"):
+        config_type(**{field: value})
+
+
 def test_background_covariance_is_the_identity(monkeypatch) -> None:
     # Standardized B = I, whatever the truth.
     x_t = (toymodel.PARAMETER_MEANS[0], 4.5, 1.2, 2.5)

@@ -122,6 +122,21 @@ def test_rejects_bad_start() -> None:
         bounded_quasi_newton(f, g, np.array([0.5]), box((0.0, 1.0)), OptimizerConfig(tol=0.0))
 
 
+def test_f_rel_tol_zero_turns_the_decrease_stop_off() -> None:
+    f, g = quadratic([0.0])
+    with pytest.raises(ValueError, match="f_rel_tol must be nonnegative, got -1e-12"):
+        bounded_quasi_newton(f, g, np.array([0.5]), box((0.0, 1.0)), OptimizerConfig(f_rel_tol=-1e-12))
+    # A cost so large that the first step's decrease rounds to 0, which
+    # Armijo accepts: the default run stops on it; without the decrease
+    # stop the run goes on to the projected-gradient test, met at the lower
+    # bound.
+    flat, slope = lambda x: 1e20, lambda x: np.array([1.0])
+    start, bounds = np.array([0.5]), box((0.0, 1.0))
+    assert bounded_quasi_newton(flat, slope, start, bounds).reason == "f_decrease"
+    res = bounded_quasi_newton(flat, slope, start, bounds, OptimizerConfig(f_rel_tol=0.0))
+    assert (res.reason, res.x[0]) == ("projected_gradient", 0.0)
+
+
 def test_max_iter_reported() -> None:
     f, g = quadratic([0.9] * 5)
     res = bounded_quasi_newton(
@@ -263,7 +278,7 @@ def numpy_quasi_newton(f, grad, x0, bounds, config=OptimizerConfig()):
         pg = box.project(x, gx)
         grad_norm = float(np.max(np.abs(pg)))
         stall = config.f_rel_tol * max(abs(fx), 1.0)
-        if decide(decrease, stall, max(abs(fx), 1.0)) <= stall:
+        if config.f_rel_tol and decide(decrease, stall, max(abs(fx), 1.0)) <= stall:
             reason = "f_decrease"
             break
     return x, fx, iterations, reason, calls, close

@@ -188,7 +188,6 @@ def test_metamodel_covariance_hand_case() -> None:
     s = hand_surrogate(delta=[0.01])
     cov = metamodel_error_covariance(s, np.zeros((2, 2)))
     assert np.allclose(cov.matrix, np.diag([0.04, 0.25]), atol=1e-14)
-    assert cov.kind == "r_tilde"
     assert cov.n_retained == 1
     assert np.allclose(cov.weights[:1], [0.04])  # retained: lambda_1 delta_1
     assert np.allclose(cov.weights[1:], [0.25])  # truncated: lambda_2 / (n - 1)
@@ -261,7 +260,6 @@ def test_corrected_covariance_bias_zero_matches_plain() -> None:
     plain = metamodel_error_covariance(s, np.zeros((2, 2)))
     corrected = corrected_error_covariance(s, np.zeros((2, 2)))
     assert np.allclose(plain.matrix, corrected.matrix)
-    assert corrected.kind == "r_tilde_corrected"
     assert corrected.floored_modes == ()
 
 
