@@ -78,8 +78,6 @@ def _load_config(path: str | None) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    raw.pop("_meta", None)
-    raw.pop("schema", None)
     return raw
 
 
@@ -141,22 +139,6 @@ def _read(cfg: dict, key: str, command: str, read: Callable = io.read_snapshot_c
         raise ConfigError(f"{key}: {path} has no field {exc.args[0]!r}") from None
     except ValueError as exc:
         raise ConfigError(f"{key}: {exc}") from None
-
-
-def _tuplify(cfg: dict, cls) -> dict:
-    """JSON lists become tuples where the config dataclass holds tuples; any
-    other value there but a null where the field may be None is rejected,
-    naming the field."""
-    out = dict(cfg)
-    for field in dataclasses.fields(cls):
-        if field.name not in out or not str(field.type).startswith("tuple"):
-            continue
-        value = out[field.name]
-        if isinstance(value, list):
-            out[field.name] = tuple(value)
-        elif not (value is None and str(field.type).endswith("| None")):
-            raise ConfigError(f"{field.name}: need a list, got {value!r}")
-    return out
 
 
 class _Output(NamedTuple):
@@ -365,17 +347,9 @@ def _cmd_assimilate(args, cfg: dict) -> _Output:
 def _sweep_config(args, cfg: dict, cls, command: str, extra: frozenset = frozenset()):
     """Sweep configuration of type ``cls`` from the config keys (minus the
     ``extra`` keys the command reads itself) and the run seed, which only
-    ``--seed`` sets. It takes ``mode_numbers`` or a non-null
-    ``evr_threshold``, not both."""
+    ``--seed`` sets; ``cls`` checks its own fields."""
     _check_keys(cfg, {f.name for f in dataclasses.fields(cls)} - {"seed"} | extra, command)
-    if "mode_numbers" in cfg and cfg.get("evr_threshold") is not None:
-        raise ConfigError("evr_threshold: set evr_threshold or mode_numbers, not both")
-    merged = _tuplify({k: v for k, v in cfg.items() if k not in extra}, cls)
-    merged["seed"] = args.seed
-    try:
-        return cls(**merged)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
+    return cls(**{k: v for k, v in cfg.items() if k not in extra}, seed=args.seed)
 
 
 class _Sweep(NamedTuple):
@@ -440,6 +414,13 @@ _COMMANDS = {
 }
 
 
+def _seed(text: str) -> int:
+    """``--seed``: a non-negative integer, the entropy of every substream."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"need a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="romda",
@@ -451,7 +432,7 @@ def _parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", default=None, help="JSON configuration file")
-        cmd.add_argument("--seed", type=int, default=0, help="run seed (default 0)")
+        cmd.add_argument("--seed", type=_seed, default=0, help="run seed (default 0)")
         cmd.add_argument("--out", default="romda_out", help="output directory")
     return parser
 

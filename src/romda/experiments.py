@@ -179,8 +179,29 @@ def _check_reals(field: str, values: tuple, ok: Callable, rule: str) -> None:
 
 
 def _check_sweep(config: "TwinConfig | MeasurementConfig") -> None:
-    """Checks shared by the sweep configurations, made before any ensemble
-    is drawn; each message starts with its field."""
+    """Checks shared by the sweep configurations, made first in
+    ``__post_init__`` and so before any ensemble is drawn; each message
+    starts with its field. A list in a tuple field becomes a tuple, and any
+    other value there but a null where the field may be None is rejected.
+    ``mode_numbers`` defaults to 1..6 when ``evr_threshold`` is null; a
+    config sets one of the two, not both."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if not f.type.startswith("tuple") or isinstance(value, tuple):
+            continue
+        if isinstance(value, list):
+            object.__setattr__(config, f.name, tuple(value))
+        elif not (value is None and f.type.endswith("| None")):
+            raise ValueError(f"{f.name}: need a list, got {value!r}")
+    if config.evr_threshold is None:
+        if config.mode_numbers is None:
+            object.__setattr__(config, "mode_numbers", (1, 2, 3, 4, 5, 6))
+        _check_counts("mode_numbers", config.mode_numbers, 1, "mode counts start at 1")
+        _check_distinct("mode_numbers", config.mode_numbers)
+    elif config.mode_numbers is not None:
+        raise ValueError("evr_threshold: set evr_threshold or mode_numbers, not both")
+    else:
+        _check_reals("evr_threshold", (config.evr_threshold,), *_EVR)
     sizes = config.training_sizes
     _check_counts("training_sizes", sizes, 8, "training sizes below 8 members are not supported")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
@@ -188,13 +209,6 @@ def _check_sweep(config: "TwinConfig | MeasurementConfig") -> None:
     _check_each("surrogates", config.surrogates, SURROGATE_KINDS.__contains__,
                 f"surrogate kind must be one of {SURROGATE_KINDS}")
     _check_distinct("surrogates", config.surrogates)
-    if config.evr_threshold is None and not config.mode_numbers:
-        raise ValueError("mode_numbers: need mode_numbers or evr_threshold")
-    if config.mode_numbers:
-        _check_counts("mode_numbers", config.mode_numbers, 1, "mode counts start at 1")
-        _check_distinct("mode_numbers", config.mode_numbers)
-    if config.evr_threshold is not None:
-        _check_reals("evr_threshold", (config.evr_threshold,), *_EVR)
     _check_counts("pce_degree", (config.pce_degree,), 0, "degree must be >= 0")
     m_x = len(toymodel.PARAMETER_NAMES)
     cap = degree_cap(m_x)
@@ -226,8 +240,8 @@ class TwinConfig:
     x_t: tuple[float, ...] | None = None  # drawn from the truth substream if None
     noise_levels: tuple[float, ...] = DEFAULT_NOISE_LEVELS
     training_sizes: tuple[int, ...] = (100, 400)
-    mode_numbers: tuple[int, ...] = (1, 2, 3, 4, 5, 6)
-    evr_threshold: float | None = None  # overrides mode_numbers when set
+    mode_numbers: tuple[int, ...] | None = None  # 1..6 unless evr_threshold is set
+    evr_threshold: float | None = None
     surrogates: tuple[str, ...] = SURROGATE_KINDS
     covariance_kind: str = "r_tilde"  # applies to the nonlinear surrogate
     alpha_grid: tuple[float, ...] = DEFAULT_ALPHA_GRID
@@ -239,12 +253,12 @@ class TwinConfig:
     pce_degree: int = 3
 
     def __post_init__(self) -> None:
+        _check_sweep(self)
         _check_truth(self.x_t)
         _check_reals("noise_levels", self.noise_levels, *_NOISE)
         _check_distinct("noise_levels", self.noise_levels)
         _check_reals("grid_noise", (self.grid_noise,), *_NOISE)
         _check_reals("bootstrap_noise", (self.bootstrap_noise,), *_NOISE)
-        _check_sweep(self)
         _check_each("covariance_kind", (self.covariance_kind,), COVARIANCE_KINDS.__contains__,
                     f"covariance kind must be one of {COVARIANCE_KINDS}")
         _check_reals("alpha_grid", self.alpha_grid, lambda a: a > 0, "alpha factors must be positive")
@@ -261,15 +275,15 @@ class MeasurementConfig:
     seed: int = 0
     assumed_noise: float = 0.05  # fills R from observed-series variability
     training_sizes: tuple[int, ...] = (400,)
-    mode_numbers: tuple[int, ...] = (1, 2, 3, 4, 5, 6)
+    mode_numbers: tuple[int, ...] | None = None  # as in TwinConfig
     evr_threshold: float | None = None
     surrogates: tuple[str, ...] = SURROGATE_KINDS
     covariance_kinds: tuple[str, ...] = ("r", "r_tilde")
     pce_degree: int = 3
 
     def __post_init__(self) -> None:
-        _check_reals("assumed_noise", (self.assumed_noise,), *_NOISE)
         _check_sweep(self)
+        _check_reals("assumed_noise", (self.assumed_noise,), *_NOISE)
         _check_each("covariance_kinds", self.covariance_kinds, COVARIANCE_KINDS.__contains__,
                     f"covariance kind must be one of {COVARIANCE_KINDS}")
         _check_distinct("covariance_kinds", self.covariance_kinds)

@@ -217,6 +217,8 @@ def truncate(
         raise ValueError("specify exactly one of modes= or evr_threshold=")
     r = basis.n_modes
     if modes is not None:
+        if isinstance(modes, bool) or not isinstance(modes, (int, np.integer)):
+            raise ValueError(f"modes: need an integer mode count, got {modes!r}")
         d = int(modes)
         if not 1 <= d <= r:
             raise ModeCountError(

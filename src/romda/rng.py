@@ -6,6 +6,17 @@ import zlib
 import numpy as np
 
 
+def _sequence(seed: int, name: str) -> np.random.SeedSequence:
+    """The seed sequence of substream ``name`` of run ``seed``, a
+    non-negative integer."""
+    if not isinstance(seed, (int, np.integer)):
+        raise TypeError(f"seed must be an integer, got {type(seed).__name__}")
+    if seed < 0:
+        raise ValueError(f"seed: need a non-negative integer, got {seed}")
+    # crc32 is stable across platforms and Python versions.
+    return np.random.SeedSequence(entropy=int(seed), spawn_key=(zlib.crc32(name.encode("utf-8")),))
+
+
 def substream(seed: int, name: str) -> np.random.Generator:
     """Generator for the substream ``name`` of run ``seed``.
 
@@ -13,17 +24,12 @@ def substream(seed: int, name: str) -> np.random.Generator:
     (seed, name) pair always yields the same stream. No global RNG state is
     touched anywhere in the package.
     """
-    if not isinstance(seed, (int, np.integer)):
-        raise TypeError(f"seed must be an integer, got {type(seed).__name__}")
-    # crc32 is stable across platforms and Python versions.
-    key = zlib.crc32(name.encode("utf-8"))
-    return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(key,)))
+    return np.random.default_rng(_sequence(seed, name))
 
 
 def substream_seed(seed: int, name: str) -> int:
     """Derived integer seed for APIs that take a seed rather than a Generator."""
-    key = zlib.crc32(name.encode("utf-8"))
-    return int(np.random.SeedSequence(entropy=int(seed), spawn_key=(key,)).generate_state(1)[0])
+    return int(_sequence(seed, name).generate_state(1)[0])
 
 
 def split_seed(seed: int, n: int) -> int:

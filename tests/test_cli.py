@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import romda
-from romda import cli, experiments, io, toymodel
+from romda import cli, experiments, io, rng, toymodel
 from romda.assimilate import pose_problem, solve_poden3dvar, solve_podpce3dvar
 from romda.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, EXIT_WORKER_LOST, main
 from romda.experiments import build_surrogates, measurement_noise_diag
@@ -652,59 +652,48 @@ def test_sweep_config_fails_before_sampling_naming_the_field(
     assert capsys.readouterr().err.startswith(f"error: {field}: ")
 
 
-@pytest.mark.parametrize("command", list(cli._SWEEPS))
-def test_sweep_takes_mode_numbers_or_evr_threshold_not_both(tmp_path, capsys, monkeypatch, command) -> None:
-    # As build-surrogate takes one of modes and evr_threshold: with both, the
+BOTH = {"mode_numbers": [5], "evr_threshold": 0.9}
+NOT_BOTH = "evr_threshold: set evr_threshold or mode_numbers, not both"
+DEGREE_CAP = "pce_degree: degree must be at most 12 for 4 inputs (a basis of at most 2000 terms), got"
+
+
+@pytest.mark.parametrize("command, cfg, message", [
+    # A list field takes a list: no bool, number or text (whose characters
+    # would be read as entries), and null only where the field may be None.
+    ("twin", {"noise_levels": True}, "noise_levels: need a list, got True"),
+    ("covgrid", {"alpha_grid": 1.0}, "alpha_grid: need a list, got 1.0"),
+    ("twin", {"surrogates": "podpce"}, "surrogates: need a list, got 'podpce'"),
+    ("measure", {"covariance_kinds": "r"}, "covariance_kinds: need a list, got 'r'"),
+    ("measure", {"mode_numbers": 5}, "mode_numbers: need a list, got 5"),
+    ("bootstrap", {"training_sizes": {}}, "training_sizes: need a list, got {}"),
+    ("covgrid", {"mode_numbers": None, "training_sizes": None}, "training_sizes: need a list, got None"),
+    ("twin", {"x_t": 70.0}, "x_t: need a list, got 70.0"),
+    # mode_numbers or a non-null evr_threshold, not both: with both, the
     # mode numbers would be ignored for the EVR rank.
+    *((command, BOTH, NOT_BOTH) for command in cli._SWEEPS),
+    ("measure", {"mode_numbers": [], "evr_threshold": 0.9}, NOT_BOTH),
+    # The degree cap bounds the basis at 2000 terms: degree 12 for 4 inputs.
+    ("twin", {"pce_degree": 13}, f"{DEGREE_CAP} 13"),
+    ("measure", {"pce_degree": 14}, f"{DEGREE_CAP} 14"),
+])
+def test_sweep_config_fails_alike_from_the_library_and_the_cli(
+    tmp_path, capsys, monkeypatch, command, cfg, message
+) -> None:
     def never(*args, **kwargs):
-        raise AssertionError("an ensemble was drawn or fitted")
+        raise AssertionError("an ensemble was drawn")
 
     monkeypatch.setattr("romda.toymodel.sample_parameters", never)
+    with pytest.raises(ValueError) as raised:
+        cli._SWEEPS[command].config_type(**cfg)
+    assert str(raised.value) == message
     observations = tmp_path / "obs.csv"
     write_observation(observations, np.zeros(toymodel.default_grid().n_state))
-    cfg = {"training_sizes": [16], "mode_numbers": [5], "evr_threshold": 0.9, "pce_degree": 2,
-           "surrogates": ["podpce"],
-           **({"observations_csv": str(observations)} if command == "measure" else {"noise_levels": [0.1]})}
+    extra = {"observations_csv": str(observations)} if command == "measure" else {}
     out = tmp_path / "out"
-    path = write_config(tmp_path, "cfg.json", cfg)
-    assert main([command, "--config", path, "--out", str(out)]) == EXIT_VALIDATION
-    assert capsys.readouterr().err == "error: evr_threshold: set evr_threshold or mode_numbers, not both\n"
+    assert main([command, "--config", write_config(tmp_path, "cfg.json", {**cfg, **extra}),
+                 "--out", str(out)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
-
-
-@pytest.mark.parametrize(
-    "command, field, value, message",
-    [
-        # A list field takes a list: no bool, number or text (whose characters
-        # would be read as entries), and null only where the field may be None.
-        ("twin", "noise_levels", True, "need a list, got True"),
-        ("covgrid", "alpha_grid", 1.0, "need a list, got 1.0"),
-        ("twin", "surrogates", "podpce", "need a list, got 'podpce'"),
-        ("measure", "covariance_kinds", "r", "need a list, got 'r'"),
-        ("twin", "mode_numbers", None, "need a list, got None"),
-        ("bootstrap", "training_sizes", {}, "need a list, got {}"),
-        ("twin", "x_t", 70.0, "need a list, got 70.0"),
-        # The degree cap bounds the basis at 2000 terms: degree 12 for 4 inputs.
-        ("twin", "pce_degree", 13, "degree must be at most 12 for 4 inputs"),
-        ("measure", "pce_degree", 14, "degree must be at most 12 for 4 inputs"),
-    ],
-)
-def test_sweep_field_of_the_wrong_form_fails_before_any_output(
-    tmp_path, capsys, command, field, value, message
-) -> None:
-    observations = tmp_path / "obs.csv"
-    write_observation(observations, np.zeros(toymodel.default_grid().n_state))
-    cfg = {field: value, **({"observations_csv": str(observations)} if command == "measure" else {})}
-    path = write_config(tmp_path, "cfg.json", cfg)
-    assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
-    assert capsys.readouterr().err.startswith(f"error: {field}: {message}")
-    assert not (tmp_path / "out").exists()
-
-
-def test_null_truth_passes_the_list_rule() -> None:
-    # x_t may be None (a truth drawn from the seed), so a null passes.
-    assert cli._tuplify({"x_t": None, "alpha_grid": [1.0]}, experiments.TwinConfig) == {
-        "x_t": None, "alpha_grid": (1.0,)}
 
 
 @pytest.mark.parametrize("command, field, value, sizes, message", [
@@ -752,8 +741,12 @@ def test_readme_command_block_lists_every_subcommand() -> None:
     assert listed == list(cli._COMMANDS)
 
 
-def test_every_exported_name_resolves() -> None:
-    assert [name for name in romda.__all__ if not hasattr(romda, name)] == []
+def test_importing_the_package_loads_no_module_of_it_and_no_scipy() -> None:
+    # The library API is imported from its modules.
+    code = "import sys, romda; print(sorted(m for m in sys.modules if m.startswith(('romda.', 'scipy'))))"
+    env = dict(os.environ, PYTHONPATH=str(Path(romda.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_importing_the_drivers_loads_no_cli() -> None:
@@ -997,6 +990,35 @@ def test_sweeps_take_the_seed_from_the_option_only(tmp_path, capsys, command) ->
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+@pytest.mark.parametrize("seed", ["-1", "x", "1.5"])
+def test_a_seed_that_is_no_non_negative_integer_fails_naming_the_option(tmp_path, capsys, command, seed) -> None:
+    # Before any config is read, and so before any output.
+    assert main([command, "--seed", seed, "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+    assert f"error: argument --seed: need a non-negative integer, got '{seed}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_library_seeds_are_non_negative() -> None:
+    for derive in (rng.substream, rng.substream_seed):
+        with pytest.raises(ValueError, match="^seed: need a non-negative integer, got -1$"):
+            derive(-1, "truth")
+
+
+def test_config_keys_outside_the_command_fail_even_from_a_written_config(chain, capsys) -> None:
+    # A document's schema and _meta keys are config keys like any other; so
+    # config_used.json, whose keys are its stamp and the effective config,
+    # cannot be fed back as a config.
+    assert chain.run("sample", {"n": 3, "schema": "anything", "_meta": {}}, 0) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: unknown config keys for sample: ['_meta', 'schema']\n"
+    assert not chain.out.exists()
+    assert chain.run("sample", {"n": 3}, 0) == EXIT_OK
+    written = json.loads((chain.out / "config_used.json").read_text())
+    assert main(["sample", "--config", str(chain.out / "config_used.json"),
+                 "--out", str(chain.tmp / "again")]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith(f"error: unknown config keys for sample: {sorted(written)}")
+
+
 @pytest.mark.parametrize("out", ["file", "file/sub"])
 def test_an_out_that_cannot_be_a_directory_fails_before_any_compute(
     tmp_path, capsys, monkeypatch, out
@@ -1040,6 +1062,7 @@ FUZZ_VALID = {
     ("assimilate", "alpha_r", "2.5"),
     *((command, "pce_degree", "zero") for command in cli._SWEEPS),
     *((command, "evr_threshold", "null") for command in cli._SWEEPS),  # the default
+    *((command, "mode_numbers", "null") for command in cli._SWEEPS),  # the default, 1..6
     *((command, "x_t", "null") for command in ("twin", "covgrid", "bootstrap")),  # drawn from the seed
 }
 

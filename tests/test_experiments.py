@@ -181,7 +181,8 @@ def test_sweep_configs_reject_bad_fields(field, value) -> None:
         with pytest.raises(ValueError, match=field):
             config_type(**{field: value})
     # An EVR threshold stands in for explicit mode numbers.
-    MeasurementConfig(mode_numbers=(), evr_threshold=0.95)
+    assert MeasurementConfig(evr_threshold=0.95).mode_numbers is None
+    assert MeasurementConfig().mode_numbers == (1, 2, 3, 4, 5, 6)
 
 
 @pytest.mark.parametrize(
@@ -334,7 +335,7 @@ def test_run_bootstrap_order_statistics() -> None:
 
 def test_run_bootstrap_builds_the_evr_selected_rank() -> None:
     config = TwinConfig(
-        seed=7, evr_threshold=0.95, mode_numbers=(), bootstrap_replicates=1, bootstrap_size=40
+        seed=7, evr_threshold=0.95, bootstrap_replicates=1, bootstrap_size=40
     )
     report = run_bootstrap(config)
 

@@ -186,6 +186,15 @@ def test_truncate_by_threshold_and_count() -> None:
         truncate(five, modes=2, evr_threshold=0.5)
 
 
+@pytest.mark.parametrize("modes", [True, 2.7, 2.0, "2"])
+def test_truncate_takes_an_integer_mode_count(modes) -> None:
+    # A bool or a float would be cut to an int: True to 1 mode, 2.7 to 2.
+    five = fit_pod(np.random.default_rng(3).standard_normal((5, 9)))
+    with pytest.raises(ValueError, match=f"^modes: need an integer mode count, got {modes!r}$"):
+        truncate(five, modes=modes)
+    assert truncate(five, modes=np.int64(2)).retained == 2
+
+
 def test_project_basics() -> None:
     # Wide matrix: after centering the spectrum stays fully nonzero (rank m <= n - 1).
     rng = np.random.default_rng(9)
