@@ -42,6 +42,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
+from .checks import check_reals
 from .optimize import OptimizerConfig, bounded_quasi_newton
 from .pce import _Point, pce_eval, pce_jacobian
 from .surrogate import (
@@ -100,8 +101,7 @@ class AssimilationProblem:
         if self.bounds.shape != (m_x, 2):
             raise ValueError(f"bounds must be ({m_x}, 2)")
         for name in ("alpha_b", "alpha_r"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name}: alpha scalings must be positive, got {getattr(self, name)!r}")
+            check_reals(name, (getattr(self, name),), lambda a: a > 0.0, "alpha scalings must be positive")
         _check_background(self.x_b, self.bounds)
         self._b_factor = _whitening_factor(self.background_cov, self.alpha_b, "background")
         self._r_factor = _whitening_factor(self.observation_cov, self.alpha_r, "observation", shared)

@@ -35,14 +35,11 @@ import numpy as np
 
 from . import __version__, io, toymodel
 from .assimilate import _check_background, pose_problem, solve_poden3dvar, solve_podpce3dvar
+from .checks import EVR, NOISE, check_counts, check_reals
 from .experiments import (
-    _EVR,
-    _NOISE,
     SURROGATE_KINDS,
     MeasurementConfig,
     TwinConfig,
-    _check_counts,
-    _check_reals,
     _one_blas_thread,
     _physical,
     build_surrogates,
@@ -52,7 +49,7 @@ from .experiments import (
     run_measurement,
     run_twin,
 )
-from .pce import SPLIT_MIN_MEMBERS, OutsideBoxError
+from .pce import SPLIT_MIN_MEMBERS, OutsideBoxError, check_degree
 from .pod import ModeCountError, SnapshotMatrix, evr
 from .rng import split_seed
 from .surrogate import PodPceSurrogate
@@ -63,61 +60,40 @@ EXIT_NUMERICAL = 2
 EXIT_WORKER_LOST = 3
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     try:
         raw = json.loads(Path(path).read_text())
     except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
+        raise ValueError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+        raise ValueError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
+        raise ValueError(f"config file {path} must hold a JSON object")
     return raw
 
 
 def _check_keys(cfg: dict, allowed: set[str], command: str) -> None:
     unknown = sorted(set(cfg) - allowed)
     if unknown:
-        raise ConfigError(f"unknown config keys for {command}: {unknown}")
+        raise ValueError(f"unknown config keys for {command}: {unknown}")
 
 
 def _require(cfg: dict, key: str, command: str):
     if key not in cfg:
-        raise ConfigError(f"{command} config requires {key!r}")
+        raise ValueError(f"{command} config requires {key!r}")
     return cfg[key]
 
 
-def _count(cfg: dict, key: str, low: int, rule: str, default: int | None = None) -> int:
-    """``cfg[key]`` (or ``default``), checked by the sweeps' count rule: an
-    integer, not a bool, at least ``low``; the message names ``key``."""
-    value = cfg.get(key, default)
-    _check_counts(key, (value,), low, rule)
-    return value
-
-
-def _real(cfg: dict, key: str, ok: Callable = lambda v: True, rule: str = "",
-          default: float | None = None) -> float:
-    """``cfg[key]`` (or ``default``), a finite number that passes ``ok``;
-    the message names ``key``."""
-    value = cfg.get(key, default)
-    _check_reals(key, (value,), ok, rule)
-    return float(value)
-
-
-def _reals(cfg: dict, key: str, size: int, ok: Callable = lambda v: True, rule: str = "") -> np.ndarray:
-    """``cfg[key]``, a list of ``size`` finite numbers each passing ``ok``,
-    as an array; the message names ``key``."""
+def _reals(cfg: dict, key: str, size: int, *rule) -> np.ndarray:
+    """``cfg[key]``, a list of ``size`` finite numbers each passing ``rule``
+    (ok, text), as an array; the message names ``key``."""
     values = cfg[key]
     if not isinstance(values, list) or len(values) != size:
         got = f"{len(values)} entries" if isinstance(values, list) else repr(values)
-        raise ConfigError(f"{key}: need a list of {size} numbers, got {got}")
-    _check_reals(key, tuple(values), ok, rule)
+        raise ValueError(f"{key}: need a list of {size} numbers, got {got}")
+    check_reals(key, tuple(values), *rule)
     return np.array(values, dtype=float)
 
 
@@ -128,17 +104,17 @@ def _read(cfg: dict, key: str, command: str, read: Callable = io.read_snapshot_c
     one, naming the key. A numerical failure stays one."""
     path = _require(cfg, key, command)
     if not isinstance(path, str):
-        raise ConfigError(f"{key}: need a file path, got {path!r}")
+        raise ValueError(f"{key}: need a file path, got {path!r}")
     try:
         return read(path)
     except OSError as exc:
-        raise ConfigError(f"{key}: cannot read {path}: {exc.strerror or exc}") from None
+        raise ValueError(f"{key}: cannot read {path}: {exc.strerror or exc}") from None
     except np.linalg.LinAlgError:
         raise  # a numerical failure, which main reports as one
     except KeyError as exc:
-        raise ConfigError(f"{key}: {path} has no field {exc.args[0]!r}") from None
+        raise ValueError(f"{key}: {path} has no field {exc.args[0]!r}") from None
     except ValueError as exc:
-        raise ConfigError(f"{key}: {exc}") from None
+        raise ValueError(f"{key}: {exc}") from None
 
 
 class _Output(NamedTuple):
@@ -151,7 +127,7 @@ def _check_out(path: str) -> None:
     """Reject an ``--out`` whose nearest existing path (itself or an ancestor) is no directory."""
     existing = next((p for p in (Path(path), *Path(path).parents) if os.path.exists(p)), None)
     if existing is not None and not os.path.isdir(existing):
-        raise ConfigError(f"--out: {existing} exists and is not a directory")
+        raise ValueError(f"--out: {existing} exists and is not a directory")
 
 
 def _write(args, cfg: dict, output: _Output) -> None:
@@ -166,7 +142,7 @@ def _write(args, cfg: dict, output: _Output) -> None:
         for write in output.writers:
             write(out, **stamp)
     except OSError as exc:
-        raise ConfigError(f"--out: {exc}") from None
+        raise ValueError(f"--out: {exc}") from None
     print(output.summary(out))
 
 
@@ -178,8 +154,8 @@ def _write(args, cfg: dict, output: _Output) -> None:
 
 def _cmd_sample(args, cfg: dict) -> _Output:
     _check_keys(cfg, {"n"}, "sample")
-    _require(cfg, "n", "sample")
-    n = _count(cfg, "n", 1, "sample at least one member")
+    n = _require(cfg, "n", "sample")
+    check_counts("n", (n,), 1, "sample at least one member")
     draws = toymodel.sample_parameters(n, args.seed)
     snap = SnapshotMatrix(
         data=draws.T,
@@ -218,13 +194,17 @@ def _cmd_simulate(args, cfg: dict) -> _Output:
 
 
 def _truncation(cfg: dict) -> dict:
+    """The one of ``modes`` and ``evr_threshold`` that is set, checked
+    before any file is read."""
     modes = cfg.get("modes")
     threshold = cfg.get("evr_threshold")
     if (modes is None) == (threshold is None):
-        raise ConfigError("modes: specify exactly one of 'modes' or 'evr_threshold'")
+        raise ValueError("modes: specify exactly one of 'modes' or 'evr_threshold'")
     if modes is not None:
-        return {"modes": _count(cfg, "modes", 1, "mode counts start at 1")}
-    return {"evr_threshold": _real(cfg, "evr_threshold", *_EVR)}
+        check_counts("modes", (modes,), 1, "mode counts start at 1")
+        return {"modes": modes}
+    check_reals("evr_threshold", (threshold,), *EVR)
+    return {"evr_threshold": threshold}
 
 
 # build-surrogate runs on one BLAS thread, as the sweeps do
@@ -236,34 +216,32 @@ def _cmd_build_surrogate(args, cfg: dict) -> _Output:
     _check_keys(cfg, allowed, "build-surrogate")
     kind = _require(cfg, "kind", "build-surrogate")
     if kind not in SURROGATE_KINDS:
-        raise ConfigError(f"kind: unknown surrogate kind {kind!r}, expected podpce or poden")
+        raise ValueError(f"kind: unknown surrogate kind {kind!r}, expected podpce or poden")
     if kind == "poden" and "max_degree" in cfg:
-        raise ConfigError("max_degree applies to podpce only: a poden surrogate has no polynomial degree")
-    bounds = _require(cfg, "bounds", "build-surrogate")
-    try:
-        bounds = np.array(bounds, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(f"bounds: need (low, high) rows of numbers, got {bounds!r}") from None
-    max_degree = _count(cfg, "max_degree", 0, "degree must be >= 0", 3)
+        raise ValueError("max_degree applies to podpce only: a poden surrogate has no polynomial degree")
+    bounds = _require(cfg, "bounds", "build-surrogate")  # build_surrogates checks it
+    max_degree = cfg.get("max_degree", 3)
     truncation = _truncation(cfg)
     params = _read(cfg, "parameters_csv", "build-surrogate").data
+    if kind == "podpce":
+        check_degree("max_degree", max_degree, params.shape[0])
     states = _read(cfg, "states_csv", "build-surrogate").data
     # POD-PCE splits its members 75/25; the state standardizer needs two.
     fewest = SPLIT_MIN_MEMBERS if kind == "podpce" else 2
     if params.shape[1] < fewest:
-        raise ConfigError(f"parameters_csv: need at least {fewest} members for a {kind} "
-                          f"surrogate, got {params.shape[1]}")
+        raise ValueError(f"parameters_csv: need at least {fewest} members for a {kind} "
+                         f"surrogate, got {params.shape[1]}")
     if states.shape[1] != params.shape[1]:
-        raise ConfigError(f"states_csv: {states.shape[1]} members, parameters_csv has {params.shape[1]}")
+        raise ValueError(f"states_csv: {states.shape[1]} members, parameters_csv has {params.shape[1]}")
     try:
         built, scaling = build_surrogates(
             params, states, bounds, (kind,), pce_degree=max_degree,
             split_seed=split_seed(args.seed, params.shape[1]), **truncation,
         )
     except ModeCountError as exc:
-        raise ConfigError(f"modes: {exc}") from None
+        raise ValueError(f"modes: {exc}") from None
     except OutsideBoxError as exc:
-        raise ConfigError(f"parameters_csv: {exc}") from None
+        raise ValueError(f"parameters_csv: {exc}") from None
     surrogate = built[kind]
     basis = surrogate.state_basis if kind == "podpce" else surrogate.basis
     detail = f"d={surrogate.d} (EVR {evr(basis, surrogate.d):.6f})"
@@ -279,10 +257,10 @@ def _read_observation(cfg: dict, command: str, m_y: int) -> np.ndarray:
     """The one observation column of ``observations_csv``, of ``m_y`` entries."""
     obs = _read(cfg, "observations_csv", command)
     if obs.data.shape[1] != 1:
-        raise ConfigError("observations_csv: the CSV must hold exactly one member column")
+        raise ValueError("observations_csv: the CSV must hold exactly one member column")
     if obs.data.shape[0] != m_y:
-        raise ConfigError(f"observations_csv: need {m_y} entries, one per state component, "
-                          f"got {obs.data.shape[0]}")
+        raise ValueError(f"observations_csv: need {m_y} entries, one per state component, "
+                         f"got {obs.data.shape[0]}")
     return obs.data[:, 0]
 
 
@@ -290,11 +268,12 @@ def _observation_diag(y_o: np.ndarray, cfg: dict) -> np.ndarray:
     if "r_diag" in cfg:
         r_diag = _reals(cfg, "r_diag", y_o.size, lambda v: v > 0.0, "observation variances must be positive")
         if "noise_level" in cfg:
-            raise ConfigError("noise_level: the observation covariance takes noise_level or r_diag, not both")
+            raise ValueError("noise_level: the observation covariance takes noise_level or r_diag, not both")
         return r_diag
     if "noise_level" not in cfg:
-        raise ConfigError("noise_level: the observation covariance needs noise_level or r_diag")
-    noise = _real(cfg, "noise_level", *_NOISE)
+        raise ValueError("noise_level: the observation covariance needs noise_level or r_diag")
+    noise = cfg["noise_level"]
+    check_reals("noise_level", (noise,), *NOISE)
     if y_o.shape == (toymodel.default_grid().n_state,):
         return measurement_noise_diag(y_o, noise)
     scale = float(np.std(y_o))
@@ -308,7 +287,7 @@ def _cmd_assimilate(args, cfg: dict) -> _Output:
     surrogate, scaling = _read(cfg, "surrogate", "assimilate", io.load_surrogate)
     y_o = _read_observation(cfg, "assimilate", scaling.states.mean.size)
     # Physical background settings, checked against the box and then mapped
-    # like everything else the solver sees; the problem checks the alpha signs.
+    # like everything else the solver sees; the problem checks the alphas.
     m_x = len(scaling.bounds)
     x_b = None
     if "x_b" in cfg:
@@ -320,7 +299,7 @@ def _cmd_assimilate(args, cfg: dict) -> _Output:
         b_diag = _reals(cfg, "background_diag", m_x, lambda v: v > 0.0,
                         "background variances must be positive")
         background_cov = np.diag(scaling.params.variance_diag(b_diag))
-    alphas = {key: _real(cfg, key, default=1.0) for key in ("alpha_b", "alpha_r")}
+    alphas = {key: cfg.get(key, 1.0) for key in ("alpha_b", "alpha_r")}
     covariance = cfg.get("covariance", "r")
     problem = pose_problem(
         surrogate, scaling, y_o, _observation_diag(y_o, cfg), covariance,
@@ -457,7 +436,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ArithmeticError, np.linalg.LinAlgError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ConfigError, io.SchemaError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -36,7 +36,8 @@ from .assimilate import (
     solve_poden3dvar,
     solve_podpce3dvar,
 )
-from .pce import MAX_TERMS, PceConfig, degree_cap
+from .checks import EVR, NOISE, check_counts, check_distinct, check_each, check_reals
+from .pce import PceConfig, check_degree
 from .pod import ModeCountError, fit_pod, truncate
 from .rng import split_seed, substream, substream_seed
 from .surrogate import (
@@ -70,13 +71,18 @@ def build_surrogates(
     ``params`` (m_x, n) and ``states`` (m_y, n) are physical, paired by
     column, and ``bounds`` is the physical box. Parameters are standardized
     by the box's midpoint and half-range, states by their per-component
-    ensemble statistics.
+    ensemble statistics. A bad ``bounds``, ``pce_degree``, ``modes`` or
+    ``evr_threshold`` fails naming it.
     """
-    bounds = np.asarray(bounds, dtype=float)
-    if (bounds.shape != (np.shape(params)[0], 2) or not np.all(np.isfinite(bounds))
-            or not np.all(bounds[:, 1] > bounds[:, 0])):
-        raise ValueError(f"bounds: need one finite (low, high) row per parameter, low < high, "
-                         f"got {bounds.tolist()}")
+    m_x = np.shape(params)[0]
+    box = np.array(bounds, dtype=object)
+    if box.shape != (m_x, 2):
+        raise ValueError(f"bounds: need one (low, high) row per parameter, got {bounds!r}")
+    check_reals("bounds", tuple(box.ravel()))
+    check_each("bounds", tuple(map(tuple, box)), lambda row: row[0] < row[1], "need low < high in each row")
+    if "podpce" in kinds:
+        check_degree("pce_degree", pce_degree, m_x)
+    bounds = box.astype(float)
     scaling = Scaling(params=Standardizer.of_box(bounds), states=Standardizer.fit(states), bounds=bounds)
     z_params = scaling.params.transform(params)
     z_states = scaling.states.transform(states)
@@ -121,8 +127,7 @@ def inject_noise(
     series is perturbed relative to its size. The same variances fill the
     returned observation-error diagonal.
     """
-    if not 0.0 < noise_level < 1.0:
-        raise ValueError(f"noise level must be in (0, 1), got {noise_level}")
+    check_reals("noise_level", (noise_level,), *NOISE)
     y_t = np.asarray(y_t, dtype=float)
     sigma = _series_sigma(y_t, noise_level)
     rng = substream(seed, "noise")
@@ -137,45 +142,6 @@ def measurement_noise_diag(y_o: np.ndarray, assumed_noise: float) -> np.ndarray:
 
 
 # Configurations and report rows --------------------------------------------------
-
-
-def _check_each(field: str, values: tuple, ok: Callable, rule: str) -> None:
-    """Reject an empty ``values`` or its first entry that fails ``ok``; the
-    message starts with ``field``."""
-    if not values:
-        raise ValueError(f"{field}: need at least one entry")
-    for value in values:
-        if not ok(value):
-            raise ValueError(f"{field}: {rule}, got {value!r}")
-
-
-# (ok, rule) of an observation noise level and of an EVR threshold.
-_NOISE = (lambda level: 0.0 < level < 1.0,
-          "noise levels lie strictly in (0, 1), so the observation covariance is positive definite")
-_EVR = (lambda tau: 0.0 < tau <= 1.0, "EVR threshold must be in (0, 1]")
-
-
-def _check_distinct(field: str, values: tuple) -> None:
-    """Reject an entry of a list field that repeats an earlier one."""
-    for i, value in enumerate(values):
-        if value in values[:i]:
-            raise ValueError(f"{field}: entries must be distinct, got {value!r} twice")
-
-
-def _check_counts(field: str, values: tuple, low: int, rule: str) -> None:
-    """Reject an entry of a count field that is no integer (a bool is
-    none) or, by ``rule``, is below ``low``."""
-    _check_each(field, values, lambda k: isinstance(k, (int, np.integer)) and not isinstance(k, bool),
-                "counts must be integers")
-    _check_each(field, values, lambda k: k >= low, rule)
-
-
-def _check_reals(field: str, values: tuple, ok: Callable, rule: str) -> None:
-    """Reject an entry of a float field that is no finite number (a bool is
-    none) or, by ``rule``, fails ``ok``."""
-    _check_each(field, values, lambda v: isinstance(v, (int, float, np.integer, np.floating))
-                and not isinstance(v, bool) and np.isfinite(v), "values must be finite numbers")
-    _check_each(field, values, ok, rule)
 
 
 def _check_sweep(config: "TwinConfig | MeasurementConfig") -> None:
@@ -196,24 +162,20 @@ def _check_sweep(config: "TwinConfig | MeasurementConfig") -> None:
     if config.evr_threshold is None:
         if config.mode_numbers is None:
             object.__setattr__(config, "mode_numbers", (1, 2, 3, 4, 5, 6))
-        _check_counts("mode_numbers", config.mode_numbers, 1, "mode counts start at 1")
-        _check_distinct("mode_numbers", config.mode_numbers)
+        check_counts("mode_numbers", config.mode_numbers, 1, "mode counts start at 1")
+        check_distinct("mode_numbers", config.mode_numbers)
     elif config.mode_numbers is not None:
         raise ValueError("evr_threshold: set evr_threshold or mode_numbers, not both")
     else:
-        _check_reals("evr_threshold", (config.evr_threshold,), *_EVR)
+        check_reals("evr_threshold", (config.evr_threshold,), *EVR)
     sizes = config.training_sizes
-    _check_counts("training_sizes", sizes, 8, "training sizes below 8 members are not supported")
+    check_counts("training_sizes", sizes, 8, "training sizes below 8 members are not supported")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("training_sizes: training sizes must be strictly increasing")
-    _check_each("surrogates", config.surrogates, SURROGATE_KINDS.__contains__,
-                f"surrogate kind must be one of {SURROGATE_KINDS}")
-    _check_distinct("surrogates", config.surrogates)
-    _check_counts("pce_degree", (config.pce_degree,), 0, "degree must be >= 0")
-    m_x = len(toymodel.PARAMETER_NAMES)
-    cap = degree_cap(m_x)
-    _check_each("pce_degree", (config.pce_degree,), lambda p: p <= cap,
-                f"degree must be at most {cap} for {m_x} inputs (a basis of at most {MAX_TERMS} terms)")
+    check_each("surrogates", config.surrogates, SURROGATE_KINDS.__contains__,
+               f"surrogate kind must be one of {SURROGATE_KINDS}")
+    check_distinct("surrogates", config.surrogates)
+    check_degree("pce_degree", config.pce_degree, len(toymodel.PARAMETER_NAMES))
 
 
 def _check_truth(x_t: tuple | None) -> None:
@@ -222,14 +184,11 @@ def _check_truth(x_t: tuple | None) -> None:
     if x_t is None:
         return
     names = toymodel.PARAMETER_NAMES
-    try:
-        values = np.asarray(x_t, dtype=float)
-    except (TypeError, ValueError):
-        values = None
-    if values is None or values.shape != (len(names),) or not np.all(np.isfinite(values)):
+    if len(x_t) != len(names):
         raise ValueError(f"x_t: need {len(names)} finite parameters {names}, got {x_t!r}")
+    check_reals("x_t", x_t)
     try:
-        toymodel.check_bounds(values)
+        toymodel.check_bounds(np.array(x_t, dtype=float))
     except ValueError as exc:
         raise ValueError(f"x_t: {exc}") from None
 
@@ -255,19 +214,19 @@ class TwinConfig:
     def __post_init__(self) -> None:
         _check_sweep(self)
         _check_truth(self.x_t)
-        _check_reals("noise_levels", self.noise_levels, *_NOISE)
-        _check_distinct("noise_levels", self.noise_levels)
-        _check_reals("grid_noise", (self.grid_noise,), *_NOISE)
-        _check_reals("bootstrap_noise", (self.bootstrap_noise,), *_NOISE)
-        _check_each("covariance_kind", (self.covariance_kind,), COVARIANCE_KINDS.__contains__,
-                    f"covariance kind must be one of {COVARIANCE_KINDS}")
-        _check_reals("alpha_grid", self.alpha_grid, lambda a: a > 0, "alpha factors must be positive")
-        _check_distinct("alpha_grid", self.alpha_grid)
-        _check_counts("grid_modes", (self.grid_modes,), 1, "mode counts start at 1")
-        _check_counts("bootstrap_replicates", (self.bootstrap_replicates,), 1,
-                      "need at least one replicate")
-        _check_counts("bootstrap_size", (self.bootstrap_size,), 8,
-                      "ensembles below 8 members are not supported")
+        check_reals("noise_levels", self.noise_levels, *NOISE)
+        check_distinct("noise_levels", self.noise_levels)
+        check_reals("grid_noise", (self.grid_noise,), *NOISE)
+        check_reals("bootstrap_noise", (self.bootstrap_noise,), *NOISE)
+        check_each("covariance_kind", (self.covariance_kind,), COVARIANCE_KINDS.__contains__,
+                   f"covariance kind must be one of {COVARIANCE_KINDS}")
+        check_reals("alpha_grid", self.alpha_grid, lambda a: a > 0, "alpha factors must be positive")
+        check_distinct("alpha_grid", self.alpha_grid)
+        check_counts("grid_modes", (self.grid_modes,), 1, "mode counts start at 1")
+        check_counts("bootstrap_replicates", (self.bootstrap_replicates,), 1,
+                     "need at least one replicate")
+        check_counts("bootstrap_size", (self.bootstrap_size,), 8,
+                     "ensembles below 8 members are not supported")
 
 
 @dataclass(frozen=True)
@@ -283,10 +242,10 @@ class MeasurementConfig:
 
     def __post_init__(self) -> None:
         _check_sweep(self)
-        _check_reals("assumed_noise", (self.assumed_noise,), *_NOISE)
-        _check_each("covariance_kinds", self.covariance_kinds, COVARIANCE_KINDS.__contains__,
-                    f"covariance kind must be one of {COVARIANCE_KINDS}")
-        _check_distinct("covariance_kinds", self.covariance_kinds)
+        check_reals("assumed_noise", (self.assumed_noise,), *NOISE)
+        check_each("covariance_kinds", self.covariance_kinds, COVARIANCE_KINDS.__contains__,
+                   f"covariance kind must be one of {COVARIANCE_KINDS}")
+        check_distinct("covariance_kinds", self.covariance_kinds)
 
 
 @dataclass
@@ -381,7 +340,7 @@ def _fit(
     fails naming ``field``: before the draw when the counts are given, once
     the members are fitted otherwise."""
     if evr_threshold is None:
-        _check_each(field, mode_numbers, lambda d: d <= n - 1, f"{n} members hold at most {n - 1} modes")
+        check_each(field, mode_numbers, lambda d: d <= n - 1, f"{n} members hold at most {n - 1} modes")
     params = toymodel.sample_parameters(n, seed)  # (n, 4)
     try:
         full, scaling = build_surrogates(

@@ -93,6 +93,9 @@ def read_snapshot_csv(path: str | Path) -> SnapshotMatrix:
                 raise ValueError(f"snapshot CSV {path} must start with a 'label' header row")
             member_ids = tuple(cells[1:])
             continue
+        if len(cells) - 1 != len(member_ids):
+            raise ValueError(f"snapshot CSV {path}: row {cells[0]!r} has {len(cells) - 1} entries, "
+                             f"the header names {len(member_ids)} members")
         labels.append(cells[0])
         rows.append([float(v) for v in cells[1:]])
     if member_ids is None or not rows:

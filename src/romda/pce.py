@@ -25,6 +25,8 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import solve_triangular
 
+from .checks import check_counts, check_each
+
 # Tolerance for "sample inside declared bounds" checks, relative to the
 # standardized support.
 BOUNDS_RTOL = 1e-9
@@ -104,6 +106,15 @@ def degree_cap(input_dim: int) -> int:
     while degree < MAX_TERMS and math.comb(input_dim + degree + 1, degree + 1) <= MAX_TERMS:
         degree += 1
     return degree
+
+
+def check_degree(field: str, degree: int, input_dim: int) -> None:
+    """Reject a total degree that is no integer in [0, degree_cap(input_dim)];
+    the message starts with ``field``."""
+    check_counts(field, (degree,), 0, "degree must be >= 0")
+    cap = degree_cap(input_dim)
+    check_each(field, (degree,), lambda p: p <= cap,
+               f"degree must be at most {cap} for {input_dim} inputs (a basis of at most {MAX_TERMS} terms)")
 
 
 @dataclass(frozen=True)
@@ -457,12 +468,7 @@ def select_degree(
         raise ValueError("train targets/inputs row mismatch")
     if val_targets.shape[0] != val_inputs.shape[0]:
         raise ValueError("validation targets/inputs row mismatch")
-    if config.max_degree < 0:
-        raise ValueError("max_degree must be >= 0")
-    cap = degree_cap(train_inputs.shape[1])
-    if config.max_degree > cap:
-        raise ValueError(f"max_degree: degree must be at most {cap} for {train_inputs.shape[1]} "
-                         f"inputs (a basis of at most {MAX_TERMS} terms), got {config.max_degree}")
+    check_degree("max_degree", config.max_degree, train_inputs.shape[1])
 
     d_out = train_targets.shape[1]
     full = make_basis(config.bounds, config.max_degree)

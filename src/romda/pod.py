@@ -20,6 +20,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import qr
 
+from .checks import EVR, check_counts, check_reals
+
 # Singular values at or below this fraction of the largest are treated as
 # zero; their modes are not kept (see numerical_rank).
 ZERO_SV_RTOL = 1e-12
@@ -217,21 +219,18 @@ def truncate(
         raise ValueError("specify exactly one of modes= or evr_threshold=")
     r = basis.n_modes
     if modes is not None:
-        if isinstance(modes, bool) or not isinstance(modes, (int, np.integer)):
-            raise ValueError(f"modes: need an integer mode count, got {modes!r}")
+        check_counts("modes", (modes,), 1, "mode counts start at 1")
         d = int(modes)
-        if not 1 <= d <= r:
+        if d > r:
             raise ModeCountError(
                 f"retained mode count must be in [1, {r}] (the numerical rank of the "
                 f"snapshots), got {d}"
             )
     else:
-        tau = float(evr_threshold)
-        if not 0.0 < tau <= 1.0:
-            raise ValueError(f"EVR threshold must be in (0, 1], got {tau}")
+        check_reals("evr_threshold", (evr_threshold,), *EVR)
         lam = basis.eigenvalues
         ratios = np.cumsum(lam) / lam.sum()
-        d = min(int(np.searchsorted(ratios, tau - 1e-15) + 1), r)
+        d = min(int(np.searchsorted(ratios, float(evr_threshold) - 1e-15) + 1), r)
     return replace(basis, retained=d)
 
 

@@ -397,9 +397,11 @@ def test_classical_propagates_model_failure_with_probe() -> None:
 
 
 def test_alpha_scalings_must_be_positive() -> None:
-    for scaling in ({"alpha_b": 0.0}, {"alpha_r": -2.0}, {"alpha_r": np.nan}):
+    for scaling, rule in (({"alpha_b": 0.0}, "alpha scalings must be positive"),
+                          ({"alpha_r": -2.0}, "alpha scalings must be positive"),
+                          ({"alpha_r": np.nan}, "values must be finite numbers")):
         (name,) = scaling
-        with pytest.raises(ValueError, match=f"^{name}: alpha scalings must be positive"):
+        with pytest.raises(ValueError, match=f"^{name}: {rule}"):
             make_problem(np.random.default_rng(10), **scaling)
 
 

@@ -201,8 +201,8 @@ def test_poden_build_rejects_max_degree(chain, capsys) -> None:
     ],
 )
 def test_non_sweep_commands_reject_non_integer_counts(chain, capsys, command, key, value) -> None:
-    # Each count is checked by the sweeps' rule before anything is read or
-    # written, instead of being truncated (40.9 members to 40, True to 1).
+    # Each count is checked by the sweeps' rule before anything is written,
+    # instead of being truncated (40.9 members to 40, True to 1).
     out = chain.ensemble(12, 3)
     inputs = {
         "sample": {},
@@ -420,6 +420,19 @@ def test_simulate_checks_the_box_before_it_writes(tmp_path, capsys, rows, messag
     assert not out.exists()
 
 
+def test_simulate_rejects_a_row_narrower_than_the_header(tmp_path, capsys) -> None:
+    # The header names 3 members over rows of 2 values.
+    csv = tmp_path / "parameters.csv"
+    names, means = toymodel.PARAMETER_NAMES, toymodel.PARAMETER_MEANS
+    csv.write_text("label,m0,m1,m2\n" + "".join(f"{name},{mean},{mean}\n" for name, mean in zip(names, means)))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", write_config(tmp_path, "cfg.json", {"parameters_csv": str(csv)}),
+                 "--out", str(out)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        f"error: parameters_csv: snapshot CSV {csv}: row '{names[0]}' has 2 entries, the header names 3 members\n")
+    assert not out.exists()
+
+
 def test_assimilate_refuses_a_v1_surrogate_document(docs, tmp_path, capsys) -> None:
     # A /1 document stores no scaling; only /2 documents are read.
     doc = docs.doc("podpce")
@@ -510,14 +523,16 @@ def test_build_asking_for_more_modes_than_the_rank_fails_validation(chain, capsy
     (20, {"bounds": [[21.02, 90.66], [4.0, 6.0], [0.8, 1.3], [0.8, float("inf")]]}, "error: bounds: "),
     (20, {"bounds": {}}, "error: bounds: "),
     (20, {"bounds": "x"}, "error: bounds: "),
+    (20, {"bounds": [[False, 3.0], [4.0, 6.0], [0.8, 1.3], [0.8, 3.0]]}, "error: bounds: "),
+    (20, {"bounds": [["21.02", 90.66], [4.0, 6.0], [0.8, 1.3], [0.8, 3.0]]}, "error: bounds: "),
     (20, {"modes": 500}, "error: modes: "),
     (3, {}, "error: parameters_csv: need at least 4 members"),
     (20, {"max_degree": 13}, "error: max_degree: degree must be at most 12 for 4 inputs"),
     (1, {"kind": "poden", "modes": 1}, "error: parameters_csv: need at least 2 members for a poden"),
     (20, {"bounds": [[50.0, 90.66], [4.0, 6.0], [0.8, 1.3], [0.8, 3.0]]},
      "error: parameters_csv: sample "),
-], ids=["one-row", "reversed-row", "infinite", "object", "text", "modes-above-rank", "three-members",
-        "degree-above-cap", "one-poden-member", "member-outside-box"])
+], ids=["one-row", "reversed-row", "infinite", "object", "text", "bool-entry", "text-entry",
+        "modes-above-rank", "three-members", "degree-above-cap", "one-poden-member", "member-outside-box"])
 def test_build_surrogate_computes_before_it_writes(chain, tmp_path, capsys, members, keys, message) -> None:
     # The ensemble lives in chain.out; the build writes into a fresh directory.
     chain.ensemble(members, 3)
@@ -1048,9 +1063,11 @@ def test_a_file_that_cannot_be_written_fails_naming_out(tmp_path, capsys, monkey
 
 
 # One-key fuzz of the config rules: a valid tiny config per command, each key
-# set in turn to each value the test lists. A run exits 1 with a first stderr
-# line that names the key and leaves no --out, or, for the (command, key,
-# value) triples in FUZZ_VALID, exits 0 and writes --out.
+# set in turn to each value the test lists, and so is one entry of each
+# list-valued key (case "key[entry]": its last entry, or in a box the low
+# bound of its first row). A run exits 1 with a first stderr line that names
+# the key and leaves no --out, or, for the (command, case, value) triples in
+# FUZZ_VALID, exits 0 and writes --out.
 SWEEP_KEYS = {"training_sizes": [16], "mode_numbers": [1], "evr_threshold": None, "pce_degree": 1,
               "surrogates": ["poden"]}
 TWIN_KEYS = {**SWEEP_KEYS, "x_t": [70.0, 4.6, 1.2, 2.2], "noise_levels": [0.1], "covariance_kind": "r_tilde",
@@ -1064,7 +1081,19 @@ FUZZ_VALID = {
     *((command, "evr_threshold", "null") for command in cli._SWEEPS),  # the default
     *((command, "mode_numbers", "null") for command in cli._SWEEPS),  # the default, 1..6
     *((command, "x_t", "null") for command in ("twin", "covgrid", "bootstrap")),  # drawn from the seed
+    *(("build-surrogate", "bounds[entry]", value) for value in ("minus-one", "zero", "2.5")),  # a wider box
+    # 2.5 lies in the box of the last parameter, which x_t and x_b end with.
+    *(("assimilate", f"{key}[entry]", "2.5") for key in ("x_b", "background_diag")),
+    *((command, f"{key}[entry]", "2.5") for command in ("twin", "covgrid", "bootstrap")
+      for key in ("alpha_grid", "x_t")),
 }
+
+
+def with_one_entry(values: list, value) -> list:
+    """``values`` with its last entry, or in a box the low bound of its first row, set to ``value``."""
+    if isinstance(values[0], list):
+        return [[value, *values[0][1:]], *values[1:]]
+    return [*values[:-1], value]
 
 
 @pytest.fixture(scope="module")
@@ -1104,16 +1133,19 @@ def test_one_bad_key_fails_naming_it_and_leaves_no_output(fuzz_inputs, tmp_path,
               "reversed-box": toymodel.PARAMETER_BOUNDS[:, ::-1].tolist(),
               "missing-file": str(tmp_path / "missing.csv")}
     broken = []
-    for key in valid:
-        for name, value in values.items():
-            out = tmp_path / f"out-{key}-{name}"
+    for key, good in valid.items():
+        cases = {(key, name): value for name, value in values.items()}
+        if isinstance(good, list):
+            cases.update({(f"{key}[entry]", name): with_one_entry(good, value) for name, value in values.items()})
+        for (case, name), value in cases.items():
+            out = tmp_path / f"out-{case}-{name}"
             path = write_config(tmp_path, "cfg.json", {**valid, key: value})
             code = main([command, "--config", path, "--out", str(out)])
             err = capsys.readouterr().err
-            if (command, key, name) in FUZZ_VALID:
+            if (command, case, name) in FUZZ_VALID:
                 ok = code == EXIT_OK and out.is_dir()
             else:
                 ok = code == EXIT_VALIDATION and err.startswith(f"error: {key}: ") and not out.exists()
             if not ok:
-                broken.append((key, name, code, err.splitlines()[:1]))
+                broken.append((case, name, code, err.splitlines()[:1]))
     assert broken == []

@@ -190,7 +190,7 @@ def test_truncate_by_threshold_and_count() -> None:
 def test_truncate_takes_an_integer_mode_count(modes) -> None:
     # A bool or a float would be cut to an int: True to 1 mode, 2.7 to 2.
     five = fit_pod(np.random.default_rng(3).standard_normal((5, 9)))
-    with pytest.raises(ValueError, match=f"^modes: need an integer mode count, got {modes!r}$"):
+    with pytest.raises(ValueError, match=f"^modes: counts must be integers, got {modes!r}$"):
         truncate(five, modes=modes)
     assert truncate(five, modes=np.int64(2)).retained == 2
 
