@@ -86,6 +86,9 @@ def build_surrogates(
     scaling = Scaling(params=Standardizer.of_box(bounds), states=Standardizer.fit(states), bounds=bounds)
     z_params = scaling.params.transform(params)
     z_states = scaling.states.transform(states)
+    # The physical ensemble goes before the fits when the caller holds no
+    # other reference (from Python 3.11 an unnamed argument is the callee's).
+    del states
     shared = {"modes": modes, "evr_threshold": evr_threshold, "state_basis": fit_pod(z_states)}
     built: dict[str, PodPceSurrogate | PodEnSurrogate] = {}
     if "podpce" in kinds:

@@ -81,6 +81,8 @@ def write_snapshot_csv(path: str | Path, snapshots: SnapshotMatrix,
 
 
 def read_snapshot_csv(path: str | Path) -> SnapshotMatrix:
+    """The snapshot matrix in ``path``. A row whose width differs from the
+    header's, or a NaN or infinite entry, fails naming its row and member."""
     rows = []
     labels = []
     member_ids: tuple[str, ...] | None = None
@@ -100,11 +102,12 @@ def read_snapshot_csv(path: str | Path) -> SnapshotMatrix:
         rows.append([float(v) for v in cells[1:]])
     if member_ids is None or not rows:
         raise ValueError(f"snapshot CSV {path} has no data")
-    return SnapshotMatrix(
-        data=np.array(rows, dtype=float),
-        row_labels=tuple(labels),
-        member_ids=member_ids,
-    )
+    data = np.array(rows, dtype=float)
+    if not np.all(np.isfinite(data)):
+        i, j = np.argwhere(~np.isfinite(data))[0]
+        raise ValueError(f"snapshot CSV {path}: row {labels[i]!r}, member {member_ids[j]!r} "
+                         f"is {data[i, j]}, not a finite number")
+    return SnapshotMatrix(data=data, row_labels=tuple(labels), member_ids=member_ids)
 
 
 # Decompositions and models --------------------------------------------------------

@@ -12,6 +12,11 @@ matrix (PODEn's parameters over its states) are added by a low-rank update
 of its basis (see :func:`fit_stacked_pod`), not by a second factorization.
 Truncation at rank d <= r keeps the leading d modes as the retained block;
 the other r - d modes stay in the basis.
+
+Memory: above its (m, n) input a fit holds at most two arrays of that size
+at a time, plus its (m, k) pivoted block and modes; a stacked fit holds one
+centered (m + k, n) stack. A whole build, propagation included, peaks near
+four ensemble-sized arrays (``tests/test_memory.py``).
 """
 from __future__ import annotations
 
@@ -115,14 +120,19 @@ def fit_pod(snapshots: np.ndarray) -> PodBasis:
         raise ValueError("snapshot matrix has no variance: every member equals the mean")
 
     mean = data.mean(axis=1)
-    # X^T (Fortran-ordered, as LAPACK wants it) is factored in place and X
-    # formed again for the projections: a kept copy would raise peak memory.
+    # Above its input the fit holds two (m, n) arrays at most, plus the
+    # (m, k) block and modes: X^T (Fortran-ordered, as LAPACK wants it) is
+    # factored in place and goes with the factorization, R once its kept
+    # rows are cut, and the block and V^T before X is formed again for the
+    # projections. A kept copy of X would make three.
     (_, _), r, pivot = qr((data - mean[:, None]).T, mode="raw", pivoting=True,
                           overwrite_a=True, check_finite=False)
     diag = np.abs(np.diagonal(r))
     block = np.empty((m, np.count_nonzero(diag > PIVOT_RTOL * diag[0])))
     block[pivot] = r[: block.shape[1]].T  # R_k P^T, transposed
-    modes, svals, _ = np.linalg.svd(block, full_matrices=False)
+    del r
+    modes, svals = np.linalg.svd(block, full_matrices=False)[:2]
+    del block
     return _at_rank(mean, data - mean[:, None], modes, svals)
 
 
@@ -170,7 +180,9 @@ def fit_stacked_pod(rows: np.ndarray, snapshots: np.ndarray, basis: PodBasis) ->
     core[k:, :r] = basis.singular_values[:, None] * t.T
     u, svals, _ = np.linalg.svd(core, full_matrices=False)
     modes = np.vstack([u[:k], basis.modes @ u[k:]])
-    centered = np.vstack([p_c, data - basis.mean[:, None]])
+    centered = np.empty((k + m, n))  # the centered stack, filled in place
+    centered[:k] = p_c
+    np.subtract(data, basis.mean[:, None], out=centered[k:])
     return _at_rank(np.concatenate([row_mean, basis.mean]), centered, modes, svals)
 
 

@@ -64,7 +64,9 @@ class Standardizer:
         values = np.asarray(values, dtype=float)
         if values.ndim == 1:
             return (values - self.mean) / self.std
-        return (values - self.mean[:, None]) / self.std[:, None]
+        z = values - self.mean[:, None]  # fresh, so divided in place; values is never written
+        z /= self.std[:, None]
+        return z
 
     def inverse(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values, dtype=float)

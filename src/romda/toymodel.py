@@ -173,6 +173,10 @@ def propagate(params: np.ndarray) -> np.ndarray:
     One broadcast over the members, box-checked once. Every column keeps the
     bits of that member run alone: numpy squares a scalar differently from
     an array, so K2 is squared member by member, as a numpy scalar.
+
+    Besides the output, two arrays of one variable's size are allocated:
+    the depth, which becomes the friction in place, and the scratch that
+    holds each velocity's drag denominator.
     """
     values = np.asarray(params, dtype=float)
     check_bounds(values)  # before the batch axis, so a lone set is named without one
@@ -185,8 +189,15 @@ def propagate(params: np.ndarray) -> np.ndarray:
     np.add(depth, mtl, out=eta)
     np.add(mtl + _GRID.station_depth_offsets[:, None, None], depth, out=depth)
     np.maximum(depth, _GRID.min_depth, out=depth)
-    friction = _GRID.gravity * _GRID.drag_timescale / (k2_squared * depth ** (4.0 / 3.0))
+    friction = np.power(depth, 4.0 / 3.0, out=depth)  # g T / (K2^2 h^(4/3)), in place
+    np.multiply(k2_squared, friction, out=friction)
+    np.divide(_GRID.gravity * _GRID.drag_timescale, friction, out=friction)
+    denominator = np.empty_like(friction)
     for speed, raw, scale in ((u, _ALONG_RAW, 1.0), (v, _ACROSS_RAW, _GRID.transverse_fraction)):
         np.multiply(ctv, raw[..., None], out=speed)
-        np.divide(speed * scale, 1.0 + friction * np.abs(speed), out=speed)
+        np.abs(speed, out=denominator)  # 1 + friction |speed|, from the unscaled speed
+        np.multiply(friction, denominator, out=denominator)
+        np.add(1.0, denominator, out=denominator)
+        np.multiply(speed, scale, out=speed)
+        np.divide(speed, denominator, out=speed)
     return out.reshape(_GRID.n_state, len(values))

@@ -177,7 +177,8 @@ def test_build_failure_cases_on_a_small_ensemble(chain, capsys, caplog) -> None:
     data[3, 2] = np.nan
     io.write_snapshot_csv(out / "states.csv", SnapshotMatrix(data, states.row_labels, states.member_ids))
     assert chain.build(3, modes=4) == EXIT_VALIDATION
-    assert "non-finite snapshot entry at row 3, column 2" in capsys.readouterr().err
+    assert (f"error: states_csv: snapshot CSV {out / 'states.csv'}: row {states.row_labels[3]!r}, "
+            f"member {states.member_ids[2]!r} is nan, not a finite number\n") in capsys.readouterr().err
 
 
 def test_poden_build_rejects_max_degree(chain, capsys) -> None:
@@ -293,6 +294,20 @@ def test_a_file_key_that_is_no_path_fails_by_its_config_key(docs, tmp_path, caps
     out = tmp_path / "out"
     assert main([command, "--config", path, "--out", str(out)]) == EXIT_VALIDATION
     assert capsys.readouterr().err == f"error: {key}: need a file path, got {value!r}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("entry", [float("nan"), float("inf"), -float("inf")], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command, key", [(c, k) for c, k in FILE_KEYS if k.endswith("_csv")])
+def test_a_non_finite_csv_entry_fails_by_its_config_key(docs, tmp_path, capsys, command, key, entry) -> None:
+    # Named where it is read, not later as a non-finite snapshot or covariance.
+    bad = tmp_path / "bad.csv"
+    write_observation(bad, np.array([1.0, entry, 1.0, 1.0]))
+    path = write_config(tmp_path, "cfg.json", {**input_configs(docs)[command], key: str(bad)})
+    out = tmp_path / "out"
+    assert main([command, "--config", path, "--out", str(out)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        f"error: {key}: snapshot CSV {bad}: row 'c1', member 'obs' is {entry}, not a finite number\n")
     assert not out.exists()
 
 

@@ -6,6 +6,7 @@ from romda.pce import PceConfig, PceModel, make_basis, select_degree
 from romda.pod import PodBasis, evr, fit_pod, reconstruct, truncate
 from romda.surrogate import (
     PodPceSurrogate,
+    Standardizer,
     build_poden,
     build_podpce,
     corrected_error_covariance,
@@ -21,6 +22,20 @@ def project(basis, y):
     oracle inverse of ``reconstruct``."""
     d = basis.retained
     return (basis.modes[:, :d].T @ (y - basis.mean)) / basis.singular_values[:d]
+
+
+@pytest.mark.parametrize("shape", [(7,), (7, 5)], ids=["1-D", "2-D"])
+def test_standardizer_transform_leaves_its_input_alone(shape) -> None:
+    # The CLI standardizes the states it read; a 2-D transform divides its
+    # own centered copy in place, never the caller's array.
+    rng = np.random.default_rng(3)
+    stdzr = Standardizer.fit(rng.normal(2.0, 3.0, (7, 5)))
+    values = rng.normal(2.0, 3.0, shape)
+    kept = values.copy()
+    z = stdzr.transform(values)
+    np.testing.assert_array_equal(values, kept)
+    mean, std = (stdzr.mean, stdzr.std) if len(shape) == 1 else (stdzr.mean[:, None], stdzr.std[:, None])
+    assert z.tobytes() == ((kept - mean) / std).tobytes()
 
 
 def test_poden_linear_single_direction() -> None:
