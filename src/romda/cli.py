@@ -357,7 +357,7 @@ _SWEEPS = {
     "measure": _Sweep(
         MeasurementConfig, lambda config, y_o: run_measurement(config, y_o),
         lambda config, report, path: "measure: classical rmse_obs="
-        f"{report.extras['classical_rmse_obs']:.6g}, {len(report.rows)} rows -> {path}",
+        f"{report.rows[0].rmse_obs:.6g}, {len(report.rows)} rows -> {path}",
         observed=True,
     ),
 }
@@ -370,15 +370,12 @@ def _cmd_sweep(args, cfg: dict) -> _Output:
     m_y = toymodel.default_grid().n_state
     inputs = [_read_observation(cfg, args.command, m_y)] if sweep.observed else []
     report = sweep.driver(config, *inputs)
-    failures = sum(1 for row in report.rows if row.error)
-    summary = {"experiment": report.experiment, "cells": len(report.rows), "failures": failures,
-               "extras": report.extras}
     return _Output(
         (
             lambda out, **stamp: io.write_report_csv(out / "report.csv", report, **stamp),
             lambda out, **stamp: io.write_timings_csv(out / "timings.csv", report, **stamp),
             lambda out, **stamp: io.write_plot_csvs(out, report, **stamp),
-            lambda out, **stamp: io.save_json(out / "summary.json", "report", summary, **stamp),
+            lambda out, **stamp: io.save_json(out / "summary.json", "report", report.extras, **stamp),
         ),
         lambda out: sweep.summary(config, report, out / "report.csv"),
     )

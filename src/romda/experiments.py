@@ -38,7 +38,7 @@ from .assimilate import (
 )
 from .checks import EVR, NOISE, check_counts, check_distinct, check_each, check_reals
 from .pce import PceConfig, check_degree
-from .pod import ModeCountError, fit_pod, truncate
+from .pod import ModeCountError, check_finite, fit_pod, truncate
 from .rng import split_seed, substream, substream_seed
 from .surrogate import (
     COVARIANCE_KINDS,
@@ -71,8 +71,8 @@ def build_surrogates(
     ``params`` (m_x, n) and ``states`` (m_y, n) are physical, paired by
     column, and ``bounds`` is the physical box. Parameters are standardized
     by the box's midpoint and half-range, states by their per-component
-    ensemble statistics. A bad ``bounds``, ``pce_degree``, ``modes`` or
-    ``evr_threshold`` fails naming it.
+    ensemble statistics. A bad ``params`` or ``states`` entry, ``bounds``,
+    ``pce_degree``, ``modes`` or ``evr_threshold`` fails naming it.
     """
     m_x = np.shape(params)[0]
     box = np.array(bounds, dtype=object)
@@ -80,6 +80,8 @@ def build_surrogates(
         raise ValueError(f"bounds: need one (low, high) row per parameter, got {bounds!r}")
     check_reals("bounds", tuple(box.ravel()))
     check_each("bounds", tuple(map(tuple, box)), lambda row: row[0] < row[1], "need low < high in each row")
+    check_finite(params, "params")
+    check_finite(states, "states")
     if "podpce" in kinds:
         check_degree("pce_degree", pce_degree, m_x)
     bounds = box.astype(float)
@@ -287,9 +289,13 @@ class ReportRow:
 
 @dataclass
 class ExperimentReport:
+    """A sweep's result: ``rows`` are the one record of every cell value (a
+    ``report.csv`` line each), and ``extras`` holds only what no row does,
+    the truth ``x_t`` of a twin, covgrid or bootstrap sweep or the classical
+    solver's ``classical_iterations`` in a measurement."""
+
     rows: list[ReportRow]
-    experiment: str
-    extras: dict = field(default_factory=dict)
+    extras: dict
 
 
 # Shared experiment machinery ------------------------------------------------------
@@ -619,11 +625,7 @@ def run_twin(config: TwinConfig) -> ExperimentReport:
 
     groups = [(noise, n) for noise in config.noise_levels for n in config.training_sizes]
     rows = [row for group in _map(group_rows, groups) for row in group]
-    return ExperimentReport(
-        rows=rows,
-        experiment="twin",
-        extras={"x_t": x_t.tolist(), "rmse_truth_background": rows[0].rmse_truth_background if rows else None},
-    )
+    return ExperimentReport(rows, {"x_t": x_t.tolist()})
 
 
 @_one_blas_thread()
@@ -642,21 +644,14 @@ def run_covariance_grid(config: TwinConfig) -> ExperimentReport:
             experiment="covgrid", n=n, noise=config.grid_noise, alpha_b=alpha_b, alpha_r=alpha_r,
         )
     )
-    rows = _run_cells(builds, observed[config.grid_noise], cells)
-    size = len(config.alpha_grid)
-    matrix = np.array([row.rmse_truth for row in rows]).reshape(size, size)
-    return ExperimentReport(
-        rows=rows,
-        experiment="covgrid",
-        extras={"x_t": x_t.tolist(), "alpha_grid": list(config.alpha_grid), "rmse_matrix": matrix.tolist()},
-    )
+    return ExperimentReport(_run_cells(builds, observed[config.grid_noise], cells), {"x_t": x_t.tolist()})
 
 
 @_one_blas_thread()
 def run_bootstrap(config: TwinConfig) -> ExperimentReport:
-    """Fresh training ensembles per replicate at a fixed size; RMSE spread per
-    mode count and solver. A replicate fits before it observes the truth, so
-    a bad mode count fails before any model run."""
+    """Fresh training ensembles per replicate at a fixed size; the rows give
+    the RMSE spread per mode count and solver. A replicate fits before it
+    observes the truth, so a bad mode count fails before any model run."""
     n = config.bootstrap_size
 
     def replicate_rows(replicate: int) -> list[ReportRow]:
@@ -671,26 +666,7 @@ def run_bootstrap(config: TwinConfig) -> ExperimentReport:
 
     replicates = _map(replicate_rows, range(config.bootstrap_replicates))
     rows = [row for replicate in replicates for row in replicate]
-
-    summary: dict[str, dict[str, float]] = {}
-    for solver in config.surrogates:
-        for d in sorted({r.d for r in rows if r.solver == solver}):
-            values = [
-                r.rmse_truth
-                for r in rows
-                if r.solver == solver and r.d == d and np.isfinite(r.rmse_truth)
-            ]
-            if values:
-                summary[f"{solver}/d={d}"] = {
-                    "min": float(np.min(values)),
-                    "mean": float(np.mean(values)),
-                    "max": float(np.max(values)),
-                }
-    return ExperimentReport(
-        rows=rows,
-        experiment="bootstrap",
-        extras={"x_t": _draw_truth(config).tolist(), "summary": summary},
-    )
+    return ExperimentReport(rows, {"x_t": _draw_truth(config).tolist()})
 
 
 @_one_blas_thread()
@@ -730,13 +706,4 @@ def run_measurement(config: MeasurementConfig, y_o: np.ndarray) -> ExperimentRep
             experiment="measure", n=n, noise=config.assumed_noise,
         ))
     ]
-    return ExperimentReport(
-        rows=rows,
-        experiment="measure",
-        extras={
-            "classical_rmse_obs": classical_row.rmse_obs,
-            "classical_model_runs": classical_row.model_runs,
-            "classical_iterations": len(classical.cost_trace) - 1,
-            "classical_x_a": x_a_classical.tolist(),
-        },
-    )
+    return ExperimentReport(rows, {"classical_iterations": len(classical.cost_trace) - 1})

@@ -73,11 +73,13 @@ class PodBasis:
         return self.singular_values**2
 
 
-def check_finite(data: np.ndarray) -> None:
-    """Reject a snapshot matrix with a NaN or infinite entry, naming the first."""
+def check_finite(data: np.ndarray, field: str = "") -> None:
+    """Reject a snapshot matrix with a NaN or infinite entry, naming the
+    first (after ``field``, when given)."""
     if not np.all(np.isfinite(data)):
         i, j = np.argwhere(~np.isfinite(data))[0]
-        raise ValueError(f"non-finite snapshot entry at row {i}, column {j}")
+        named = f"{field}: " if field else ""
+        raise ValueError(f"{named}non-finite snapshot entry at row {i}, column {j}")
 
 
 def numerical_rank(singular_values: np.ndarray) -> int:

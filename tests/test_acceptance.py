@@ -326,7 +326,8 @@ def test_criterion_7_covariance_grid() -> None:
     start = time.perf_counter()
     config = TwinConfig(seed=2026, training_sizes=(400,), grid_noise=0.10, grid_modes=5)
     report = run_covariance_grid(config)
-    matrix = np.array(report.extras["rmse_matrix"])
+    size = len(config.alpha_grid)  # rows in grid order: alpha_b outer, alpha_r inner
+    matrix = np.array([row.rmse_truth for row in report.rows]).reshape(size, size)
     diag_mean = float(np.mean(np.diag(matrix)))
     off_mean = float(np.mean(matrix[~np.eye(matrix.shape[0], dtype=bool)]))
     low_r = next(r for r in report.rows if r.alpha_b == 1.0 and r.alpha_r == 0.01)
@@ -392,7 +393,7 @@ def test_criterion_9_rtilde_convergence_speed() -> None:
         covariance_kinds=("r", "r_tilde"),
     )
     report = run_measurement(config, y_o)
-    classical_rmse = report.extras["classical_rmse_obs"]
+    classical_rmse = report.rows[0].rmse_obs
     n_star = {}
     for kind in ("r", "r_tilde"):
         rows = sorted(

@@ -920,6 +920,21 @@ def tiny_sweep(tmp_path, command: str) -> list[str]:
     return [command, "--config", write_config(tmp_path, "tiny.json", cfg), "--out", str(tmp_path / "out")]
 
 
+@pytest.mark.parametrize("command", ["twin", "covgrid", "bootstrap", "measure"])
+def test_a_sweep_summary_holds_only_what_no_report_row_holds(tmp_path, capsys, command) -> None:
+    # report.csv is the record of every cell value; the measure summary line
+    # reads the classical RMSE from its first row.
+    assert main(tiny_sweep(tmp_path, command)) == EXIT_OK
+    out = tmp_path / "out"
+    body = set(json.loads((out / "summary.json").read_text())) - {"_meta", "schema"}
+    assert body == ({"classical_iterations"} if command == "measure" else {"x_t"})
+    if command == "measure":
+        lines = (out / "report.csv").read_text().splitlines()
+        classical = dict(zip(lines[1].split(","), lines[2].split(",")))
+        assert classical["solver"] == "classical"
+        assert f"classical rmse_obs={float(classical['rmse_obs']):.6g}," in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "error, code",
     [(None, EXIT_OK), (ValueError("bad field"), EXIT_VALIDATION), (RuntimeError("nan"), EXIT_NUMERICAL)],

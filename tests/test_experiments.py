@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import signal
 from concurrent.futures.process import BrokenProcessPool
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -310,12 +311,24 @@ def test_run_covariance_grid_shape_and_uniform_scaling() -> None:
     )
     report = run_covariance_grid(config)
     assert len(report.rows) == 9
-    matrix = np.array(report.extras["rmse_matrix"])
+    grid = config.alpha_grid
+    assert [(r.alpha_b, r.alpha_r) for r in report.rows] == [(b, r) for b in grid for r in grid]
+    matrix = np.array([row.rmse_truth for row in report.rows]).reshape(len(grid), len(grid))
     assert matrix.shape == (3, 3)
     diag_rows = [r for r in report.rows if r.alpha_b == r.alpha_r]
     reference = diag_rows[0]
     for row in diag_rows[1:]:
         assert np.allclose(row.x_a, reference.x_a, atol=1e-6 * np.abs(reference.x_a).max())
+
+
+def _bootstrap_spread(rows) -> dict[tuple[str, int], dict[str, float]]:
+    """min, mean and max of rmse_truth per (solver, d) over the finite rows."""
+    values: dict[tuple[str, int], list[float]] = {}
+    for row in rows:
+        if np.isfinite(row.rmse_truth):
+            values.setdefault((row.solver, row.d), []).append(row.rmse_truth)
+    return {key: {"min": float(np.min(v)), "mean": float(np.mean(v)), "max": float(np.max(v))}
+            for key, v in values.items()}
 
 
 def test_run_bootstrap_order_statistics() -> None:
@@ -328,8 +341,9 @@ def test_run_bootstrap_order_statistics() -> None:
     )
     report = run_bootstrap(config)
     assert len(report.rows) == 3 * 2 * 2
-    assert report.extras["summary"]
-    for stats in report.extras["summary"].values():
+    spread = _bootstrap_spread(report.rows)
+    assert spread
+    for stats in spread.values():
         assert stats["min"] <= stats["mean"] <= stats["max"]
 
 
@@ -350,7 +364,7 @@ def test_run_bootstrap_builds_the_evr_selected_rank() -> None:
     }
     assert [(row.solver, row.d) for row in report.rows] == list(expected.items())
     assert all(row.error == "" for row in report.rows)
-    assert set(report.extras["summary"]) == {f"{s}/d={d}" for s, d in expected.items()}
+    assert set(_bootstrap_spread(report.rows)) == set(expected.items())
 
 
 def test_both_kinds_share_one_state_pod(monkeypatch) -> None:
@@ -381,6 +395,20 @@ def test_a_nan_parameter_is_rejected_by_name(kinds) -> None:
     with pytest.raises(ValueError, match="non-finite snapshot entry at row 1, column 5"):
         experiments.build_surrogates(
             params, states, toymodel.PARAMETER_BOUNDS, kinds, pce_degree=2, split_seed=1, modes=3
+        )
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("argument", ["params", "states"])
+@pytest.mark.parametrize("kinds", [("podpce",), ("poden",), ("podpce", "poden")], ids="-".join)
+def test_a_non_finite_ensemble_entry_fails_naming_its_argument(kinds, argument, value) -> None:
+    ensemble = {"params": toymodel.sample_parameters(12, 3).T.copy()}
+    ensemble["states"] = toymodel.propagate(ensemble["params"].T)
+    ensemble[argument][2, 5] = value
+    with pytest.raises(ValueError, match=f"^{argument}: non-finite snapshot entry at row 2, column 5$"):
+        experiments.build_surrogates(
+            ensemble["params"], ensemble["states"], toymodel.PARAMETER_BOUNDS, kinds,
+            pce_degree=1, split_seed=1, modes=1,
         )
 
 
@@ -620,24 +648,59 @@ def test_inflated_observation_error_pulls_toward_background() -> None:
     assert distance_to_background(inflated) <= distance_to_background(reference)
 
 
+def _table(path) -> list[dict[str, str]]:
+    """The rows of a CSV that ``io`` wrote, as column -> cell text."""
+    lines = path.read_text().splitlines()[1:]  # after the metadata comment
+    return [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+
+
 @pytest.mark.parametrize("driver", ["twin", "covgrid", "bootstrap", "measure"])
 def test_plot_cells_equal_the_report_cells_of_their_row(driver, tmp_path) -> None:
     report = _tiny_sweep(driver)
-
-    def table(path):
-        lines = path.read_text().splitlines()[1:]  # after the metadata comment
-        return [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
-
     io.write_report_csv(tmp_path / "report.csv", report)
     written = io.write_plot_csvs(tmp_path, report)
-    rows = table(tmp_path / "report.csv")
+    rows = _table(tmp_path / "report.csv")
     plots = [(name, experiment) for name, experiment, _ in io._PLOTS if experiment == driver]
     assert [path.name for path in written] == [name for name, _ in plots]
     for name, experiment in plots:
-        plot = table(tmp_path / name)
+        plot = _table(tmp_path / name)
         kept = [row for row in rows if row["experiment"].split("/")[0] == experiment]
         assert len(plot) == len(kept) > 0
         for cells, row in zip(plot, kept):
             for column, cell in cells.items():
                 expected = row["experiment"].split("/")[1] if column == "replicate" else row[column]
                 assert cell == expected, (name, column)
+
+
+@pytest.mark.parametrize("driver", ["twin", "covgrid", "bootstrap", "measure"])
+def test_report_csv_gives_back_what_the_summary_no_longer_restates(driver, tmp_path) -> None:
+    # Each value summary.json used to carry besides x_t and
+    # classical_iterations, rebuilt from the report.csv text, equals the
+    # value the drivers computed from their rows in memory.
+    report = _tiny_sweep(driver)
+    io.write_report_csv(tmp_path / "report.csv", report)
+    table = _table(tmp_path / "report.csv")
+    assert set(report.extras) == ({"classical_iterations"} if driver == "measure" else {"x_t"})
+    assert len(table) == len(report.rows)  # "cells"
+    failures = sum(bool(row.error) for row in report.rows)
+    assert sum(bool(row["error"]) for row in table) == failures  # "failures"
+    assert {row["experiment"].split("/")[0] for row in table} == {driver}  # "experiment"
+    rows, first = report.rows, table[0]
+    if driver == "twin":
+        assert float(first["rmse_truth_background"]) == rows[0].rmse_truth_background  # its extra
+    elif driver == "covgrid":
+        grid = list(dict.fromkeys(float(row["alpha_b"]) for row in table))
+        assert grid == [1.0, 10.0]  # "alpha_grid"
+        matrix = [[float(row["rmse_truth"]) for row in table if float(row["alpha_b"]) == b] for b in grid]
+        assert matrix == np.array([row.rmse_truth for row in rows]).reshape(2, 2).tolist()  # "rmse_matrix"
+    elif driver == "bootstrap":
+        parsed = [SimpleNamespace(solver=row["solver"], d=int(row["d"]), rmse_truth=float(row["rmse_truth"]))
+                  for row in table]
+        assert _bootstrap_spread(parsed) == _bootstrap_spread(rows)  # "summary"
+        assert _bootstrap_spread(parsed)
+    else:
+        assert first["solver"] == "classical"
+        assert float(first["rmse_obs"]) == rows[0].rmse_obs  # "classical_rmse_obs"
+        assert int(first["model_runs"]) == rows[0].model_runs  # "classical_model_runs"
+        x_a = [float(first[c]) for c in ("x_a_k2", "x_a_mtl", "x_a_ctl", "x_a_ctv")]
+        assert x_a == rows[0].x_a.tolist()  # "classical_x_a"
