@@ -10,8 +10,9 @@ deterministic per (config, seed), and nested training-size sweeps reuse members.
 Each driver runs with the OpenBLAS copies bundled with numpy and scipy at
 one thread (:func:`_one_blas_thread`), wherever it is called from, unless
 ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set. The independent
-units of a sweep (bootstrap replicates, twin (noise, n) groups) run in
-forked workers (:func:`_map`); their rows do not depend on the worker count.
+units of a sweep (bootstrap replicates, twin training sizes) each draw, fit
+and solve in a forked worker (:func:`_map`); their rows do not depend on
+the worker count.
 """
 from __future__ import annotations
 
@@ -332,6 +333,14 @@ def _shrink(s: PodPceSurrogate | PodEnSurrogate, d: int) -> PodPceSurrogate | Po
     return dataclasses.replace(s, state_basis=truncate(s.state_basis, modes=d), pce=pce)
 
 
+def _check_rank(n: int, mode_numbers: tuple[int, ...], evr_threshold: float | None, field: str) -> None:
+    """Reject a given mode count above n - 1, the rank of n centered members,
+    naming ``field``; a rank that ``evr_threshold`` selects is not known
+    before the fit."""
+    if evr_threshold is None:
+        check_each(field, mode_numbers, lambda d: d <= n - 1, f"{n} members hold at most {n - 1} modes")
+
+
 def _fit(
     seed: int,
     n: int,
@@ -345,11 +354,10 @@ def _fit(
     under ``seed``, propagated and fitted: one per mode number, or the single
     rank that ``evr_threshold`` selects when it is set. Draws are nested in n
     and every column of a propagation keeps its bits, so the sizes of a sweep
-    share their members. A count above n - 1, the rank of n centered members,
-    fails naming ``field``: before the draw when the counts are given, once
-    the members are fitted otherwise."""
-    if evr_threshold is None:
-        check_each(field, mode_numbers, lambda d: d <= n - 1, f"{n} members hold at most {n - 1} modes")
+    share their members. A count the ensemble cannot hold fails naming
+    ``field``: before the draw by :func:`_check_rank` when the counts are
+    given, once the members are fitted otherwise."""
+    _check_rank(n, mode_numbers, evr_threshold, field)
     params = toymodel.sample_parameters(n, seed)  # (n, 4)
     try:
         full, scaling = build_surrogates(
@@ -611,20 +619,26 @@ def _map(fn: Callable[[Any], Any], items: Sequence) -> list:
 
 @_one_blas_thread()
 def run_twin(config: TwinConfig) -> ExperimentReport:
-    """Noise x training-size x mode sweep against a drawn synthetic truth."""
-    builds = {n: _fit(config.seed, n, config.surrogates, config.mode_numbers, config.evr_threshold,
-                      config.pce_degree) for n in config.training_sizes}  # smallest n first
+    """Noise x training-size x mode sweep against a drawn synthetic truth.
+
+    Each training size is one unit that draws, fits and solves its cells at
+    every noise level, so this process holds no ensemble when the units run
+    in workers. The mode counts are checked on the smallest size first, so
+    a bad count fails before any draw. Rows come in noise, n, cell order.
+    """
+    _check_rank(config.training_sizes[0], config.mode_numbers, config.evr_threshold, "mode_numbers")
     x_t, observed = _observe_truth(config, config.noise_levels)
 
-    def group_rows(group: tuple[float, int]) -> list[ReportRow]:
-        noise, n = group
-        return _run_cells(builds[n], observed[noise], _cells(
-            builds[n], config.surrogates, (config.covariance_kind,),
+    def size_rows(n: int) -> list[list[ReportRow]]:
+        builds = _fit(config.seed, n, config.surrogates, config.mode_numbers, config.evr_threshold,
+                      config.pce_degree)
+        return [_run_cells(builds, observed[noise], _cells(
+            builds, config.surrogates, (config.covariance_kind,),
             experiment="twin", n=n, noise=noise,
-        ))
+        )) for noise in config.noise_levels]
 
-    groups = [(noise, n) for noise in config.noise_levels for n in config.training_sizes]
-    rows = [row for group in _map(group_rows, groups) for row in group]
+    by_size = _map(size_rows, config.training_sizes)  # [n][noise] -> rows
+    rows = [row for by_noise in zip(*by_size) for group in by_noise for row in group]
     return ExperimentReport(rows, {"x_t": x_t.tolist()})
 
 

@@ -795,38 +795,80 @@ def test_import_loads_no_process_pool() -> None:
     assert done.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("error, code, message", [
+# A pooled sweep's unit build succeeds, raises or kills its worker.
+UNIT_FAILURES = pytest.mark.parametrize("error, code, message", [
     (None, EXIT_OK, ""),
     (ModeCountError("injected rank failure"), EXIT_VALIDATION, "error: mode_numbers: injected rank failure"),
     (np.linalg.LinAlgError("injected numerical failure"), EXIT_NUMERICAL,
      "numerical failure: injected numerical failure"),
-    (signal.SIGKILL, EXIT_WORKER_LOST, "worker process lost: "),  # the replicate kills its worker
+    (signal.SIGKILL, EXIT_WORKER_LOST, "worker process lost: "),
 ])
-def test_bootstrap_in_workers_exits_by_its_replicates_and_leaves_no_process(
-    tmp_path, capsys, monkeypatch, error, code, message
-) -> None:
+
+
+def _exits_by_its_units(tmp_path, capsys, monkeypatch, command, cfg, failing, error, code, message) -> None:
+    """Run ``command`` on two CPUs with the build of split seed ``failing``
+    failing by ``error``: it exits ``code`` with ``message``, leaves no
+    child process, and writes ``--out`` only on success."""
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    cfg = {"surrogates": ["podpce"], "mode_numbers": [2], "pce_degree": 2,
-           "bootstrap_replicates": 3, "bootstrap_size": 40}
-    failing = split_seed(substream_seed(5, "bootstrap/2"), 40)
     parent, build = os.getpid(), experiments.build_surrogates
 
     def build_or_fail(*args, split_seed, **kwargs):
         if error is signal.SIGKILL and split_seed == failing:
-            assert os.getpid() != parent, "the replicates must run in workers"
+            assert os.getpid() != parent, f"the {command} units must build in workers"
             os.kill(os.getpid(), error)
         if error is not None and split_seed == failing:
             raise error
         return build(*args, split_seed=split_seed, **kwargs)
 
     monkeypatch.setattr(experiments, "build_surrogates", build_or_fail)
-    path = write_config(tmp_path, "bootstrap.json", cfg)
-    assert main(["bootstrap", "--config", path, "--seed", "5", "--out", str(tmp_path / "out")]) == code
+    path = write_config(tmp_path, f"{command}.json", cfg)
+    assert main([command, "--config", path, "--seed", "5", "--out", str(tmp_path / "out")]) == code
     assert capsys.readouterr().err.startswith(message)
     assert multiprocessing.active_children() == []
     assert (tmp_path / "out").exists() == (error is None)
+
+
+@UNIT_FAILURES
+def test_bootstrap_in_workers_exits_by_its_replicates_and_leaves_no_process(
+    tmp_path, capsys, monkeypatch, error, code, message
+) -> None:
+    cfg = {"surrogates": ["podpce"], "mode_numbers": [2], "pce_degree": 2,
+           "bootstrap_replicates": 3, "bootstrap_size": 40}
+    failing = split_seed(substream_seed(5, "bootstrap/2"), 40)  # the third replicate
+    _exits_by_its_units(tmp_path, capsys, monkeypatch, "bootstrap", cfg, failing, error, code, message)
+
+
+@UNIT_FAILURES
+def test_twin_in_workers_exits_by_its_training_sizes_and_leaves_no_process(
+    tmp_path, capsys, monkeypatch, error, code, message
+) -> None:
+    cfg = {"surrogates": ["podpce"], "mode_numbers": [2], "pce_degree": 2,
+           "noise_levels": [0.05, 0.1], "training_sizes": [30, 40]}
+    failing = split_seed(5, 40)  # the second training size
+    _exits_by_its_units(tmp_path, capsys, monkeypatch, "twin", cfg, failing, error, code, message)
+
+
+def test_twin_checks_every_training_size_before_its_units_run(tmp_path, capsys, monkeypatch) -> None:
+    # On two CPUs each training size is a worker's unit; 40 members hold at
+    # most 39 modes, so the count fails in this process before any unit
+    # starts, as it would with one unit.
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    def never(*args, **kwargs):
+        raise AssertionError("a unit was started or an ensemble drawn")
+
+    monkeypatch.setattr(experiments, "_map", never)
+    monkeypatch.setattr("romda.toymodel.sample_parameters", never)
+    cfg = {"mode_numbers": [2, 40], "training_sizes": [40, 400]}
+    out = tmp_path / "out"
+    assert main(["twin", "--config", write_config(tmp_path, "twin.json", cfg), "--out", str(out)]) \
+        == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: mode_numbers: 40 members hold at most 39 modes, got 40\n"
+    assert not out.exists()
 
 
 def test_workers_option_and_key_are_rejected(tmp_path, capsys) -> None:

@@ -249,7 +249,8 @@ def test_run_twin_deterministic_and_nested(seed) -> None:
 
 
 def test_sweeps_whiten_rtilde_modes_once_per_build_and_observation(monkeypatch) -> None:
-    # A shared counter: the twin groups, and so their QRs, may run in forked workers.
+    # A shared counter: the twin training sizes, and so their builds and
+    # QRs, may run in forked workers.
     qrs = multiprocessing.Value("i", 0)
     whitened_modes_qr = assimilate._whitened_modes_qr
 
@@ -477,6 +478,26 @@ def test_pooled_rows_equal_serial_rows_bit_for_bit(driver, monkeypatch, two_cpus
     assert len(pooled.rows) == len(serial.rows) > 0
     np.testing.assert_equal([_row_fields(r) for r in pooled.rows], [_row_fields(r) for r in serial.rows])
     assert io.report_csv_text(pooled) == io.report_csv_text(serial)
+
+
+def test_a_pooled_twin_fits_nothing_in_the_calling_process(monkeypatch, two_cpus) -> None:
+    # Each training size draws and fits in its worker; the callers' pids are
+    # shared across fork as [count, pid, pid, ...].
+    callers = multiprocessing.Array("q", 8)
+    build = experiments.build_surrogates
+
+    def recorded(*args, **kwargs):
+        with callers.get_lock():
+            callers[0] += 1
+            callers[callers[0]] = os.getpid()
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "build_surrogates", recorded)
+    assert len(run_twin(POOLED).rows) > 0
+    sizes = len(POOLED.training_sizes)
+    assert callers[0] == sizes  # one build per training size
+    assert os.getpid() not in callers[1:1 + sizes]
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("driver", [run_bootstrap, run_twin])
