@@ -256,14 +256,17 @@ class MeasurementConfig:
 
 @dataclass
 class ReportRow:
+    """One sweep cell, named by its first eight fields, and its result; in
+    order, the fields are report.csv's columns (``io.REPORT_COLUMNS``)."""
+
     experiment: str
     solver: str  # podpce | poden | classical
     covariance: str
     n: int
     d: int
     noise: float
-    alpha_b: float
-    alpha_r: float
+    alpha_b: float = 1.0
+    alpha_r: float = 1.0
     # The defaults below describe a cell that produced no analysis.
     rmse_truth: float = float("nan")
     rmse_obs: float = float("nan")
@@ -277,7 +280,7 @@ class ReportRow:
     rmse_p3: float = float("nan")
     rmse_p4: float = float("nan")
     rmse_p5: float = float("nan")
-    x_a: np.ndarray = field(default_factory=lambda: np.full(4, np.nan))
+    x_a: np.ndarray = field(default_factory=lambda: np.full(len(toymodel.PARAMETER_NAMES), np.nan))
     clipped: bool = False
     j_final: float = float("nan")
     model_runs: int = 0
@@ -374,20 +377,6 @@ def _fit(
 
 
 @dataclass(frozen=True)
-class _Cell:
-    """One assimilation of a sweep, as named by the leading report columns."""
-
-    experiment: str
-    solver: str
-    covariance: str
-    n: int
-    d: int
-    noise: float
-    alpha_b: float = 1.0
-    alpha_r: float = 1.0
-
-
-@dataclass(frozen=True)
 class _Observed:
     """What the cells of a run assimilate (physical units) and are scored
     against; the truth and background states are None in measurement mode."""
@@ -418,13 +407,14 @@ def _cells(
     surrogates: tuple[str, ...],
     covariances: tuple[str, ...],
     **key,
-) -> Iterator[_Cell]:
-    """Cells of one build in report order: solver, then covariance (the
-    linear surrogate runs with plain R only), then mode count."""
+) -> Iterator[ReportRow]:
+    """Cells of one build in report order, as rows holding only their key:
+    solver, then covariance (the linear surrogate runs with plain R only),
+    then mode count."""
     for solver in surrogates:
         for covariance in (covariances if solver == "podpce" else ("r",)):
             for d in sorted(builds.surrogates[solver]):
-                yield _Cell(solver=solver, covariance=covariance, d=d, **key)
+                yield ReportRow(solver=solver, covariance=covariance, d=d, **key)
 
 
 def _physical(scaling: Scaling, x_std: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -468,11 +458,11 @@ class _Scorer:
                for p in range(toymodel.N_STATIONS)},
         }
 
-    def row(self, cell: _Cell, analysis, x_a: np.ndarray, **counts) -> ReportRow:
-        """Row of the physical analysis ``x_a``; ``counts`` are the clipped,
-        model_runs, surrogate_evals and wall_time fields."""
-        return ReportRow(
-            **dataclasses.asdict(cell),
+    def row(self, cell: ReportRow, analysis, x_a: np.ndarray, **counts) -> ReportRow:
+        """The ``cell`` row with the physical analysis ``x_a``; ``counts``
+        are the clipped, model_runs, surrogate_evals and wall_time fields."""
+        return dataclasses.replace(
+            cell,
             **self.rmses(toymodel.simulate(x_a)),  # reporting run, not a solver call
             x_a=x_a,
             j_final=analysis.j_final,
@@ -482,7 +472,7 @@ class _Scorer:
         )
 
 
-def _run_cells(builds: _Builds, observed: _Observed, cells: Iterator[_Cell]) -> list[ReportRow]:
+def _run_cells(builds: _Builds, observed: _Observed, cells: Iterator[ReportRow]) -> list[ReportRow]:
     """The cells of one build against one observation, scored by one
     scorer; every R~ among them whitens its modes with one shared QR."""
     whitening = ModeWhitening()
@@ -491,7 +481,7 @@ def _run_cells(builds: _Builds, observed: _Observed, cells: Iterator[_Cell]) -> 
 
 
 def _run_cell(
-    builds: _Builds, cell: _Cell, observed: _Observed, whitening: ModeWhitening, scorer: _Scorer
+    builds: _Builds, cell: ReportRow, observed: _Observed, whitening: ModeWhitening, scorer: _Scorer
 ) -> ReportRow:
     """Solve one cell in standardized space and report it in physical units.
 
@@ -515,7 +505,7 @@ def _run_cell(
         )
     except Exception as exc:  # recorded per cell, sweep continues
         log.warning("cell failed: %s", exc, exc_info=True)
-        return ReportRow(**dataclasses.asdict(cell), error=str(exc))
+        return dataclasses.replace(cell, error=str(exc))
 
 
 # BLAS threads and independent units ------------------------------------------------
@@ -663,16 +653,18 @@ def run_covariance_grid(config: TwinConfig) -> ExperimentReport:
 
 @_one_blas_thread()
 def run_bootstrap(config: TwinConfig) -> ExperimentReport:
-    """Fresh training ensembles per replicate at a fixed size; the rows give
-    the RMSE spread per mode count and solver. A replicate fits before it
-    observes the truth, so a bad mode count fails before any model run."""
+    """Fresh training ensembles per replicate at a fixed size, against one
+    observation of the truth; the rows give the RMSE spread per mode count
+    and solver. The mode counts are checked before the truth is simulated,
+    so a bad count fails before any model run."""
     n = config.bootstrap_size
+    _check_rank(n, config.mode_numbers, config.evr_threshold, "mode_numbers")
+    x_t, observed = _observe_truth(config, (config.bootstrap_noise,))
 
     def replicate_rows(replicate: int) -> list[ReportRow]:
         member_seed = substream_seed(config.seed, f"bootstrap/{replicate}")
         builds = _fit(member_seed, n, config.surrogates, config.mode_numbers,
                       config.evr_threshold, config.pce_degree)
-        _, observed = _observe_truth(config, (config.bootstrap_noise,))
         return _run_cells(builds, observed[config.bootstrap_noise], _cells(
             builds, config.surrogates, (config.covariance_kind,),
             experiment=f"bootstrap/{replicate}", n=n, noise=config.bootstrap_noise,
@@ -680,7 +672,7 @@ def run_bootstrap(config: TwinConfig) -> ExperimentReport:
 
     replicates = _map(replicate_rows, range(config.bootstrap_replicates))
     rows = [row for replicate in replicates for row in replicate]
-    return ExperimentReport(rows, {"x_t": _draw_truth(config).tolist()})
+    return ExperimentReport(rows, {"x_t": x_t.tolist()})
 
 
 @_one_blas_thread()
@@ -709,7 +701,7 @@ def run_measurement(config: MeasurementConfig, y_o: np.ndarray) -> ExperimentRep
     x_a_classical, clipped = _physical(scaling, classical.x_a)
     observed = _Observed(y_o, r_diag)
     classical_row = _Scorer(scaling.states, observed).row(
-        _Cell("measure", "classical", "r", 0, 0, config.assumed_noise), classical, x_a_classical,
+        ReportRow("measure", "classical", "r", 0, 0, config.assumed_noise), classical, x_a_classical,
         clipped=clipped, model_runs=classical.evaluations, wall_time=classical_time,
     )
     rows = [classical_row] + [

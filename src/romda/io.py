@@ -9,6 +9,7 @@ shortest round-trip representation.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -17,9 +18,11 @@ from typing import Any
 import numpy as np
 
 from . import __version__
+from .experiments import ReportRow
 from .pce import PceBasis, PceModel
 from .pod import PodBasis, SnapshotMatrix, numerical_rank
 from .surrogate import PodEnSurrogate, PodPceSurrogate, Scaling, Standardizer
+from .toymodel import PARAMETER_NAMES
 
 SCHEMAS = {
     "snapshot": "snapshot/1",
@@ -226,17 +229,16 @@ def load_surrogate(path: str | Path) -> tuple[PodPceSurrogate | PodEnSurrogate, 
 
 # Experiment reports ----------------------------------------------------------------
 
-# The report schema. Every column but x_a_* is the experiments.ReportRow
-# attribute of the same name; the first eight name a cell.
-REPORT_COLUMNS = (
-    "experiment", "solver", "covariance", "n", "d", "noise", "alpha_b", "alpha_r",
-    "rmse_truth", "rmse_obs", "rmse_truth_background",
-    "rmse_u", "rmse_v", "rmse_eta", "rmse_p1", "rmse_p2", "rmse_p3", "rmse_p4", "rmse_p5",
-    "x_a_k2", "x_a_mtl", "x_a_ctl", "x_a_ctv",
-    "clipped", "j_final", "model_runs", "surrogate_evals", "converged", "reason", "error",
+# The report schema: ReportRow's fields in order, with x_a as one
+# x_a_<parameter> column per entry and wall_time left to timings.csv; the
+# first eight name a cell.
+_X_A_COLUMNS = {f"x_a_{name.lower()}": i for i, name in enumerate(PARAMETER_NAMES)}
+REPORT_COLUMNS = tuple(
+    column
+    for f in dataclasses.fields(ReportRow) if f.name != "wall_time"
+    for column in (_X_A_COLUMNS if f.name == "x_a" else (f.name,))
 )
 _KEY_COLUMNS = REPORT_COLUMNS[:8]
-_X_A_COLUMNS = tuple(c for c in REPORT_COLUMNS if c.startswith("x_a_"))
 
 
 def _cell(value) -> str:
@@ -254,7 +256,7 @@ def _value(row, column: str):
     entry of ``row.x_a``, the wall time in seconds, and the replicate of a
     ``bootstrap/<replicate>`` row."""
     if column in _X_A_COLUMNS:
-        return row.x_a[_X_A_COLUMNS.index(column)]
+        return row.x_a[_X_A_COLUMNS[column]]
     if column == "wall_time_s":
         return row.wall_time
     if column == "replicate":

@@ -368,6 +368,24 @@ def test_run_bootstrap_builds_the_evr_selected_rank() -> None:
     assert set(_bootstrap_spread(report.rows)) == set(expected.items())
 
 
+def test_a_bootstrap_observes_its_truth_once(monkeypatch) -> None:
+    # Every replicate is scored against the same truth, background and noise
+    # draw, so the sweep simulates and perturbs them once.
+    _cpus(monkeypatch, 1)
+    observe, calls = experiments._observe_truth, []
+
+    def counting(*args):
+        calls.append(args)
+        return observe(*args)
+
+    monkeypatch.setattr(experiments, "_observe_truth", counting)
+    config = small_config(mode_numbers=(2,), bootstrap_replicates=3, bootstrap_size=40)
+    report = run_bootstrap(config)
+    assert len(calls) == 1
+    assert [row.experiment for row in report.rows] == [f"bootstrap/{r}" for r in range(3)]
+    assert report.extras["x_t"] == experiments._draw_truth(config).tolist()
+
+
 def test_both_kinds_share_one_state_pod(monkeypatch) -> None:
     # PODEn's joint basis extends the POD-PCE state basis: one fit_pod per build.
     fitted = []

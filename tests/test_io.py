@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from romda import io
-from romda.experiments import TwinConfig, build_surrogates, run_twin
+from romda.experiments import ExperimentReport, ReportRow, TwinConfig, build_surrogates, run_twin
 from romda.pce import PceConfig, design_matrix
 from romda.pod import (
     ZERO_SV_RTOL,
@@ -256,3 +256,26 @@ def test_report_csv_deterministic_bytes(tmp_path) -> None:
     assert text_a == text_b
     header = text_a.splitlines()[1].split(",")
     assert header == list(io.REPORT_COLUMNS)
+
+
+# report.csv's columns as the schema "report/1" fixes them; io derives them
+# from ReportRow's fields, so a reordered or renamed field fails here.
+REPORT_HEADER = [
+    "experiment", "solver", "covariance", "n", "d", "noise", "alpha_b", "alpha_r",
+    "rmse_truth", "rmse_obs", "rmse_truth_background",
+    "rmse_u", "rmse_v", "rmse_eta", "rmse_p1", "rmse_p2", "rmse_p3", "rmse_p4", "rmse_p5",
+    "x_a_k2", "x_a_mtl", "x_a_ctl", "x_a_ctv",
+    "clipped", "j_final", "model_runs", "surrogate_evals", "converged", "reason", "error",
+]
+
+
+def test_report_header_is_the_schema_and_every_plot_column_is_in_it(tmp_path) -> None:
+    report = ExperimentReport([ReportRow("twin", "podpce", "r", 40, 2, 0.1, 1.0, 1.0)], {})
+    header, line = io.report_csv_text(report).splitlines()[1:]
+    assert header.split(",") == REPORT_HEADER
+    assert len(line.split(",")) == len(REPORT_HEADER)
+    io.write_timings_csv(tmp_path / "timings.csv", report)
+    assert (tmp_path / "timings.csv").read_text().splitlines()[1].split(",") == [
+        *REPORT_HEADER[:8], "wall_time_s"]
+    for name, _, columns in io._PLOTS:
+        assert set(columns) <= {*REPORT_HEADER, "replicate"}, name
